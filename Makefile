@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check chaos fuzz compare serve-e2e loadgen-smoke bench-json bench-compare clean
+.PHONY: all build test race bench-test vet fmt check chaos fuzz compare serve-e2e loadgen-smoke bench-json bench-compare clean
 
 all: check
 
@@ -12,6 +12,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# bench/ is a nested module the root ./... patterns cannot see; its tests
+# build the benchmark against this checkout and smoke every workload.
+bench-test:
+	$(GO) test -C bench ./...
 
 vet:
 	$(GO) vet ./...

@@ -7,7 +7,7 @@
 //
 //	compare                          # all engines × {lfr, rmat, bter}, markdown to stdout
 //	compare -algos par-louvain,lpa -graphs lfr -n 5000 -mu 0.4
-//	compare -threads 1,2,4 -algos plm,plp,leiden   # shared-memory scaling sweep
+//	compare -threads 1,2,4 -algos plm,plp          # shared-memory scaling sweep
 //	compare -jsonl results.jsonl -md table.md -repeat 3
 //	compare -smoke                   # tiny inputs, assert valid partitions (CI)
 //	compare -engines-md              # print the registry table for README

@@ -38,7 +38,7 @@ func main() {
 	log.SetPrefix("louvain: ")
 	var (
 		ranks     = flag.Int("ranks", 1, "number of simulated compute ranks")
-		threads   = flag.Int("threads", 0, "worker threads per rank (par-louvain, plm, plp, leiden, lns); 0 auto-selects the usable CPU count")
+		threads   = flag.Int("threads", 0, "worker threads per rank (par-louvain, plm, plp); 0 auto-selects the usable CPU count")
 		order     = flag.String("order", "default", "move-sweep vertex order: default | natural | shuffle | degree-asc | degree-desc (whole-graph engines)")
 		seq       = flag.Bool("seq", false, "shorthand for -algo seq-louvain (sequential baseline)")
 		naive     = flag.Bool("naive", false, "disable the convergence heuristic (par-louvain only)")

@@ -62,7 +62,7 @@ type Options struct {
 	SimModel comm.CostModel
 
 	// Threads is the per-rank worker count (parallel Louvain, and the
-	// shared-memory move phases of plm/plp/leiden/lns).
+	// shared-memory move phases of plm/plp).
 	Threads int
 	// Order selects the vertex visit order of the whole-graph move sweeps
 	// (see movesched.Ordering); the zero value keeps each engine's
@@ -182,9 +182,12 @@ type Result struct {
 }
 
 // Communities returns the number of distinct labels in the assignment.
-func (r *Result) Communities() int {
+func (r *Result) Communities() int { return countLabels(r.Assignment) }
+
+// countLabels returns the number of distinct labels in a labeling.
+func countLabels(labels []graph.V) int {
 	seen := make(map[graph.V]struct{}, 64)
-	for _, c := range r.Assignment {
+	for _, c := range labels {
 		seen[c] = struct{}{}
 	}
 	return len(seen)

@@ -240,6 +240,24 @@ func TestRank0ErrorPropagatesToAllRanks(t *testing.T) {
 	}
 }
 
+// TestBadWarmStartIsAnError pins that a warm start of the wrong length or
+// with a label outside the id space comes back from every modularity engine
+// as an error on the caller's goroutine, never as a panic on a rank's.
+func TestBadWarmStartIsAnError(t *testing.T) {
+	el, _, n := testGraph(t)
+	short := make([]graph.V, n-1)
+	outOfRange := make([]graph.V, n)
+	outOfRange[n/2] = graph.V(n)
+	for _, name := range []string{"seq-louvain", "plm", "leiden", "lns", "par-louvain"} {
+		for what, warm := range map[string][]graph.V{"short": short, "out of range": outOfRange} {
+			_, err := Run(context.Background(), name, el, n, Options{Ranks: 2, Warm: warm})
+			if err == nil || !strings.Contains(err.Error(), "warm-start") {
+				t.Errorf("%s, %s warm start: err = %v, want a warm-start error", name, what, err)
+			}
+		}
+	}
+}
+
 func TestInvariantCheckerCatchesBadResult(t *testing.T) {
 	el, _, n := testGraph(t)
 	trs := comm.NewMemGroup(1)

@@ -15,11 +15,10 @@ import (
 
 func init() {
 	Register(parLouvain{})
-	Register(seqLouvain{})
-	Register(plmEngine{})
+	for _, e := range rank0Louvains {
+		Register(e)
+	}
 	Register(plpEngine{})
-	Register(leidenEngine{})
-	Register(lnsEngine{})
 	Register(lpaEngine{})
 	Register(ensembleEngine{})
 }
@@ -76,65 +75,66 @@ func (e parLouvain) Detect(ctx context.Context, g Graph, opt Options) (*Result, 
 	return finish(g, opt, e.Info(), fromCore(e.Name(), cres))
 }
 
-// seqLouvain is the sequential Louvain baseline (Algorithm 1) behind the
-// rank-0 harness.
-type seqLouvain struct{}
+// rank0Louvain is a whole-graph Louvain-family engine behind the rank-0
+// harness. The family shares core's hierarchy driver; run names the entry
+// point that picks the move phase.
+type rank0Louvain struct {
+	info Info
+	run  func(*graph.Graph, core.Options) *core.Result
+	// extra reports engine-specific scalars; nil for none.
+	extra func(*core.Result) map[string]float64
+}
 
-func (seqLouvain) Name() string { return "seq-louvain" }
-
-func (seqLouvain) Info() Info {
-	return Info{
+// rank0Louvains lists the family. plm decides moves on Threads workers
+// against frozen state and replays them serially in schedule order, so it
+// is bit-identical across thread counts; the others are serial.
+var rank0Louvains = []rank0Louvain{
+	{info: Info{
 		Name:         "seq-louvain",
 		Description:  "sequential Louvain baseline (Algorithm 1)",
 		Flags:        "-warm -max-levels -max-inner",
-		Hierarchical: true,
-		MonotoneQ:    true,
-		Rank0:        true,
-	}
-}
-
-func (e seqLouvain) Detect(ctx context.Context, g Graph, opt Options) (*Result, error) {
-	res, err := runRank0(ctx, g, opt, e.Name(), func(full *graph.Graph) (*core.Result, map[string]float64, error) {
-		cres := core.Sequential(full, opt.coreOptions(ctx, true))
-		if err := ctx.Err(); err != nil {
-			return nil, nil, fmt.Errorf("%w: %w", core.ErrCanceled, err)
-		}
-		return cres, nil, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return finish(g, opt, e.Info(), res)
-}
-
-// plmEngine is the shared-memory parallel Louvain move phase (Staudt &
-// Meyerhenke's PLM) on the movesched color-batch scheduler, behind the
-// rank-0 harness: decisions run on Threads workers against frozen state,
-// applications replay serially in schedule order, and an active-vertex set
-// prunes settled regions — so results are bit-identical across thread
-// counts and the per-level Q stays monotone.
-type plmEngine struct{}
-
-func (plmEngine) Name() string { return "plm" }
-
-func (plmEngine) Info() Info {
-	return Info{
+		Hierarchical: true, MonotoneQ: true, Rank0: true,
+	}, run: core.Sequential},
+	{info: Info{
 		Name:         "plm",
 		Description:  "shared-memory parallel Louvain (Staudt & Meyerhenke PLM): color-batched decide/apply move phase with active-vertex pruning",
 		Flags:        "-threads -order -warm -max-levels -max-inner",
-		Hierarchical: true,
-		MonotoneQ:    true,
-		Rank0:        true,
-	}
+		Hierarchical: true, MonotoneQ: true, Rank0: true,
+	}, run: core.PLM},
+	{info: Info{
+		Name:         "leiden",
+		Description:  "Leiden-style Louvain: move + refine-within-communities + aggregate (connected communities)",
+		Flags:        "-warm -max-levels -max-inner",
+		Hierarchical: true, MonotoneQ: true, Rank0: true,
+	}, run: core.Leiden, extra: func(cres *core.Result) map[string]float64 {
+		return map[string]float64{"splits": float64(cres.LeidenSplits)}
+	}},
+	{info: Info{
+		Name:         "lns",
+		Description:  "local neighbourhood search (Browet 2013): queue-driven moves, aggregation per pass",
+		Flags:        "-warm -max-levels -max-inner",
+		Hierarchical: true, MonotoneQ: true, Rank0: true,
+	}, run: core.LNS},
 }
 
-func (e plmEngine) Detect(ctx context.Context, g Graph, opt Options) (*Result, error) {
+func (e rank0Louvain) Name() string { return e.info.Name }
+
+func (e rank0Louvain) Info() Info { return e.info }
+
+func (e rank0Louvain) Detect(ctx context.Context, g Graph, opt Options) (*Result, error) {
 	res, err := runRank0(ctx, g, opt, e.Name(), func(full *graph.Graph) (*core.Result, map[string]float64, error) {
-		cres := core.PLM(full, opt.coreOptions(ctx, true))
+		if err := core.CheckWarm(opt.Warm, full.N); err != nil {
+			return nil, nil, err
+		}
+		cres := e.run(full, opt.coreOptions(ctx, true))
 		if err := ctx.Err(); err != nil {
 			return nil, nil, fmt.Errorf("%w: %w", core.ErrCanceled, err)
 		}
-		return cres, nil, nil
+		var extra map[string]float64
+		if e.extra != nil {
+			extra = e.extra(cres)
+		}
+		return cres, extra, nil
 	})
 	if err != nil {
 		return nil, err
@@ -177,83 +177,17 @@ func (e plpEngine) Detect(ctx context.Context, g Graph, opt Options) (*Result, e
 		// LPA has no modularity objective; report the measured modularity
 		// of the labeling so quality is comparable across engines.
 		q := metrics.Modularity(full, labels)
-		comms := make(map[graph.V]struct{}, 64)
-		for _, c := range labels {
-			comms[c] = struct{}{}
-		}
 		cres := &core.Result{
 			Membership:  labels,
 			Q:           q,
 			NumVertices: full.N,
 			NumEdges:    int64(full.NumEdges()),
 			Levels: []core.Level{{
-				Q: q, Vertices: full.N, Communities: len(comms),
+				Q: q, Vertices: full.N, Communities: countLabels(labels),
 				InnerIterations: sweeps,
 			}},
 		}
 		return cres, map[string]float64{"sweeps": float64(sweeps)}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return finish(g, opt, e.Info(), res)
-}
-
-// leidenEngine is the Leiden-style variant: move phase, connectivity
-// refinement within communities, aggregation on the refined partition.
-type leidenEngine struct{}
-
-func (leidenEngine) Name() string { return "leiden" }
-
-func (leidenEngine) Info() Info {
-	return Info{
-		Name:         "leiden",
-		Description:  "Leiden-style Louvain: move + refine-within-communities + aggregate (connected communities)",
-		Flags:        "-max-levels -max-inner",
-		Hierarchical: true,
-		MonotoneQ:    true,
-		Rank0:        true,
-	}
-}
-
-func (e leidenEngine) Detect(ctx context.Context, g Graph, opt Options) (*Result, error) {
-	res, err := runRank0(ctx, g, opt, e.Name(), func(full *graph.Graph) (*core.Result, map[string]float64, error) {
-		cres := core.Leiden(full, opt.coreOptions(ctx, true))
-		if err := ctx.Err(); err != nil {
-			return nil, nil, fmt.Errorf("%w: %w", core.ErrCanceled, err)
-		}
-		return cres, map[string]float64{"splits": float64(cres.LeidenSplits)}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return finish(g, opt, e.Info(), res)
-}
-
-// lnsEngine is the Browet-style local neighbourhood search: a queue-driven
-// greedy search that only re-examines vertices whose neighbourhood changed.
-type lnsEngine struct{}
-
-func (lnsEngine) Name() string { return "lns" }
-
-func (lnsEngine) Info() Info {
-	return Info{
-		Name:         "lns",
-		Description:  "local neighbourhood search (Browet 2013): queue-driven moves, aggregation per pass",
-		Flags:        "-max-levels -max-inner",
-		Hierarchical: true,
-		MonotoneQ:    true,
-		Rank0:        true,
-	}
-}
-
-func (e lnsEngine) Detect(ctx context.Context, g Graph, opt Options) (*Result, error) {
-	res, err := runRank0(ctx, g, opt, e.Name(), func(full *graph.Graph) (*core.Result, map[string]float64, error) {
-		cres := core.LNS(full, opt.coreOptions(ctx, true))
-		if err := ctx.Err(); err != nil {
-			return nil, nil, fmt.Errorf("%w: %w", core.ErrCanceled, err)
-		}
-		return cres, nil, nil
 	})
 	if err != nil {
 		return nil, err
@@ -353,17 +287,13 @@ func (e ensembleEngine) Detect(ctx context.Context, g Graph, opt Options) (*Resu
 		if err != nil {
 			return nil, nil, err
 		}
-		comms := make(map[graph.V]struct{}, 64)
-		for _, c := range assign {
-			comms[c] = struct{}{}
-		}
 		cres := &core.Result{
 			Membership:  assign,
 			Q:           q,
 			NumVertices: full.N,
 			NumEdges:    int64(full.NumEdges()),
 			Levels: []core.Level{{
-				Q: q, Vertices: full.N, Communities: len(comms),
+				Q: q, Vertices: full.N, Communities: countLabels(assign),
 				InnerIterations: ensemble.EffectiveRuns(opt.Runs),
 			}},
 		}

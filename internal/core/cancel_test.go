@@ -6,13 +6,7 @@ import (
 	"testing"
 
 	"parlouvain/internal/gen"
-	"parlouvain/internal/graph"
 )
-
-func buildGraph(t *testing.T, el graph.EdgeList) *graph.Graph {
-	t.Helper()
-	return graph.Build(el, 0)
-}
 
 // TestParallelCancelWithinLevel cancels a single-rank run from the
 // TraceMoves callback of the first inner iteration and asserts the engine
@@ -63,25 +57,5 @@ func TestParallelPreCanceled(t *testing.T) {
 	_, err = RunInProcess(el, 0, 1, Options{Ctx: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled run: %v, want context.Canceled", err)
-	}
-}
-
-// TestSequentialCancelStopsEarly asserts the whole-graph engines stop
-// descending the hierarchy once the context fires, keeping the levels
-// already built.
-func TestSequentialCancelStopsEarly(t *testing.T) {
-	el, _, err := gen.LFR(gen.DefaultLFR(2000, 0.3, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := Sequential(buildGraph(t, el), Options{})
-	if len(full.Levels) < 2 {
-		t.Skipf("baseline collapsed in %d levels; nothing to cut short", len(full.Levels))
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res := Sequential(buildGraph(t, el), Options{Ctx: ctx})
-	if len(res.Levels) != 0 {
-		t.Errorf("pre-canceled sequential run built %d levels, want 0", len(res.Levels))
 	}
 }

@@ -40,15 +40,8 @@ import (
 // n is the global vertex count. Every rank receives an identical Result.
 func Parallel(c *comm.Comm, local graph.EdgeList, n int, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
-	if opt.Warm != nil {
-		if len(opt.Warm) != n {
-			return nil, fmt.Errorf("core: warm-start assignment covers %d of %d vertices", len(opt.Warm), n)
-		}
-		for v, c := range opt.Warm {
-			if int(c) >= n {
-				return nil, fmt.Errorf("core: warm-start label %d of vertex %d outside id space %d", c, v, n)
-			}
-		}
+	if err := CheckWarm(opt.Warm, n); err != nil {
+		return nil, err
 	}
 	s := newEngine(c, n, opt)
 	if err := s.loadLocal(local); err != nil {

@@ -1,0 +1,265 @@
+package core
+
+import (
+	"time"
+
+	"parlouvain/internal/graph"
+	"parlouvain/internal/hashfn"
+	"parlouvain/internal/metrics"
+	"parlouvain/internal/movesched"
+	"parlouvain/internal/perf"
+)
+
+// moveFn is one level's move phase, the only thing that varies between the
+// whole-graph Louvain engines. It starts from comm (the community of each
+// working-graph vertex, labels < wg.N) and tot (the summed degree of each
+// community), improves both in place, and returns the moves made per sweep
+// plus the sweep count the level reports.
+type moveFn func(wg *graph.Graph, opt Options, level int, comm []graph.V, tot []float64) (movesPerIter []int, iterations int)
+
+// hierarchy is Algorithm 1's outer loop, shared by Sequential, PLM, Leiden
+// and LNS: run the move phase, record the level, condense, repeat until a
+// level stops merging or gaining. With refine set (Leiden) a level
+// aggregates on the connected components of its move communities instead of
+// the communities themselves, and the next level starts with every
+// component in the community it was split from, so modularity carries over
+// exactly and the move phase can still merge fragments back.
+func hierarchy(g *graph.Graph, opt Options, move moveFn, refine bool) *Result {
+	opt = opt.withDefaults()
+	start := time.Now()
+	res := &Result{
+		NumVertices: g.N,
+		NumEdges:    int64(g.NumEdges()),
+		Breakdown:   perf.NewBreakdown(),
+	}
+	// membership[orig] = vertex id in the current working graph.
+	membership := make([]graph.V, g.N)
+	comm := make([]graph.V, g.N)
+	for i := range membership {
+		membership[i] = graph.V(i)
+		comm[i] = graph.V(i)
+	}
+	res.Membership = membership
+	if g.N == 0 || g.M == 0 {
+		res.Duration = time.Since(start)
+		return res
+	}
+	// Frontends reject a bad warm start with an error (algo's rank-0
+	// harness, Parallel); reaching this with one is a caller bug. A nil
+	// Warm copies nothing and level 0 starts from singletons.
+	if err := CheckWarm(opt.Warm, g.N); err != nil {
+		panic(err)
+	}
+	copy(comm, opt.Warm)
+
+	wg := g
+	qPrev := -1.0
+	for level := 0; level < opt.MaxLevels; level++ {
+		if opt.canceled() != nil {
+			break // keep the best hierarchy reached so far
+		}
+		tot := make([]float64, wg.N)
+		for u, c := range comm {
+			tot[c] += wg.Deg[u]
+		}
+		movesPerIter, iterations := move(wg, opt, level, comm, tot)
+		q := metrics.Modularity(wg, comm)
+
+		// labels is this level's answer per working-graph vertex, agg the
+		// partition the next level's supervertices are built from.
+		labels, numComms := compactLabels(comm)
+		agg, numAgg := labels, numComms
+		if refine {
+			refined, splits := SplitDisconnected(wg, comm)
+			res.LeidenSplits += splits
+			agg, numAgg = compactLabels(refined) // already compact: this counts them
+		}
+		assign := make([]graph.V, g.N)
+		for orig, v := range membership {
+			assign[orig] = labels[v]
+			membership[orig] = agg[v]
+		}
+		res.Membership = assign
+
+		lv := Level{
+			Q:               q,
+			Vertices:        wg.N,
+			Communities:     numComms,
+			InnerIterations: iterations,
+			MovesPerIter:    movesPerIter,
+		}
+		if opt.CollectLevels {
+			lv.Membership = assign
+		}
+		res.Levels = append(res.Levels, lv)
+		res.Q = q
+		if level == 0 {
+			res.FirstLevel = time.Since(start)
+		}
+
+		if numAgg == wg.N || q-qPrev < opt.MinGain {
+			break
+		}
+		qPrev = q
+		// Each supervertex starts in the community its members came from:
+		// singletons when agg is the move partition itself.
+		comm = make([]graph.V, numAgg)
+		for u, a := range agg {
+			comm[a] = labels[u]
+		}
+		wg = condense(wg, agg, numAgg)
+	}
+	res.Duration = time.Since(start)
+	return res
+}
+
+// compactLabels renumbers a labeling whose labels are all < len(comm) to
+// 0..C-1 in first-seen order and returns it with C.
+func compactLabels(comm []graph.V) ([]graph.V, int) {
+	const unseen = ^graph.V(0)
+	remap := make([]graph.V, len(comm))
+	for i := range remap {
+		remap[i] = unseen
+	}
+	out := make([]graph.V, len(comm))
+	next := graph.V(0)
+	for u, c := range comm {
+		if remap[c] == unseen {
+			remap[c] = next
+			next++
+		}
+		out[u] = remap[c]
+	}
+	return out, int(next)
+}
+
+// condense builds the next-level supergraph (Algorithm 1 lines 24-26) from
+// compact per-vertex labels: vertices are the communities, edge weights are
+// summed, and intra-community weight becomes self-loops.
+func condense(wg *graph.Graph, labels []graph.V, numComms int) *graph.Graph {
+	agg := make(map[uint64]float64, wg.N)
+	selfW := make([]float64, numComms)
+	for u := 0; u < wg.N; u++ {
+		cu := labels[u]
+		selfW[cu] += wg.SelfW[u]
+		for i := wg.Off[u]; i < wg.Off[u+1]; i++ {
+			v := wg.Nbr[i]
+			if v < graph.V(u) {
+				continue // count each undirected edge once
+			}
+			cv := labels[v]
+			if cu == cv {
+				selfW[cu] += wg.NbrW[i]
+				continue
+			}
+			a, b := cu, cv
+			if a > b {
+				a, b = b, a
+			}
+			agg[hashfn.Pack32(a, b)] += wg.NbrW[i]
+		}
+	}
+	el := make(graph.EdgeList, 0, len(agg)+numComms)
+	for key, w := range agg {
+		a, b := hashfn.Unpack32(key)
+		el = append(el, graph.Edge{U: a, V: b, W: w})
+	}
+	for c, w := range selfW {
+		if w != 0 {
+			el = append(el, graph.Edge{U: graph.V(c), V: graph.V(c), W: w})
+		}
+	}
+	return graph.Build(el, numComms)
+}
+
+// levelOrder builds one level's vertex visit order from Options.Order: the
+// default ordering reproduces the historical behavior exactly (natural
+// order, or the seeded per-level shuffle when Seed is set), the explicit
+// orderings delegate to movesched.Permutation over the weighted degrees.
+func levelOrder(wg *graph.Graph, opt Options, level int) []uint32 {
+	seed := opt.Seed
+	if seed != 0 {
+		seed += uint64(level)
+	} else if opt.Order == movesched.OrderShuffle {
+		seed = uint64(level)
+	}
+	return movesched.Permutation(wg.N, opt.Order, wg.Deg, seed)
+}
+
+// gainScan is the scratch of the neighbor-community gain scan: dense
+// weights indexed by community plus the touched list that clears them. One
+// per goroutine; sized for one level.
+type gainScan struct {
+	w2c     []float64
+	touched []graph.V
+}
+
+func newGainScan(n int) *gainScan {
+	return &gainScan{w2c: make([]float64, n), touched: make([]graph.V, 0, 64)}
+}
+
+// best evaluates Equation 4 for u against every neighbor community and
+// returns the community of maximum gain (ties to the lower id, staying
+// preferred), that gain minus the gain of staying, and u's edge weight into
+// its own community c0 and into the winner. totC0 is c0's total without u —
+// the caller either removed u from tot already or subtracts it from frozen
+// state — and the other totals are read from tot.
+func (s *gainScan) best(wg *graph.Graph, comm []graph.V, tot []float64, u graph.V, totC0 float64) (bestC graph.V, gain, wStay, wBest float64) {
+	w2c, touched := s.w2c, s.touched[:0]
+	c0, ku := comm[u], wg.Deg[u]
+	touched = append(touched, c0)
+	for i := wg.Off[u]; i < wg.Off[u+1]; i++ {
+		c := comm[wg.Nbr[i]]
+		// A zero weight may be a community not yet seen or one whose
+		// weights cancelled; only the touched list can tell.
+		if w2c[c] == 0 && c != c0 {
+			found := false
+			for _, t := range touched {
+				if t == c {
+					found = true
+					break
+				}
+			}
+			if !found {
+				touched = append(touched, c)
+			}
+		}
+		w2c[c] += wg.NbrW[i]
+	}
+
+	stay := metrics.DeltaQ(w2c[c0], totC0, ku, wg.M)
+	bestC, bestGain := c0, stay
+	for _, c := range touched[1:] {
+		g := metrics.DeltaQ(w2c[c], tot[c], ku, wg.M)
+		if g > bestGain || (g == bestGain && c < bestC) {
+			bestC, bestGain = c, g
+		}
+	}
+	wStay, wBest = w2c[c0], w2c[bestC]
+	for _, c := range touched {
+		w2c[c] = 0
+	}
+	s.touched = touched
+	return bestC, bestGain - stay, wStay, wBest
+}
+
+// relocate is the serial move step shared by the sweep and the queue: take
+// u out of its community (the isolated-vertex premise of Equation 4), and
+// either move it to the best neighbor community or put it back. It reports
+// whether u moved.
+func (s *gainScan) relocate(wg *graph.Graph, comm []graph.V, tot []float64, u graph.V) bool {
+	ku := wg.Deg[u]
+	if ku == 0 {
+		return false
+	}
+	c0 := comm[u]
+	tot[c0] -= ku
+	bestC, gain, _, _ := s.best(wg, comm, tot, u, tot[c0])
+	if bestC != c0 && gain > minMoveGain {
+		comm[u] = bestC
+		tot[bestC] += ku
+		return true
+	}
+	tot[c0] += ku
+	return false
+}

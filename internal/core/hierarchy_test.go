@@ -1,0 +1,125 @@
+package core
+
+import (
+	"context"
+	"math"
+	"testing"
+
+	"parlouvain/internal/graph"
+	"parlouvain/internal/metrics"
+)
+
+// hierarchyEngines are the four entry points onto the shared hierarchy
+// driver; every contract below must hold for each of them.
+var hierarchyEngines = []struct {
+	name string
+	run  func(*graph.Graph, Options) *Result
+}{
+	{"sequential", Sequential}, {"plm", PLM}, {"leiden", Leiden}, {"lns", LNS},
+}
+
+// pollCancel is a context that reports cancellation from its n-th Err poll
+// on, which pins where in a run the engines look at it.
+type pollCancel struct {
+	context.Context
+	left int
+}
+
+func (c *pollCancel) Err() error {
+	if c.left <= 0 {
+		return context.Canceled
+	}
+	c.left--
+	return nil
+}
+
+// TestHierarchyContract is the behaviour every engine on the driver owes its
+// callers, whatever its move phase does.
+func TestHierarchyContract(t *testing.T) {
+	g, _ := plmTestGraph(t)
+	for _, e := range hierarchyEngines {
+		t.Run(e.name, func(t *testing.T) {
+			// One answer at every thread count. (Under -race this is also
+			// the data-race check on plm's decide fan-out.)
+			base := e.run(g, Options{Seed: 11, Threads: 1, CollectLevels: true})
+			samePLMResult(t, "threads unset", base, e.run(g, Options{Seed: 11}))
+			for _, threads := range []int{2, 4} {
+				samePLMResult(t, "threads", base, e.run(g, Options{Seed: 11, Threads: threads}))
+			}
+
+			// Levels only ever merge and gain, and the reported Q is the
+			// modularity of the reported membership.
+			if len(base.Levels) < 2 {
+				t.Fatalf("expected multiple levels, got %d", len(base.Levels))
+			}
+			for i, lv := range base.Levels {
+				if i > 0 && lv.Q < base.Levels[i-1].Q-1e-9 {
+					t.Errorf("level %d Q decreased: %v -> %v", i, base.Levels[i-1].Q, lv.Q)
+				}
+				if i > 0 && lv.Communities > base.Levels[i-1].Communities {
+					t.Errorf("level %d communities grew: %d -> %d", i, base.Levels[i-1].Communities, lv.Communities)
+				}
+				if len(lv.Membership) != g.N {
+					t.Errorf("level %d membership covers %d of %d vertices", i, len(lv.Membership), g.N)
+				}
+			}
+			if q := metrics.Modularity(g, base.Membership); math.Abs(q-base.Q) > 1e-9 {
+				t.Errorf("reported Q %v != recomputed %v", base.Q, q)
+			}
+
+			one := e.run(g, Options{Seed: 11, MaxLevels: 1})
+			if len(one.Levels) != 1 {
+				t.Errorf("MaxLevels 1 built %d levels", len(one.Levels))
+			}
+
+			// A context that fires keeps the best hierarchy built so far:
+			// nothing when it fired before the run, exactly the first
+			// level when it fired during it.
+			if res := e.run(g, Options{Seed: 11, Ctx: &pollCancel{Context: context.Background()}}); len(res.Levels) != 0 || len(res.Membership) != g.N {
+				t.Errorf("pre-canceled run built %d levels over %d vertices", len(res.Levels), len(res.Membership))
+			}
+			cut := e.run(g, Options{Seed: 11, Ctx: &pollCancel{Context: context.Background(), left: 1}})
+			samePLMResult(t, "canceled after level 0", one, cut)
+
+			// A warm start is where level 0 begins: handing a run its own
+			// answer back can only keep or merge those communities.
+			warm := e.run(g, Options{Seed: 11, Threads: 2, Warm: base.Membership})
+			if final := base.Levels[len(base.Levels)-1].Communities; warm.Levels[0].Communities > final {
+				t.Errorf("warm level 0 has %d communities, the warm start had %d", warm.Levels[0].Communities, final)
+			}
+			if warm.Q < base.Q-1e-9 {
+				t.Errorf("warm start lost quality: %v -> %v", base.Q, warm.Q)
+			}
+			if len(warm.Levels) > len(base.Levels) {
+				t.Errorf("warm start did more levels (%d) than cold (%d)", len(warm.Levels), len(base.Levels))
+			}
+		})
+	}
+}
+
+func TestHierarchyTrivialGraphs(t *testing.T) {
+	for _, e := range hierarchyEngines {
+		t.Run(e.name, func(t *testing.T) {
+			opt := Options{Threads: 4}
+			if res := e.run(graph.Build(nil, 0), opt); res.Q != 0 || len(res.Levels) != 0 || len(res.Membership) != 0 {
+				t.Errorf("empty graph: %+v", res)
+			}
+			if res := e.run(graph.Build(nil, 5), opt); res.Q != 0 || len(res.Membership) != 5 {
+				t.Errorf("edgeless graph: %+v", res)
+			}
+			single := e.run(graph.Build(graph.EdgeList{{U: 0, V: 1, W: 1}}, 2), opt)
+			if len(single.Membership) != 2 || single.Membership[0] != single.Membership[1] {
+				t.Errorf("single edge should merge into one community: %v", single.Membership)
+			}
+			// Self-loops only: nothing to merge, Q still consistent.
+			loops := graph.Build(graph.EdgeList{{U: 0, V: 0, W: 3}, {U: 1, V: 1, W: 2}}, 0)
+			res := e.run(loops, opt)
+			if want := metrics.Modularity(loops, res.Membership); math.Abs(res.Q-want) > 1e-9 {
+				t.Errorf("self-loop graph Q=%v, recomputed %v", res.Q, want)
+			}
+			if res.Membership[0] == res.Membership[1] {
+				t.Errorf("self-loop vertices merged: %v", res.Membership)
+			}
+		})
+	}
+}

@@ -1,12 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"parlouvain/internal/graph"
-	"parlouvain/internal/metrics"
-	"parlouvain/internal/perf"
-)
+import "parlouvain/internal/graph"
 
 // Leiden runs a Leiden-style variant of Algorithm 1 (Traag, Waltman & van
 // Eck 2019): each level is a Louvain move phase followed by a refinement
@@ -25,106 +19,5 @@ import (
 // the hierarchy (what may aggregate) without ever leaving a disconnected
 // community inside a supervertex.
 func Leiden(g *graph.Graph, opt Options) *Result {
-	opt = opt.withDefaults()
-	start := time.Now()
-	res := &Result{
-		NumVertices: g.N,
-		NumEdges:    int64(g.NumEdges()),
-		Breakdown:   perf.NewBreakdown(),
-	}
-	// membership[orig] = vertex id in the current working graph.
-	membership := make([]graph.V, g.N)
-	for i := range membership {
-		membership[i] = graph.V(i)
-	}
-	res.Membership = membership
-	if g.N == 0 || g.M == 0 {
-		res.Duration = time.Since(start)
-		return res
-	}
-
-	wg := g
-	warm := opt.Warm
-	qPrev := -1.0
-	for level := 0; level < opt.MaxLevels; level++ {
-		if opt.canceled() != nil {
-			break // keep the best hierarchy reached so far
-		}
-		lvOpt := opt
-		lvOpt.Warm = warm
-		if opt.Seed != 0 {
-			// sweepLevel varies its shuffle by the level it is told; warm
-			// starts only apply at level 0, so vary the seed instead.
-			lvOpt.Seed = opt.Seed + uint64(level)
-		}
-		comm, movesPerIter := moveLevel(wg, lvOpt, 0)
-		q := metrics.Modularity(wg, comm)
-
-		// Refine: split every move community into its connected components
-		// (labels come back compact).
-		refined, splits := SplitDisconnected(wg, comm)
-		res.LeidenSplits += splits
-		numRefined := 0
-		for _, r := range refined {
-			if int(r) >= numRefined {
-				numRefined = int(r) + 1
-			}
-		}
-
-		// Compact the move communities and project both partitions down to
-		// the original vertices: assign is this level's answer, membership
-		// re-targets originals onto the refined supervertices.
-		compact := make(map[graph.V]graph.V, wg.N/4+1)
-		for _, c := range comm {
-			if _, ok := compact[c]; !ok {
-				compact[c] = graph.V(len(compact))
-			}
-		}
-		numComms := len(compact)
-		moveOf := make([]graph.V, wg.N)
-		for u := 0; u < wg.N; u++ {
-			moveOf[u] = compact[comm[u]]
-		}
-		assign := make([]graph.V, g.N)
-		for orig, wgv := range membership {
-			assign[orig] = moveOf[wgv]
-			membership[orig] = refined[wgv]
-		}
-		res.Membership = assign
-
-		lv := Level{
-			Q:               q,
-			Vertices:        wg.N,
-			Communities:     numComms,
-			InnerIterations: len(movesPerIter),
-			MovesPerIter:    movesPerIter,
-		}
-		if opt.CollectLevels {
-			lv.Membership = assign
-		}
-		res.Levels = append(res.Levels, lv)
-		res.Q = q
-		if level == 0 {
-			res.FirstLevel = time.Since(start)
-		}
-
-		if numRefined == wg.N || q-qPrev < opt.MinGain {
-			break
-		}
-		qPrev = q
-
-		// Aggregate on the refined partition; warm the next level with the
-		// move communities so modularity carries over exactly.
-		idmap := make(map[graph.V]graph.V, numRefined)
-		for r := 0; r < numRefined; r++ {
-			idmap[graph.V(r)] = graph.V(r)
-		}
-		warm = make([]graph.V, numRefined)
-		for u := 0; u < wg.N; u++ {
-			warm[refined[u]] = moveOf[u]
-		}
-		wg = condense(wg, refined, idmap, numRefined)
-	}
-	res.Duration = time.Since(start)
-	return res
+	return hierarchy(g, opt, sweepLevel, true)
 }

@@ -132,7 +132,7 @@ type Options struct {
 	// Ctx, when non-nil, cancels the run: the parallel engine checks it at
 	// every level start and every inner iteration and returns an error
 	// wrapping the context's error; the whole-graph engines (Sequential,
-	// Leiden, LNS) check it per level/pass and stop early with the best
+	// PLM, Leiden, LNS) check it at every level start and stop early with the best
 	// state reached so far. nil means never canceled. The check points are
 	// deterministic, so an uncanceled context leaves runs bit-identical.
 	Ctx context.Context
@@ -160,8 +160,9 @@ type Options struct {
 	// baseline of Figure 4).
 	Naive bool
 
-	// Threads is the per-rank worker count (parallel Louvain, and the
-	// shared-memory color-batched move phase of PLM/Leiden/LNS); 0 means 1.
+	// Threads is the per-rank worker count (parallel Louvain, and PLM's
+	// color-batched move phase; the other whole-graph engines are serial
+	// and ignore it); 0 means 1.
 	// CLI frontends resolve 0 to par.DefaultThreads() via ResolveThreads
 	// before constructing Options, so the library default stays exactly 1.
 	Threads int

@@ -1,14 +1,10 @@
 package core
 
 import (
-	"fmt"
-	"time"
-
 	"parlouvain/internal/graph"
 	"parlouvain/internal/metrics"
 	"parlouvain/internal/movesched"
 	"parlouvain/internal/par"
-	"parlouvain/internal/perf"
 )
 
 // PLM runs the shared-memory parallel Louvain move phase in the style of
@@ -28,112 +24,12 @@ import (
 // every applied move has positive re-checked gain, so the per-level Q
 // trajectory is monotone non-decreasing.
 func PLM(g *graph.Graph, opt Options) *Result {
-	opt = opt.withDefaults()
-	start := time.Now()
-	res := &Result{
-		NumVertices: g.N,
-		NumEdges:    int64(g.NumEdges()),
-		Breakdown:   perf.NewBreakdown(),
-	}
-	membership := make([]graph.V, g.N)
-	for i := range membership {
-		membership[i] = graph.V(i)
-	}
-	res.Membership = membership
-	if g.N == 0 || g.M == 0 {
-		res.Duration = time.Since(start)
-		return res
-	}
-
-	wg := g
-	qPrev := -1.0
-	for level := 0; level < opt.MaxLevels; level++ {
-		if opt.canceled() != nil {
-			break // keep the best hierarchy reached so far
-		}
-		comm, movesPerIter, _ := plmLevel(wg, opt, level)
-		q := metrics.Modularity(wg, comm)
-
-		compact := make(map[graph.V]graph.V, wg.N/4+1)
-		for _, c := range comm {
-			if _, ok := compact[c]; !ok {
-				compact[c] = graph.V(len(compact))
-			}
-		}
-		numComms := len(compact)
-		for orig := range membership {
-			membership[orig] = compact[comm[membership[orig]]]
-		}
-
-		lv := Level{
-			Q:               q,
-			Vertices:        wg.N,
-			Communities:     numComms,
-			InnerIterations: len(movesPerIter),
-			MovesPerIter:    movesPerIter,
-		}
-		if opt.CollectLevels {
-			lv.Membership = append([]graph.V(nil), membership...)
-		}
-		res.Levels = append(res.Levels, lv)
-		res.Q = q
-		if level == 0 {
-			res.FirstLevel = time.Since(start)
-		}
-
-		if numComms == wg.N || q-qPrev < opt.MinGain {
-			break
-		}
-		qPrev = q
-		wg = condense(wg, comm, compact, numComms)
-	}
-	res.Duration = time.Since(start)
-	return res
+	return hierarchy(g, opt, plmLevel, false)
 }
 
-// levelOrder builds one level's vertex visit order from Options.Order: the
-// default ordering reproduces the historical behavior exactly (natural
-// order, or the seeded per-level shuffle when Seed is set), the explicit
-// orderings delegate to movesched.Permutation over the weighted degrees.
-func levelOrder(wg *graph.Graph, opt Options, level int) []uint32 {
-	seed := opt.Seed
-	if seed != 0 {
-		seed += uint64(level)
-	} else if opt.Order == movesched.OrderShuffle {
-		seed = uint64(level)
-	}
-	return movesched.Permutation(wg.N, opt.Order, wg.Deg, seed)
-}
-
-// plmLevel runs one level's color-batched move phase and returns the
-// community of each working-graph vertex, the per-sweep move counts, and
-// the number of vertex scans the pruned sweeps performed (the LNS "pops"
-// equivalent).
-func plmLevel(wg *graph.Graph, opt Options, level int) (comm []graph.V, movesPerIter []int, scanned int) {
+// plmLevel runs one level's color-batched move phase.
+func plmLevel(wg *graph.Graph, opt Options, level int, comm []graph.V, tot []float64) ([]int, int) {
 	n := wg.N
-	comm = make([]graph.V, n)
-	tot := make([]float64, n)
-	for u := 0; u < n; u++ {
-		comm[u] = graph.V(u)
-		tot[u] = wg.Deg[u]
-	}
-	if level == 0 && opt.Warm != nil {
-		if len(opt.Warm) != n {
-			panic(fmt.Sprintf("core: warm-start assignment covers %d of %d vertices", len(opt.Warm), n))
-		}
-		for u := 0; u < n; u++ {
-			tot[u] = 0
-		}
-		for u := 0; u < n; u++ {
-			c := opt.Warm[u]
-			if int(c) >= n {
-				panic(fmt.Sprintf("core: warm-start label %d outside id space %d", c, n))
-			}
-			comm[u] = c
-			tot[c] += wg.Deg[u]
-		}
-	}
-
 	order := levelOrder(wg, opt, level)
 	sched := movesched.Greedy(n, order, func(u uint32, emit func(v uint32)) {
 		wg.Neighbors(graph.V(u), func(v graph.V, w float64) bool {
@@ -149,17 +45,9 @@ func plmLevel(wg *graph.Graph, opt Options, level int) (comm []graph.V, movesPer
 	if threads < 1 {
 		threads = 1
 	}
-	// Per-thread scratch for the decide phase: dense neighbor-community
-	// weights plus the touched list that clears them.
-	type scratch struct {
-		w2c     []float64
-		touched []graph.V
-		scans   int
-	}
-	scr := make([]scratch, threads)
-	for t := range scr {
-		scr[t].w2c = make([]float64, n)
-		scr[t].touched = make([]graph.V, 0, 64)
+	scans := make([]*gainScan, threads)
+	for t := range scans {
+		scans[t] = newGainScan(n)
 	}
 	// Decisions, indexed by vertex: the chosen community plus the
 	// neighbor-community weights the apply-phase gain re-check needs.
@@ -167,6 +55,7 @@ func plmLevel(wg *graph.Graph, opt Options, level int) (comm []graph.V, movesPer
 	wBest := make([]float64, n)
 	wStay := make([]float64, n)
 
+	var movesPerIter []int
 	active := movesched.NewActiveSet(n, true)
 	for iter := 1; iter <= opt.MaxInner; iter++ {
 		moved := 0
@@ -177,55 +66,14 @@ func plmLevel(wg *graph.Graph, opt Options, level int) (comm []graph.V, movesPer
 			// happen until the batch's serial apply, so the outcome is
 			// independent of how the batch is chunked across threads.
 			par.ForChunked(len(batch), threads, 256, func(t, lo, hi int) {
-				s := &scr[t]
-				for i := lo; i < hi; i++ {
-					u := batch[i]
+				for _, u := range batch[lo:hi] {
 					c0 := comm[u]
 					bestTo[u] = c0
 					ku := wg.Deg[u]
 					if ku == 0 || !active.Active(u) {
 						continue
 					}
-					s.scans++
-					touched := s.touched[:0]
-					w2c := s.w2c
-					w2c[c0] = 0
-					touched = append(touched, c0)
-					wg.Neighbors(graph.V(u), func(v graph.V, w float64) bool {
-						c := comm[v]
-						if w2c[c] == 0 && c != c0 {
-							found := false
-							for _, t := range touched {
-								if t == c {
-									found = true
-									break
-								}
-							}
-							if !found {
-								touched = append(touched, c)
-							}
-						}
-						w2c[c] += w
-						return true
-					})
-					stay := metrics.DeltaQ(w2c[c0], tot[c0]-ku, ku, wg.M)
-					bestC, bestGain := c0, stay
-					for _, c := range touched {
-						if c == c0 {
-							continue
-						}
-						g := metrics.DeltaQ(w2c[c], tot[c], ku, wg.M)
-						if g > bestGain || (g == bestGain && c < bestC) {
-							bestC, bestGain = c, g
-						}
-					}
-					bestTo[u] = bestC
-					wStay[u] = w2c[c0]
-					wBest[u] = w2c[bestC]
-					for _, c := range touched {
-						w2c[c] = 0
-					}
-					s.touched = touched
+					bestTo[u], _, wStay[u], wBest[u] = scans[t].best(wg, comm, tot, graph.V(u), tot[c0]-ku)
 				}
 			})
 			// Apply: serial, in schedule order. Same-color vertices are
@@ -269,20 +117,5 @@ func plmLevel(wg *graph.Graph, opt Options, level int) (comm []graph.V, movesPer
 			break
 		}
 	}
-	for t := range scr {
-		scanned += scr[t].scans
-	}
-	return comm, movesPerIter, scanned
-}
-
-// moveLevel dispatches one level's move phase for the engines that took the
-// classic sequential sweep before movesched existed (Leiden, LNS): at
-// Threads <= 1 the original sweep runs — bit-identical to the pre-movesched
-// behavior — and beyond that the color-batched parallel sweep takes over.
-func moveLevel(wg *graph.Graph, opt Options, level int) ([]graph.V, []int) {
-	if opt.Threads > 1 {
-		comm, moves, _ := plmLevel(wg, opt, level)
-		return comm, moves
-	}
-	return sweepLevel(wg, opt, level)
+	return movesPerIter, len(movesPerIter)
 }

@@ -40,20 +40,6 @@ func samePLMResult(t *testing.T, what string, a, b *Result) {
 	}
 }
 
-// TestPLMDeterministicAcrossThreads is the scheduler's core contract: the
-// color-batched decide/apply sweep produces bit-identical hierarchies at
-// every thread count — threads change wall clock, never the partition.
-// (Run under -race in CI, this doubles as the data-race check on the
-// decide fan-out.)
-func TestPLMDeterministicAcrossThreads(t *testing.T) {
-	g, _ := plmTestGraph(t)
-	base := PLM(g, Options{Seed: 11, Threads: 1})
-	for _, threads := range []int{2, 4} {
-		got := PLM(g, Options{Seed: 11, Threads: threads})
-		samePLMResult(t, "threads", base, got)
-	}
-}
-
 // TestPLMReproducibleRunToRun pins fixed-seed bit-reproducibility at a
 // fixed thread count.
 func TestPLMReproducibleRunToRun(t *testing.T) {
@@ -104,63 +90,6 @@ func TestPLMOrderings(t *testing.T) {
 		if q := metrics.Modularity(g, res.Membership); q-res.Q > 1e-9 || res.Q-q > 1e-9 {
 			t.Errorf("order %v: reported Q %v != recomputed %v", ord, res.Q, q)
 		}
-	}
-}
-
-func TestPLMWarmStart(t *testing.T) {
-	g, _ := plmTestGraph(t)
-	cold := PLM(g, Options{Seed: 2, Threads: 2})
-	warm := PLM(g, Options{Seed: 2, Threads: 2, Warm: cold.Membership})
-	if warm.Q < cold.Q-1e-9 {
-		t.Errorf("warm start lost quality: %v -> %v", cold.Q, warm.Q)
-	}
-	if len(warm.Levels) > len(cold.Levels) {
-		t.Errorf("warm start did more levels (%d) than cold (%d)", len(warm.Levels), len(cold.Levels))
-	}
-}
-
-func TestPLMTrivialGraphs(t *testing.T) {
-	empty := PLM(graph.Build(nil, 0), Options{Threads: 4})
-	if empty.Q != 0 || len(empty.Membership) != 0 {
-		t.Errorf("empty graph: %+v", empty)
-	}
-	single := PLM(graph.Build(graph.EdgeList{{U: 0, V: 1, W: 1}}, 2), Options{Threads: 4})
-	if len(single.Membership) != 2 {
-		t.Errorf("two-vertex graph: %+v", single)
-	}
-	if single.Membership[0] != single.Membership[1] {
-		t.Errorf("single edge should merge into one community: %v", single.Membership)
-	}
-}
-
-// TestLeidenLNSThreadedDispatch pins the retrofit: at Threads > 1 Leiden
-// and LNS ride the color-batched scheduler and must still deliver monotone,
-// near-sequential quality; at Threads <= 1 they are byte-for-byte the
-// historical engines (pinned by sameResult against an explicit Threads: 1).
-func TestLeidenLNSThreadedDispatch(t *testing.T) {
-	g, _ := plmTestGraph(t)
-	for name, run := range map[string]func(*graph.Graph, Options) *Result{
-		"leiden": Leiden,
-		"lns":    LNS,
-	} {
-		seq1 := run(g, Options{Seed: 9})
-		seqExplicit := run(g, Options{Seed: 9, Threads: 1})
-		samePLMResult(t, name+" threads<=1", seq1, seqExplicit)
-
-		thr := run(g, Options{Seed: 9, Threads: 4})
-		if thr.Q < seq1.Q-0.05 {
-			t.Errorf("%s threaded Q %v far below sequential %v", name, thr.Q, seq1.Q)
-		}
-		qPrev := -1.0
-		for i, lv := range thr.Levels {
-			if lv.Q < qPrev-1e-9 {
-				t.Errorf("%s threaded: level %d Q decreased %v -> %v", name, i, qPrev, lv.Q)
-			}
-			qPrev = lv.Q
-		}
-		// Thread-count independence carries through the retrofit too.
-		thr2 := run(g, Options{Seed: 9, Threads: 2})
-		samePLMResult(t, name+" threads 2 vs 4", thr, thr2)
 	}
 }
 

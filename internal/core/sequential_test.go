@@ -56,44 +56,6 @@ func TestSequentialRingOfCliques(t *testing.T) {
 	}
 }
 
-func TestSequentialModularityNonDecreasingAcrossLevels(t *testing.T) {
-	el, _, err := gen.LFR(gen.DefaultLFR(1000, 0.3, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := graph.Build(el, 1000)
-	res := Sequential(g, Options{CollectLevels: true})
-	if len(res.Levels) < 2 {
-		t.Fatalf("expected multiple levels, got %d", len(res.Levels))
-	}
-	for i := 1; i < len(res.Levels); i++ {
-		if res.Levels[i].Q < res.Levels[i-1].Q-1e-9 {
-			t.Errorf("Q decreased between levels %d and %d: %v -> %v",
-				i-1, i, res.Levels[i-1].Q, res.Levels[i].Q)
-		}
-	}
-	// Communities shrink monotonically.
-	for i := 1; i < len(res.Levels); i++ {
-		if res.Levels[i].Communities > res.Levels[i-1].Communities {
-			t.Errorf("communities grew between levels: %d -> %d",
-				res.Levels[i-1].Communities, res.Levels[i].Communities)
-		}
-	}
-}
-
-func TestSequentialReportedQMatchesMembership(t *testing.T) {
-	el, _, err := gen.SBM(gen.SBMConfig{N: 300, Communities: 6, PIn: 0.2, POut: 0.01, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := graph.Build(el, 300)
-	res := Sequential(g, Options{})
-	got := metrics.Modularity(g, res.Membership)
-	if math.Abs(got-res.Q) > 1e-9 {
-		t.Errorf("membership Q %v != reported Q %v", got, res.Q)
-	}
-}
-
 func TestSequentialRecoversSBM(t *testing.T) {
 	el, truth, err := gen.SBM(gen.SBMConfig{N: 400, Communities: 8, PIn: 0.3, POut: 0.005, Seed: 2})
 	if err != nil {
@@ -107,37 +69,6 @@ func TestSequentialRecoversSBM(t *testing.T) {
 	}
 	if sim.NMI < 0.95 {
 		t.Errorf("NMI = %v, want > 0.95", sim.NMI)
-	}
-}
-
-func TestSequentialEmptyAndTrivialGraphs(t *testing.T) {
-	res := Sequential(graph.Build(nil, 0), Options{})
-	if res.Q != 0 || len(res.Levels) != 0 {
-		t.Errorf("empty graph: Q=%v levels=%d", res.Q, len(res.Levels))
-	}
-	// Isolated vertices only.
-	res = Sequential(graph.Build(nil, 5), Options{})
-	if res.Q != 0 {
-		t.Errorf("edgeless graph Q = %v", res.Q)
-	}
-	if len(res.Membership) != 5 {
-		t.Errorf("membership len %d", len(res.Membership))
-	}
-	// Single edge.
-	res = Sequential(graph.Build(graph.EdgeList{{U: 0, V: 1, W: 1}}, 0), Options{})
-	if res.Membership[0] != res.Membership[1] {
-		t.Error("single edge endpoints should merge")
-	}
-}
-
-func TestSequentialSelfLoopGraph(t *testing.T) {
-	// Self-loops only: every vertex its own community, Q = sum of
-	// (w_i/m - (w_i/m)^2)... with one loop: Q=0.
-	g := graph.Build(graph.EdgeList{{U: 0, V: 0, W: 3}, {U: 1, V: 1, W: 2}}, 0)
-	res := Sequential(g, Options{})
-	want := metrics.Modularity(g, res.Membership)
-	if math.Abs(res.Q-want) > 1e-9 {
-		t.Errorf("Q=%v, recomputed %v", res.Q, want)
 	}
 }
 
@@ -181,18 +112,6 @@ func TestSequentialTraceMoves(t *testing.T) {
 	// most vertices merge in iteration one).
 	if trace[0].moved < trace[0].active/2 {
 		t.Errorf("first sweep moved only %d of %d", trace[0].moved, trace[0].active)
-	}
-}
-
-func TestSequentialMaxLevelsHonored(t *testing.T) {
-	el, _, err := gen.LFR(gen.DefaultLFR(800, 0.3, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := graph.Build(el, 800)
-	res := Sequential(g, Options{MaxLevels: 1})
-	if len(res.Levels) != 1 {
-		t.Errorf("levels = %d, want 1", len(res.Levels))
 	}
 }
 
