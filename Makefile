@@ -30,11 +30,12 @@ chaos:
 	$(GO) test -short -run 'Chaos|Invariant|CrossEngine|Stream' ./internal/core
 
 # Short fuzz pass over every fuzz target (wire codecs, graph readers,
-# generator specs, edge-table freeze/iteration). `go test -fuzz` takes one
-# target per run, so iterate; FUZZTIME scales the per-target budget.
+# generator specs, edge-table freeze/iteration, the engine's out rows).
+# `go test -fuzz` takes one target per run, so iterate; FUZZTIME scales the
+# per-target budget.
 FUZZTIME ?= 10s
 fuzz:
-	@for pkg in ./internal/wire ./internal/graph ./internal/gencli ./internal/edgetable ./internal/metrics ./internal/movesched; do \
+	@for pkg in ./internal/wire ./internal/graph ./internal/gencli ./internal/edgetable ./internal/metrics ./internal/movesched ./internal/core; do \
 		for target in $$($(GO) test -list 'Fuzz.*' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz $$pkg $$target"; \
 			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \

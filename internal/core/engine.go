@@ -19,19 +19,19 @@ import (
 //	engine.go      — engine state, the level loop (Algorithm 2), wire I/O
 //	reconstruct.go — graph loading, per-level derivation, reconstruction
 //	               	 (Algorithm 5) and assignment gathering
-//	propagate.go   — full and delta state propagation + Σtot pull
+//	outrows.go     — the per-level out-row arena and its slot handshake
+//	propagate.go   — full and move-log state propagation + Σtot pull
 //	               	 (Algorithm 3 / Equation 4 inputs)
 //	refine.go      — the inner refinement loop: findBest, threshold, update,
 //	               	 modularity (Algorithm 4)
 //	warm.go        — warm-start seeding
 //
 // Each phase is an engine method with a small contract over the shared
-// state, so variants compose without touching the loop: run chooses
-// propagate vs. propagateDelta per iteration, threshold switches between
-// the ε-heuristic and the naive all-positive rule, and tests drive single
-// phases (see bench_exchange_test.go) without a full Parallel run. All
-// inter-rank payloads are encoded with the internal/wire codec through
-// pooled per-destination planes.
+// state, so variants compose without touching the loop: threshold switches
+// between the ε-heuristic and the naive all-positive rule, and tests drive
+// single phases (see bench_exchange_test.go, outrows_test.go) without a full
+// Parallel run. All inter-rank payloads are encoded with the internal/wire
+// codec through pooled per-destination planes.
 
 // Parallel runs the distributed Louvain algorithm (Algorithm 2) as one rank
 // of the group behind c. local is this rank's portion of the input in
@@ -53,8 +53,8 @@ func Parallel(c *comm.Comm, local graph.EdgeList, n int, opt Options) (*Result, 
 // engine is one rank's working state, shared by every phase unit. Vertex and
 // community ids share the global id space [0,n); this rank owns ids
 // congruent to its rank mod P and indexes them densely by id/P ("local
-// index"). In_ and Out_ tables are sharded by local index so worker threads
-// scan disjoint vertex sets.
+// index"). The In_Table is sharded by local index so worker threads scan
+// disjoint vertex sets.
 type engine struct {
 	c    *comm.Comm
 	opt  Options
@@ -62,8 +62,7 @@ type engine struct {
 	n    int
 	nLoc int
 
-	in  []*edgetable.Table // (src,dst) -> w, dst owned; self-loops doubled
-	out []*edgetable.Table // (u,comm)  -> w_{u->comm}, u owned
+	in []*edgetable.Table // (src,dst) -> w, dst owned; self-loops doubled
 
 	// levelStore is the read backend for the current level's frozen graph
 	// (Options.Storage): either sharded — the In_Table shards viewed as one
@@ -75,23 +74,31 @@ type engine struct {
 
 	// Vertex-pruning state (Options.Prune; dirty is nil when off). A vertex
 	// is dirty when its last findBest result may be stale: it moved, a
-	// neighbor's move touched its Out_Table row (deltaMerge), or a
-	// community it references changed Σtot/members (changedComms, diffed in
+	// neighbor's move stored into its out row (propagateMerge), or a
+	// community it references changed Σtot/members (changed, diffed in
 	// pullTotals). allDirty forces a full sweep after full propagations and
 	// at level starts, when per-vertex tracking has no baseline. dirty[li]
-	// is only written by update's serial loop, by the merge/mark worker of
-	// shard li%Threads, or by findBest itself, so sweeps stay race-free.
-	dirty        []bool
-	allDirty     bool
-	changedComms map[uint32]struct{}
+	// is only written by update's serial loop, by the one merge worker, by
+	// markChangedComms's worker of li's range, or by findBest itself, never
+	// two of them at once, so sweeps stay race-free.
+	dirty       []bool
+	allDirty    bool
+	changed     []bool   // by community id: Σtot/members moved in the last pull
+	changedList []uint32 // the set bits of changed, to clear them
 
-	// remoteTot and remoteMembers cache Σtot and the member count for
-	// every community referenced by this rank's Out_Table entries,
-	// refreshed by each state propagation. Member counts feed the
-	// singleton minimum-label rule that breaks symmetric swap cycles
-	// (see findBest).
-	remoteTot     *edgetable.Table
-	remoteMembers *edgetable.Table
+	// totCache and memCache hold Σtot and the member count of every
+	// community this rank references — one that appears in an out-row slot
+	// or holds an owned vertex — indexed by community id and refreshed by
+	// the pull that ends each state propagation. refs lists the referenced
+	// communities (refSeen is its membership test); it grows with each
+	// first-seen slot value and sheds communities a pull reports empty.
+	// Member counts feed the singleton minimum-label rule that breaks
+	// symmetric swap cycles (see findBest).
+	totCache     []float64
+	memCache     []uint32
+	refSeen      []bool
+	refs         []uint32
+	replyReaders []wire.Reader // one per peer, for replies that come back in request order
 
 	active []bool
 	commOf []graph.V
@@ -99,22 +106,36 @@ type engine struct {
 	self2  []float64 // doubled self-loop weight of owned vertices
 	totOwn []float64 // Σtot of owned communities
 	memOwn []int64   // member count of owned communities
-	inOwn  []float64 // Σin of owned communities (per-Q scratch)
 
 	// Per-level CSR of the owned vertices' in-edges, derived from the
-	// In_Table at levelInit. It serves two purposes: sequential-access
-	// scans for the full state propagation, and per-vertex source lists
-	// for delta propagation (only the in-edges of vertices that moved
-	// are rebroadcast, so late low-movement iterations are cheap).
+	// In_Table at levelInit: entry e of row li is the in-edge
+	// (adjSrc[e] → li) of weight adjW[e]. State propagation walks it — all
+	// rows for a full propagation, the rows of the vertices that moved
+	// otherwise, so late low-movement iterations are cheap.
 	adjOff []int64
 	adjSrc []graph.V
 	adjW   []float64
 
-	// moveLog records the current iteration's moves for delta
-	// propagation.
-	moveLog []moveRec
+	// The level's out-row arena (outrows.go): the out-edges of owned vertex
+	// li are the slots [outOff[li], outOff[li+1]), slot p carrying the edge
+	// weight outW[p] (fixed for the level) and the community outComm[p] its
+	// far endpoint is in (stored by state propagation). peerSlot[e] is the
+	// slot that in-edge e occupies at owner(adjSrc[e]). cursor is the
+	// per-row fill position both CSR builds share.
+	outOff   []int64
+	outW     []float64
+	outComm  []uint32
+	peerSlot []uint32
+	cursor   []int64
 
-	stay     []float64
+	// scan[t] is worker t's neighbor-community accumulator: the same dense
+	// weights + touched list the whole-graph engines use.
+	scan []*gainScan
+
+	// moveLog lists the local indices of the vertices the current iteration
+	// moved, for the move-log propagation.
+	moveLog []int
+
 	bestTo   []graph.V
 	bestGain []float64
 
@@ -147,20 +168,21 @@ type engine struct {
 	// that inside propagate would put allocations back on the steady-state
 	// round that the plane pooling works to keep allocation-free. curBuild
 	// and curMerge select the active phase for the shared bodies; bulkIn
-	// and readers carry the received round through bulkMergeBody.
+	// and readers carry the received round through bulkMergeBody. findBody
+	// and markBody are findBest's and markChangedComms's par.For bodies.
 	curBuild      func(t, lo, hi int, w *wire.ChunkWriter)
 	curMerge      func(t int, r *wire.Reader) error
 	buildBody     func(t, lo, hi int)
 	bulkMergeBody func(t, lo, hi int)
 	bulkIn        [][]byte
 	readers       []wire.Reader
-	newComms      [][]uint32
 	propBuildFn   func(t, lo, hi int, w *wire.ChunkWriter)
-	propMergeFn   func(t int, r *wire.Reader) error
 	deltaBuildFn  func(t, lo, hi int, w *wire.ChunkWriter)
-	deltaMergeFn  func(t int, r *wire.Reader) error
+	propMergeFn   func(t int, r *wire.Reader) error
 	reconBuildFn  func(t, lo, hi int, w *wire.ChunkWriter)
 	reconMergeFn  func(t int, r *wire.Reader) error
+	findBody      func(t, lo, hi int)
+	markBody      func(t, lo, hi int)
 
 	m  float64
 	bd *perf.Breakdown
@@ -191,40 +213,36 @@ func newEngine(c *comm.Comm, n int, opt Options) *engine {
 		self2:    make([]float64, nLoc),
 		totOwn:   make([]float64, nLoc),
 		memOwn:   make([]int64, nLoc),
-		inOwn:    make([]float64, nLoc),
-		stay:     make([]float64, nLoc),
+		totCache: make([]float64, n),
+		memCache: make([]uint32, n),
+		refSeen:  make([]bool, n),
 		bestTo:   make([]graph.V, nLoc),
 		bestGain: make([]float64, nLoc),
 		bd:       perf.NewBreakdown(),
 	}
-	tcfg := func(capHint int) edgetable.Config {
-		return edgetable.Config{
+	s.in = make([]*edgetable.Table, opt.Threads)
+	s.scan = make([]*gainScan, opt.Threads)
+	for t := 0; t < opt.Threads; t++ {
+		s.in[t] = edgetable.New(edgetable.Config{
 			Hash:       opt.Hash,
 			Layout:     opt.TableLayout,
 			LoadFactor: opt.LoadFactor,
-			Capacity:   capHint,
-		}
-	}
-	s.in = make([]*edgetable.Table, opt.Threads)
-	s.out = make([]*edgetable.Table, opt.Threads)
-	for t := 0; t < opt.Threads; t++ {
-		s.in[t] = edgetable.New(tcfg(1024))
-		s.out[t] = edgetable.New(tcfg(1024))
+			Capacity:   1024,
+		})
+		s.scan[t] = newGainScan(n)
 	}
 	s.sharded = edgetable.NewSharded(s.in...)
 	s.levelStore = s.sharded
 	if opt.Prune {
 		s.dirty = make([]bool, nLoc)
 		s.allDirty = true
-		s.changedComms = make(map[uint32]struct{})
+		s.changed = make([]bool, n)
 	}
-	s.remoteTot = edgetable.New(tcfg(256))
-	s.remoteMembers = edgetable.New(tcfg(256))
 	s.planes = wire.GetPlanes(c.Size())
 	s.coll = c.NewCollator()
 	s.mergeErrs = make([]error, opt.Threads)
 	s.readers = make([]wire.Reader, opt.Threads)
-	s.newComms = make([][]uint32, opt.Threads)
+	s.replyReaders = make([]wire.Reader, c.Size())
 	s.buildBody = func(t, lo, hi int) { s.curBuild(t, lo, hi, s.chunked.Writer(t)) }
 	s.bulkMergeBody = func(t, _, _ int) {
 		r := &s.readers[t]
@@ -237,11 +255,12 @@ func newEngine(c *comm.Comm, n int, opt Options) *engine {
 		}
 	}
 	s.propBuildFn = s.propagateBuild
-	s.propMergeFn = s.propagateMerge
 	s.deltaBuildFn = s.deltaBuild
-	s.deltaMergeFn = s.deltaMerge
+	s.propMergeFn = s.propagateMerge
 	s.reconBuildFn = s.reconstructBuild
 	s.reconMergeFn = s.reconstructMerge
+	s.findBody = s.findBestRange
+	s.markBody = s.markChangedRange
 	s.rec = opt.Recorder
 	if reg := opt.Metrics; reg != nil {
 		c.Instrument(reg)
@@ -280,12 +299,31 @@ func (s *engine) now() int64 {
 	return s.rec.Now()
 }
 
-// emitPhase records one timed phase slice for the Chrome-trace timeline.
-func (s *engine) emitPhase(name string, level, iter int, ts int64, d time.Duration) {
-	if s.rec == nil {
-		return
+// phaseClock times back-to-back phase units of one (level, iteration) cell.
+type phaseClock struct {
+	s           *engine
+	level, iter int
+	t0          time.Time
+	ts0         int64
+}
+
+func (s *engine) clock(level, iter int) phaseClock {
+	return phaseClock{s: s, level: level, iter: iter, t0: time.Now(), ts0: s.now()}
+}
+
+// lap closes the phase unit that ran since the clock started or last lapped:
+// its wall time goes into the breakdown under phase and onto the Chrome-trace
+// timeline as one slice, and the next unit starts now.
+func (c *phaseClock) lap(phase string) time.Duration {
+	now := time.Now()
+	d := now.Sub(c.t0)
+	c.s.bd.Add(phase, d)
+	if rec := c.s.rec; rec != nil {
+		rec.Emit(obs.Event{Name: phase, Rank: c.s.part.Rank, Level: c.level, Iter: c.iter, TS: c.ts0, Dur: d.Microseconds()})
+		c.ts0 = rec.Now()
 	}
-	s.rec.Emit(obs.Event{Name: name, Rank: s.part.Rank, Level: level, Iter: iter, TS: ts, Dur: d.Microseconds()})
+	c.t0 = now
+	return d
 }
 
 // inTableStats reports the current level store's occupancy statistics
@@ -309,11 +347,6 @@ func (s *engine) exchange(p *wire.Planes) ([][]byte, error) {
 }
 
 func (s *engine) shardOf(localIdx int) int { return localIdx % s.opt.Threads }
-
-type moveRec struct {
-	li   int
-	oldC graph.V
-}
 
 // run drives the outer loop (Algorithm 2): per level, a full propagation,
 // the inner refinement loop, then reconstruction of the supergraph.
@@ -367,21 +400,19 @@ func (s *engine) run() (*Result, error) {
 			s.mLevel.Set(float64(level))
 			s.mActive.Set(float64(vertices))
 		}
-		var sw perf.Stopwatch
 
-		tsProp0 := s.now()
-		sw.Start(s.bd, perf.PhasePropagation)
+		clk := s.clock(level, 0)
 		if err := s.propagate(); err != nil {
 			return nil, err
 		}
-		sw.Stop()
-		s.emitPhase(perf.PhasePropagation, level, 0, tsProp0, time.Duration(s.now()-tsProp0)*time.Microsecond)
+		clk.lap(perf.PhasePropagation)
 		q, err := s.computeQ()
 		if err != nil {
 			return nil, err
 		}
+		clk.lap(perf.PhaseComputeQ)
 
-		q, movesPerIter, err := s.refineLevel(level, vertices, &sw, q)
+		q, movesPerIter, err := s.refineLevel(level, vertices, q)
 		if err != nil {
 			return nil, err
 		}
@@ -403,16 +434,12 @@ func (s *engine) run() (*Result, error) {
 			}
 		}
 
-		tRecon := time.Now()
-		tsRecon := s.now()
 		mBefore := s.m
-		sw.Start(s.bd, perf.PhaseReconstruction)
+		clk = s.clock(level, 0)
 		if err := s.reconstruct(); err != nil {
 			return nil, err
 		}
-		sw.Stop()
-		dRecon := time.Since(tRecon)
-		s.emitPhase(perf.PhaseReconstruction, level, 0, tsRecon, dRecon)
+		dRecon := clk.lap(perf.PhaseReconstruction)
 		communities, err := s.levelInit()
 		if err != nil {
 			return nil, err

@@ -8,6 +8,8 @@ import (
 	"math"
 
 	"parlouvain/internal/comm"
+	"parlouvain/internal/graph"
+	"parlouvain/internal/wire"
 )
 
 // Algorithm-invariant verification. The parallel algorithm maintains a set
@@ -31,6 +33,11 @@ import (
 //  7. Storage consistency — the level's pluggable read store (hash shards
 //     or frozen CSR, Options.Storage) agrees with the engine's adjacency
 //     arrays on entry count, total weight, and sampled degrees/lookups.
+//  8. Out-row consistency — every out-row slot is the target of exactly one
+//     in-edge and holds the community of that edge's far endpoint in the
+//     all-gathered assignment, every row's weights sum to its vertex's
+//     degree, and modularity recomputed from the rows and the gathered
+//     assignment alone equals the engine's.
 //
 // Checks run when Options.CheckInvariants is set (the -check flag of
 // cmd/louvain and cmd/louvaind) and in every core test. Each check folds
@@ -48,6 +55,10 @@ var forceInvariantChecks bool
 // only ever set by the negative test proving the checker catches it.
 var debugBreakReconstruct bool
 
+// debugBreakOutRow deliberately corrupts one out-row slot on rank 0 at the
+// end of every level, likewise only for the negative test.
+var debugBreakOutRow bool
+
 // invariantTol is the relative tolerance of the floating-point checks.
 const invariantTol = 1e-6
 
@@ -55,15 +66,14 @@ func (s *engine) checksEnabled() bool {
 	return s.opt.CheckInvariants || forceInvariantChecks
 }
 
-// checkLevel verifies invariants 1–5 at the end of a level: q is the
+// checkLevel verifies invariants 1–5, 7 and 8 at the end of a level: q is the
 // level-final modularity refineLevel settled on, qPrev the previous level's
 // (math.Inf(-1) for the first), vertices the level's active vertex count.
 func (s *engine) checkLevel(level int, vertices uint64, q, qPrev float64) error {
 	twoM := 2 * s.m
 	tol := invariantTol * math.Max(1, twoM)
 
-	// (4) Consistency: recompute Q from the live tables; computeQ also
-	// refreshes inOwn, which invariant (1) folds below.
+	// (4) Consistency: recompute Q from the live rows and totals.
 	qCheck, err := s.computeQ()
 	if err != nil {
 		return err
@@ -74,15 +84,15 @@ func (s *engine) checkLevel(level int, vertices uint64, q, qPrev float64) error 
 	}
 
 	// (1) Mass conservation.
-	var sumTot, sumIn float64
+	var sumTot float64
 	for li := 0; li < s.nLoc; li++ {
 		sumTot += s.totOwn[li]
-		sumIn += s.inOwn[li]
 	}
 	if sumTot, err = s.c.AllReduceFloat64(sumTot, comm.OpSum); err != nil {
 		return err
 	}
-	if sumIn, err = s.c.AllReduceFloat64(sumIn, comm.OpSum); err != nil {
+	sumIn, err := s.c.AllReduceFloat64(s.intraWeight(), comm.OpSum)
+	if err != nil {
 		return err
 	}
 	if math.Abs(sumTot-twoM) > tol {
@@ -136,6 +146,14 @@ func (s *engine) checkLevel(level int, vertices uint64, q, qPrev float64) error 
 
 	// (7) Storage consistency (rank-local, no collectives).
 	if err := s.checkStorage(level); err != nil {
+		return err
+	}
+
+	// (8) Out-row consistency.
+	if debugBreakOutRow && s.part.Rank == 0 && len(s.outComm) > 0 {
+		s.outComm[0] = (s.outComm[0] + 1) % uint32(s.n)
+	}
+	if err := s.checkOutRows(level, q, full); err != nil {
 		return err
 	}
 
@@ -193,6 +211,114 @@ func (s *engine) checkStorage(level int) error {
 					ErrInvariant, s.part.Rank, level, s.adjSrc[e], gid, w, ok, s.adjW[e])
 			}
 		}
+	}
+	return nil
+}
+
+// checkOutRows verifies invariant 8 against full, the all-gathered
+// assignment. One exchange names the far endpoint of every slot — each
+// in-edge (v→u) sends (its slot, u) to owner(v) — which checks the handshake
+// (every slot named exactly once) and the propagation (the slot holds
+// full[u]) together. Q is then rebuilt from nothing but the rows and full:
+// Σin from the slots whose two endpoints share a community, Σtot of a
+// community from the row weights of its members. All ranks fold the verdict
+// through one reduction so a violation seen by one aborts them together.
+func (s *engine) checkOutRows(level int, q float64, full []graph.V) error {
+	p := s.outPlanes()
+	for li := 0; li < s.nLoc; li++ {
+		u := uint32(s.part.GlobalID(li))
+		for e := s.adjOff[li]; e < s.adjOff[li+1]; e++ {
+			p.To(s.part.Owner(s.adjSrc[e])).PutPair(s.peerSlot[e], u)
+		}
+	}
+	in, err := s.exchange(p)
+	if err != nil {
+		return err
+	}
+	const unnamed = ^uint32(0)
+	far := make([]uint32, len(s.outComm))
+	for i := range far {
+		far[i] = unnamed
+	}
+	var bad error
+	fail := func(format string, args ...any) {
+		if bad == nil {
+			bad = fmt.Errorf("%w: rank %d level %d: "+format, append([]any{ErrInvariant, s.part.Rank, level}, args...)...)
+		}
+	}
+	var r wire.Reader
+	for src, plane := range in {
+		r.Reset(plane)
+		for r.More() {
+			slot, u := r.Pair()
+			if r.Err() != nil {
+				return r.Err()
+			}
+			switch {
+			case int(slot) >= len(far) || int(u) >= s.n:
+				fail("rank %d names slot %d for vertex %d, outside %d slots / %d ids", src, slot, u, len(far), s.n)
+			case far[slot] != unnamed:
+				fail("out-row slot %d named by two in-edges (from vertices %d and %d)", slot, far[slot], u)
+			default:
+				far[slot] = u
+			}
+		}
+	}
+	wire.ReleasePlanes(in)
+
+	tol := invariantTol * math.Max(1, 2*s.m)
+	rowTot := make([]float64, s.n)
+	var sumIn float64
+	for li := 0; li < s.nLoc; li++ {
+		v := s.part.GlobalID(li)
+		if int(v) >= s.n {
+			break // padding past the last owned vertex
+		}
+		var rowW float64
+		for p := s.outOff[li]; p < s.outOff[li+1]; p++ {
+			u := far[p]
+			if u == unnamed {
+				fail("out-row slot %d of vertex %d is no in-edge's target", p, v)
+				continue
+			}
+			if s.outComm[p] != uint32(full[u]) {
+				fail("out-row slot %d of vertex %d holds community %d, its neighbor %d is in %d", p, v, s.outComm[p], u, full[u])
+			}
+			rowW += s.outW[p]
+			if full[u] == full[v] {
+				sumIn += s.outW[p]
+			}
+		}
+		if math.Abs(rowW-s.k[li]) > tol {
+			fail("out row of vertex %d weighs %.12g, its degree is %.12g", v, rowW, s.k[li])
+		}
+		rowTot[full[v]] += rowW
+	}
+	ok, err := s.c.AllReduceBool(bad == nil, true)
+	if err != nil {
+		return err
+	}
+	if !ok {
+		if bad == nil {
+			bad = fmt.Errorf("%w: rank %d level %d: out rows inconsistent on another rank", ErrInvariant, s.part.Rank, level)
+		}
+		return bad
+	}
+
+	if err := s.c.AllReduceFloat64Slice(rowTot); err != nil {
+		return err
+	}
+	if sumIn, err = s.c.AllReduceFloat64(sumIn, comm.OpSum); err != nil {
+		return err
+	}
+	twoM := 2 * s.m
+	qRows := sumIn / twoM
+	for _, tot := range rowTot {
+		qRows -= (tot / twoM) * (tot / twoM)
+	}
+	if math.Abs(qRows-q) > invariantTol*math.Max(1, math.Abs(q)) {
+		return fmt.Errorf("%w: rank %d level %d: engine modularity %.12g != %.12g recomputed from the out rows and the gathered assignment",
+			ErrInvariant, s.part.Rank, level, q, qRows)
 	}
 	return nil
 }

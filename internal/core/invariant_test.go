@@ -11,8 +11,9 @@ import (
 
 // TestMain arms the invariant checker for the entire core test suite: every
 // engine run in any test of this package verifies mass/member conservation,
-// cross-rank agreement, modularity consistency and monotonicity, and
-// reconstruction weight preservation after every level.
+// cross-rank agreement, modularity consistency and monotonicity, storage and
+// out-row consistency, and reconstruction weight preservation after every
+// level.
 func TestMain(m *testing.M) {
 	forceInvariantChecks = true
 	os.Exit(m.Run())
@@ -59,6 +60,30 @@ func TestInvariantCatchesBrokenReconstruction(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "reconstruction changed total edge weight") {
 		t.Errorf("error %q does not attribute the violation to reconstruction", err)
+	}
+}
+
+// TestInvariantCatchesCorruptOutRow is invariant 8's negative test: one slot
+// of rank 0's out rows is pointed at the wrong community at the end of each
+// level, and the run must abort on every rank with an ErrInvariant — naming
+// the slot on the rank that holds it.
+func TestInvariantCatchesCorruptOutRow(t *testing.T) {
+	el, _, err := gen.RingOfCliques(8, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	debugBreakOutRow = true
+	defer func() { debugBreakOutRow = false }()
+	for _, ranks := range []int{1, 2} {
+		_, err = RunInProcess(el, 40, ranks, Options{})
+		if !errors.Is(err, ErrInvariant) {
+			t.Fatalf("ranks=%d: err = %v, want ErrInvariant in the chain", ranks, err)
+		}
+		// Whichever rank's error the group reports first.
+		if !strings.Contains(err.Error(), "out-row slot 0 of vertex 0 holds community") &&
+			!strings.Contains(err.Error(), "out rows inconsistent on another rank") {
+			t.Errorf("ranks=%d: error %q does not attribute the violation to the out rows", ranks, err)
+		}
 	}
 }
 

@@ -1,17 +1,33 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"parlouvain/internal/gen"
+	"parlouvain/internal/perf"
 )
 
+// BenchmarkProfilePar is the profiling harness for the paper's engine: one
+// op is a full 8-rank solve, run it with -cpuprofile / -memprofile. Next to
+// ns/op it reports the breakdown the profile should agree with — ms per op
+// in REFINE, its five labelled parts and reconstruction (max over ranks).
 func BenchmarkProfilePar(b *testing.B) {
-	el, _, _ := gen.LFR(gen.DefaultLFR(20000, 0.35, 2024))
+	el, _, err := gen.LFR(gen.DefaultLFR(20000, 0.35, 2024))
+	if err != nil {
+		b.Fatal(err)
+	}
+	total := perf.NewBreakdown()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunInProcess(el, 20000, 8, Options{}); err != nil {
+		res, err := RunInProcess(el, 20000, 8, Options{})
+		if err != nil {
 			b.Fatal(err)
 		}
+		total.Merge(res.Breakdown)
+	}
+	for _, phase := range append([]string{perf.PhaseRefine, perf.PhaseReconstruction}, refinePhases...) {
+		unit := strings.ReplaceAll(strings.ToLower(phase), " ", "-") + "-ms/op"
+		b.ReportMetric(total.Get(phase).Seconds()*1e3/float64(b.N), unit)
 	}
 }

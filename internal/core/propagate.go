@@ -1,213 +1,184 @@
 package core
 
 import (
+	"fmt"
+
 	"parlouvain/internal/graph"
-	"parlouvain/internal/hashfn"
 	"parlouvain/internal/par"
 	"parlouvain/internal/wire"
 )
 
-// State propagation: the phase that rebuilds every rank's Out_Table view of
-// its owned vertices' neighbor communities, in two flavors — a full rebuild
-// (propagate) and an incremental move-log replay (propagateDelta) — plus
-// the Σtot/member pull both feed into Equation 4. run picks the flavor per
-// iteration from the global movement count.
+// State propagation (Algorithm 3): the phase that tells every rank which
+// community each out-neighbor of its owned vertices is in, as 8-byte
+// (slot, community) records into the level's out rows (outrows.go), followed
+// by the Σtot/member pull Equation 4 needs. It comes in two builds over one
+// record shape and one merge: propagate ships every in-edge (level start,
+// warm start, rollback), propagateDelta only the in-edges of the vertices
+// the last update moved (every inner iteration).
 
-// propagate is Algorithm 3 plus the Σtot pull that Equation 4 requires:
-// (1) every in-edge (v,u) is translated to ((v, comm[u]), w) and delivered
-// to owner(v), rebuilding the Out_Table; (2) the set of communities this
-// rank now references is sent to their owners, which reply with Σtot.
+// propagate stores comm[u] into the slot of every in-edge (v→u), rebuilds
+// the set of communities this rank references from what arrives, and pulls
+// their Σtot and member counts from their owners.
 func (s *engine) propagate() error {
-	for t := 0; t < s.opt.Threads; t++ {
-		s.out[t].Reset()
+	for _, cc := range s.refs {
+		s.refSeen[cc] = false
 	}
+	s.refs = s.refs[:0]
 	if s.dirty != nil {
-		// The full rebuild replaces every Out_Table row and Σtot cache
-		// entry, so per-vertex staleness tracking loses its baseline.
+		// Every row and every cached total is replaced, so per-vertex
+		// staleness tracking loses its baseline.
 		s.allDirty = true
 	}
 	if err := s.scatter(s.nLoc, s.propBuildFn, s.propMergeFn); err != nil {
 		return err
 	}
-	return s.pullTotals(true)
+	// An owned vertex also reads the totals of the community it is in.
+	for li := 0; li < s.nLoc; li++ {
+		if s.active[li] {
+			s.reference(uint32(s.commOf[li]))
+		}
+	}
+	return s.pullTotals(false)
 }
 
-// propagateBuild translates a contiguous range of owned vertices' in-edges
-// into ((v, comm), w) records for their owners.
+// propagateDelta re-stores only the slots of the in-edges of the vertices
+// that changed community in the last update. The totals are re-pulled for
+// the whole reference set: they change even for communities whose
+// membership this rank did not touch.
+func (s *engine) propagateDelta() error {
+	if err := s.scatter(len(s.moveLog), s.deltaBuildFn, s.propMergeFn); err != nil {
+		return err
+	}
+	if s.dirty == nil {
+		return s.pullTotals(false)
+	}
+	if err := s.pullTotals(true); err != nil {
+		return err
+	}
+	s.markChangedComms()
+	return nil
+}
+
+// propagateBuild encodes the in-edges of a contiguous range of owned
+// vertices.
 func (s *engine) propagateBuild(_, lo, hi int, w *wire.ChunkWriter) {
 	for li := lo; li < hi; li++ {
-		if !s.active[li] {
-			continue
-		}
-		cc := uint32(s.commOf[li])
-		for e := s.adjOff[li]; e < s.adjOff[li+1]; e++ {
-			src := s.adjSrc[e]
-			dst := s.part.Owner(src)
-			w.To(dst).PutTriple(wire.Triple{A: src, B: cc, W: s.adjW[e]})
-			w.Commit(dst)
+		if s.active[li] {
+			s.shipRow(li, w)
 		}
 	}
 }
 
-// propagateMerge inserts received (u, c, w) records into the Out_Table
-// shard of u — each worker sees every payload but only applies its own
-// shard, keeping inserts race-free and deterministic.
+// deltaBuild encodes the in-edges of a contiguous range of the move log.
+func (s *engine) deltaBuild(_, lo, hi int, w *wire.ChunkWriter) {
+	for _, li := range s.moveLog[lo:hi] {
+		s.shipRow(li, w)
+	}
+}
+
+// shipRow tells the owner of every in-neighbor of local vertex li which
+// community li is in now: one (slot, community) record per in-edge.
+func (s *engine) shipRow(li int, w *wire.ChunkWriter) {
+	cc := uint32(s.commOf[li])
+	for e := s.adjOff[li]; e < s.adjOff[li+1]; e++ {
+		dst := s.part.Owner(s.adjSrc[e])
+		w.To(dst).PutPair(s.peerSlot[e], cc)
+		w.Commit(dst)
+	}
+}
+
+// propagateMerge stores received (slot, community) records. A store is
+// cheaper than the decode every merge worker would repeat to find its share,
+// so worker 0 applies them all and the others return at once; the reference
+// set and the dirty marks then have one writer too.
 func (s *engine) propagateMerge(t int, r *wire.Reader) error {
+	if t != 0 {
+		return nil
+	}
 	for r.More() {
-		tr := r.Triple()
+		slot, cc := r.Pair()
 		if r.Err() != nil {
 			break
 		}
-		li := s.part.LocalIndex(tr.A)
-		if li%s.opt.Threads != t {
-			continue
+		if int(slot) >= len(s.outComm) || int(cc) >= s.n {
+			return fmt.Errorf("core: rank %d received propagation record (slot %d, community %d) outside its %d slots / %d ids",
+				s.part.Rank, slot, cc, len(s.outComm), s.n)
 		}
-		s.out[t].AddPair(tr.A, tr.B, tr.W)
+		s.outComm[slot] = cc
+		s.reference(cc)
+		if s.dirty != nil && !s.allDirty {
+			// The row changed: its vertex's cached findBest result is stale.
+			s.dirty[s.rowOf(slot)] = true
+		}
 	}
 	return r.Err()
 }
 
-// propagateDelta refreshes the Out_Table incrementally after an update:
-// only the in-edges of vertices that changed community are rebroadcast,
-// moving their contribution from the old community's aggregation to the
-// new one. The Σtot cache is re-pulled in full (totals change even for
-// communities whose membership this rank did not touch).
-func (s *engine) propagateDelta() error {
-	for t := range s.newComms {
-		s.newComms[t] = s.newComms[t][:0]
+// reference adds community cc to the set whose totals pullTotals fetches.
+func (s *engine) reference(cc uint32) {
+	if !s.refSeen[cc] {
+		s.refSeen[cc] = true
+		s.refs = append(s.refs, cc)
 	}
-	if s.dirty != nil {
-		clear(s.changedComms)
-	}
-	if err := s.scatter(len(s.moveLog), s.deltaBuildFn, s.deltaMergeFn); err != nil {
-		return err
-	}
-	// Extend the Σtot reference set with the newly-seen communities; the
-	// existing keys are kept, so no Out_Table rescan is needed. (Zeroing a
-	// first-seen key of an already-referenced community wipes its cached
-	// Σtot, which the pruning diff below then counts as changed — a
-	// spurious dirty mark, never a missed one.)
-	for _, ccs := range s.newComms {
-		for _, cc := range ccs {
-			s.remoteTot.Set(uint64(cc), 0)
+}
+
+// rowOf returns the local vertex whose out row holds slot (the last row
+// starting at or before it). Only the pruning path pays for the search.
+func (s *engine) rowOf(slot uint32) int {
+	lo, hi := 0, s.nLoc
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if s.outOff[mid] <= int64(slot) {
+			lo = mid
+		} else {
+			hi = mid
 		}
 	}
-	if err := s.pullTotals(false); err != nil {
-		return err
-	}
-	if s.dirty != nil {
-		s.markChangedComms()
-	}
-	return nil
+	return lo
 }
 
 // markChangedComms marks every vertex whose findBest inputs include a
 // community whose Σtot or member count just changed (collected by the
-// pullTotals diff): vertices with an Out_Table row entry targeting it, and
-// vertices currently assigned to it (their stay baseline and singleton
-// rule read its totals). Shard workers only write dirty slots of their own
-// li % Threads stripe, as everywhere.
+// pullTotals diff): vertices with a slot holding it, and vertices currently
+// assigned to it (their stay baseline and singleton rule read its totals).
 func (s *engine) markChangedComms() {
-	if len(s.changedComms) == 0 {
-		return
-	}
-	par.For(s.opt.Threads, s.opt.Threads, func(t, lo, hi int) {
-		s.out[t].Range(func(key uint64, _ float64) bool {
-			u, cc := hashfn.Unpack32(key)
-			if _, ok := s.changedComms[cc]; ok {
-				s.dirty[s.part.LocalIndex(u)] = true
-			}
-			return true
-		})
-		for li := t; li < s.nLoc; li += s.opt.Threads {
-			if !s.active[li] {
-				continue
-			}
-			if _, ok := s.changedComms[uint32(s.commOf[li])]; ok {
-				s.dirty[li] = true
-			}
-		}
-	})
-}
-
-// deltaBuild rebroadcasts the in-edges of a contiguous range of the move
-// log as (u, oldC, newC, w) records for the owners of the endpoints.
-func (s *engine) deltaBuild(_, lo, hi int, w *wire.ChunkWriter) {
-	for _, mv := range s.moveLog[lo:hi] {
-		li := mv.li
-		oldC, newC := uint32(mv.oldC), uint32(s.commOf[li])
-		for e := s.adjOff[li]; e < s.adjOff[li+1]; e++ {
-			src := s.adjSrc[e]
-			dst := s.part.Owner(src)
-			b := w.To(dst)
-			b.PutU32(src)
-			b.PutU32(oldC)
-			b.PutU32(newC)
-			b.PutF64(s.adjW[e])
-			w.Commit(dst)
-		}
+	if len(s.changedList) > 0 {
+		par.For(s.nLoc, s.opt.Threads, s.markBody)
 	}
 }
 
-// deltaMerge moves each received contribution from the old community's
-// aggregation to the new one, collecting first-seen communities so the
-// Σtot reference set can be extended after the round.
-func (s *engine) deltaMerge(t int, r *wire.Reader) error {
-	for r.More() {
-		u := r.U32()
-		oldC := r.U32()
-		newC := r.U32()
-		w := r.F64()
-		if r.Err() != nil {
-			break
-		}
-		li := s.part.LocalIndex(u)
-		if li%s.opt.Threads != t {
+func (s *engine) markChangedRange(_, lo, hi int) {
+	for li := lo; li < hi; li++ {
+		if s.dirty[li] {
 			continue
 		}
-		if s.dirty != nil {
-			// u's row changed: its cached findBest result is stale.
+		if s.active[li] && s.changed[s.commOf[li]] {
 			s.dirty[li] = true
+			continue
 		}
-		s.out[t].AddPair(u, oldC, -w)
-		if s.out[t].AddPair(u, newC, w) {
-			s.newComms[t] = append(s.newComms[t], newC)
-		}
-	}
-	return r.Err()
-}
-
-// pullTotals refreshes remoteTot and remoteMembers with the Σtot and
-// member count of every community that appears in the Out_Table or as an
-// owned vertex's current community.
-func (s *engine) pullTotals(rescan bool) error {
-	// The remoteTot table itself deduplicates the request set: every
-	// referenced community is inserted once with a zero placeholder,
-	// then overwritten by its owner's response. After a delta
-	// propagation that introduced no new (vertex, community) keys, the
-	// reference set is unchanged and the rescan is skipped — only the
-	// values are refreshed.
-	if rescan {
-		s.remoteTot.Reset()
-		s.remoteMembers.Reset()
-		for t := 0; t < s.opt.Threads; t++ {
-			s.out[t].Range(func(key uint64, _ float64) bool {
-				_, cc := hashfn.Unpack32(key)
-				s.remoteTot.Set(uint64(cc), 0)
-				return true
-			})
-		}
-		for li := 0; li < s.nLoc; li++ {
-			if s.active[li] {
-				s.remoteTot.Set(uint64(s.commOf[li]), 0)
+		for _, cc := range s.outComm[s.outOff[li]:s.outOff[li+1]] {
+			if s.changed[cc] {
+				s.dirty[li] = true
+				break
 			}
 		}
 	}
+}
+
+// pullTotals refreshes totCache and memCache for every referenced
+// community: one round of requests (community ids) to the owners, one round
+// of replies — (Σtot f64, members u32) per request, in request order, so the
+// id is not echoed. A community reported empty leaves the reference set: the
+// totals of this iteration's update are already applied and every slot is
+// current, so nothing on this rank points at it any more, and it re-enters
+// through reference if a later move revives it. With diff set (pruning), the
+// communities whose totals moved since the last pull are collected for
+// markChangedComms.
+func (s *engine) pullTotals(diff bool) error {
 	req := s.outPlanes()
-	s.remoteTot.Range(func(key uint64, _ float64) bool {
-		req.To(s.part.Owner(graph.V(key))).PutU32(uint32(key))
-		return true
-	})
+	for _, cc := range s.refs {
+		req.To(s.part.Owner(graph.V(cc))).PutU32(cc)
+	}
 	reqs, err := s.exchange(req)
 	if err != nil {
 		return err
@@ -218,14 +189,16 @@ func (s *engine) pullTotals(rescan bool) error {
 		r.Reset(plane)
 		b := resp.To(src)
 		for r.More() {
-			cc := r.U32()
-			if r.Err() != nil {
-				return r.Err()
+			cc := graph.V(r.U32())
+			if err := r.Err(); err != nil {
+				return err
+			}
+			if int(cc) >= s.n || !s.part.Owns(cc) {
+				return fmt.Errorf("core: rank %d asked for the totals of community %d it does not own", s.part.Rank, cc)
 			}
 			li := s.part.LocalIndex(cc)
-			b.PutU32(cc)
 			b.PutF64(s.totOwn[li])
-			b.PutF64(float64(s.memOwn[li]))
+			b.PutU32(uint32(s.memOwn[li]))
 		}
 	}
 	wire.ReleasePlanes(reqs)
@@ -233,29 +206,35 @@ func (s *engine) pullTotals(rescan bool) error {
 	if err != nil {
 		return err
 	}
-	diff := s.dirty != nil && !rescan
-	for _, plane := range resps {
-		r.Reset(plane)
-		for r.More() {
-			cc := r.U32()
-			tot := r.F64()
-			members := r.F64()
-			if err := r.Err(); err != nil {
-				return err
-			}
-			if diff {
-				// Pruning: record communities whose totals moved since the
-				// last pull so markChangedComms can dirty their referrers.
-				// (No diffing after a rescan — the full propagation already
-				// set allDirty.)
-				oldTot, hadTot := s.remoteTot.Get(uint64(cc))
-				oldMem, hadMem := s.remoteMembers.Get(uint64(cc))
-				if !hadTot || !hadMem || oldTot != tot || oldMem != members {
-					s.changedComms[cc] = struct{}{}
-				}
-			}
-			s.remoteTot.Set(uint64(cc), tot)
-			s.remoteMembers.Set(uint64(cc), members)
+	for src, plane := range resps {
+		s.replyReaders[src].Reset(plane)
+	}
+	if diff {
+		for _, cc := range s.changedList {
+			s.changed[cc] = false
+		}
+		s.changedList = s.changedList[:0]
+	}
+	live := s.refs[:0]
+	for _, cc := range s.refs {
+		r := &s.replyReaders[s.part.Owner(graph.V(cc))]
+		tot, members := r.F64(), r.U32()
+		if diff && (s.totCache[cc] != tot || s.memCache[cc] != members) {
+			s.changed[cc] = true
+			s.changedList = append(s.changedList, cc)
+		}
+		s.totCache[cc], s.memCache[cc] = tot, members
+		if members == 0 {
+			s.refSeen[cc] = false
+		} else {
+			live = append(live, cc)
+		}
+	}
+	s.refs = live
+	for src := range resps {
+		if r := &s.replyReaders[src]; r.Err() != nil || r.More() {
+			return fmt.Errorf("core: rank %d got %d bytes of totals from rank %d for the communities it asked about (decode error: %v)",
+				s.part.Rank, len(resps[src]), src, r.Err())
 		}
 	}
 	wire.ReleasePlanes(resps)

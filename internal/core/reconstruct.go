@@ -50,14 +50,8 @@ func (s *engine) levelInit() (uint64, error) {
 		s.totOwn[i] = 0
 		s.commOf[i] = s.part.GlobalID(i)
 	}
-	if cap(s.adjOff) >= s.nLoc+1 {
-		s.adjOff = s.adjOff[:s.nLoc+1]
-		for i := range s.adjOff {
-			s.adjOff[i] = 0
-		}
-	} else {
-		s.adjOff = make([]int64, s.nLoc+1)
-	}
+	s.adjOff = resize(s.adjOff, s.nLoc+1)
+	clear(s.adjOff)
 	par.For(s.opt.Threads, s.opt.Threads, func(t, lo, hi int) {
 		s.in[t].Range(func(key uint64, w float64) bool {
 			src, dst := hashfn.Unpack32(key)
@@ -87,22 +81,18 @@ func (s *engine) levelInit() (uint64, error) {
 		s.adjOff[i+1] += s.adjOff[i]
 	}
 	total := int(s.adjOff[s.nLoc])
-	if cap(s.adjSrc) >= total {
-		s.adjSrc = s.adjSrc[:total]
-		s.adjW = s.adjW[:total]
-	} else {
-		s.adjSrc = make([]graph.V, total)
-		s.adjW = make([]float64, total)
-	}
-	fill := make([]int64, s.nLoc)
+	s.adjSrc = resize(s.adjSrc, total)
+	s.adjW = resize(s.adjW, total)
+	s.cursor = resize(s.cursor, s.nLoc)
+	copy(s.cursor, s.adjOff)
 	par.For(s.opt.Threads, s.opt.Threads, func(t, lo, hi int) {
 		s.in[t].Range(func(key uint64, w float64) bool {
 			src, dst := hashfn.Unpack32(key)
 			li := s.part.LocalIndex(dst)
-			p := s.adjOff[li] + fill[li]
+			p := s.cursor[li]
 			s.adjSrc[p] = src
 			s.adjW[p] = w
-			fill[li]++
+			s.cursor[li]++
 			return true
 		})
 	})
@@ -121,6 +111,9 @@ func (s *engine) levelInit() (uint64, error) {
 		// New level: every vertex needs a fresh findBest baseline.
 		s.allDirty = true
 	}
+	if err := s.buildOutRows(); err != nil {
+		return 0, err
+	}
 	twoM, err := s.c.AllReduceFloat64(localK, comm.OpSum)
 	if err != nil {
 		return 0, err
@@ -129,22 +122,18 @@ func (s *engine) levelInit() (uint64, error) {
 	return s.c.AllReduceUint64(localActive, comm.OpSum)
 }
 
-// reconstruct is Algorithm 5: translate every Out_Table aggregation
-// ((u,c),w) into a supergraph in-edge ((comm[u], c), w) at owner(c),
-// rebuilding the In_Table for the next level.
+// reconstruct is Algorithm 5: every owned vertex u's out row, summed per
+// neighbor community c, becomes the supergraph in-edges ((comm[u], c),
+// w_{u→c}) at owner(c), rebuilding the In_Table for the next level.
 func (s *engine) reconstruct() error {
 	// The In_Table is reset before the scatter so merge workers can rebuild
-	// it while the Out_Table scan is still producing records; the two table
-	// families are disjoint, so build (reads out) and merge (writes in)
-	// overlap safely.
+	// it while the row scan is still producing records; build reads the rows,
+	// merge writes the In_Table, so the two overlap safely.
 	for t := 0; t < s.opt.Threads; t++ {
 		s.in[t].Reset()
 	}
-	if err := s.scatter(s.opt.Threads, s.reconBuildFn, s.reconMergeFn); err != nil {
+	if err := s.scatter(s.nLoc, s.reconBuildFn, s.reconMergeFn); err != nil {
 		return err
-	}
-	for t := 0; t < s.opt.Threads; t++ {
-		s.out[t].Reset()
 	}
 	if debugBreakReconstruct && s.part.Rank == 0 {
 		// Negative-test hook: smuggle phantom edge weight into the rebuilt
@@ -155,27 +144,24 @@ func (s *engine) reconstruct() error {
 	return nil
 }
 
-// reconstructBuild scans a contiguous range of Out_Table shards, emitting
-// every live aggregation as a supergraph in-edge for the owner of its
-// destination supervertex.
-func (s *engine) reconstructBuild(_, lo, hi int, cw *wire.ChunkWriter) {
-	for ti := lo; ti < hi; ti++ {
-		s.out[ti].Range(func(key uint64, w float64) bool {
-			if w == 0 {
-				return true // emptied by delta propagation
-			}
-			u, cc := hashfn.Unpack32(key)
-			li := s.part.LocalIndex(u)
-			if !s.active[li] {
-				return true
-			}
-			// src supervertex = comm[u]; dst supervertex cc is
-			// owned by the destination rank.
-			dst := s.part.Owner(graph.V(cc))
-			cw.To(dst).PutTriple(wire.Triple{A: uint32(s.commOf[li]), B: cc, W: w})
+// reconstructBuild collapses the out rows of a contiguous range of owned
+// vertices, emitting each (vertex, neighbor community) sum as a supergraph
+// in-edge for the owner of its destination supervertex.
+func (s *engine) reconstructBuild(t, lo, hi int, cw *wire.ChunkWriter) {
+	sc := s.scan[t]
+	for li := lo; li < hi; li++ {
+		if !s.active[li] {
+			continue
+		}
+		// src supervertex = comm[u]; dst supervertex cc is owned by the
+		// destination rank.
+		from := uint32(s.commOf[li])
+		for _, cc := range s.gatherRow(sc, li) {
+			dst := s.part.Owner(cc)
+			cw.To(dst).PutTriple(wire.Triple{A: from, B: uint32(cc), W: sc.w2c[cc]})
 			cw.Commit(dst)
-			return true
-		})
+			sc.w2c[cc] = 0 // listed twice, a community still ships its sum once
+		}
 	}
 }
 

@@ -43,11 +43,13 @@ var goldenFields = map[string][]string{
 // cell, mirroring the engine's emission sequence.
 var nameOrder = map[string]int{
 	perf.PhaseFindBest:       0,
-	perf.PhaseUpdate:         1,
-	perf.PhasePropagation:    2,
-	"iteration":              3,
-	perf.PhaseReconstruction: 4,
-	"level":                  5,
+	perf.PhaseThreshold:      1,
+	perf.PhaseUpdate:         2,
+	perf.PhasePropagation:    3,
+	perf.PhaseComputeQ:       4,
+	"iteration":              5,
+	perf.PhaseReconstruction: 6,
+	"level":                  7,
 }
 
 // collectGoldenTrace runs a fixed-seed 2-rank detection with one recorder

@@ -1,9 +1,10 @@
 // Package edgetable implements the paper's hash-based edge storage
 // (Section IV-A): tables keyed by packed (t1,t2) tuples holding weighted
-// triples ((t1,t2),w), with accumulate-on-collision semantics. Both the
-// In_Table (in-edges, rebuilt once per outer loop) and the Out_Table
-// (edge→community aggregations, rebuilt every inner iteration) are
-// instances of Table.
+// triples ((t1,t2),w), with accumulate-on-collision semantics. The
+// In_Table (in-edges, rebuilt once per outer loop) is an instance of Table;
+// the paper's Out_Table (edge→community aggregations, rebuilt every inner
+// iteration) was one too until internal/core replaced it with
+// slot-addressed out rows (core/outrows.go).
 //
 // Two physical layouts are provided:
 //
@@ -86,9 +87,8 @@ type Table struct {
 	slots uint64 // conceptual table size M
 
 	// Probing layout. occ journals the occupied slots in insertion
-	// order, making Range and Reset O(entries) instead of O(slots) —
-	// critical because the Out_Table is scanned and rebuilt every inner
-	// iteration at a load factor of 1/4.
+	// order, making Range and Reset O(entries) instead of O(slots) at a
+	// load factor of 1/4.
 	keys []uint64
 	vals []float64
 	occ  []uint64

@@ -117,19 +117,3 @@ func TestSpeedup(t *testing.T) {
 		t.Errorf("Speedup(0) = %v, want 0", got)
 	}
 }
-
-func TestStopwatch(t *testing.T) {
-	b := NewBreakdown()
-	var sw Stopwatch
-	sw.Start(b, "s")
-	time.Sleep(2 * time.Millisecond)
-	sw.Stop()
-	if b.Get("s") < time.Millisecond {
-		t.Errorf("stopwatch recorded %v", b.Get("s"))
-	}
-	sw.Stop() // double stop is a no-op
-	first := b.Get("s")
-	if b.Get("s") != first {
-		t.Error("double Stop changed accumulation")
-	}
-}

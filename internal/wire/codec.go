@@ -2,11 +2,13 @@ package wire
 
 import "fmt"
 
-// Typed codecs over the Buffer/Reader primitives. Two families:
+// Typed codecs over the Buffer/Reader primitives. Three families:
 //
-//   - Triple: the (a, b, w) record of the state-propagation message family
-//     — (src, community, weight) in propagation, (srcComm, dstComm, weight)
-//     in reconstruction, (vertex, label, weight) in label propagation.
+//   - Triple: the (a, b, w) record of the weighted message family —
+//     (srcComm, dstComm, weight) in reconstruction, (vertex, label, weight)
+//     in label propagation.
+//   - Pair: the 8-byte (a, b) record of state propagation — (out-row slot,
+//     community): the weight never travels, it sits in the slot.
 //   - Slice codecs: length-prefixed vectors for collective payloads, and a
 //     delta-varint assignment codec for gathered label vectors, which are
 //     near-sorted id-dense sequences that compress well under zigzag delta.
@@ -37,6 +39,20 @@ func (r *Reader) Triple() Triple {
 	t.B = r.U32()
 	t.W = r.F64()
 	return t
+}
+
+// PairSize is the fixed encoded size of one (a, b) pair in bytes.
+const PairSize = 8
+
+// PutPair appends (a, b) as fixed-width (u32, u32), in one 8-byte append.
+func (b *Buffer) PutPair(x, y uint32) {
+	b.PutU64(uint64(x) | uint64(y)<<32)
+}
+
+// Pair decodes one (a, b) pair (zeros after an error).
+func (r *Reader) Pair() (x, y uint32) {
+	v := r.U64()
+	return uint32(v), uint32(v >> 32)
 }
 
 // PutU32s appends a length-prefixed fixed-width uint32 vector.

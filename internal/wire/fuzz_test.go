@@ -192,7 +192,7 @@ func FuzzReaderNeverPanics(f *testing.F) {
 		var r Reader
 		r.Reset(data)
 		for i := 0; i < 64 && r.More(); i++ {
-			switch which % 7 {
+			switch which % 8 {
 			case 0:
 				r.U32()
 			case 1:
@@ -207,6 +207,8 @@ func FuzzReaderNeverPanics(f *testing.F) {
 				r.Assign(nil)
 			case 6:
 				r.U32s(nil)
+			case 7:
+				r.Pair()
 			}
 			which++
 		}

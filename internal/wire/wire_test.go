@@ -109,6 +109,38 @@ func TestTripleRoundTrip(t *testing.T) {
 	}
 }
 
+func TestPairRoundTrip(t *testing.T) {
+	in := [][2]uint32{{0, 0}, {1, 2}, {^uint32(0), 7}, {12, ^uint32(0)}}
+	var b Buffer
+	for _, p := range in {
+		b.PutPair(p[0], p[1])
+	}
+	if b.Len() != PairSize*len(in) {
+		t.Fatalf("encoded %d bytes, want %d", b.Len(), PairSize*len(in))
+	}
+	// A pair is two consecutive little-endian u32s on the wire.
+	r := NewReader(b.Bytes())
+	if x, y := r.U32(), r.U32(); x != 0 || y != 0 {
+		t.Fatalf("first pair read as u32s = (%d,%d)", x, y)
+	}
+	if x, y := r.U32(), r.U32(); x != 1 || y != 2 {
+		t.Fatalf("second pair read as u32s = (%d,%d)", x, y)
+	}
+	r.Reset(b.Bytes())
+	for i, want := range in {
+		if x, y := r.Pair(); x != want[0] || y != want[1] {
+			t.Errorf("pair %d = (%d,%d), want %v", i, x, y, want)
+		}
+	}
+	if r.More() || r.Err() != nil {
+		t.Errorf("leftover=%v err=%v", r.More(), r.Err())
+	}
+	r.Reset(b.Bytes()[:5])
+	if x, y := r.Pair(); x != 0 || y != 0 || r.Err() == nil {
+		t.Errorf("short pair = (%d,%d), err %v", x, y, r.Err())
+	}
+}
+
 func TestSliceCodecsRoundTrip(t *testing.T) {
 	u32 := []uint32{0, 1, ^uint32(0), 12345}
 	u64 := []uint64{0, ^uint64(0), 1 << 40}
