@@ -24,10 +24,12 @@ vet:
 # Repeated fault-injection runs over the transports plus the invariant and
 # cross-engine suites (what the CI chaos soak step executes). The Stream
 # pattern soaks the chunked streaming path: per-chunk fault injection in
-# comm, streaming-vs-bulk equivalence in core.
+# comm, streaming-vs-bulk equivalence in core. The last line races the sweep
+# workers against the merge worker over par-louvain's skip marks.
 chaos:
 	$(GO) test -race -count=3 -run 'Chaos|TCP|Stream' ./internal/comm
 	$(GO) test -short -run 'Chaos|Invariant|CrossEngine|Stream' ./internal/core
+	GOMAXPROCS=2 $(GO) test -race -run 'Skip|Differential|GoldenTrace' ./internal/core
 
 # Short fuzz pass over every fuzz target (wire codecs, graph readers,
 # generator specs, edge-table freeze/iteration, the engine's out rows).

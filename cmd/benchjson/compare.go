@@ -47,9 +47,10 @@ func compareMetric(name string, oldV, newV, tol float64) delta {
 }
 
 // e2eKey identifies one e2e configuration across reports. Runs from the
-// storage-variant series carry their backend (and prune marker) in the key,
-// so a hash run is never gated against a CSR run; pre-storage reports have
-// empty Storage/Prune fields and keep their original transport/mode keys.
+// storage-variant series carry their backend in the key (plus the prune
+// marker of reports that predate the option's removal), so a hash run is
+// never gated against a CSR run; pre-storage reports have an empty Storage
+// field and keep their original transport/mode keys.
 func e2eKey(r e2eRun) string {
 	key := r.Transport + "/" + r.Mode
 	if r.Algo != "" {

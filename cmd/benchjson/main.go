@@ -20,10 +20,10 @@
 //     clock, final modularity, traffic volume and the measured overlap
 //     fraction pulled from the metrics registry;
 //   - a storage-variant series: the same fixed-seed R-MAT graph solved with
-//     each level-storage backend (hash, frozen CSR, auto) and with pruned
-//     refine sweeps. Every variant must land on the identical Q — only the
-//     wall clock may differ — and the hash-relative time ratios are
-//     summarized in storage_vs_hash_time_ratio;
+//     each level-storage backend (hash, frozen CSR, auto). Every variant
+//     must land on the identical Q — only the wall clock may differ — and
+//     the hash-relative time ratios are summarized in
+//     storage_vs_hash_time_ratio;
 //   - a shared-memory thread sweep: the same R-MAT graph solved by the plm
 //     and plp engines at thread counts 1, 2 and 4 plus the seq-louvain
 //     baseline, with plm-vs-sequential wall-clock ratios summarized in
@@ -109,8 +109,10 @@ type e2eRun struct {
 	Algo    string `json:"algo,omitempty"`
 	Ranks   int    `json:"ranks"`
 	Threads int    `json:"threads"`
-	// Storage/Prune identify the storage-variant series; both are empty on
-	// the LFR transport runs so older reports keep their compare keys.
+	// Storage identifies the storage-variant series; it is empty on the LFR
+	// transport runs so older reports keep their compare keys. Prune is only
+	// ever read: reports written while the engine had a -prune option carry
+	// pruned rows, which must keep a compare key of their own.
 	Storage     string  `json:"storage,omitempty"`
 	Prune       bool    `json:"prune,omitempty"`
 	Seconds     float64 `json:"seconds"`
@@ -132,7 +134,7 @@ type report struct {
 	// seconds per transport (lower is better).
 	StreamSpeedup map[string]float64 `json:"stream_vs_bulk_time_ratio"`
 	// Storage-variant seconds / hash-baseline seconds on the R-MAT solve
-	// (lower is better), keyed by "csr", "auto", "csr+prune", ...
+	// (lower is better), keyed by "csr", "auto"
 	StorageSpeedup map[string]float64 `json:"storage_vs_hash_time_ratio,omitempty"`
 	// Thread-sweep seconds / seq-louvain seconds on the same R-MAT solve
 	// (lower is better), keyed by "plm/t1", "plp/t4", ...
@@ -205,7 +207,7 @@ func main() {
 	for _, transport := range []string{"mem", "tcp"} {
 		var bulk, stream e2eRun
 		for _, mode := range []string{"bulk", "stream"} {
-			run, err := runE2EBest(el, *n, *ranks, *threads, transport, mode, "", false)
+			run, err := runE2EBest(el, *n, *ranks, *threads, transport, mode, "")
 			if err != nil {
 				log.Fatalf("e2e %s/%s: %v", transport, mode, err)
 			}
@@ -235,30 +237,23 @@ func main() {
 	}
 	rn := 1 << *rmatScale
 	var storageBase e2eRun
-	for _, v := range []struct {
-		storage string
-		prune   bool
-	}{{"hash", false}, {"csr", false}, {"auto", false}, {"csr", true}} {
-		run, err := runE2EBest(rel, rn, *ranks, *threads, "mem", "bulk", v.storage, v.prune)
+	for _, storage := range []string{"hash", "csr", "auto"} {
+		run, err := runE2EBest(rel, rn, *ranks, *threads, "mem", "bulk", storage)
 		if err != nil {
-			log.Fatalf("e2e rmat storage=%s prune=%v: %v", v.storage, v.prune, err)
+			log.Fatalf("e2e rmat storage=%s: %v", storage, err)
 		}
-		label := v.storage
-		if v.prune {
-			label += "+prune"
-		}
-		log.Printf("e2e rmat mem/%-9s  %.3fs  Q=%.6f", label, run.Seconds, run.Q)
+		log.Printf("e2e rmat mem/%-9s  %.3fs  Q=%.6f", storage, run.Seconds, run.Q)
 		rep.E2E = append(rep.E2E, run)
-		if v.storage == "hash" && !v.prune {
+		if storage == "hash" {
 			storageBase = run
 			continue
 		}
 		if run.Q != storageBase.Q || run.Levels != storageBase.Levels {
 			log.Fatalf("storage %s diverged from hash: Q %v vs %v, levels %d vs %d",
-				label, run.Q, storageBase.Q, run.Levels, storageBase.Levels)
+				storage, run.Q, storageBase.Q, run.Levels, storageBase.Levels)
 		}
 		if storageBase.Seconds > 0 {
-			rep.StorageSpeedup[label] = run.Seconds / storageBase.Seconds
+			rep.StorageSpeedup[storage] = run.Seconds / storageBase.Seconds
 		}
 	}
 
@@ -416,12 +411,12 @@ func runGoBench(benchTime string) ([]benchLine, error) {
 // deterministic — only time varies) and the maximum overlap fraction (how
 // much transfer the builders managed to hide is a capability, and scheduler
 // preemption only ever pushes it down).
-func runE2EBest(el parlouvain.EdgeList, n, ranks, threads int, transport, mode, storage string, prune bool) (e2eRun, error) {
+func runE2EBest(el parlouvain.EdgeList, n, ranks, threads int, transport, mode, storage string) (e2eRun, error) {
 	const attempts = 3
 	best := e2eRun{Seconds: math.Inf(1)}
 	var overlap float64
 	for i := 0; i < attempts; i++ {
-		run, err := runE2E(el, n, ranks, threads, transport, mode, storage, prune)
+		run, err := runE2E(el, n, ranks, threads, transport, mode, storage)
 		if err != nil {
 			return e2eRun{}, err
 		}
@@ -439,7 +434,7 @@ func runE2EBest(el parlouvain.EdgeList, n, ranks, threads int, transport, mode, 
 // per-rank registries. An empty storage string means the library default
 // (auto) and leaves the run's storage fields unset, preserving the compare
 // keys of reports written before the storage series existed.
-func runE2E(el parlouvain.EdgeList, n, ranks, threads int, transport, mode, storage string, prune bool) (e2eRun, error) {
+func runE2E(el parlouvain.EdgeList, n, ranks, threads int, transport, mode, storage string) (e2eRun, error) {
 	storageKind, err := parlouvain.ParseStorage(storage)
 	if err != nil {
 		return e2eRun{}, err
@@ -474,7 +469,7 @@ func runE2E(el parlouvain.EdgeList, n, ranks, threads int, transport, mode, stor
 			g.Go(func() error {
 				res, err := parlouvain.DetectDistributed(trs[r], parts[r], n, parlouvain.Options{
 					Threads: threads, StreamChunk: streamChunk,
-					Storage: storageKind, Prune: prune, Metrics: regs[r],
+					Storage: storageKind, Metrics: regs[r],
 				})
 				results[r] = res
 				return err
@@ -495,7 +490,7 @@ func runE2E(el parlouvain.EdgeList, n, ranks, threads int, transport, mode, stor
 				defer tr.Close()
 				res, err := parlouvain.DetectDistributed(tr, parts[r], n, parlouvain.Options{
 					Threads: threads, StreamChunk: streamChunk,
-					Storage: storageKind, Prune: prune, Metrics: regs[r],
+					Storage: storageKind, Metrics: regs[r],
 				})
 				results[r] = res
 				return err
@@ -515,7 +510,6 @@ func runE2E(el parlouvain.EdgeList, n, ranks, threads int, transport, mode, stor
 		Ranks:     ranks,
 		Threads:   threads,
 		Storage:   storage,
-		Prune:     prune,
 		Seconds:   elapsed.Seconds(),
 		Q:         results[0].Q,
 		Levels:    len(results[0].Levels),

@@ -85,10 +85,9 @@ type Options struct {
 	// Naive disables the parallel Louvain convergence heuristic.
 	Naive bool
 
-	// Storage, Prune and StreamChunk pass through to the parallel Louvain
-	// engine (see core.Options).
+	// Storage and StreamChunk pass through to the parallel Louvain engine
+	// (see core.Options).
 	Storage     core.StorageKind
-	Prune       bool
 	StreamChunk int
 
 	// Warm seeds modularity engines with a previous assignment.
@@ -125,7 +124,6 @@ func (o Options) coreOptions(ctx context.Context, collect bool) core.Options {
 		Threads:         o.Threads,
 		Order:           o.Order,
 		Storage:         o.Storage,
-		Prune:           o.Prune,
 		StreamChunk:     o.StreamChunk,
 		CollectLevels:   collect,
 		CheckInvariants: o.CheckInvariants,

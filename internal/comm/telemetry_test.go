@@ -97,11 +97,15 @@ func TestTelemetryConcurrentWithExchange(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			const want = 3 * 20
 			recvDone := make(chan int)
+			allIn := make(chan struct{})
 			go func() {
 				n := 0
 				for range conn0.Recv() {
-					n++
+					if n++; n == want {
+						close(allIn)
+					}
 				}
 				recvDone <- n
 			}()
@@ -135,9 +139,18 @@ func TestTelemetryConcurrentWithExchange(t *testing.T) {
 				}
 				return nil
 			})
+			// Over TCP a Send returns once the frame is written to the socket;
+			// rank 0's pump delivers it some time later. Closing the group
+			// before the pump has caught up closes the hub under it and the
+			// tail of the feed is lost, so wait for the payloads first.
+			select {
+			case <-allIn:
+			case <-time.After(10 * time.Second):
+				t.Error("telemetry payloads still missing 10 s after the last Send returned")
+			}
 			closeAll(trs) // closes the feed so the drain goroutine finishes
-			if n := <-recvDone; n != 3*20 {
-				t.Errorf("rank 0 received %d telemetry payloads, want %d", n, 60)
+			if n := <-recvDone; n != want {
+				t.Errorf("rank 0 received %d telemetry payloads, want %d", n, want)
 			}
 		})
 	}

@@ -9,41 +9,35 @@ import (
 	"parlouvain/internal/graph"
 )
 
-// Differential harness for the pluggable level storage and the pruned
-// refine sweep: both are read-path optimizations whose whole contract is
-// "faster with identical answers", so every {storage} × {prune} variant is
-// run against the seed configuration (hash, unpruned) over seeded random
+// Differential harness for the pluggable level storage: it is a read-path
+// choice whose whole contract is "identical answers", so every storage
+// variant is run against the seed configuration (hash) over seeded random
 // and LFR graphs, rank counts 1/2/4, and the mem and sim transports, and
 // must match it bit-for-bit — final Q, the per-level Q trajectory, the
 // per-iteration move counts, and every vertex's final assignment. The
 // per-level invariant checker (armed by TestMain) runs inside all of these
-// runs, including the new storage-consistency invariant; the golden-trace
+// runs, including the storage-consistency invariant; the golden-trace
 // variants in trace_golden_test.go pin the same property at event-stream
 // granularity.
 
 // diffVariants are the configurations differentially tested against the
-// seed behavior. The seed itself (hash, unpruned) is the baseline.
+// seed behavior. The seed itself (hash) is the baseline.
 var diffVariants = []struct {
 	name    string
 	storage StorageKind
-	prune   bool
 }{
-	{"csr", StorageCSR, false},
-	{"auto", StorageAuto, false},
-	{"hash+prune", StorageHash, true},
-	{"csr+prune", StorageCSR, true},
-	{"auto+prune", StorageAuto, true},
+	{"csr", StorageCSR},
+	{"auto", StorageAuto},
 }
 
 // runDiff executes one detection with the given variant over the requested
 // transport, with invariant checks forced on by TestMain.
-func runDiff(t *testing.T, el graph.EdgeList, n, ranks int, transport string, storage StorageKind, prune bool) *Result {
+func runDiff(t *testing.T, el graph.EdgeList, n, ranks int, transport string, storage StorageKind) *Result {
 	t.Helper()
 	opt := Options{
 		CollectLevels: true,
 		Threads:       2, // sim forces 1; mem exercises the sharded paths
 		Storage:       storage,
-		Prune:         prune,
 	}
 	var (
 		res *Result
@@ -58,7 +52,7 @@ func runDiff(t *testing.T, el graph.EdgeList, n, ranks int, transport string, st
 		t.Fatalf("unknown transport %q", transport)
 	}
 	if err != nil {
-		t.Fatalf("%s ranks=%d storage=%v prune=%v: %v", transport, ranks, storage, prune, err)
+		t.Fatalf("%s ranks=%d storage=%v: %v", transport, ranks, storage, err)
 	}
 	return res
 }
@@ -134,40 +128,32 @@ func diffGraphs(t *testing.T) []struct {
 	return graphs
 }
 
-// TestDifferentialStoragePrune is the centerpiece sweep: every variant ×
-// graph × rank count × transport against the seed baseline.
-func TestDifferentialStoragePrune(t *testing.T) {
+// TestDifferentialStorage is the centerpiece sweep: every variant × graph ×
+// rank count × transport against the seed baseline.
+func TestDifferentialStorage(t *testing.T) {
 	ranksSet := []int{1, 2, 4}
 	if testing.Short() {
 		ranksSet = []int{1, 2}
 	}
-	prunedBefore := prunedSweeps.Load()
 	for _, g := range diffGraphs(t) {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
 			for _, ranks := range ranksSet {
 				for _, transport := range []string{"mem", "sim"} {
-					base := runDiff(t, g.el, g.n, ranks, transport, StorageHash, false)
+					base := runDiff(t, g.el, g.n, ranks, transport, StorageHash)
 					for _, v := range diffVariants {
 						label := fmt.Sprintf("%s/ranks=%d/%s", transport, ranks, v.name)
-						got := runDiff(t, g.el, g.n, ranks, transport, v.storage, v.prune)
+						got := runDiff(t, g.el, g.n, ranks, transport, v.storage)
 						assertIdentical(t, label, base, got)
 					}
 				}
 			}
 		})
 	}
-	// Non-vacuity: at least one pruned (dirty-only) sweep must actually
-	// have run across the pruned variants, or the identity above proves
-	// nothing about the pruned code path.
-	if prunedSweeps.Load() == prunedBefore {
-		t.Error("no pruned findBest sweep executed during the differential runs")
-	}
 }
 
-// TestDifferentialWarmStart covers the warm-start path: pruning and CSR
-// storage must also leave re-detection from a previous assignment
-// bit-identical.
+// TestDifferentialWarmStart covers the warm-start path: CSR storage must
+// also leave re-detection from a previous assignment bit-identical.
 func TestDifferentialWarmStart(t *testing.T) {
 	el := randomGraph(80, 0.08, 31)
 	const n = 80
@@ -183,7 +169,6 @@ func TestDifferentialWarmStart(t *testing.T) {
 	for _, v := range diffVariants {
 		opt := warm
 		opt.Storage = v.storage
-		opt.Prune = v.prune
 		got, err := RunInProcess(el, n, 2, opt)
 		if err != nil {
 			t.Fatalf("warm %s: %v", v.name, err)
@@ -193,8 +178,8 @@ func TestDifferentialWarmStart(t *testing.T) {
 }
 
 // TestDifferentialNaive covers the naive (no-threshold) refine mode, whose
-// every-positive-gain update pattern stresses the dirty-set bookkeeping
-// differently from the ε-heuristic.
+// every-positive-gain update pattern moves far more vertices per iteration
+// than the ε-heuristic.
 func TestDifferentialNaive(t *testing.T) {
 	el := randomGraph(70, 0.1, 13)
 	const n = 70
@@ -206,7 +191,6 @@ func TestDifferentialNaive(t *testing.T) {
 	for _, v := range diffVariants {
 		opt := naive
 		opt.Storage = v.storage
-		opt.Prune = v.prune
 		got, err := RunInProcess(el, n, 2, opt)
 		if err != nil {
 			t.Fatalf("naive %s: %v", v.name, err)

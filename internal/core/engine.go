@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"parlouvain/internal/comm"
@@ -72,19 +73,27 @@ type engine struct {
 	levelStore edgetable.Store
 	sharded    edgetable.Sharded
 
-	// Vertex-pruning state (Options.Prune; dirty is nil when off). A vertex
-	// is dirty when its last findBest result may be stale: it moved, a
-	// neighbor's move stored into its out row (propagateMerge), or a
-	// community it references changed Σtot/members (changed, diffed in
-	// pullTotals). allDirty forces a full sweep after full propagations and
-	// at level starts, when per-vertex tracking has no baseline. dirty[li]
-	// is only written by update's serial loop, by the one merge worker, by
-	// markChangedComms's worker of li's range, or by findBest itself, never
-	// two of them at once, so sweeps stay race-free.
-	dirty       []bool
-	allDirty    bool
-	changed     []bool   // by community id: Σtot/members moved in the last pull
-	changedList []uint32 // the set bits of changed, to clear them
+	// Margin-bounded skipping (findBest): skipUntil[li] is the value of drift
+	// up to which li's sweep result is provably (0, commOf[li]) and need not
+	// be recomputed; 0 means "score it". drift is the running sum, over the
+	// level's Σtot pulls since the last full propagation, of the largest
+	// |ΔΣtot| each pull brought to a referenced community. slotRow maps an
+	// out-row slot to the local vertex whose row holds it, so a propagation
+	// record can clear that vertex's mark. skipUntil[li] is written by the
+	// sweep worker of li's range and, between sweeps, by relocate and the
+	// one merge worker — never two of them at once. rowsEvaluated counts the
+	// rows findBest actually scored (Result.RowsEvaluated).
+	skipUntil     []float64
+	drift         float64
+	slotRow       []uint32
+	rowsEvaluated atomic.Uint64
+
+	// intra is this rank's share of Σ_c Σin_c, the quantity intraWeight
+	// scans for: set by the scan after every full propagation, then kept
+	// current by relocate (a mover's row against its old and new community)
+	// and mergeRecords (a slot entering or leaving its row owner's
+	// community), so computeQ costs O(owned communities) per iteration.
+	intra float64
 
 	// totCache and memCache hold Σtot and the member count of every
 	// community this rank references — one that appears in an out-row slot
@@ -169,7 +178,7 @@ type engine struct {
 	// round that the plane pooling works to keep allocation-free. curBuild
 	// and curMerge select the active phase for the shared bodies; bulkIn
 	// and readers carry the received round through bulkMergeBody. findBody
-	// and markBody are findBest's and markChangedComms's par.For bodies.
+	// is findBest's par.For body.
 	curBuild      func(t, lo, hi int, w *wire.ChunkWriter)
 	curMerge      func(t int, r *wire.Reader) error
 	buildBody     func(t, lo, hi int)
@@ -179,10 +188,10 @@ type engine struct {
 	propBuildFn   func(t, lo, hi int, w *wire.ChunkWriter)
 	deltaBuildFn  func(t, lo, hi int, w *wire.ChunkWriter)
 	propMergeFn   func(t int, r *wire.Reader) error
+	deltaMergeFn  func(t int, r *wire.Reader) error
 	reconBuildFn  func(t, lo, hi int, w *wire.ChunkWriter)
 	reconMergeFn  func(t int, r *wire.Reader) error
 	findBody      func(t, lo, hi int)
-	markBody      func(t, lo, hi int)
 
 	m  float64
 	bd *perf.Breakdown
@@ -202,23 +211,24 @@ func newEngine(c *comm.Comm, n int, opt Options) *engine {
 	part := graph.Partition{Rank: c.Rank(), Size: c.Size()}
 	nLoc := part.MaxLocalCount(n)
 	s := &engine{
-		c:        c,
-		opt:      opt,
-		part:     part,
-		n:        n,
-		nLoc:     nLoc,
-		active:   make([]bool, nLoc),
-		commOf:   make([]graph.V, nLoc),
-		k:        make([]float64, nLoc),
-		self2:    make([]float64, nLoc),
-		totOwn:   make([]float64, nLoc),
-		memOwn:   make([]int64, nLoc),
-		totCache: make([]float64, n),
-		memCache: make([]uint32, n),
-		refSeen:  make([]bool, n),
-		bestTo:   make([]graph.V, nLoc),
-		bestGain: make([]float64, nLoc),
-		bd:       perf.NewBreakdown(),
+		c:         c,
+		opt:       opt,
+		part:      part,
+		n:         n,
+		nLoc:      nLoc,
+		active:    make([]bool, nLoc),
+		commOf:    make([]graph.V, nLoc),
+		k:         make([]float64, nLoc),
+		self2:     make([]float64, nLoc),
+		totOwn:    make([]float64, nLoc),
+		memOwn:    make([]int64, nLoc),
+		totCache:  make([]float64, n),
+		memCache:  make([]uint32, n),
+		refSeen:   make([]bool, n),
+		bestTo:    make([]graph.V, nLoc),
+		bestGain:  make([]float64, nLoc),
+		skipUntil: make([]float64, nLoc),
+		bd:        perf.NewBreakdown(),
 	}
 	s.in = make([]*edgetable.Table, opt.Threads)
 	s.scan = make([]*gainScan, opt.Threads)
@@ -233,11 +243,6 @@ func newEngine(c *comm.Comm, n int, opt Options) *engine {
 	}
 	s.sharded = edgetable.NewSharded(s.in...)
 	s.levelStore = s.sharded
-	if opt.Prune {
-		s.dirty = make([]bool, nLoc)
-		s.allDirty = true
-		s.changed = make([]bool, n)
-	}
 	s.planes = wire.GetPlanes(c.Size())
 	s.coll = c.NewCollator()
 	s.mergeErrs = make([]error, opt.Threads)
@@ -257,10 +262,10 @@ func newEngine(c *comm.Comm, n int, opt Options) *engine {
 	s.propBuildFn = s.propagateBuild
 	s.deltaBuildFn = s.deltaBuild
 	s.propMergeFn = s.propagateMerge
+	s.deltaMergeFn = s.deltaMerge
 	s.reconBuildFn = s.reconstructBuild
 	s.reconMergeFn = s.reconstructMerge
 	s.findBody = s.findBestRange
-	s.markBody = s.markChangedRange
 	s.rec = opt.Recorder
 	if reg := opt.Metrics; reg != nil {
 		c.Instrument(reg)
@@ -507,12 +512,12 @@ func (s *engine) run() (*Result, error) {
 	if sim, ok := s.c.SimNow(); ok {
 		res.SimDuration = sim
 	}
-	// Total traffic across the group (one extra collective each).
-	bytes, err := s.c.AllReduceUint64(s.c.BytesSent(), comm.OpSum)
-	if err != nil {
+	// Group-wide totals (one extra collective).
+	totals := []uint64{s.c.BytesSent(), s.rowsEvaluated.Load()}
+	if err := s.c.AllReduceUint64Slice(totals); err != nil {
 		return nil, err
 	}
-	res.CommBytes = bytes
+	res.CommBytes, res.RowsEvaluated = totals[0], totals[1]
 	res.CommRounds = s.c.Rounds()
 	s.planes.Release()
 	s.planes = nil

@@ -36,8 +36,9 @@ import (
 //  8. Out-row consistency — every out-row slot is the target of exactly one
 //     in-edge and holds the community of that edge's far endpoint in the
 //     all-gathered assignment, every row's weights sum to its vertex's
-//     degree, and modularity recomputed from the rows and the gathered
-//     assignment alone equals the engine's.
+//     degree, modularity recomputed from the rows and the gathered
+//     assignment alone equals the engine's, and the running Σin computeQ
+//     reads equals a fresh scan of the rows.
 //
 // Checks run when Options.CheckInvariants is set (the -check flag of
 // cmd/louvain and cmd/louvaind) and in every core test. Each check folds
@@ -294,6 +295,9 @@ func (s *engine) checkOutRows(level int, q float64, full []graph.V) error {
 		}
 		rowTot[full[v]] += rowW
 	}
+	if err := s.checkIntra(); err != nil && bad == nil {
+		bad = err
+	}
 	ok, err := s.c.AllReduceBool(bad == nil, true)
 	if err != nil {
 		return err
@@ -321,6 +325,28 @@ func (s *engine) checkOutRows(level int, q float64, full []graph.V) error {
 			ErrInvariant, s.part.Rank, level, q, qRows)
 	}
 	return nil
+}
+
+// checkIntra compares the running Σin with a fresh scan of the rows: equal
+// to the bit when every slot weight is an integer (sums of integers are
+// exact in any order), within 1e-12 relative otherwise.
+func (s *engine) checkIntra() error {
+	scan := s.intraWeight()
+	if s.intra == scan {
+		return nil
+	}
+	integral := true
+	for _, w := range s.outW {
+		if w != math.Trunc(w) {
+			integral = false
+			break
+		}
+	}
+	if !integral && math.Abs(s.intra-scan) <= 1e-12*math.Max(1, math.Abs(scan)) {
+		return nil
+	}
+	return fmt.Errorf("%w: rank %d: running intra-community weight %.17g != %.17g scanned from the out rows",
+		ErrInvariant, s.part.Rank, s.intra, scan)
 }
 
 // checkReconstruction verifies invariant 6 right after the next level's

@@ -179,7 +179,9 @@ type Options struct {
 	// TableLayout for the edge tables (probing by default).
 	TableLayout edgetable.Layout
 
-	// Storage selects the per-level read backend for the refine loop: the
+	// Storage selects the per-level read view of the In_Table — it serves
+	// the level's size and occupancy queries and the storage-consistency
+	// invariant; the refine loop reads the out rows, not this: the
 	// hash shards a level is built in (StorageHash), a frozen CSR
 	// adjacency array compacted once per level (StorageCSR), or a
 	// per-level size-based choice (StorageAuto, the zero value). Results
@@ -188,16 +190,6 @@ type Options struct {
 	// suite) — and the resolution is rank-local, so ranks need not agree.
 	// Exposed as -storage on cmd/louvain and cmd/louvaind.
 	Storage StorageKind
-
-	// Prune enables exact vertex pruning in the refine loop: a vertex is
-	// re-scanned by findBest only when its last result could have changed
-	// — it moved, a neighbor's move touched its community-weight row, or
-	// the total weight / member count of a community it references
-	// changed. Clean vertices reuse their previous best move, so results
-	// stay bit-identical to unpruned runs (pinned by the differential
-	// suite); sweeps after delta propagations skip the settled bulk of the
-	// graph. Exposed as -prune on cmd/louvain and cmd/louvaind.
-	Prune bool
 
 	// StreamChunk selects the exchange mode of the heavy scatter phases
 	// (full propagation, delta propagation, reconstruction): 0 picks
@@ -381,6 +373,11 @@ type Result struct {
 	// executed per rank.
 	CommBytes  uint64
 	CommRounds uint64
+	// RowsEvaluated counts the vertex rows the parallel engine's findBest
+	// sweeps actually scored, summed over ranks, levels and iterations (rows
+	// skipped as provably unchanged are not counted). Deterministic for a
+	// fixed input and rank count; zero for the whole-graph engines.
+	RowsEvaluated uint64
 	// LeidenSplits counts the internally-disconnected communities the
 	// refinement phase split, summed over all levels (Leiden engine only).
 	LeidenSplits int

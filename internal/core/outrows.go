@@ -63,6 +63,13 @@ func (s *engine) buildOutRows() error {
 	}
 	s.outW = resize(s.outW, int(slots))
 	s.outComm = resize(s.outComm, int(slots))
+	s.slotRow = resize(s.slotRow, int(slots))
+	for li := 0; li < s.nLoc; li++ {
+		row := s.slotRow[s.outOff[li]:s.outOff[li+1]]
+		for i := range row {
+			row[i] = uint32(li)
+		}
+	}
 	s.cursor = resize(s.cursor, s.nLoc)
 	copy(s.cursor, s.outOff)
 

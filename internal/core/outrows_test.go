@@ -106,7 +106,7 @@ func runRanks(engines []*engine, fn func(s *engine) error) error {
 
 // checkRows drives one case through handshake → full propagation under
 // labels a → move-log propagation to labels b, checking every row against
-// the oracle after each propagation.
+// the oracle after each propagation, then sweeping.
 func checkRows(c rowCase, ranks, threads, chunk int) error {
 	part := graph.Partition{Size: ranks}
 	parts := make([]graph.EdgeList, ranks)
@@ -133,9 +133,19 @@ func checkRows(c rowCase, ranks, threads, chunk int) error {
 			if !s.active[li] || label(v) == s.commOf[li] {
 				continue
 			}
-			s.commOf[li] = label(v)
-			s.moveLog = append(s.moveLog, li)
+			s.relocate(li, label(v))
 		}
+	}
+	// sweep runs findBest and holds the running Σin to a fresh scan. With
+	// auditSkips armed (both callers arm it) the second sweep re-scores every
+	// vertex the marks of the first let it skip — no totals moved in between,
+	// so any mark that survived a changed row or a moved vertex shows up as a
+	// disagreement.
+	sweep := func(s *engine) error {
+		if s.m > 0 {
+			s.findBest()
+		}
+		return s.checkIntra()
 	}
 	compare := func(step string, label func(graph.V) graph.V) error {
 		want := rowOracle(c, label)
@@ -180,7 +190,10 @@ func checkRows(c rowCase, ranks, threads, chunk int) error {
 			return err
 		}
 		relabel(s, a)
-		return s.propagate()
+		if err := s.propagate(); err != nil {
+			return err
+		}
+		return sweep(s)
 	})
 	if err != nil {
 		return err
@@ -190,7 +203,10 @@ func checkRows(c rowCase, ranks, threads, chunk int) error {
 	}
 	err = runRanks(engines, func(s *engine) error {
 		relabel(s, b)
-		return s.propagateDelta()
+		if err := s.propagateDelta(); err != nil {
+			return err
+		}
+		return sweep(s)
 	})
 	if err != nil {
 		return err
@@ -208,9 +224,11 @@ func TestOutRowsMatchOracle(t *testing.T) {
 				}{{"bulk", -1}, {"stream", 64}} {
 					name := fmt.Sprintf("%s/ranks=%d/threads=%d/%s", c.name, ranks, threads, mode.name)
 					t.Run(name, func(t *testing.T) {
+						a := armSkipAudit(t)
 						if err := checkRows(c, ranks, threads, mode.chunk); err != nil {
 							t.Fatal(err)
 						}
+						a.clean(t, name)
 					})
 				}
 			}
@@ -220,8 +238,9 @@ func TestOutRowsMatchOracle(t *testing.T) {
 
 // FuzzOutRows reads the payload as (u, v, w) byte triples over at most 48
 // vertices — duplicates, self-loops, one-directional entries and zero
-// weights all occur — and holds the rows to the oracle at a fuzzed rank
-// count, thread count and exchange mode.
+// weights all occur — and holds the rows to the oracle, the running Σin to a
+// scan and the sweep's skips to a re-score, at a fuzzed rank count, thread
+// count and exchange mode.
 func FuzzOutRows(f *testing.F) {
 	f.Add([]byte{0, 1, 4, 1, 0, 4, 1, 2, 8, 2, 1, 8}, uint8(2), uint8(1), false)
 	f.Add([]byte{0, 0, 6, 0, 1, 4, 1, 1, 1, 4, 5, 8, 5, 5, 4}, uint8(3), uint8(2), true)
@@ -238,8 +257,10 @@ func FuzzOutRows(f *testing.F) {
 		if stream {
 			chunk = 64
 		}
+		a := armSkipAudit(t)
 		if err := checkRows(c, int(ranks%4)+1, int(threads%2)+1, chunk); err != nil {
 			t.Fatal(err)
 		}
+		a.clean(t, "fuzz")
 	})
 }

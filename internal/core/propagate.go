@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"parlouvain/internal/graph"
-	"parlouvain/internal/par"
 	"parlouvain/internal/wire"
 )
 
@@ -24,11 +24,6 @@ func (s *engine) propagate() error {
 		s.refSeen[cc] = false
 	}
 	s.refs = s.refs[:0]
-	if s.dirty != nil {
-		// Every row and every cached total is replaced, so per-vertex
-		// staleness tracking loses its baseline.
-		s.allDirty = true
-	}
 	if err := s.scatter(s.nLoc, s.propBuildFn, s.propMergeFn); err != nil {
 		return err
 	}
@@ -38,7 +33,17 @@ func (s *engine) propagate() error {
 			s.reference(uint32(s.commOf[li]))
 		}
 	}
-	return s.pullTotals(false)
+	if err := s.pullTotals(); err != nil {
+		return err
+	}
+	// Every row and every cached total was just replaced, so what the inner
+	// loop carries from iteration to iteration starts over: the next sweep
+	// scores every vertex, and Σin is re-scanned (which also sheds the
+	// rounding a running sum of fractional weights picks up).
+	clear(s.skipUntil)
+	s.drift = 0
+	s.intra = s.intraWeight()
+	return nil
 }
 
 // propagateDelta re-stores only the slots of the in-edges of the vertices
@@ -46,17 +51,10 @@ func (s *engine) propagate() error {
 // the whole reference set: they change even for communities whose
 // membership this rank did not touch.
 func (s *engine) propagateDelta() error {
-	if err := s.scatter(len(s.moveLog), s.deltaBuildFn, s.propMergeFn); err != nil {
+	if err := s.scatter(len(s.moveLog), s.deltaBuildFn, s.deltaMergeFn); err != nil {
 		return err
 	}
-	if s.dirty == nil {
-		return s.pullTotals(false)
-	}
-	if err := s.pullTotals(true); err != nil {
-		return err
-	}
-	s.markChangedComms()
-	return nil
+	return s.pullTotals()
 }
 
 // propagateBuild encodes the in-edges of a contiguous range of owned
@@ -87,11 +85,21 @@ func (s *engine) shipRow(li int, w *wire.ChunkWriter) {
 	}
 }
 
-// propagateMerge stores received (slot, community) records. A store is
-// cheaper than the decode every merge worker would repeat to find its share,
-// so worker 0 applies them all and the others return at once; the reference
-// set and the dirty marks then have one writer too.
-func (s *engine) propagateMerge(t int, r *wire.Reader) error {
+// propagateMerge and deltaMerge store received (slot, community) records,
+// for a full and a move-log propagation.
+func (s *engine) propagateMerge(t int, r *wire.Reader) error { return s.mergeRecords(t, r, false) }
+func (s *engine) deltaMerge(t int, r *wire.Reader) error     { return s.mergeRecords(t, r, true) }
+
+// mergeRecords applies one plane of records. A store is cheaper than the
+// decode every merge worker would repeat to find its share, so worker 0
+// applies them all and the others return at once; the reference set, the
+// sweep marks and the running Σin then have one writer too. With delta set,
+// the state the inner loop carries between iterations is kept current: a
+// record changes its row, so the row's vertex is scored by the next sweep,
+// and it moves the slot's weight into or out of Σin when the slot enters or
+// leaves its row owner's community. A full propagation resets that state
+// wholesale afterwards and skips the bookkeeping.
+func (s *engine) mergeRecords(t int, r *wire.Reader, delta bool) error {
 	if t != 0 {
 		return nil
 	}
@@ -104,11 +112,20 @@ func (s *engine) propagateMerge(t int, r *wire.Reader) error {
 			return fmt.Errorf("core: rank %d received propagation record (slot %d, community %d) outside its %d slots / %d ids",
 				s.part.Rank, slot, cc, len(s.outComm), s.n)
 		}
+		old := s.outComm[slot]
 		s.outComm[slot] = cc
 		s.reference(cc)
-		if s.dirty != nil && !s.allDirty {
-			// The row changed: its vertex's cached findBest result is stale.
-			s.dirty[s.rowOf(slot)] = true
+		if !delta {
+			continue
+		}
+		li := s.slotRow[slot]
+		s.skipUntil[li] = 0
+		c0 := uint32(s.commOf[li])
+		if old == c0 {
+			s.intra -= s.outW[slot]
+		}
+		if cc == c0 {
+			s.intra += s.outW[slot]
 		}
 	}
 	return r.Err()
@@ -122,59 +139,17 @@ func (s *engine) reference(cc uint32) {
 	}
 }
 
-// rowOf returns the local vertex whose out row holds slot (the last row
-// starting at or before it). Only the pruning path pays for the search.
-func (s *engine) rowOf(slot uint32) int {
-	lo, hi := 0, s.nLoc
-	for hi-lo > 1 {
-		mid := int(uint(lo+hi) >> 1)
-		if s.outOff[mid] <= int64(slot) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// markChangedComms marks every vertex whose findBest inputs include a
-// community whose Σtot or member count just changed (collected by the
-// pullTotals diff): vertices with a slot holding it, and vertices currently
-// assigned to it (their stay baseline and singleton rule read its totals).
-func (s *engine) markChangedComms() {
-	if len(s.changedList) > 0 {
-		par.For(s.nLoc, s.opt.Threads, s.markBody)
-	}
-}
-
-func (s *engine) markChangedRange(_, lo, hi int) {
-	for li := lo; li < hi; li++ {
-		if s.dirty[li] {
-			continue
-		}
-		if s.active[li] && s.changed[s.commOf[li]] {
-			s.dirty[li] = true
-			continue
-		}
-		for _, cc := range s.outComm[s.outOff[li]:s.outOff[li+1]] {
-			if s.changed[cc] {
-				s.dirty[li] = true
-				break
-			}
-		}
-	}
-}
-
 // pullTotals refreshes totCache and memCache for every referenced
 // community: one round of requests (community ids) to the owners, one round
 // of replies — (Σtot f64, members u32) per request, in request order, so the
 // id is not echoed. A community reported empty leaves the reference set: the
 // totals of this iteration's update are already applied and every slot is
 // current, so nothing on this rank points at it any more, and it re-enters
-// through reference if a later move revives it. With diff set (pruning), the
-// communities whose totals moved since the last pull are collected for
-// markChangedComms.
-func (s *engine) pullTotals(diff bool) error {
+// through reference if a later move revives it. The largest |ΔΣtot| the pull
+// brings to any referenced community — measured against whatever value was
+// cached last, also for a community that re-enters the set — is added to
+// drift, the quantity findBest's skip marks are bounded in.
+func (s *engine) pullTotals() error {
 	req := s.outPlanes()
 	for _, cc := range s.refs {
 		req.To(s.part.Owner(graph.V(cc))).PutU32(cc)
@@ -209,19 +184,13 @@ func (s *engine) pullTotals(diff bool) error {
 	for src, plane := range resps {
 		s.replyReaders[src].Reset(plane)
 	}
-	if diff {
-		for _, cc := range s.changedList {
-			s.changed[cc] = false
-		}
-		s.changedList = s.changedList[:0]
-	}
 	live := s.refs[:0]
+	var shift float64
 	for _, cc := range s.refs {
 		r := &s.replyReaders[s.part.Owner(graph.V(cc))]
 		tot, members := r.F64(), r.U32()
-		if diff && (s.totCache[cc] != tot || s.memCache[cc] != members) {
-			s.changed[cc] = true
-			s.changedList = append(s.changedList, cc)
+		if d := math.Abs(tot - s.totCache[cc]); d > shift {
+			shift = d
 		}
 		s.totCache[cc], s.memCache[cc] = tot, members
 		if members == 0 {
@@ -230,6 +199,7 @@ func (s *engine) pullTotals(diff bool) error {
 			live = append(live, cc)
 		}
 	}
+	s.drift += shift
 	s.refs = live
 	for src := range resps {
 		if r := &s.replyReaders[src]; r.Err() != nil || r.More() {

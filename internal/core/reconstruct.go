@@ -22,6 +22,11 @@ import (
 // across levels because graph reconstruction regenerates (c,c) entries
 // already doubled.
 func (s *engine) loadLocal(local graph.EdgeList) error {
+	// Shards hold about an equal share of the entries; sizing them once
+	// spares the eight-odd doublings (and re-insertions) a cold table needs.
+	for _, tab := range s.in {
+		tab.Reserve(len(local) / s.opt.Threads)
+	}
 	for _, e := range local {
 		if !s.part.Owns(e.V) {
 			return fmt.Errorf("core: rank %d given edge with dst %d owned by rank %d", s.part.Rank, e.V, s.part.Owner(e.V))
@@ -106,10 +111,6 @@ func (s *engine) levelInit() (uint64, error) {
 		s.levelStore = edgetable.NewCSR(s.part, s.nLoc, s.adjOff, s.adjSrc, s.adjW)
 	} else {
 		s.levelStore = s.sharded
-	}
-	if s.dirty != nil {
-		// New level: every vertex needs a fresh findBest baseline.
-		s.allDirty = true
 	}
 	if err := s.buildOutRows(); err != nil {
 		return 0, err

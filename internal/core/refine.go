@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -129,6 +130,9 @@ func (s *engine) refineLevel(level int, vertices uint64, q0 float64) (float64, [
 		// Roll the level back to its best observed state before
 		// reconstructing. All ranks observe the same reduced q and
 		// restore the same snapshot iteration.
+		if a := auditSkips; a != nil {
+			a.rollbacks.Add(1)
+		}
 		s.restore()
 		clk := s.clock(level, 0)
 		if err := s.propagate(); err != nil {
@@ -145,66 +149,130 @@ func (s *engine) refineLevel(level int, vertices uint64, q0 float64) (float64, [
 // over staying put — one sequential pass over the vertex's out row into the
 // worker's dense accumulator, then Equation 4 per community touched.
 //
-// With Options.Prune the sweep recomputes only dirty vertices — those
-// whose result inputs (own community, out row, or the Σtot/member counts of
-// any referenced community) changed since their last sweep — and clean
-// vertices keep their cached bestGain/bestTo. A vertex's result is a pure
-// function of its row and those inputs, so the reuse is exact: pruned runs
-// are bit-identical to full sweeps, which the differential suite pins. A
-// full propagation or level start resets the tracking baseline via
-// allDirty.
+// The sweep pays only for vertices whose answer can have changed. With u's
+// row and community fixed, the gain of moving u to c is
+//
+//	g_c = [(w_c − w_c0 + self) − (k_u/2m)(Σtot_c − Σtot_c0 + k_u)] / m,
+//
+// so between two sweeps it moves by at most (k_u/m²)·D, D being the largest
+// |ΔΣtot| of any community the rank references — what pullTotals adds to
+// drift. A sweep that finds every other community in u's row strictly worse
+// than staying, the best of them by a margin δ, therefore knows u's result
+// is exactly (0, c0) until drift has grown by δ·m²/k_u, and stores that
+// horizon (less skipSlack and skipSafety, which absorb floating-point
+// rounding) in skipUntil[u]; later sweeps skip u while drift stays below it.
+// Communities the singleton rule suppresses count toward the margin, because
+// a member count can change and lift the suppression. The mark is cleared
+// when u's row changes (mergeRecords) or u moves (relocate), and a full
+// propagation clears them all; a vertex with a positive gain is never
+// marked. So bestGain and bestTo — and with them the histogram, ΔQ̂ and the
+// admitted set — are bit-for-bit those of a sweep that scores everyone.
 func (s *engine) findBest() {
-	if s.dirty != nil && !s.allDirty {
-		prunedSweeps.Add(1)
-	}
 	par.For(s.nLoc, s.opt.Threads, s.findBody)
-	s.allDirty = false
 }
+
+const (
+	// skipSlack is taken off a vertex's margin, in units of k_u/m, before
+	// the margin is turned into a drift horizon. Both terms of Equation 4
+	// are at most k_u/m in magnitude, so one gain evaluation is off by at
+	// most ~16 roundings of 2⁻⁵³·k_u/m (the row sums w_c are the same
+	// bits in every sweep while the row is fixed and drop out); the slack is
+	// several thousand times the error of the two evaluations compared.
+	skipSlack = 0x1p-40
+	// skipSafety shortens the horizon by a relative 2⁻²⁰, far above the
+	// relative rounding of the horizon arithmetic and of drift's running sum.
+	skipSafety = 1 - 0x1p-20
+)
 
 // findBestRange is findBest over the local vertices [lo, hi) on worker t.
 func (s *engine) findBestRange(t, lo, hi int) {
 	sc := s.scan[t]
-	prune := s.dirty != nil && !s.allDirty
+	var scored uint64
 	for li := lo; li < hi; li++ {
-		if !s.active[li] || (prune && !s.dirty[li]) {
+		if !s.active[li] {
 			continue
 		}
-		c0, ku := s.commOf[li], s.k[li]
-		touched := s.gatherRow(sc, li)
-		// Baseline: the gain of re-joining the current community.
-		stay := dq(sc.w2c[c0]-s.self2[li], s.totCache[c0]-ku, ku, s.m)
-		single := s.memCache[c0] == 1
-		bestGain, bestTo := 0.0, c0
-		for _, cc := range touched {
-			if cc == c0 {
-				continue
+		if s.drift < s.skipUntil[li] {
+			// bestGain/bestTo still hold (0, c0) from the sweep that set the mark.
+			if a := auditSkips; a != nil {
+				a.rescore(s, sc, li)
 			}
-			// Singleton minimum-label rule (Grappolo-style, the paper's
-			// ref [11]): when a vertex alone in its community targets
-			// another singleton community with a larger label, suppress
-			// the move. Without this, symmetric pairs swap communities
-			// forever and never merge.
-			if cc > c0 && single && s.memCache[cc] == 1 {
-				continue
-			}
-			g := dq(sc.w2c[cc], s.totCache[cc], ku, s.m) - stay
-			if g > bestGain || (g == bestGain && g > 0 && cc < bestTo) {
-				bestGain, bestTo = g, cc
+			continue
+		}
+		scored++
+		var rival float64
+		s.bestGain[li], s.bestTo[li], rival = s.score(sc, li)
+		until := 0.0
+		if rival < 0 {
+			if room := (-rival*s.m/s.k[li] - skipSlack) * s.m * skipSafety; room > 0 {
+				until = s.drift + room
 			}
 		}
-		sc.dropRow()
-		s.bestGain[li], s.bestTo[li] = bestGain, bestTo
-		if s.dirty != nil {
-			s.dirty[li] = false
-		}
+		s.skipUntil[li] = until
 	}
+	s.rowsEvaluated.Add(scored)
 }
 
-// prunedSweeps counts findBest invocations that ran in pruned (dirty-only)
-// mode across all engines — observability for the differential suite, which
-// asserts the pruned path was actually exercised rather than every sweep
-// degenerating to allDirty.
-var prunedSweeps atomic.Uint64
+// score evaluates local vertex li: its best move (gain over staying and
+// target; (0, its own community) when nothing beats staying), and rival, the
+// largest gain of any other community in its row — −Inf when there is none —
+// including those the singleton rule keeps it from joining.
+func (s *engine) score(sc *gainScan, li int) (bestGain float64, bestTo graph.V, rival float64) {
+	c0, ku := s.commOf[li], s.k[li]
+	touched := s.gatherRow(sc, li)
+	// Baseline: the gain of re-joining the current community.
+	stay := dq(sc.w2c[c0]-s.self2[li], s.totCache[c0]-ku, ku, s.m)
+	single := s.memCache[c0] == 1
+	bestGain, bestTo, rival = 0.0, c0, math.Inf(-1)
+	for _, cc := range touched {
+		if cc == c0 {
+			continue
+		}
+		g := dq(sc.w2c[cc], s.totCache[cc], ku, s.m) - stay
+		if g > rival {
+			rival = g
+		}
+		// Singleton minimum-label rule (Grappolo-style, the paper's
+		// ref [11]): when a vertex alone in its community targets
+		// another singleton community with a larger label, suppress
+		// the move. Without this, symmetric pairs swap communities
+		// forever and never merge.
+		if cc > c0 && single && s.memCache[cc] == 1 {
+			continue
+		}
+		if g > bestGain || (g == bestGain && g > 0 && cc < bestTo) {
+			bestGain, bestTo = g, cc
+		}
+	}
+	sc.dropRow()
+	return bestGain, bestTo, rival
+}
+
+// auditSkips, when non-nil, makes every engine in the process prove its two
+// shortcuts as it runs: findBest re-scores each vertex it skips and computeQ
+// compares the running Σin with a fresh scan. Set only by tests.
+var auditSkips *skipAudit
+
+// skipAudit collects what the audited engines saw.
+type skipAudit struct {
+	skipped   atomic.Uint64 // rows findBest skipped (and re-scored)
+	rollbacks atomic.Uint64 // levels that ended in the rollback branch
+	mu        sync.Mutex
+	failures  []string
+}
+
+func (a *skipAudit) rescore(s *engine, sc *gainScan, li int) {
+	a.skipped.Add(1)
+	g, to, _ := s.score(sc, li)
+	c0 := s.commOf[li]
+	if g != 0 || to != c0 || s.bestGain[li] != 0 || s.bestTo[li] != c0 {
+		a.mu.Lock()
+		a.failures = append(a.failures, fmt.Sprintf(
+			"rank %d skipped vertex %d of community %d (drift %g < horizon %g) holding (%g, %d); a fresh score gives (%g, %d)",
+			s.part.Rank, s.part.GlobalID(li), c0, s.drift, s.skipUntil[li], s.bestGain[li], s.bestTo[li], g, to))
+		a.mu.Unlock()
+	}
+}
 
 // dq is Equation 4.
 func dq(wUToC, sumTot, ku, m float64) float64 {
@@ -293,12 +361,7 @@ func (s *engine) update(dqHat float64) (uint64, error) {
 		if newC == oldC {
 			continue
 		}
-		s.commOf[li] = newC
-		s.moveLog = append(s.moveLog, li)
-		if s.dirty != nil {
-			// The mover's own stay baseline is now stale.
-			s.dirty[li] = true
-		}
+		s.relocate(li, newC)
 		moved++
 		bo := p.To(s.part.Owner(oldC))
 		bo.PutU32(uint32(oldC))
@@ -315,6 +378,29 @@ func (s *engine) update(dqHat float64) (uint64, error) {
 		return 0, err
 	}
 	return s.c.AllReduceUint64(moved, comm.OpSum)
+}
+
+// relocate moves owned vertex li into community newC, not the one it is in:
+// the assignment, the move log, and Σin — the weight of li's row into its old
+// community leaves it and the weight into the new one enters, as the slots
+// stand before the move is propagated. Only a vertex the sweep just scored
+// can be admitted, so its skip mark is clear already; it is cleared here for
+// callers that move vertices by fiat.
+func (s *engine) relocate(li int, newC graph.V) {
+	oldC, nc := uint32(s.commOf[li]), uint32(newC)
+	lo, hi := s.outOff[li], s.outOff[li+1]
+	w := s.outW[lo:hi]
+	for i, cc := range s.outComm[lo:hi] {
+		switch cc {
+		case oldC:
+			s.intra -= w[i]
+		case nc:
+			s.intra += w[i]
+		}
+	}
+	s.commOf[li] = newC
+	s.moveLog = append(s.moveLog, li)
+	s.skipUntil[li] = 0
 }
 
 // applyTotDeltas decodes a round of (community, ±k) planes, applying the
@@ -346,12 +432,17 @@ func (s *engine) applyTotDeltas(in [][]byte) error {
 
 // computeQ is Algorithm 4 lines 17-25 for a scalar result: Q needs only the
 // sums over communities of Σin and Σtot², and each rank can add its share of
-// both locally — the intra-community weight of its owned vertices' rows and
-// the squared totals of its owned communities — so one reduction replaces
-// the per-community Σin exchange.
+// both locally — the running intra-community weight of its owned vertices'
+// rows and the squared totals of its owned communities — so one reduction
+// replaces the per-community Σin exchange.
 func (s *engine) computeQ() (float64, error) {
+	if auditSkips != nil {
+		if err := s.checkIntra(); err != nil {
+			return 0, err
+		}
+	}
 	twoM := 2 * s.m
-	qLocal := s.intraWeight() / twoM
+	qLocal := s.intra / twoM
 	for li := 0; li < s.nLoc; li++ {
 		if s.totOwn[li] > 0 {
 			qLocal -= (s.totOwn[li] / twoM) * (s.totOwn[li] / twoM)
@@ -361,15 +452,12 @@ func (s *engine) computeQ() (float64, error) {
 }
 
 // intraWeight returns this rank's share of Σ_c Σin_c: the weight of every
-// out-edge of an owned active vertex that ends in the vertex's own community
-// (each intra-community edge is seen from both endpoints, self-loops arrive
+// out-edge of an owned vertex that ends in the vertex's own community (each
+// intra-community edge is seen from both endpoints, self-loops arrive
 // already doubled).
 func (s *engine) intraWeight() float64 {
 	var in float64
 	for li := 0; li < s.nLoc; li++ {
-		if !s.active[li] {
-			continue
-		}
 		c0 := uint32(s.commOf[li])
 		lo, hi := s.outOff[li], s.outOff[li+1]
 		w := s.outW[lo:hi]

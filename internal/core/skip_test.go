@@ -1,0 +1,284 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"parlouvain/internal/comm"
+	"parlouvain/internal/gen"
+	"parlouvain/internal/graph"
+)
+
+// The inner loop takes two shortcuts that must not move a bit: findBest
+// skips vertices whose result is provably (0, own community), and computeQ
+// reads a running Σin instead of scanning the rows. These tests run the
+// engine with auditSkips armed, which re-scores every skipped vertex and
+// re-scans Σin at every computeQ, and require that neither ever disagrees.
+
+// armSkipAudit switches the audit on for the rest of the test.
+func armSkipAudit(t testing.TB) *skipAudit {
+	t.Helper()
+	a := &skipAudit{}
+	auditSkips = a
+	t.Cleanup(func() { auditSkips = nil })
+	return a
+}
+
+// clean fails the test with the first disagreements the audit recorded.
+func (a *skipAudit) clean(t testing.TB, label string) {
+	t.Helper()
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for i, f := range a.failures {
+		if i == 3 {
+			t.Errorf("%s: ... and %d more", label, len(a.failures)-3)
+			break
+		}
+		t.Errorf("%s: %s", label, f)
+	}
+}
+
+func skipLFR(t *testing.T, n int, mu float64, seed uint64) graph.EdgeList {
+	t.Helper()
+	el, _, err := gen.LFR(gen.DefaultLFR(n, mu, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return el
+}
+
+// TestSkipExactAcrossConfigs drives whole runs — structured, weakly
+// structured (levels that end in a rollback), hub-heavy, fractional-weight
+// and warm-started — at ranks 1–4 × threads 1–2 over the mem transport and
+// ranks 1–4 over sim, with the audit armed.
+func TestSkipExactAcrossConfigs(t *testing.T) {
+	lfr := skipLFR(t, 1000, 0.3, 19) // the golden-trace input
+	rmat, err := gen.RMAT(gen.DefaultRMAT(10, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fractional-weight regression graph of TestParallelFractionalWeightsLevelShapes.
+	frac := skipLFR(t, 600, 0.3, 77)
+	for i := range frac {
+		frac[i].W = 0.1 * float64(1+i%7)
+	}
+	cold, err := RunInProcess(lfr, 1000, 2, Options{CollectLevels: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A warm start that still has work to do: every seventh vertex is put
+	// back on its own.
+	warm := append([]graph.V(nil), cold.Membership...)
+	for v := 0; v < len(warm); v += 7 {
+		warm[v] = graph.V(v)
+	}
+	cases := []struct {
+		name     string
+		el       graph.EdgeList
+		n        int
+		opt      Options
+		rollback bool // some level must end in refineLevel's rollback branch
+	}{
+		{"lfr", lfr, 1000, Options{}, false},
+		{"lfr-mu0.5", skipLFR(t, 1000, 0.5, 1), 1000, Options{}, true},
+		{"rmat-hubs", rmat, 1 << 10, Options{}, true},
+		{"fractional", frac, 600, Options{}, false},
+		{"warm", lfr, 1000, Options{Warm: warm}, false},
+	}
+	ranksSet := []int{1, 2, 3, 4}
+	if testing.Short() {
+		ranksSet = []int{1, 2}
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			a := armSkipAudit(t)
+			for _, ranks := range ranksSet {
+				for _, mode := range []string{"mem/t1", "mem/t2", "sim"} {
+					label := fmt.Sprintf("ranks=%d/%s", ranks, mode)
+					opt := c.opt
+					var err error
+					switch mode {
+					case "mem/t1":
+						_, err = RunInProcess(c.el, c.n, ranks, opt)
+					case "mem/t2":
+						opt.Threads = 2
+						_, err = RunInProcess(c.el, c.n, ranks, opt)
+					case "sim":
+						_, err = RunSimulated(c.el, c.n, ranks, opt, comm.CostModel{})
+					}
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					a.clean(t, label)
+				}
+			}
+			if a.skipped.Load() == 0 {
+				t.Error("no vertex was ever skipped: the audit proved nothing")
+			}
+			if c.rollback && a.rollbacks.Load() == 0 {
+				t.Error("no level ended in the rollback branch, so the re-scan after it went untested")
+			}
+		})
+	}
+}
+
+// scriptedGroup is a rank group brought up to the start of level 0 whose
+// inner iterations move exactly the vertices the test names.
+type scriptedGroup struct {
+	engines []*engine
+}
+
+func newScriptedGroup(t *testing.T, el graph.EdgeList, n, ranks, threads int) *scriptedGroup {
+	t.Helper()
+	parts := graph.SplitEdges(el, ranks)
+	trs := comm.NewMemGroup(ranks)
+	t.Cleanup(func() {
+		for _, tr := range trs {
+			tr.Close()
+		}
+	})
+	g := &scriptedGroup{engines: make([]*engine, ranks)}
+	for r := range g.engines {
+		g.engines[r] = newEngine(comm.New(trs[r]), n, Options{Threads: threads}.withDefaults())
+	}
+	err := runRanks(g.engines, func(s *engine) error {
+		if err := s.loadLocal(parts[s.part.Rank]); err != nil {
+			return err
+		}
+		if _, err := s.levelInit(); err != nil {
+			return err
+		}
+		return s.propagate()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// iterate runs one inner iteration — sweep, update, move-log propagation,
+// modularity — in which the sweep's verdicts are overruled: exactly the
+// vertices in moves move, each to the community given.
+func (g *scriptedGroup) iterate(t *testing.T, moves map[graph.V]graph.V) {
+	t.Helper()
+	err := runRanks(g.engines, func(s *engine) error {
+		s.findBest()
+		for li := 0; li < s.nLoc; li++ {
+			s.bestGain[li], s.bestTo[li] = 0, s.commOf[li]
+			if to, ok := moves[s.part.GlobalID(li)]; ok && s.active[li] {
+				s.bestGain[li], s.bestTo[li] = 1, to
+			}
+		}
+		if _, err := s.update(minMoveGain); err != nil {
+			return err
+		}
+		if err := s.propagateDelta(); err != nil {
+			return err
+		}
+		_, err := s.computeQ()
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSkipCommunityEmptiedThenRevived: a community that empties leaves the
+// reference set with a cached total of zero; when members arrive again the
+// pull must measure its |ΔΣtot| against that cached zero — here the largest
+// shift of the iteration — and not treat a re-entering community as new and
+// exempt. The engine's own sweeps cannot stage this (an empty community is
+// in no row, so no vertex can choose it), hence the scripted moves. Vertices
+// 0–5 are a clique where the emptying and the revival happen; 6–9 are a
+// second clique with a tail 9–10–11 whose members settle and stay marked.
+func TestSkipCommunityEmptiedThenRevived(t *testing.T) {
+	var el graph.EdgeList
+	clique := func(lo, hi int) {
+		for u := lo; u <= hi; u++ {
+			for v := u + 1; v <= hi; v++ {
+				el = append(el, graph.Edge{U: graph.V(u), V: graph.V(v), W: 1})
+			}
+		}
+	}
+	clique(0, 5)
+	clique(6, 9)
+	el = append(el, graph.Edge{U: 9, V: 10, W: 1}, graph.Edge{U: 10, V: 11, W: 1})
+	const n = 12
+	for _, ranks := range []int{1, 2, 3} {
+		for _, threads := range []int{1, 2} {
+			t.Run(fmt.Sprintf("ranks=%d/threads=%d", ranks, threads), func(t *testing.T) {
+				a := armSkipAudit(t)
+				g := newScriptedGroup(t, el, n, ranks, threads)
+				// Vertex 0 leaves community 0 empty; the second clique merges.
+				g.iterate(t, map[graph.V]graph.V{0: 1, 6: 9, 7: 9, 8: 9})
+				for _, s := range g.engines {
+					if s.refSeen[0] || s.totCache[0] != 0 || s.memCache[0] != 0 {
+						t.Fatalf("rank %d: emptied community 0 still referenced (seen %v, Σtot %v, members %d)",
+							s.part.Rank, s.refSeen[0], s.totCache[0], s.memCache[0])
+					}
+				}
+				g.iterate(t, nil) // the settled vertices get their marks
+				before := make([]float64, ranks)
+				for r, s := range g.engines {
+					before[r] = s.drift
+				}
+				// Vertices 2 and 3 (degree 5 each) revive community 0: its
+				// Σtot goes 0 → 10 while the singletons they leave lose 5.
+				g.iterate(t, map[graph.V]graph.V{2: 0, 3: 0})
+				for r, s := range g.engines {
+					if !s.refSeen[0] {
+						continue // no row or vertex of this rank touches the clique
+					}
+					if s.totCache[0] != 10 || s.memCache[0] != 2 {
+						t.Errorf("rank %d: revived community 0 cached as Σtot %v, %d members, want 10, 2", r, s.totCache[0], s.memCache[0])
+					}
+					if got := s.drift - before[r]; got != 10 {
+						t.Errorf("rank %d: drift grew by %v over the revival, want 10 (community 0's shift from its cached 0)", r, got)
+					}
+				}
+				if !g.engines[0].refSeen[0] {
+					t.Error("rank 0 owns vertex 0's old neighbors yet does not reference the revived community")
+				}
+				g.iterate(t, nil)
+				a.clean(t, "scripted")
+				if a.skipped.Load() == 0 {
+					t.Error("no vertex was skipped across the revival: the audit proved nothing")
+				}
+			})
+		}
+	}
+}
+
+// TestParallelExactCounts is the perf gate noise cannot break: on the
+// golden-trace input the engine's work is deterministic, so its rounds,
+// bytes, inner iterations and scored rows are pinned by equality. A change
+// that adds a collective, a byte per record or a sweep fails here on any
+// host; a change that removes one updates the numbers and says so.
+func TestParallelExactCounts(t *testing.T) {
+	el := skipLFR(t, 1000, 0.3, 19)
+	// The invariant checker adds collectives of its own.
+	forceInvariantChecks = false
+	defer func() { forceInvariantChecks = true }()
+	for _, want := range []struct {
+		ranks                      int
+		rounds, bytes, iters, rows uint64
+	}{
+		{ranks: 1, rounds: 157, bytes: 900603, iters: 19, rows: 9937},
+		{ranks: 2, rounds: 157, bytes: 995484, iters: 19, rows: 9937},
+	} {
+		res, err := RunInProcess(el, 1000, want.ranks, Options{})
+		if err != nil {
+			t.Fatalf("ranks=%d: %v", want.ranks, err)
+		}
+		var iters uint64
+		for _, lv := range res.Levels {
+			iters += uint64(lv.InnerIterations)
+		}
+		if res.CommRounds != want.rounds || res.CommBytes != want.bytes || iters != want.iters || res.RowsEvaluated != want.rows {
+			t.Errorf("ranks=%d: rounds %d, bytes %d, inner iterations %d, rows evaluated %d; pinned %d, %d, %d, %d",
+				want.ranks, res.CommRounds, res.CommBytes, iters, res.RowsEvaluated,
+				want.rounds, want.bytes, want.iters, want.rows)
+		}
+	}
+}

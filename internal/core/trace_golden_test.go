@@ -58,14 +58,13 @@ var nameOrder = map[string]int{
 // can be collected in streaming (DefaultStreamChunk), bulk (-1), and
 // auto-selected (0) exchange modes — the stream must be identical in all.
 func collectGoldenTrace(t *testing.T, streamChunk int) []goldenEvent {
-	return collectGoldenTraceVariant(t, streamChunk, StorageAuto, false)
+	return collectGoldenTraceVariant(t, streamChunk, StorageAuto)
 }
 
-// collectGoldenTraceVariant additionally selects the level-storage backend
-// and refine-sweep pruning: every (storage, prune) combination must emit
-// the identical stream — the backends expose the same graph in the same
-// order and pruning reuses only provably-unchanged results.
-func collectGoldenTraceVariant(t *testing.T, streamChunk int, storage StorageKind, prune bool) []goldenEvent {
+// collectGoldenTraceVariant additionally selects the level-storage backend:
+// every backend must emit the identical stream — they expose the same graph
+// in the same order.
+func collectGoldenTraceVariant(t *testing.T, streamChunk int, storage StorageKind) []goldenEvent {
 	t.Helper()
 	const (
 		n     = 1000
@@ -88,7 +87,6 @@ func collectGoldenTraceVariant(t *testing.T, streamChunk int, storage StorageKin
 				Recorder:    recs[r],
 				StreamChunk: streamChunk,
 				Storage:     storage,
-				Prune:       prune,
 			})
 			return err
 		})
@@ -230,7 +228,7 @@ func TestGoldenTraceDeterministic(t *testing.T) {
 // reproduce it byte-for-byte, proving the Store extraction introduced no
 // silent behavior drift on the seed path.
 func TestGoldenTraceHashMatchesSeedGolden(t *testing.T) {
-	got := goldenJSONL(t, collectGoldenTraceVariant(t, 0, StorageHash, false))
+	got := goldenJSONL(t, collectGoldenTraceVariant(t, 0, StorageHash))
 	want, err := os.ReadFile(filepath.Join("testdata", "golden_trace.jsonl"))
 	if err != nil {
 		t.Fatalf("missing golden file: %v", err)
@@ -240,27 +238,23 @@ func TestGoldenTraceHashMatchesSeedGolden(t *testing.T) {
 	}
 }
 
-// TestGoldenTraceStorageVariants pins every storage backend and the pruned
-// sweep against the same golden stream: frozen-CSR levels and pruned
-// refine sweeps are pure read-path optimizations, so the event stream —
-// moved counts, thresholds and modularity values included — must not move
-// by a single bit in any combination.
+// TestGoldenTraceStorageVariants pins every storage backend against the
+// same golden stream: a frozen-CSR level is a pure read-path choice, so the
+// event stream — moved counts, thresholds and modularity values included —
+// must not move by a single bit.
 func TestGoldenTraceStorageVariants(t *testing.T) {
 	base := collectGoldenTrace(t, 0)
 	variants := []struct {
 		name    string
 		storage StorageKind
-		prune   bool
 	}{
-		{"hash", StorageHash, false},
-		{"csr", StorageCSR, false},
-		{"auto+prune", StorageAuto, true},
-		{"csr+prune", StorageCSR, true},
+		{"hash", StorageHash},
+		{"csr", StorageCSR},
 	}
 	for _, v := range variants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
-			got := collectGoldenTraceVariant(t, 0, v.storage, v.prune)
+			got := collectGoldenTraceVariant(t, 0, v.storage)
 			if len(got) != len(base) {
 				t.Fatalf("event counts differ: %s %d vs auto %d", v.name, len(got), len(base))
 			}

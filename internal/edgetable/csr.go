@@ -65,7 +65,7 @@ func (c *CSR) Freeze(part graph.Partition, nLoc int, shards ...*Table) *CSR {
 			continue
 		}
 		t.Range(func(key uint64, _ float64) bool {
-			c.off[c.rowOf(key)+1]++
+			c.off[c.rowIndex(key)+1]++
 			return true
 		})
 	}
@@ -94,7 +94,7 @@ func (c *CSR) Freeze(part graph.Partition, nLoc int, shards ...*Table) *CSR {
 		}
 		t.Range(func(key uint64, w float64) bool {
 			src, _ := hashfn.Unpack32(key)
-			li := c.rowOf(key)
+			li := c.rowIndex(key)
 			p := c.off[li] + c.fill[li]
 			c.src[p] = src
 			c.w[p] = w
@@ -106,8 +106,8 @@ func (c *CSR) Freeze(part graph.Partition, nLoc int, shards ...*Table) *CSR {
 	return c
 }
 
-// rowOf maps a packed key to its row, enforcing the ownership invariant.
-func (c *CSR) rowOf(key uint64) int {
+// rowIndex maps a packed key to its row, enforcing the ownership invariant.
+func (c *CSR) rowIndex(key uint64) int {
 	_, dst := hashfn.Unpack32(key)
 	if !c.part.Owns(dst) {
 		panic(fmt.Sprintf("edgetable: CSR freeze: destination %d owned by rank %d, not %d",

@@ -344,15 +344,30 @@ func (t *Table) GetPair(a, b graph.V) (float64, bool) {
 }
 
 func (t *Table) grow() {
-	old := *t
 	t.growths++
-	newSlots := t.slots * 2
+	t.rehash(t.slots * 2)
+}
+
+// Reserve sizes the table to hold entries keys at the configured load
+// factor, so that inserting up to that many never grows it. The contents are
+// kept (and, on the probing layout, their Range order); a table already that
+// large is left alone.
+func (t *Table) Reserve(entries int) {
+	if slots := slotsFor(entries, t.cfg.LoadFactor, t.cfg.Partitions); slots > t.slots {
+		t.rehash(slots)
+	}
+}
+
+// rehash moves the contents into a fresh table of the given size, in Range
+// order.
+func (t *Table) rehash(slots uint64) {
+	old := *t
 	if t.cfg.Layout == Probing {
 		t.keys, t.vals, t.occ = nil, nil, nil
 	} else {
 		t.bins = nil
 	}
-	t.alloc(newSlots)
+	t.alloc(slots)
 	old.rangeAll(func(key uint64, w float64) bool {
 		if t.cfg.Layout == Probing {
 			t.addProbing(key, w)
@@ -381,9 +396,10 @@ func (t *Table) rangeAll(fn func(key uint64, w float64) bool) {
 	}
 }
 
-// Range calls fn for every (key, weight) pair in slot order. Iteration
-// stops early when fn returns false. The order is deterministic for a
-// given insertion sequence.
+// Range calls fn for every (key, weight) pair: in insertion order on the
+// probing layout (whatever the table's size or growth history), in bin order
+// on the chained one. Iteration stops early when fn returns false. The order
+// is deterministic for a given insertion sequence and table size.
 func (t *Table) Range(fn func(key uint64, w float64) bool) {
 	t.rangeAll(fn)
 }

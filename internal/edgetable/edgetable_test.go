@@ -83,6 +83,67 @@ func TestGrowthPreservesContents(t *testing.T) {
 	}
 }
 
+// TestReserveAvoidsGrowthAndKeepsOrder: a table reserved for its contents
+// never grows, holds what a grown table holds, and — on the probing layout,
+// whose Range walks the insertion journal — ranges in the same order, which
+// is what lets the engine pre-size its In_Table without moving a bit
+// downstream.
+func TestReserveAvoidsGrowthAndKeepsOrder(t *testing.T) {
+	for _, cfg := range allConfigs() {
+		cfg.Capacity = 4
+		t.Run(cfgName(cfg), func(t *testing.T) {
+			const n = 5000
+			grown, reserved := New(cfg), New(cfg)
+			reserved.Reserve(n)
+			if reserved.Growths() != 0 {
+				t.Fatalf("Reserve counted %d growths", reserved.Growths())
+			}
+			for i := uint64(0); i < n; i++ {
+				key := (i%4000)*2654435761 + 1 // the last 1000 accumulate
+				grown.Add(key, float64(i))
+				reserved.Add(key, float64(i))
+			}
+			if grown.Growths() == 0 {
+				t.Fatal("the unreserved table never grew; the comparison is vacuous")
+			}
+			// A skewed hash can still fill one partition of a partitioned
+			// probing table early; the engine's shards have one partition.
+			if cfg.Partitions == 1 && reserved.Growths() != 0 {
+				t.Errorf("reserved table grew %d times", reserved.Growths())
+			}
+			type kv struct {
+				k uint64
+				w float64
+			}
+			collect := func(tab *Table) []kv {
+				var out []kv
+				tab.Range(func(k uint64, w float64) bool {
+					out = append(out, kv{k, w})
+					return true
+				})
+				return out
+			}
+			g, r := collect(grown), collect(reserved)
+			if len(g) != 4000 || len(r) != len(g) {
+				t.Fatalf("grown holds %d entries, reserved %d, want 4000", len(g), len(r))
+			}
+			if cfg.Layout == Probing {
+				for i := range g {
+					if g[i] != r[i] {
+						t.Fatalf("Range entry %d: grown %v, reserved %v", i, g[i], r[i])
+					}
+				}
+				return
+			}
+			for _, e := range g {
+				if w, ok := reserved.Get(e.k); !ok || w != e.w {
+					t.Fatalf("key %d: grown holds %v, reserved (%v, %v)", e.k, e.w, w, ok)
+				}
+			}
+		})
+	}
+}
+
 func TestAccumulateEqualsSum(t *testing.T) {
 	// Property: for any sequence of (key, weight) adds, Get(k) equals the
 	// sum of weights added under k, and Len equals the distinct key count.

@@ -69,8 +69,6 @@ type Spec struct {
 	MaxIter   int `json:"max_iter,omitempty"`
 	// Storage selects the refine-loop backend: "hash", "csr" or "auto"/"".
 	Storage string `json:"storage,omitempty"`
-	// Prune enables the pruned refine sweeps.
-	Prune bool `json:"prune,omitempty"`
 	// Check runs the unified invariant checker after detection.
 	Check bool `json:"check,omitempty"`
 }
@@ -140,7 +138,6 @@ func (sp *Spec) algoOptions(rec *obs.Recorder, reg *obs.Registry) algo.Options {
 		MaxLevels:       sp.MaxLevels,
 		MaxIter:         sp.MaxIter,
 		Storage:         storage,
-		Prune:           sp.Prune,
 		CheckInvariants: sp.Check,
 		Recorder:        rec,
 		Metrics:         reg,
