@@ -31,7 +31,7 @@ chaos:
 	$(GO) test -short -run 'Chaos|Invariant|CrossEngine|Stream' ./internal/core
 	GOMAXPROCS=2 $(GO) test -race -run 'Skip|Differential|GoldenTrace' ./internal/core
 
-# Short fuzz pass over every fuzz target (wire codecs, graph readers,
+# Short fuzz pass over every fuzz target (wire codecs, graph readers and Build,
 # generator specs, edge-table freeze/iteration, the engine's out rows).
 # `go test -fuzz` takes one target per run, so iterate; FUZZTIME scales the
 # per-target budget.

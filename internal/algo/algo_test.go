@@ -240,6 +240,56 @@ func TestRank0ErrorPropagatesToAllRanks(t *testing.T) {
 	}
 }
 
+// onMemGroup splits el over a fresh in-memory rank group, runs fn once per
+// rank concurrently, and fails tb if any rank returns an error.
+func onMemGroup(tb testing.TB, el graph.EdgeList, ranks int, fn func(r int, c *comm.Comm, local graph.EdgeList) error) {
+	tb.Helper()
+	parts := graph.SplitEdges(el, ranks)
+	trs := comm.NewMemGroup(ranks)
+	var g par.Group
+	for r := 0; r < ranks; r++ {
+		r := r
+		g.Go(func() error { return fn(r, comm.New(trs[r]), parts[r]) })
+	}
+	err := g.Wait()
+	for _, tr := range trs {
+		tr.Close()
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestOutOfRangeIDIsAnError pins that an edge naming a vertex outside the
+// declared id space comes back from every rank-0 engine as the same error on
+// every rank — what par-louvain's loadLocal reports — and not as an index
+// panic inside graph.Build on rank 0 with the other ranks left waiting.
+func TestOutOfRangeIDIsAnError(t *testing.T) {
+	el := graph.EdgeList{{U: 0, V: 1, W: 1}, {U: 1, V: 7, W: 1}}
+	const n = 4
+	for _, name := range allEngines {
+		d, err := Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !d.Info().Rank0 {
+			continue
+		}
+		for _, ranks := range []int{1, 2} {
+			errs := make([]error, ranks)
+			onMemGroup(t, el, ranks, func(r int, c *comm.Comm, local graph.EdgeList) error {
+				_, errs[r] = d.Detect(context.Background(), Graph{Comm: c, Local: local, N: n}, Options{})
+				return nil
+			})
+			for r, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), "edge (1,7) outside vertex space 4") {
+					t.Errorf("%s, %d ranks, rank %d: err = %v, want the out-of-range edge", name, ranks, r, err)
+				}
+			}
+		}
+	}
+}
+
 // TestBadWarmStartIsAnError pins that a warm start of the wrong length or
 // with a label outside the id space comes back from every modularity engine
 // as an error on the caller's goroutine, never as a panic on a rank's.
@@ -351,5 +401,36 @@ func TestResultCommunities(t *testing.T) {
 	r := &Result{Assignment: []graph.V{0, 1, 0, 2, 1}}
 	if got := r.Communities(); got != 3 {
 		t.Errorf("Communities() = %d", got)
+	}
+}
+
+// BenchmarkRank0Ingest times what the rank-0 harness adds around a
+// whole-graph engine — split, gather, decode, graph.Build, broadcast — by
+// running it with an engine that does nothing. Ranks 1 is the shape of every
+// DetectAlgo("seq-louvain" | "plm" | ...) call; `-short` shrinks the input.
+func BenchmarkRank0Ingest(b *testing.B) {
+	scale := 14
+	if testing.Short() {
+		scale = 10
+	}
+	el, err := gen.RMAT(gen.DefaultRMAT(scale, 11))
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := el.NumVertices()
+	noop := func(*graph.Graph) (*core.Result, map[string]float64, error) {
+		return &core.Result{}, nil, nil
+	}
+	for _, ranks := range []int{1, 2} {
+		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				onMemGroup(b, el, ranks, func(r int, c *comm.Comm, local graph.EdgeList) error {
+					_, err := runRank0(context.Background(), Graph{Comm: c, Local: local, N: n}, Options{}, "noop", noop)
+					return err
+				})
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(el)), "ns/edge")
+		})
 	}
 }

@@ -39,7 +39,14 @@ func runRank0(ctx context.Context, g Graph, opt Options, name string,
 	planes := wire.GetPlanes(c.Size())
 	defer planes.Release()
 	planes.Reset()
+	k := 0
+	for _, e := range g.Local {
+		if e.U <= e.V {
+			k++
+		}
+	}
 	to0 := planes.To(0)
+	to0.Grow(k * wire.TripleSize)
 	for _, e := range g.Local {
 		if e.U <= e.V {
 			to0.PutTriple(wire.Triple{A: e.U, B: e.V, W: e.W})
@@ -54,18 +61,7 @@ func runRank0(ctx context.Context, g Graph, opt Options, name string,
 	var runErr error
 	if c.Rank() == 0 {
 		var el graph.EdgeList
-		var r wire.Reader
-		for _, plane := range in {
-			r.Reset(plane)
-			for r.More() {
-				tr := r.Triple()
-				if err := r.Err(); err != nil {
-					runErr = err
-					break
-				}
-				el = append(el, graph.Edge{U: tr.A, V: tr.B, W: tr.W})
-			}
-		}
+		el, runErr = decodeGather(in, g.N)
 		wire.ReleasePlanes(in)
 		emitPhase(opt.Recorder, "algo_gather", c.Rank(), tsGather)
 		if runErr == nil {
@@ -105,6 +101,32 @@ func runRank0(ctx context.Context, g Graph, opt Options, name string,
 	emitLevels(opt.Recorder, c.Rank(), res)
 	res.Duration = time.Since(start)
 	return res, nil
+}
+
+// decodeGather turns the planes rank 0 received into one edge list, sized
+// once from the plane lengths. An id outside [0, n) is an error here — as it
+// is in par-louvain's loadLocal — rather than an index panic in graph.Build.
+func decodeGather(in [][]byte, n int) (graph.EdgeList, error) {
+	total := 0
+	for _, plane := range in {
+		total += len(plane) / wire.TripleSize
+	}
+	el := make(graph.EdgeList, 0, total)
+	var r wire.Reader
+	for _, plane := range in {
+		r.Reset(plane)
+		for r.More() {
+			tr := r.Triple()
+			if err := r.Err(); err != nil {
+				return nil, err
+			}
+			if int(tr.A) >= n || int(tr.B) >= n {
+				return nil, fmt.Errorf("edge (%d,%d) outside vertex space %d", tr.A, tr.B, n)
+			}
+			el = append(el, graph.Edge{U: tr.A, V: tr.B, W: tr.W})
+		}
+	}
+	return el, nil
 }
 
 // recNow returns the recorder timestamp, or 0 without a recorder.

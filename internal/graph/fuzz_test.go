@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -43,6 +45,54 @@ func FuzzReadText(f *testing.F) {
 		if el.NumVertices() <= 1<<20 {
 			g := Build(el, 0)
 			_ = g.NumEdges()
+		}
+	})
+}
+
+// FuzzBuild reads its input as 5-byte records (u, v: 12 bits each; w: 1..8,
+// so every sum is exact) and holds Build to the CSR contract and Canonicalize
+// to the comparison sort it replaced — the latter also with the ids spread
+// over all four bytes, which Build's dense arrays could not afford.
+func FuzzBuild(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 1, 0, 0})
+	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 1, 0, 3, 1, 0, 1, 0, 4})
+	f.Add([]byte{7, 1, 2, 0, 0, 2, 0, 7, 1, 1, 2, 0, 2, 0, 5, 255, 255, 0, 0, 7})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		el := make(EdgeList, 0, len(in)/5)
+		for ; len(in) >= 5; in = in[5:] {
+			el = append(el, Edge{V(in[0]) | V(in[1]&15)<<8, V(in[2]) | V(in[3]&15)<<8, float64(1 + in[4]%8)})
+		}
+		g := Build(el, 0)
+		sumDeg := 0.0
+		for u := 0; u < g.N; u++ {
+			sumDeg += g.Deg[u]
+			row := g.Nbr[g.Off[u]:g.Off[u+1]]
+			for i, v := range row {
+				if v == V(u) || (i > 0 && row[i-1] >= v) {
+					t.Fatalf("row %d = %v: not strictly ascending without self", u, row)
+				}
+				back := g.Nbr[g.Off[v]:g.Off[v+1]]
+				j := sort.Search(len(back), func(j int) bool { return back[j] >= V(u) })
+				if j == len(back) || back[j] != V(u) || g.NbrW[g.Off[v]+int64(j)] != g.NbrW[g.Off[u]+int64(i)] {
+					t.Fatalf("entry %d->%d has no mirror of equal weight", u, v)
+				}
+			}
+		}
+		if sumDeg != 2*g.M || g.M != el.TotalWeight() {
+			t.Fatalf("sum of degrees %v, M %v, input weight %v", sumDeg, g.M, el.TotalWeight())
+		}
+		if back := Build(g.EdgeList(), g.N); !reflect.DeepEqual(back, g) {
+			t.Fatalf("Build(g.EdgeList()) differs from g")
+		}
+		wide := make(EdgeList, len(el))
+		for i, e := range el {
+			wide[i] = Edge{e.U * 1000003, e.V * 1000003, e.W}
+		}
+		for _, l := range []EdgeList{el, wide} {
+			if got, want := l.Canonicalize(), refCanonicalize(l); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Canonicalize differs from the comparison sort on %v", l)
+			}
 		}
 	})
 }

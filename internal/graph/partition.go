@@ -51,10 +51,23 @@ func (p Partition) MaxLocalCount(n int) int {
 // SplitEdges routes each undirected edge of el to the ranks that need it in
 // their In_Table: edge {a,b} is delivered to owner(a) as (b,a) and to
 // owner(b) as (a,b) — destination-owned orientation. Self-loops are
-// delivered once. The result is indexed by rank.
+// delivered once. The result is indexed by rank; each part keeps el's order
+// and is allocated once at its exact size (cap == len).
 func SplitEdges(el EdgeList, size int) []EdgeList {
-	out := make([]EdgeList, size)
 	p := Partition{Size: size}
+	count := make([]int, size)
+	for _, e := range el {
+		count[p.Owner(e.V)]++
+		if e.U != e.V {
+			count[p.Owner(e.U)]++
+		}
+	}
+	out := make([]EdgeList, size)
+	for r, c := range count {
+		if c > 0 {
+			out[r] = make(EdgeList, 0, c)
+		}
+	}
 	for _, e := range el {
 		// (src, dst) with dst owned by the receiving rank.
 		out[p.Owner(e.V)] = append(out[p.Owner(e.V)], Edge{e.U, e.V, e.W})

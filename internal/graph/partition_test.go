@@ -85,12 +85,27 @@ func TestSplitEdgesConservesWeight(t *testing.T) {
 				wantRecords += 2
 			}
 		}
-		got := 0
+		// The append-as-you-go split this one replaced fixes the order
+		// within each part.
 		p := Partition{Size: size}
+		want := make([]EdgeList, size)
+		for _, e := range el {
+			want[p.Owner(e.V)] = append(want[p.Owner(e.V)], e)
+			if e.U != e.V {
+				want[p.Owner(e.U)] = append(want[p.Owner(e.U)], Edge{e.V, e.U, e.W})
+			}
+		}
+		got := 0
 		for r, part := range parts {
-			for _, e := range part {
+			if cap(part) != len(part) || len(part) != len(want[r]) {
+				return false // not allocated at its exact size
+			}
+			for i, e := range part {
 				if p.Owner(e.V) != r {
 					return false // delivered to wrong rank
+				}
+				if e != want[r][i] {
+					return false // delivered out of order
 				}
 				got++
 			}
