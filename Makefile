@@ -32,7 +32,8 @@ chaos:
 	GOMAXPROCS=2 $(GO) test -race -run 'Skip|Differential|GoldenTrace' ./internal/core
 
 # Short fuzz pass over every fuzz target (wire codecs, graph readers and Build,
-# generator specs, edge-table freeze/iteration, the engine's out rows).
+# generator specs, edge-table freeze/iteration, the engine's out rows, the gain
+# scan against its scanning oracle).
 # `go test -fuzz` takes one target per run, so iterate; FUZZTIME scales the
 # per-target budget.
 FUZZTIME ?= 10s

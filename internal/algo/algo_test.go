@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -284,6 +285,38 @@ func TestOutOfRangeIDIsAnError(t *testing.T) {
 			for r, err := range errs {
 				if err == nil || !strings.Contains(err.Error(), "edge (1,7) outside vertex space 4") {
 					t.Errorf("%s, %d ranks, rank %d: err = %v, want the out-of-range edge", name, ranks, r, err)
+				}
+			}
+		}
+	}
+}
+
+// TestNonFiniteWeightIsAnError pins that a NaN or ±Inf weight reaches no
+// engine: every registered engine returns an error naming the edge on every
+// rank, where it used to run on with an accumulator that is never zero again.
+// A rank-0 engine learns of it from rank 0's status word; par-louvain and lpa
+// ranks each check the edges they were given, so the bad edge joins vertices
+// with different owners at two ranks and both see it.
+func TestNonFiniteWeightIsAnError(t *testing.T) {
+	const n = 4
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		el := graph.EdgeList{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: w}, {U: 2, V: 3, W: 1}}
+		for _, name := range allEngines {
+			d, err := Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ranks := range []int{1, 2} {
+				errs := make([]error, ranks)
+				onMemGroup(t, el, ranks, func(r int, c *comm.Comm, local graph.EdgeList) error {
+					_, errs[r] = d.Detect(context.Background(), Graph{Comm: c, Local: local, N: n}, Options{})
+					return nil
+				})
+				for r, err := range errs {
+					if err == nil || !strings.Contains(err.Error(), "has non-finite weight") ||
+						!(strings.Contains(err.Error(), "edge (1,2)") || strings.Contains(err.Error(), "edge (2,1)")) {
+						t.Errorf("%s, weight %v, %d ranks, rank %d: err = %v, want the non-finite edge", name, w, ranks, r, err)
+					}
 				}
 			}
 		}

@@ -104,8 +104,9 @@ func runRank0(ctx context.Context, g Graph, opt Options, name string,
 }
 
 // decodeGather turns the planes rank 0 received into one edge list, sized
-// once from the plane lengths. An id outside [0, n) is an error here — as it
-// is in par-louvain's loadLocal — rather than an index panic in graph.Build.
+// once from the plane lengths. An id outside [0, n) or a non-finite weight is
+// an error here — as it is in par-louvain's loadLocal — rather than an index
+// panic in graph.Build or a poisoned accumulator in the engine.
 func decodeGather(in [][]byte, n int) (graph.EdgeList, error) {
 	total := 0
 	for _, plane := range in {
@@ -123,7 +124,11 @@ func decodeGather(in [][]byte, n int) (graph.EdgeList, error) {
 			if int(tr.A) >= n || int(tr.B) >= n {
 				return nil, fmt.Errorf("edge (%d,%d) outside vertex space %d", tr.A, tr.B, n)
 			}
-			el = append(el, graph.Edge{U: tr.A, V: tr.B, W: tr.W})
+			e := graph.Edge{U: tr.A, V: tr.B, W: tr.W}
+			if err := e.CheckWeight(); err != nil {
+				return nil, err
+			}
+			el = append(el, e)
 		}
 	}
 	return el, nil

@@ -186,9 +186,22 @@ func levelOrder(wg *graph.Graph, opt Options, level int) []uint32 {
 	return movesched.Permutation(wg.N, opt.Order, wg.Deg, seed)
 }
 
-// gainScan is the scratch of the neighbor-community gain scan: dense
-// weights indexed by community plus the touched list that clears them. One
-// per goroutine; sized for one level.
+// gainScan is the scratch of the neighbor-community gain scan: dense sums
+// indexed by community plus the list of communities that clears them. One per
+// goroutine; sized for one level.
+//
+// A sum of zero means "not listed yet", and no scan of the list backs that
+// up: every row entry writes its community at the list's end, and the end
+// moves past it only when the sum it found was zero — a conditional increment
+// the compiler emits without a branch, where "first sighting" would
+// mispredict. A community whose weights cancel to exactly zero partway
+// through a row is therefore listed again at its next entry, so whoever reads
+// the list either folds idempotently over it (best, par-louvain's score) or
+// consumes each sum as it goes (reconstructBuild), and dropRow's clear does
+// not mind the repeat. A NaN sum is never zero and would be neither listed nor
+// cleared, which is why the file readers, the rank-0 gather, loadLocal and
+// labelprop.Parallel reject non-finite weights; a graph built in memory and
+// handed to Sequential directly is not checked.
 type gainScan struct {
 	w2c     []float64
 	touched []graph.V
@@ -198,6 +211,26 @@ func newGainScan(n int) *gainScan {
 	return &gainScan{w2c: make([]float64, n), touched: make([]graph.V, 0, 64)}
 }
 
+// listAdd adds w to community c's sum and writes c at the list's end n; it
+// returns the new end. Free of gainScan's fields so that a loop around it
+// keeps both slices in registers.
+func listAdd(w2c []float64, touched []graph.V, n int, c graph.V, w float64) int {
+	sum := w2c[c]
+	touched[n] = c
+	if sum == 0 {
+		n++
+	}
+	w2c[c] = sum + w
+	return n
+}
+
+// dropRow clears the sums of the listed communities.
+func (s *gainScan) dropRow() {
+	for _, c := range s.touched {
+		s.w2c[c] = 0
+	}
+}
+
 // best evaluates Equation 4 for u against every neighbor community and
 // returns the community of maximum gain (ties to the lower id, staying
 // preferred), that gain minus the gain of staying, and u's edge weight into
@@ -205,41 +238,30 @@ func newGainScan(n int) *gainScan {
 // the caller either removed u from tot already or subtracts it from frozen
 // state — and the other totals are read from tot.
 func (s *gainScan) best(wg *graph.Graph, comm []graph.V, tot []float64, u graph.V, totC0 float64) (bestC graph.V, gain, wStay, wBest float64) {
-	w2c, touched := s.w2c, s.touched[:0]
 	c0, ku := comm[u], wg.Deg[u]
-	touched = append(touched, c0)
-	for i := wg.Off[u]; i < wg.Off[u+1]; i++ {
-		c := comm[wg.Nbr[i]]
-		// A zero weight may be a community not yet seen or one whose
-		// weights cancelled; only the touched list can tell.
-		if w2c[c] == 0 && c != c0 {
-			found := false
-			for _, t := range touched {
-				if t == c {
-					found = true
-					break
-				}
-			}
-			if !found {
-				touched = append(touched, c)
-			}
-		}
-		w2c[c] += wg.NbrW[i]
+	nbr, w := wg.Nbr[wg.Off[u]:wg.Off[u+1]], wg.NbrW[wg.Off[u]:wg.Off[u+1]]
+	touched := resize(s.touched, len(nbr))
+	w2c, n := s.w2c, 0
+	for i, v := range nbr {
+		n = listAdd(w2c, touched, n, comm[v], w[i])
 	}
+	s.touched = touched[:n]
 
+	// A maximum with ties to the lower id: the same answer in any order and
+	// however often a community is listed. c0 has its own total.
 	stay := metrics.DeltaQ(w2c[c0], totC0, ku, wg.M)
 	bestC, bestGain := c0, stay
-	for _, c := range touched[1:] {
+	for _, c := range s.touched {
+		if c == c0 {
+			continue
+		}
 		g := metrics.DeltaQ(w2c[c], tot[c], ku, wg.M)
 		if g > bestGain || (g == bestGain && c < bestC) {
 			bestC, bestGain = c, g
 		}
 	}
 	wStay, wBest = w2c[c0], w2c[bestC]
-	for _, c := range touched {
-		w2c[c] = 0
-	}
-	s.touched = touched
+	s.dropRow()
 	return bestC, bestGain - stay, wStay, wBest
 }
 

@@ -118,33 +118,16 @@ func resize[T any](xs []T, n int) []T {
 }
 
 // gatherRow sums the out row of local vertex li per neighbor community into
-// sc.w2c and returns the communities it touched. A community whose weights
-// sum to zero partway through the row is listed again at its next slot, so
-// callers either fold idempotently over the list (findBest) or consume each
-// sum as they go (reconstructBuild).
+// sc.w2c and returns the communities it touched — gainScan's list, which may
+// name a community twice.
 func (s *engine) gatherRow(sc *gainScan, li int) []graph.V {
 	lo, hi := s.outOff[li], s.outOff[li+1]
 	comm, w := s.outComm[lo:hi], s.outW[lo:hi]
-	// Every slot writes its community at the list's end and the end moves
-	// only past a first sighting: a conditional increment the compiler
-	// emits without a branch, where "first sighting" would mispredict.
 	touched := resize(sc.touched, len(comm))
 	w2c, n := sc.w2c, 0
 	for i, c := range comm {
-		sum := w2c[c]
-		touched[n] = graph.V(c)
-		if sum == 0 {
-			n++
-		}
-		w2c[c] = sum + w[i]
+		n = listAdd(w2c, touched, n, c, w[i])
 	}
 	sc.touched = touched[:n]
 	return sc.touched
-}
-
-// dropRow clears the sums gatherRow left in sc.
-func (sc *gainScan) dropRow() {
-	for _, c := range sc.touched {
-		sc.w2c[c] = 0
-	}
 }

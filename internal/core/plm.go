@@ -32,10 +32,9 @@ func plmLevel(wg *graph.Graph, opt Options, level int, comm []graph.V, tot []flo
 	n := wg.N
 	order := levelOrder(wg, opt, level)
 	sched := movesched.Greedy(n, order, func(u uint32, emit func(v uint32)) {
-		wg.Neighbors(graph.V(u), func(v graph.V, w float64) bool {
-			emit(uint32(v))
-			return true
-		})
+		for _, v := range wg.Nbr[wg.Off[u]:wg.Off[u+1]] {
+			emit(v)
+		}
 	})
 
 	threads := opt.Threads
@@ -99,10 +98,9 @@ func plmLevel(wg *graph.Graph, opt Options, level int, comm []graph.V, tot []flo
 					// The pruning rule: the mover and its neighborhood are
 					// the only vertices whose best choice may have changed.
 					active.MarkNext(u)
-					wg.Neighbors(graph.V(u), func(v graph.V, w float64) bool {
-						active.MarkNext(uint32(v))
-						return true
-					})
+					for _, v := range wg.Nbr[wg.Off[u]:wg.Off[u+1]] {
+						active.MarkNext(v)
+					}
 				}
 			}
 		}

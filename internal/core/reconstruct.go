@@ -34,6 +34,9 @@ func (s *engine) loadLocal(local graph.EdgeList) error {
 		if int(e.V) >= s.n || int(e.U) >= s.n {
 			return fmt.Errorf("core: edge (%d,%d) outside vertex space %d", e.U, e.V, s.n)
 		}
+		if err := e.CheckWeight(); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
 		w := e.W
 		if e.U == e.V {
 			w *= 2

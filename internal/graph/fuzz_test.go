@@ -20,11 +20,18 @@ func FuzzReadText(f *testing.F) {
 	f.Add("4294967295 4294967295 1e308\n")
 	f.Add("a b c\n")
 	f.Add("1 2 NaN\n")
+	f.Add("0 1 1\n1 2 -Inf\n")
+	f.Add("1 2 +infinity\n")
 	f.Add(strings.Repeat("1 2\n", 100))
 	f.Fuzz(func(t *testing.T, in string) {
 		el, err := ReadText(strings.NewReader(in))
 		if err != nil {
 			return
+		}
+		for _, e := range el {
+			if e.CheckWeight() != nil {
+				t.Fatalf("parsed a non-finite weight: %v", e)
+			}
 		}
 		// Whatever parsed must survive a write/read round trip with
 		// identical edges (modulo float formatting fidelity).

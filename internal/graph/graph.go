@@ -9,6 +9,8 @@
 //     following the standard Louvain convention, so that 2m = Σ_u k(u).
 package graph
 
+import "fmt"
+
 // V is a vertex identifier. All experiments in this repository use graphs
 // with fewer than 2^32 vertices; ids are packed in pairs into uint64 hash
 // keys (see internal/hashfn).
@@ -55,6 +57,18 @@ func (el EdgeList) TotalWeight() float64 {
 		s += e.W
 	}
 	return s
+}
+
+// CheckWeight returns an error naming e when its weight is NaN or ±Inf. The
+// file readers, the rank-0 gather and par-louvain's and lpa's load call it,
+// because the engines' accumulators read a sum of zero as "nothing here yet"
+// and a NaN sum is never zero. Build does not: an edge list made in memory
+// reaches Build, and an engine run on its graph, unchecked.
+func (e Edge) CheckWeight() error {
+	if e.W-e.W != 0 { // NaN for NaN and ±Inf, zero for everything else
+		return fmt.Errorf("edge (%d,%d) has non-finite weight %v", e.U, e.V, e.W)
+	}
+	return nil
 }
 
 // oriented returns e with U <= V.

@@ -42,7 +42,8 @@ func WriteText(w io.Writer, el EdgeList) error {
 	return bw.Flush()
 }
 
-// ReadText parses a text edge list.
+// ReadText parses a text edge list. A weight that parses as NaN or ±Inf is a
+// format error.
 func ReadText(r io.Reader) (EdgeList, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
@@ -73,7 +74,11 @@ func ReadText(r io.Reader) (EdgeList, error) {
 				return nil, fmt.Errorf("%w: line %d: %v", ErrBadFormat, line, err)
 			}
 		}
-		el = append(el, Edge{V(u), V(v), w})
+		e := Edge{V(u), V(v), w}
+		if err := e.CheckWeight(); err != nil {
+			return nil, fmt.Errorf("%w: line %d: %v", ErrBadFormat, line, err)
+		}
+		el = append(el, e)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -105,7 +110,8 @@ func WriteBinary(w io.Writer, el EdgeList) error {
 }
 
 // ReadBinary parses the binary edge-list format, validating the magic and
-// record count so truncated files are rejected rather than silently loaded.
+// record count so truncated files are rejected rather than silently loaded,
+// and every weight as finite.
 func ReadBinary(r io.Reader) (EdgeList, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	magic := make([]byte, len(binMagic))
@@ -130,11 +136,15 @@ func ReadBinary(r io.Reader) (EdgeList, error) {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			return nil, fmt.Errorf("%w: truncated at edge %d/%d: %v", ErrBadFormat, i, n, err)
 		}
-		el = append(el, Edge{
+		e := Edge{
 			U: binary.LittleEndian.Uint32(rec[0:4]),
 			V: binary.LittleEndian.Uint32(rec[4:8]),
 			W: math.Float64frombits(binary.LittleEndian.Uint64(rec[8:16])),
-		})
+		}
+		if err := e.CheckWeight(); err != nil {
+			return nil, fmt.Errorf("%w: edge %d/%d: %v", ErrBadFormat, i, n, err)
+		}
+		el = append(el, e)
 	}
 	return el, nil
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,6 +45,29 @@ func TestReadTextMalformed(t *testing.T) {
 	for _, in := range []string{"0\n", "a b\n", "0 1 2 3\n", "0 x\n", "1 2 zz\n", "-1 2\n"} {
 		if _, err := ReadText(strings.NewReader(in)); !errors.Is(err, ErrBadFormat) {
 			t.Errorf("input %q: err = %v, want ErrBadFormat", in, err)
+		}
+	}
+}
+
+// TestReadersRejectNonFiniteWeights pins that a NaN or ±Inf weight, which
+// strconv.ParseFloat and the binary record both carry happily, is a format
+// error naming the edge in either reader.
+func TestReadersRejectNonFiniteWeights(t *testing.T) {
+	for _, w := range []string{"NaN", "nan", "Inf", "-Inf", "+Infinity", "1e999"} {
+		in := "0 1\n3 4 " + w + "\n"
+		_, err := ReadText(strings.NewReader(in))
+		if !errors.Is(err, ErrBadFormat) || (w != "1e999" && !strings.Contains(err.Error(), "line 2: edge (3,4) has non-finite weight")) {
+			t.Errorf("text weight %q: err = %v, want ErrBadFormat naming line 2 and edge (3,4)", w, err)
+		}
+	}
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, EdgeList{{0, 1, 1}, {3, 4, w}}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadBinary(&buf)
+		if !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), "edge (3,4) has non-finite weight") {
+			t.Errorf("binary weight %v: err = %v, want ErrBadFormat naming edge (3,4)", w, err)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -328,5 +330,83 @@ func TestTrivialPartitionEdgeCases(t *testing.T) {
 	}
 	if s.NVD != 0 {
 		t.Errorf("empty NVD = %v", s.NVD)
+	}
+}
+
+// refModularity is Modularity as it was while it kept Σin and Σtot in maps
+// keyed by label: the oracle for the slice-indexed version.
+func refModularity(g *graph.Graph, assign []graph.V) float64 {
+	if g.N == 0 || g.M == 0 {
+		return 0
+	}
+	in := map[graph.V]float64{}
+	tot := map[graph.V]float64{}
+	for u := 0; u < g.N; u++ {
+		cu := assign[u]
+		tot[cu] += g.Deg[u]
+		in[cu] += 2 * g.SelfW[u]
+		for i := g.Off[u]; i < g.Off[u+1]; i++ {
+			if assign[g.Nbr[i]] == cu {
+				in[cu] += g.NbrW[i]
+			}
+		}
+	}
+	comms := make([]graph.V, 0, len(tot))
+	for c := range tot {
+		comms = append(comms, c)
+	}
+	sort.Slice(comms, func(i, j int) bool { return comms[i] < comms[j] })
+	twoM := 2 * g.M
+	q := 0.0
+	for _, c := range comms {
+		t := tot[c]
+		q += in[c]/twoM - (t/twoM)*(t/twoM)
+	}
+	return q
+}
+
+// TestModularityMatchesMapModularity holds Modularity to the map version bit
+// for bit: labels below N (the identity index, with and without gaps), labels
+// at and above N (the rank index), fractional and negative weights,
+// self-loops and isolated vertices.
+func TestModularityMatchesMapModularity(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(70)
+		live := 1 + rng.Intn(n)
+		var el graph.EdgeList
+		for i := rng.Intn(5 * n); i > 0; i-- {
+			w := float64(1 + rng.Intn(4))
+			switch trial % 3 {
+			case 1:
+				w = rng.Float64() * 5
+			case 2:
+				w = rng.Float64()*4 - 1
+			}
+			el = append(el, graph.Edge{U: graph.V(rng.Intn(live)), V: graph.V(rng.Intn(live)), W: w})
+		}
+		g := graph.Build(el, n)
+		k := 1 + rng.Intn(n)
+		labelings := []struct {
+			name  string
+			label func(c int) graph.V
+		}{
+			{"dense", func(c int) graph.V { return graph.V(c) }},
+			{"gaps", func(c int) graph.V { return graph.V((c * 7) % n) }},
+			{"above N", func(c int) graph.V { return graph.V(n + 3*c) }},
+			{"sparse", func(c int) graph.V { return graph.V(uint32(c+1) * 0x9E3779B1) }},
+			{"mixed", func(c int) graph.V { return graph.V(c * (n/2 + 1)) }},
+		}
+		for _, l := range labelings {
+			assign := make([]graph.V, n)
+			for u := range assign {
+				assign[u] = l.label(rng.Intn(k))
+			}
+			got, want := Modularity(g, assign), refModularity(g, assign)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d, %s labels %v: Modularity = %v (%#x), the map version %v (%#x)",
+					trial, l.name, assign, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
 	}
 }
