@@ -586,37 +586,3 @@ func TestLouvaindSignalDrain(t *testing.T) {
 		t.Errorf("no graceful-cancel log:\n%s", buf.String())
 	}
 }
-
-// TestLoadgenSmoke runs the load harness in its CI mode against a
-// self-hosted service and checks the emitted report.
-func TestLoadgenSmoke(t *testing.T) {
-	dir := t.TempDir()
-	report := filepath.Join(dir, "load.json")
-	out := run(t, "loadgen", "-smoke", "-o", report)
-	if !strings.Contains(out, "loadgen smoke OK") {
-		t.Fatalf("loadgen -smoke output: %s", out)
-	}
-	raw, err := os.ReadFile(report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Jobs    int `json:"jobs"`
-		Failed  int `json:"failed"`
-		Overall struct {
-			Count int     `json:"count"`
-			P50MS float64 `json:"p50_ms"`
-			P99MS float64 `json:"p99_ms"`
-		} `json:"overall"`
-		Throughput float64 `json:"throughput_jobs_per_sec"`
-	}
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("report: %v\n%s", err, raw)
-	}
-	if rep.Jobs != 4 || rep.Failed != 0 || rep.Overall.Count != 4 {
-		t.Errorf("smoke report counts: %+v", rep)
-	}
-	if rep.Overall.P50MS <= 0 || rep.Overall.P99MS < rep.Overall.P50MS || rep.Throughput <= 0 {
-		t.Errorf("smoke report stats: %+v", rep)
-	}
-}

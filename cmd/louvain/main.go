@@ -58,7 +58,6 @@ func main() {
 		check     = flag.Bool("check", false, "verify algorithm invariants (assignment shape, rank agreement, recomputed modularity, Q monotonicity; any engine)")
 		traceF    = flag.String("trace", "", "write telemetry events to this file as JSONL (any engine)")
 		streamSz  = flag.Int("stream-chunk", 0, "streaming-exchange chunk size in bytes for the heavy phases; 0 picks per transport, negative disables streaming (bulk rounds)")
-		storage   = flag.String("storage", "auto", "per-level view of the In_Table (size/occupancy queries and the storage invariant; the refine loop reads the out rows): hash | csr (frozen adjacency array) | auto (size-based per level); results are identical in every mode")
 		chromeF   = flag.String("chrome-trace", "", "write a Chrome trace_event JSON timeline to this file (load in chrome://tracing or Perfetto)")
 		report    = flag.Bool("report", false, "print a per-phase run report (time share, imbalance, wire traffic) after the run")
 		metricsF  = flag.String("metrics-out", "", "write a final Prometheus text-format metrics snapshot to this file")
@@ -92,10 +91,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	storageKind, err := parlouvain.ParseStorage(*storage)
-	if err != nil {
-		log.Fatal(err)
-	}
 	ordering, err := parlouvain.ParseOrdering(*order)
 	if err != nil {
 		log.Fatal(err)
@@ -120,7 +115,6 @@ func main() {
 		Runs:            *runs,
 		CheckInvariants: *check,
 		StreamChunk:     streamChunkOption(*streamSz),
-		Storage:         storageKind,
 	}
 	var rec *parlouvain.Recorder
 	if *traceF != "" || *chromeF != "" || *report {

@@ -79,7 +79,6 @@ func main() {
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /healthz, expvar and pprof on this address (e.g. :9090); rank 0 adds /metrics/cluster, /events and /events.jsonl")
 		aggEvery  = flag.Duration("agg-interval", agg.DefaultInterval, "how often to publish telemetry to rank 0 over the out-of-band channel (0 disables aggregation)")
 		streamSz  = flag.Int("stream-chunk", 0, "streaming-exchange chunk size in bytes for the heavy phases; 0 picks per transport, negative disables streaming (bulk rounds); must match across ranks")
-		storage   = flag.String("storage", "auto", "per-level view of the In_Table (size/occupancy queries and the storage invariant; the refine loop reads the out rows): hash | csr (frozen adjacency array) | auto (size-based per level); rank-local, results are identical in every mode")
 		serveMode = flag.Bool("serve", false, "run as a job service on -debug-addr instead of one batch detection (POST /jobs, see README \"Service mode\")")
 		serveWk   = flag.Int("serve-workers", 2, "job-service worker pool size (with -serve)")
 		serveQD   = flag.Int("serve-queue", 16, "job-service queue depth; submissions beyond it get 429 (with -serve)")
@@ -208,11 +207,6 @@ func main() {
 	}
 
 	meshState.Store("running")
-	storageKind, err := parlouvain.ParseStorage(*storage)
-	if err != nil {
-		meshState.Store("failed")
-		log.Fatal(err)
-	}
 	ordering, err := parlouvain.ParseOrdering(*order)
 	if err != nil {
 		meshState.Store("failed")
@@ -234,7 +228,6 @@ func main() {
 		Seed:            *seed,
 		CheckInvariants: *check,
 		StreamChunk:     streamChunkOption(*streamSz),
-		Storage:         storageKind,
 		Recorder:        rec,
 		Metrics:         reg,
 	})

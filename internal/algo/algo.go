@@ -85,9 +85,8 @@ type Options struct {
 	// Naive disables the parallel Louvain convergence heuristic.
 	Naive bool
 
-	// Storage and StreamChunk pass through to the parallel Louvain engine
-	// (see core.Options).
-	Storage     core.StorageKind
+	// StreamChunk passes through to the parallel Louvain engine (see
+	// core.Options).
 	StreamChunk int
 
 	// Warm seeds modularity engines with a previous assignment.
@@ -123,7 +122,6 @@ func (o Options) coreOptions(ctx context.Context, collect bool) core.Options {
 		Naive:           o.Naive,
 		Threads:         o.Threads,
 		Order:           o.Order,
-		Storage:         o.Storage,
 		StreamChunk:     o.StreamChunk,
 		CollectLevels:   collect,
 		CheckInvariants: o.CheckInvariants,

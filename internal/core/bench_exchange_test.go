@@ -1,7 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"parlouvain/internal/comm"
@@ -34,80 +37,179 @@ func BenchmarkExchangeAllocs(b *testing.B) {
 		{"bulk", -1},
 		{"stream", DefaultStreamChunk},
 	}
-	phases := []struct {
-		suffix string
-		op     func(s *engine) error
-	}{
-		{"", (*engine).propagate},
-		{"/phase=iter", func(s *engine) error {
-			s.findBest()
-			if err := s.propagateDelta(); err != nil {
-				return err
-			}
-			_, err := s.computeQ()
-			return err
-		}},
-	}
 	for _, mode := range modes {
 		for _, ranks := range []int{1, 2} {
-			for _, phase := range phases {
+			for _, phase := range exchangeOps {
 				b.Run(fmt.Sprintf("mode=%s/ranks=%d%s", mode.name, ranks, phase.suffix), func(b *testing.B) {
-					parts := graph.SplitEdges(el, ranks)
-					trs := comm.NewMemGroup(ranks)
-					defer func() {
-						for _, tr := range trs {
-							tr.Close()
-						}
-					}()
-					states := make([]*engine, ranks)
-					var setup par.Group
-					for r := 0; r < ranks; r++ {
-						r := r
-						setup.Go(func() error {
-							opt := Options{Threads: 1, StreamChunk: mode.chunk}.withDefaults()
-							s := newEngine(comm.New(trs[r]), n, opt)
-							states[r] = s
-							if err := s.loadLocal(parts[r]); err != nil {
-								return err
-							}
-							if _, err := s.levelInit(); err != nil {
-								return err
-							}
-							for li := 0; li < s.nLoc; li += 16 {
-								if s.active[li] {
-									s.moveLog = append(s.moveLog, li)
-								}
-							}
-							// Warm every reusable buffer so the measured loop
-							// sees steady state.
-							if err := s.propagate(); err != nil {
-								return err
-							}
-							return phase.op(s)
-						})
-					}
-					if err := setup.Wait(); err != nil {
-						b.Fatal(err)
-					}
+					states := steadyEngines(b, el, n, ranks, mode.chunk, phase.op)
 					b.ReportAllocs()
 					b.ResetTimer()
-					var run par.Group
-					for r := 0; r < ranks; r++ {
-						r := r
-						run.Go(func() error {
-							for i := 0; i < b.N; i++ {
-								if err := phase.op(states[r]); err != nil {
-									return err
-								}
-							}
-							return nil
-						})
-					}
-					if err := run.Wait(); err != nil {
+					if err := onRanks(states, repeat(b.N, phase.op)); err != nil {
 						b.Fatal(err)
 					}
 				})
 			}
 		}
+	}
+}
+
+// TestExchangeSteadyStateAllocatesNothing is the blocking form of the
+// benchmark's bulk-mode rows: a steady-state full propagation, and the
+// findBest + move-log propagation + computeQ trio, allocate nothing at ranks
+// 1 and 2. The count is every malloc of the process over the measured ops,
+// the goroutines that drive the ranks included, divided by the ops per rank —
+// so it reads 0 while the hot path is clean and ≥ 1 as soon as one rank
+// allocates once per op. Streaming mode allocates by design (merge workers,
+// the collator pump) and stays benchmark-only.
+func TestExchangeSteadyStateAllocatesNothing(t *testing.T) {
+	if raceBuild() {
+		t.Skip("under -race sync.Pool drops a quarter of its Puts, so the pooled wire planes are re-allocated")
+	}
+	const (
+		n   = 2000
+		ops = 200
+	)
+	el, _, err := gen.LFR(gen.DefaultLFR(n, 0.3, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ranks := range []int{1, 2} {
+		for _, phase := range exchangeOps {
+			states := steadyEngines(t, el, n, ranks, -1, phase.op)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := onRanks(states, repeat(ops, phase.op))
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if perOp := (after.Mallocs - before.Mallocs) / ops; perOp != 0 {
+				t.Errorf("mode=bulk/ranks=%d%s: %d allocs/op, want 0", ranks, phase.suffix, perOp)
+			}
+		}
+	}
+}
+
+// TestInvariantCatchesInEdgeDrift is invariant 7's negative test: one weight
+// of the in-edge arrays is changed after levelInit built them from the
+// In_Table, and the check must name the entry.
+func TestInvariantCatchesInEdgeDrift(t *testing.T) {
+	el, _, err := gen.RingOfCliques(8, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := levelEngines(t, el, 40, 1, -1)[0]
+	if err := s.checkInEdges(0); err != nil {
+		t.Fatalf("untouched engine: %v", err)
+	}
+	s.adjW[len(s.adjW)/2]++
+	if err := s.checkInEdges(0); !errors.Is(err, ErrInvariant) {
+		t.Fatalf("err = %v, want ErrInvariant in the chain", err)
+	}
+}
+
+// raceBuild reports whether this test binary was built with -race.
+func raceBuild() bool {
+	bi, _ := debug.ReadBuildInfo()
+	if bi == nil {
+		return false
+	}
+	for _, kv := range bi.Settings {
+		if kv.Key == "-race" {
+			return kv.Value == "true"
+		}
+	}
+	return false
+}
+
+// exchangeOps are the two hot paths the benchmark and the allocation gate
+// run: one full state propagation, and the out-row part of an inner iteration.
+var exchangeOps = []struct {
+	suffix string
+	op     func(s *engine) error
+}{
+	{"", (*engine).propagate},
+	{"/phase=iter", func(s *engine) error {
+		s.findBest()
+		if err := s.propagateDelta(); err != nil {
+			return err
+		}
+		_, err := s.computeQ()
+		return err
+	}},
+}
+
+// levelEngines builds one single-threaded engine per rank over an in-process
+// group and takes each through loadLocal and levelInit: the state a level's
+// first propagation starts from. The transports close with the test.
+func levelEngines(tb testing.TB, el graph.EdgeList, n, ranks, streamChunk int) []*engine {
+	tb.Helper()
+	parts := graph.SplitEdges(el, ranks)
+	trs := comm.NewMemGroup(ranks)
+	tb.Cleanup(func() {
+		for _, tr := range trs {
+			tr.Close()
+		}
+	})
+	states := make([]*engine, ranks)
+	for r := range states {
+		opt := Options{Threads: 1, StreamChunk: streamChunk}.withDefaults()
+		states[r] = newEngine(comm.New(trs[r]), n, opt)
+	}
+	err := onRanks(states, func(s *engine) error {
+		if err := s.loadLocal(parts[s.part.Rank]); err != nil {
+			return err
+		}
+		_, err := s.levelInit()
+		return err
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return states
+}
+
+// steadyEngines is levelEngines with a fixed sixteenth of the vertices logged
+// as moved and every reusable buffer warm — one full propagation and one op
+// have run — so the caller's next op sees steady state.
+func steadyEngines(tb testing.TB, el graph.EdgeList, n, ranks, streamChunk int, op func(*engine) error) []*engine {
+	tb.Helper()
+	states := levelEngines(tb, el, n, ranks, streamChunk)
+	err := onRanks(states, func(s *engine) error {
+		for li := 0; li < s.nLoc; li += 16 {
+			if s.active[li] {
+				s.moveLog = append(s.moveLog, li)
+			}
+		}
+		if err := s.propagate(); err != nil {
+			return err
+		}
+		return op(s)
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return states
+}
+
+// onRanks runs fn on every rank's engine concurrently, as the collectives
+// inside it require, and returns the first error.
+func onRanks(states []*engine, fn func(*engine) error) error {
+	var g par.Group
+	for _, s := range states {
+		g.Go(func() error { return fn(s) })
+	}
+	return g.Wait()
+}
+
+// repeat returns the function that calls op n times.
+func repeat(n int, op func(*engine) error) func(*engine) error {
+	return func(s *engine) error {
+		for i := 0; i < n; i++ {
+			if err := op(s); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 }

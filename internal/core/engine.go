@@ -65,14 +65,6 @@ type engine struct {
 
 	in []*edgetable.Table // (src,dst) -> w, dst owned; self-loops doubled
 
-	// levelStore is the read backend for the current level's frozen graph
-	// (Options.Storage): either sharded — the In_Table shards viewed as one
-	// Store — or a CSR wrapped around the adjacency arrays below. Reset by
-	// every levelInit; serves the level's Len/Stats/lookup queries and the
-	// storage-consistency invariant.
-	levelStore edgetable.Store
-	sharded    edgetable.Sharded
-
 	// Margin-bounded skipping (findBest): skipUntil[li] is the value of drift
 	// up to which li's sweep result is provably (0, commOf[li]) and need not
 	// be recomputed; 0 means "score it". drift is the running sum, over the
@@ -241,8 +233,6 @@ func newEngine(c *comm.Comm, n int, opt Options) *engine {
 		})
 		s.scan[t] = newGainScan(n)
 	}
-	s.sharded = edgetable.NewSharded(s.in...)
-	s.levelStore = s.sharded
 	s.planes = wire.GetPlanes(c.Size())
 	s.coll = c.NewCollator()
 	s.mergeErrs = make([]error, opt.Threads)
@@ -331,11 +321,13 @@ func (c *phaseClock) lap(phase string) time.Duration {
 	return d
 }
 
-// inTableStats reports the current level store's occupancy statistics
-// (valid between levelInit and reconstruct): a slot sweep on the hash
-// backend, precomputed at freeze time on CSR.
-func (s *engine) inTableStats() edgetable.Stats {
-	return s.levelStore.Stats()
+// inEntries is the number of distinct (src,dst) entries the In_Table holds.
+func (s *engine) inEntries() int {
+	n := 0
+	for _, tab := range s.in {
+		n += tab.Len()
+	}
+	return n
 }
 
 // outPlanes resets and returns the per-destination send planes.
@@ -376,7 +368,7 @@ func (s *engine) run() (*Result, error) {
 		}
 	}
 	// Input edge count for TEPS: single-counted distinct entries.
-	localEdges := uint64(s.levelStore.Len())
+	localEdges := uint64(s.inEntries())
 	totalEntries, err := s.c.AllReduceUint64(localEdges, comm.OpSum)
 	if err != nil {
 		return nil, err
@@ -399,7 +391,7 @@ func (s *engine) run() (*Result, error) {
 		tsLevel := s.now()
 		var inStats edgetable.Stats
 		if s.rec != nil {
-			inStats = s.inTableStats()
+			inStats = edgetable.AggregateStats(s.in...)
 		}
 		if s.mLevel != nil {
 			s.mLevel.Set(float64(level))

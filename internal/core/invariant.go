@@ -30,9 +30,9 @@ import (
 //     (Section IV-B's convergence claim), within floating-point tolerance.
 //  6. Weight preservation — graph reconstruction (Algorithm 5) preserves
 //     total edge weight: m is identical at every level.
-//  7. Storage consistency — the level's pluggable read store (hash shards
-//     or frozen CSR, Options.Storage) agrees with the engine's adjacency
-//     arrays on entry count, total weight, and sampled degrees/lookups.
+//  7. In-edge consistency — the in-edge arrays the out rows are built from
+//     hold exactly the In_Table: the same number of entries, and every
+//     array entry is in its shard of the table with the same weight bits.
 //  8. Out-row consistency — every out-row slot is the target of exactly one
 //     in-edge and holds the community of that edge's far endpoint in the
 //     all-gathered assignment, every row's weights sum to its vertex's
@@ -145,8 +145,8 @@ func (s *engine) checkLevel(level int, vertices uint64, q, qPrev float64) error 
 			ErrInvariant, s.part.Rank, level, digest, lo, hi)
 	}
 
-	// (7) Storage consistency (rank-local, no collectives).
-	if err := s.checkStorage(level); err != nil {
+	// (7) In-edge consistency (rank-local, no collectives).
+	if err := s.checkInEdges(level); err != nil {
 		return err
 	}
 
@@ -169,46 +169,22 @@ func (s *engine) checkLevel(level int, vertices uint64, q, qPrev float64) error 
 	return nil
 }
 
-// checkStorage verifies invariant 7: whichever backend levelInit selected
-// for this level (hash shards or frozen CSR), it must present exactly the
-// graph the engine's adjacency arrays were derived from — same entry
-// count, same total weight, and bit-equal weights and degrees on a sample
-// of vertices. Degree on the hash backend is a full scan, so the sample is
-// capped rather than exhaustive.
-func (s *engine) checkStorage(level int) error {
-	if got, want := s.levelStore.Len(), len(s.adjSrc); got != want {
-		return fmt.Errorf("%w: rank %d level %d: level store holds %d entries, adjacency has %d",
+// checkInEdges verifies invariant 7: the in-edge arrays levelInit derived
+// from the In_Table — what the out rows and every later phase of the level
+// are built from — still hold exactly the table's entries. Equal counts and
+// every array entry found in its shard with bit-equal weight; every row.
+func (s *engine) checkInEdges(level int) error {
+	if got, want := s.inEntries(), len(s.adjSrc); got != want {
+		return fmt.Errorf("%w: rank %d level %d: In_Table holds %d entries, adjacency has %d",
 			ErrInvariant, s.part.Rank, level, got, want)
 	}
-	var sumStore, sumAdj float64
-	s.levelStore.Range(func(_ uint64, w float64) bool {
-		sumStore += w
-		return true
-	})
-	for _, w := range s.adjW {
-		sumAdj += w
-	}
-	// Summation order differs between backends, so compare with tolerance.
-	if math.Abs(sumStore-sumAdj) > invariantTol*math.Max(1, math.Abs(sumAdj)) {
-		return fmt.Errorf("%w: rank %d level %d: level store weight %.12g != adjacency weight %.12g",
-			ErrInvariant, s.part.Rank, level, sumStore, sumAdj)
-	}
-	const maxSamples = 64
-	stride := 1
-	if s.nLoc > maxSamples {
-		stride = s.nLoc / maxSamples
-	}
-	for li := 0; li < s.nLoc; li += stride {
+	for li := 0; li < s.nLoc; li++ {
 		gid := s.part.GlobalID(li)
-		rowLen := int(s.adjOff[li+1] - s.adjOff[li])
-		if got := s.levelStore.Degree(gid); got != rowLen {
-			return fmt.Errorf("%w: rank %d level %d: store degree of vertex %d = %d, adjacency row length %d",
-				ErrInvariant, s.part.Rank, level, gid, got, rowLen)
-		}
+		tab := s.in[s.shardOf(li)]
 		for e := s.adjOff[li]; e < s.adjOff[li+1]; e++ {
-			w, ok := s.levelStore.GetPair(s.adjSrc[e], gid)
+			w, ok := tab.GetPair(s.adjSrc[e], gid)
 			if !ok || w != s.adjW[e] {
-				return fmt.Errorf("%w: rank %d level %d: store lookup (%d,%d) = (%v,%v), adjacency holds %v",
+				return fmt.Errorf("%w: rank %d level %d: In_Table lookup (%d,%d) = (%v,%v), adjacency holds %v",
 					ErrInvariant, s.part.Rank, level, s.adjSrc[e], gid, w, ok, s.adjW[e])
 			}
 		}

@@ -11,7 +11,7 @@ import (
 
 // TestMain arms the invariant checker for the entire core test suite: every
 // engine run in any test of this package verifies mass/member conservation,
-// cross-rank agreement, modularity consistency and monotonicity, storage and
+// cross-rank agreement, modularity consistency and monotonicity, in-edge and
 // out-row consistency, and reconstruction weight preservation after every
 // level.
 func TestMain(m *testing.M) {

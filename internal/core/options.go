@@ -11,7 +11,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"time"
 
@@ -59,73 +58,6 @@ func DefaultEpsilon() EpsilonFunc {
 // Options.StreamChunk is zero: 64 KiB keeps per-chunk overhead negligible
 // while leaving enough chunks per round to overlap transfer with compute.
 const DefaultStreamChunk = 64 << 10
-
-// StorageKind selects the per-level edge storage backend the refine loop
-// reads from (Options.Storage). Levels are always *built* in the hash
-// shards — the dynamic insert-accumulate structure of the paper — and the
-// kind decides what happens once a level's graph is frozen.
-type StorageKind uint8
-
-const (
-	// StorageAuto picks per level from the local entry count: small levels
-	// stay on the hash shards (freezing them would cost more than it
-	// saves), larger levels are compacted into a CSR. The choice is
-	// rank-local and affects only local read paths, never wire contents,
-	// so ranks need not agree.
-	StorageAuto StorageKind = iota
-	// StorageHash keeps every level on the open-addressed hash shards —
-	// the seed behavior.
-	StorageHash
-	// StorageCSR compacts every frozen level into a CSR adjacency array
-	// (edgetable.CSR) before the refine loop.
-	StorageCSR
-)
-
-// String returns the flag spelling of the kind.
-func (k StorageKind) String() string {
-	switch k {
-	case StorageAuto:
-		return "auto"
-	case StorageHash:
-		return "hash"
-	case StorageCSR:
-		return "csr"
-	default:
-		return fmt.Sprintf("StorageKind(%d)", uint8(k))
-	}
-}
-
-// ParseStorage parses the -storage flag values "hash", "csr" and "auto".
-func ParseStorage(s string) (StorageKind, error) {
-	switch s {
-	case "auto", "":
-		return StorageAuto, nil
-	case "hash":
-		return StorageHash, nil
-	case "csr":
-		return StorageCSR, nil
-	default:
-		return StorageAuto, fmt.Errorf("unknown storage kind %q (want hash, csr or auto)", s)
-	}
-}
-
-// autoCSRMinEntries is the local In-entry count above which StorageAuto
-// freezes a level into a CSR. Below it the level fits comfortably in cache
-// either way and the freeze pass is pure overhead; above it the refine
-// sweeps amortize the compaction within the first inner iteration.
-const autoCSRMinEntries = 4096
-
-// resolveStorage maps a StorageKind to the concrete backend for one level,
-// given this rank's local In-entry count. Explicit kinds pass through.
-func resolveStorage(k StorageKind, localEntries int) StorageKind {
-	if k != StorageAuto {
-		return k
-	}
-	if localEntries >= autoCSRMinEntries {
-		return StorageCSR
-	}
-	return StorageHash
-}
 
 // Options configures either engine. The zero value is usable.
 type Options struct {
@@ -178,18 +110,6 @@ type Options struct {
 	LoadFactor float64
 	// TableLayout for the edge tables (probing by default).
 	TableLayout edgetable.Layout
-
-	// Storage selects the per-level read view of the In_Table — it serves
-	// the level's size and occupancy queries and the storage-consistency
-	// invariant; the refine loop reads the out rows, not this: the
-	// hash shards a level is built in (StorageHash), a frozen CSR
-	// adjacency array compacted once per level (StorageCSR), or a
-	// per-level size-based choice (StorageAuto, the zero value). Results
-	// are bit-identical in every mode — both backends expose the same
-	// entries in the same deterministic order (pinned by the differential
-	// suite) — and the resolution is rank-local, so ranks need not agree.
-	// Exposed as -storage on cmd/louvain and cmd/louvaind.
-	Storage StorageKind
 
 	// StreamChunk selects the exchange mode of the heavy scatter phases
 	// (full propagation, delta propagation, reconstruction): 0 picks
@@ -292,11 +212,10 @@ func (o *Options) canceled() error {
 var ErrCanceled = errors.New("detection canceled")
 
 // autoBulkMaxRanks bounds the group sizes for which the automatic exchange
-// mode prefers bulk rounds on the in-process transport: the PR5 benchmark
-// baseline (BENCH_PR5.json) measured mem-transport streaming ~9% slower
-// end-to-end at 2 ranks — chunk framing and collation overhead with no
-// network transfer to hide — while TCP gains from the overlap at every
-// size.
+// mode prefers bulk rounds on the in-process transport: the PR 5 benchmark
+// baseline measured mem-transport streaming ~9% slower end-to-end at 2
+// ranks — chunk framing and collation overhead with no network transfer to
+// hide — while TCP gains from the overlap at every size.
 const autoBulkMaxRanks = 4
 
 // ResolveThreads maps a CLI -threads value to the concrete per-rank worker

@@ -153,64 +153,6 @@ func TestGainHistogramThresholdAdmitsAtLeastTarget(t *testing.T) {
 	}
 }
 
-func TestParseStorage(t *testing.T) {
-	cases := []struct {
-		in   string
-		want StorageKind
-		err  bool
-	}{
-		{"hash", StorageHash, false},
-		{"csr", StorageCSR, false},
-		{"auto", StorageAuto, false},
-		{"", StorageAuto, false},
-		{"CSR", StorageAuto, true},
-		{"flat", StorageAuto, true},
-	}
-	for _, tc := range cases {
-		got, err := ParseStorage(tc.in)
-		if (err != nil) != tc.err {
-			t.Errorf("ParseStorage(%q) error = %v, want error %v", tc.in, err, tc.err)
-		}
-		if err == nil && got != tc.want {
-			t.Errorf("ParseStorage(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-}
-
-func TestStorageKindString(t *testing.T) {
-	// The names round-trip through ParseStorage — telemetry and the flag
-	// help print the same spellings the flags accept.
-	for _, k := range []StorageKind{StorageAuto, StorageHash, StorageCSR} {
-		back, err := ParseStorage(k.String())
-		if err != nil || back != k {
-			t.Errorf("round-trip of %v: ParseStorage(%q) = %v, %v", k, k.String(), back, err)
-		}
-	}
-	if s := StorageKind(42).String(); s == "" {
-		t.Error("unknown kind printed empty")
-	}
-}
-
-func TestResolveStorage(t *testing.T) {
-	cases := []struct {
-		kind    StorageKind
-		entries int
-		want    StorageKind
-	}{
-		{StorageHash, 1 << 20, StorageHash}, // explicit kinds pass through
-		{StorageCSR, 0, StorageCSR},
-		{StorageAuto, 0, StorageHash},
-		{StorageAuto, autoCSRMinEntries - 1, StorageHash},
-		{StorageAuto, autoCSRMinEntries, StorageCSR},
-		{StorageAuto, 1 << 20, StorageCSR},
-	}
-	for _, tc := range cases {
-		if got := resolveStorage(tc.kind, tc.entries); got != tc.want {
-			t.Errorf("resolveStorage(%v, %d) = %v, want %v", tc.kind, tc.entries, got, tc.want)
-		}
-	}
-}
-
 func TestEvolutionRatiosFromResult(t *testing.T) {
 	r := &Result{NumVertices: 100, Levels: []Level{{Communities: 20}, {Communities: 5}}}
 	ratios := r.EvolutionRatios()

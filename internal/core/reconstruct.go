@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"parlouvain/internal/comm"
-	"parlouvain/internal/edgetable"
 	"parlouvain/internal/graph"
 	"parlouvain/internal/hashfn"
 	"parlouvain/internal/par"
@@ -104,17 +103,6 @@ func (s *engine) levelInit() (uint64, error) {
 			return true
 		})
 	})
-	// Per-level store selection (Options.Storage): the arrays just built
-	// ARE the frozen CSR — each row's entries come from exactly one shard
-	// in its insertion order, the same order a hash sweep visits them — so
-	// the CSR backend wraps them without copying and the choice is purely
-	// which backend answers the level's read queries. The resolution is
-	// rank-local (it never changes wire contents), so ranks may differ.
-	if resolveStorage(s.opt.Storage, total) == StorageCSR {
-		s.levelStore = edgetable.NewCSR(s.part, s.nLoc, s.adjOff, s.adjSrc, s.adjW)
-	} else {
-		s.levelStore = s.sharded
-	}
 	if err := s.buildOutRows(); err != nil {
 		return 0, err
 	}

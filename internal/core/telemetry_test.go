@@ -61,6 +61,12 @@ func TestParallelTelemetryEvents(t *testing.T) {
 			if e.Fields["in_entries"] <= 0 && e.Level == 0 {
 				t.Errorf("level 0 event reports empty In_Table: %+v", e)
 			}
+			// The in_* series is the hash In_Table's (the paper's Fig. 6) at
+			// every level, whatever the level's size: never fuller than the
+			// default load factor, never fewer slots than entries.
+			if e.Fields["in_load_factor"] > 0.25 || e.Fields["in_slots"] < e.Fields["in_entries"] {
+				t.Errorf("level event does not describe the hash In_Table: %+v", e)
+			}
 		default:
 			phaseEvents++
 			if e.Dur < 0 {

@@ -58,13 +58,6 @@ var nameOrder = map[string]int{
 // can be collected in streaming (DefaultStreamChunk), bulk (-1), and
 // auto-selected (0) exchange modes — the stream must be identical in all.
 func collectGoldenTrace(t *testing.T, streamChunk int) []goldenEvent {
-	return collectGoldenTraceVariant(t, streamChunk, StorageAuto)
-}
-
-// collectGoldenTraceVariant additionally selects the level-storage backend:
-// every backend must emit the identical stream — they expose the same graph
-// in the same order.
-func collectGoldenTraceVariant(t *testing.T, streamChunk int, storage StorageKind) []goldenEvent {
 	t.Helper()
 	const (
 		n     = 1000
@@ -86,7 +79,6 @@ func collectGoldenTraceVariant(t *testing.T, streamChunk int, storage StorageKin
 				Threads:     2,
 				Recorder:    recs[r],
 				StreamChunk: streamChunk,
-				Storage:     storage,
 			})
 			return err
 		})
@@ -220,50 +212,6 @@ func TestGoldenTraceDeterministic(t *testing.T) {
 		if fmt.Sprintf("%+v", a[i]) != fmt.Sprintf("%+v", b[i]) {
 			t.Fatalf("event %d differs:\n  %+v\n  %+v", i, a[i], b[i])
 		}
-	}
-}
-
-// TestGoldenTraceHashMatchesSeedGolden pins the hash backend against the
-// golden file produced before storage became pluggable: Storage=hash must
-// reproduce it byte-for-byte, proving the Store extraction introduced no
-// silent behavior drift on the seed path.
-func TestGoldenTraceHashMatchesSeedGolden(t *testing.T) {
-	got := goldenJSONL(t, collectGoldenTraceVariant(t, 0, StorageHash))
-	want, err := os.ReadFile(filepath.Join("testdata", "golden_trace.jsonl"))
-	if err != nil {
-		t.Fatalf("missing golden file: %v", err)
-	}
-	if string(got) != string(want) {
-		t.Fatal("Storage=hash no longer reproduces the seed golden trace byte-for-byte")
-	}
-}
-
-// TestGoldenTraceStorageVariants pins every storage backend against the
-// same golden stream: a frozen-CSR level is a pure read-path choice, so the
-// event stream — moved counts, thresholds and modularity values included —
-// must not move by a single bit.
-func TestGoldenTraceStorageVariants(t *testing.T) {
-	base := collectGoldenTrace(t, 0)
-	variants := []struct {
-		name    string
-		storage StorageKind
-	}{
-		{"hash", StorageHash},
-		{"csr", StorageCSR},
-	}
-	for _, v := range variants {
-		v := v
-		t.Run(v.name, func(t *testing.T) {
-			got := collectGoldenTraceVariant(t, 0, v.storage)
-			if len(got) != len(base) {
-				t.Fatalf("event counts differ: %s %d vs auto %d", v.name, len(got), len(base))
-			}
-			for i := range got {
-				if fmt.Sprintf("%+v", got[i]) != fmt.Sprintf("%+v", base[i]) {
-					t.Fatalf("event %d differs:\n  %s: %+v\n  auto: %+v", i, v.name, got[i], base[i])
-				}
-			}
-		})
 	}
 }
 

@@ -7,20 +7,16 @@ import (
 	"parlouvain/internal/hashfn"
 )
 
-// CSR is the frozen flat-array Store: one level's in-edges compacted from
-// the hash shards into a compressed sparse row layout keyed by the owned
-// destination's local index. The hash Table is built for the paper's
-// dynamic insert-accumulate workload; once a level's graph stops mutating
-// the refine loop only ever reads it, and a CSR serves those reads from
-// three contiguous arrays — sequential row sweeps instead of slot probing,
-// O(1) degrees, and aggregate statistics precomputed at freeze time
-// instead of a full slot sweep per level event.
+// CSR is one level's in-edges compacted from the hash shards into a
+// compressed sparse row layout keyed by the owned destination's local index.
+// The engine does not use it — its refine loop reads the out rows — and it is
+// kept only as the flat-array yardstick of bench/'s layer ladder (freeze cost
+// and a sequential sweep next to the hash Table's slot sweep).
 //
 // Row order is local-index-major; within a row, entries keep the shard
-// insertion order they had in the hash tables, so a sweep over a frozen
-// CSR visits each row's weights in exactly the accumulation order of the
-// source shards (bit-identical float folds). A CSR never mutates: the next
-// level is rebuilt in the hash shards and frozen again.
+// insertion order they had in the hash tables, so a sweep over a frozen CSR
+// visits each row's weights in exactly the accumulation order of the source
+// shards. A CSR never mutates after Freeze.
 type CSR struct {
 	part graph.Partition
 	nLoc int
@@ -29,8 +25,7 @@ type CSR struct {
 	src []graph.V
 	w   []float64
 
-	fill  []int64 // freeze scratch, reused across levels
-	stats Stats
+	fill []int64 // freeze scratch, reused across Freeze calls
 }
 
 // FreezeCSR compacts the entries of the given hash shards into a new CSR.
@@ -102,7 +97,6 @@ func (c *CSR) Freeze(part graph.Partition, nLoc int, shards ...*Table) *CSR {
 			return true
 		})
 	}
-	c.computeStats()
 	return c
 }
 
@@ -120,79 +114,8 @@ func (c *CSR) rowIndex(key uint64) int {
 	return li
 }
 
-// NewCSR wraps already-built adjacency arrays as a frozen Store without
-// copying: off must hold nLoc+1 monotone offsets with off[nLoc] ==
-// len(src) == len(w). The CSR aliases the arrays — it is valid until the
-// caller mutates them (the engine rebuilds them at the next levelInit).
-func NewCSR(part graph.Partition, nLoc int, off []int64, src []graph.V, w []float64) *CSR {
-	if part.Size <= 0 {
-		part.Size = 1
-	}
-	if len(off) != nLoc+1 || int(off[nLoc]) != len(src) || len(src) != len(w) {
-		panic(fmt.Sprintf("edgetable: NewCSR shape mismatch: off %d rows %d entries, src %d, w %d",
-			len(off), nLoc, len(src), len(w)))
-	}
-	c := &CSR{part: part, nLoc: nLoc, off: off, src: src, w: w}
-	c.computeStats()
-	return c
-}
-
-// Rows returns the number of local rows (owned destination slots).
-func (c *CSR) Rows() int { return c.nLoc }
-
 // Len returns the number of stored entries.
 func (c *CSR) Len() int { return len(c.src) }
-
-// Row returns dst-local-index li's sources and weights without copying.
-func (c *CSR) Row(li int) ([]graph.V, []float64) {
-	lo, hi := c.off[li], c.off[li+1]
-	return c.src[lo:hi], c.w[lo:hi]
-}
-
-// Arrays exposes the underlying offset/source/weight arrays without
-// copying, for callers (the engine's scatter phases) that sweep rows
-// directly.
-func (c *CSR) Arrays() (off []int64, src []graph.V, w []float64) {
-	return c.off, c.src, c.w
-}
-
-// Degree returns the number of in-entries of dst in O(1); zero for
-// destinations outside this partition.
-func (c *CSR) Degree(dst graph.V) int {
-	if !c.part.Owns(dst) {
-		return 0
-	}
-	li := c.part.LocalIndex(dst)
-	if li >= c.nLoc {
-		return 0
-	}
-	return int(c.off[li+1] - c.off[li])
-}
-
-// Get returns the accumulated weight of a packed (src,dst) key by scanning
-// dst's row — O(degree); the hash shards answer the same query in O(1),
-// which is why mutation-heavy phases stay on the hash backend.
-func (c *CSR) Get(key uint64) (float64, bool) {
-	s, d := hashfn.Unpack32(key)
-	return c.GetPair(s, d)
-}
-
-// GetPair returns the accumulated weight of the (src,dst) tuple.
-func (c *CSR) GetPair(src, dst graph.V) (float64, bool) {
-	if !c.part.Owns(dst) {
-		return 0, false
-	}
-	li := c.part.LocalIndex(dst)
-	if li >= c.nLoc {
-		return 0, false
-	}
-	for i := c.off[li]; i < c.off[li+1]; i++ {
-		if c.src[i] == src {
-			return c.w[i], true
-		}
-	}
-	return 0, false
-}
 
 // Range iterates every entry row-major: rows in ascending local index,
 // entries within a row in frozen (shard insertion) order.
@@ -205,67 +128,4 @@ func (c *CSR) Range(fn func(key uint64, w float64) bool) {
 			}
 		}
 	}
-}
-
-// RangeOf iterates dst's row in frozen order.
-func (c *CSR) RangeOf(dst graph.V, fn func(src graph.V, w float64) bool) {
-	if !c.part.Owns(dst) {
-		return
-	}
-	li := c.part.LocalIndex(dst)
-	if li >= c.nLoc {
-		return
-	}
-	for i := c.off[li]; i < c.off[li+1]; i++ {
-		if !fn(c.src[i], c.w[i]) {
-			return
-		}
-	}
-}
-
-// Stats returns the statistics computed at freeze time. The hash-layout
-// fields translate as: Slots is the dense entry count (LoadFactor 1 by
-// construction), a "bin" is a non-empty row (AvgBinLen/MaxBinLen are row
-// lengths), and MeanProbe is the expected linear-scan cost of a successful
-// GetPair — within a row of length L the i-th entry costs i probes, so
-// L(L+1)/2 per row averaged over all entries, mirroring the probing
-// layout's cluster accounting.
-func (c *CSR) Stats() Stats { return c.stats }
-
-func (c *CSR) computeStats() {
-	s := Stats{
-		Entries:      len(c.src),
-		Slots:        uint64(len(c.src)),
-		PerPartition: []int{len(c.src)},
-	}
-	if s.Entries > 0 {
-		s.LoadFactor = 1
-	}
-	var probeCost float64
-	totalLen := 0
-	for li := 0; li < c.nLoc; li++ {
-		L := int(c.off[li+1] - c.off[li])
-		if L == 0 {
-			continue
-		}
-		s.NonEmpty++
-		totalLen += L
-		probeCost += float64(L*(L+1)) / 2
-		if L > s.MaxBinLen {
-			s.MaxBinLen = L
-		}
-	}
-	if s.NonEmpty > 0 {
-		s.AvgBinLen = float64(totalLen) / float64(s.NonEmpty)
-	}
-	if s.Entries > 0 {
-		s.MeanProbe = probeCost / float64(s.Entries)
-	}
-	c.stats = s
-}
-
-// String summarizes the CSR for debugging.
-func (c *CSR) String() string {
-	return fmt.Sprintf("edgetable.CSR{rows=%d entries=%d rank=%d/%d}",
-		c.nLoc, len(c.src), c.part.Rank, c.part.Size)
 }

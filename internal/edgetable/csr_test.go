@@ -23,6 +23,41 @@ func buildShards(part graph.Partition, shardCount int, triples [][3]float64) []*
 	return shards
 }
 
+// assertCSREqualsShards checks that the CSR sweep visits exactly the entries
+// of the shards (which must not share a key), each once, with bit-identical
+// weights.
+func assertCSREqualsShards(t *testing.T, csr *CSR, shards []*Table) {
+	t.Helper()
+	want := make(map[uint64]float64)
+	for _, sh := range shards {
+		sh.Range(func(key uint64, w float64) bool {
+			if _, dup := want[key]; dup {
+				t.Fatalf("key %x stored in two shards", key)
+			}
+			want[key] = w
+			return true
+		})
+	}
+	if csr.Len() != len(want) {
+		t.Fatalf("Len: csr %d != shards %d", csr.Len(), len(want))
+	}
+	seen := make(map[uint64]bool, len(want))
+	csr.Range(func(key uint64, w float64) bool {
+		if seen[key] {
+			t.Fatalf("Range visited key %x twice", key)
+		}
+		seen[key] = true
+		if hw, ok := want[key]; !ok || hw != w {
+			src, dst := hashfn.Unpack32(key)
+			t.Fatalf("csr entry (%d,%d) weight %v: shards hold %v,%v", src, dst, w, hw, ok)
+		}
+		return true
+	})
+	if len(seen) != len(want) {
+		t.Fatalf("Range visited %d distinct keys, shards hold %d", len(seen), len(want))
+	}
+}
+
 func TestFreezeCSRMatchesHash(t *testing.T) {
 	part := graph.Partition{Rank: 1, Size: 2}
 	// Owned dsts are odd ids; duplicate (src,dst) pairs accumulate.
@@ -31,44 +66,8 @@ func TestFreezeCSRMatchesHash(t *testing.T) {
 		{1, 3, -1}, {1, 3, 1}, // accumulates to zero, entry must survive
 		{7, 5, 0.25}, {0, 5, 4},
 	}
-	const nLoc = 8
 	shards := buildShards(part, 2, triples)
-	csr := FreezeCSR(part, nLoc, shards...)
-	hash := NewSharded(shards...)
-
-	if csr.Len() != hash.Len() {
-		t.Fatalf("Len: csr %d != hash %d", csr.Len(), hash.Len())
-	}
-	// Every hash entry must answer identically from the CSR, bit-for-bit.
-	hash.Range(func(key uint64, w float64) bool {
-		got, ok := csr.Get(key)
-		if !ok || got != w {
-			src, dst := hashfn.Unpack32(key)
-			t.Errorf("Get(%d,%d): csr %v,%v want %v", src, dst, got, ok, w)
-		}
-		return true
-	})
-	// And vice versa: the CSR holds nothing the hash does not.
-	seen := 0
-	csr.Range(func(key uint64, w float64) bool {
-		seen++
-		if got, ok := hash.Get(key); !ok || got != w {
-			t.Errorf("csr key %x weight %v not in hash (got %v,%v)", key, w, got, ok)
-		}
-		return true
-	})
-	if seen != csr.Len() {
-		t.Errorf("Range visited %d entries, Len says %d", seen, csr.Len())
-	}
-	for li := 0; li < nLoc; li++ {
-		gid := part.GlobalID(li)
-		if c, h := csr.Degree(gid), hash.Degree(gid); c != h {
-			t.Errorf("Degree(%d): csr %d != hash %d", gid, c, h)
-		}
-	}
-	if cs, hs := csr.Stats(), hash.Stats(); cs.Entries != hs.Entries {
-		t.Errorf("Stats.Entries: csr %d != hash %d", cs.Entries, hs.Entries)
-	}
+	assertCSREqualsShards(t, FreezeCSR(part, 8, shards...), shards)
 }
 
 func TestCSRRowOrderIsShardInsertionOrder(t *testing.T) {
@@ -79,16 +78,18 @@ func TestCSRRowOrderIsShardInsertionOrder(t *testing.T) {
 	shards[0].AddPair(10, 2, 2)
 	shards[0].AddPair(20, 2, 3)
 	csr := FreezeCSR(part, 4, shards...)
-	src, w := csr.Row(2)
-	wantSrc := []graph.V{30, 10, 20}
-	wantW := []float64{1, 2, 3}
-	if len(src) != 3 {
-		t.Fatalf("row length %d, want 3", len(src))
-	}
-	for i := range wantSrc {
-		if src[i] != wantSrc[i] || w[i] != wantW[i] {
-			t.Errorf("row[%d] = (%d,%v), want (%d,%v)", i, src[i], w[i], wantSrc[i], wantW[i])
+	want := [][2]float64{{30, 1}, {10, 2}, {20, 3}}
+	i := 0
+	csr.Range(func(key uint64, w float64) bool {
+		src, dst := hashfn.Unpack32(key)
+		if i < len(want) && (dst != 2 || float64(src) != want[i][0] || w != want[i][1]) {
+			t.Errorf("entry %d = (%d,%d,%v), want (%v,2,%v)", i, src, dst, w, want[i][0], want[i][1])
 		}
+		i++
+		return true
+	})
+	if i != len(want) {
+		t.Fatalf("Range visited %d entries, want %d", i, len(want))
 	}
 	// Range must be row-major: local indices non-decreasing.
 	shards[0].AddPair(5, 0, 9)
@@ -106,37 +107,6 @@ func TestCSRRowOrderIsShardInsertionOrder(t *testing.T) {
 	})
 }
 
-func TestCSRRangeOfConcatenationEqualsRange(t *testing.T) {
-	part := graph.Partition{Rank: 0, Size: 2}
-	triples := [][3]float64{{1, 0, 1}, {2, 0, 2}, {3, 2, 3}, {4, 4, 4}, {5, 4, 5}}
-	const nLoc = 3
-	csr := FreezeCSR(part, nLoc, buildShards(part, 2, triples)...)
-	type ent struct {
-		key uint64
-		w   float64
-	}
-	var flat, rows []ent
-	csr.Range(func(key uint64, w float64) bool {
-		flat = append(flat, ent{key, w})
-		return true
-	})
-	for li := 0; li < nLoc; li++ {
-		gid := part.GlobalID(li)
-		csr.RangeOf(gid, func(src graph.V, w float64) bool {
-			rows = append(rows, ent{hashfn.Pack32(src, gid), w})
-			return true
-		})
-	}
-	if len(flat) != len(rows) {
-		t.Fatalf("lengths differ: Range %d, RangeOf-concat %d", len(flat), len(rows))
-	}
-	for i := range flat {
-		if flat[i] != rows[i] {
-			t.Errorf("entry %d: Range %+v != RangeOf %+v", i, flat[i], rows[i])
-		}
-	}
-}
-
 func TestCSREarlyStop(t *testing.T) {
 	part := graph.Partition{Rank: 0, Size: 1}
 	shards := []*Table{New(Config{})}
@@ -152,33 +122,6 @@ func TestCSREarlyStop(t *testing.T) {
 	if n != 4 {
 		t.Errorf("Range with early stop visited %d, want 4", n)
 	}
-	n = 0
-	csr.RangeOf(0, func(graph.V, float64) bool {
-		n++
-		return false
-	})
-	if n != 1 {
-		t.Errorf("RangeOf with early stop visited %d, want 1", n)
-	}
-}
-
-func TestCSRUnownedQueries(t *testing.T) {
-	part := graph.Partition{Rank: 0, Size: 2}
-	csr := FreezeCSR(part, 2, buildShards(part, 1, [][3]float64{{1, 0, 1}})...)
-	if d := csr.Degree(1); d != 0 { // dst 1 owned by rank 1
-		t.Errorf("Degree of foreign dst = %d, want 0", d)
-	}
-	if _, ok := csr.GetPair(1, 1); ok {
-		t.Error("GetPair found entry for foreign dst")
-	}
-	csr.RangeOf(1, func(graph.V, float64) bool {
-		t.Error("RangeOf iterated a foreign dst")
-		return false
-	})
-	// Owned but beyond the row space: absent, not a panic.
-	if d := csr.Degree(4); d != 0 {
-		t.Errorf("Degree beyond row space = %d, want 0", d)
-	}
 }
 
 func TestFreezeCSRForeignDstPanics(t *testing.T) {
@@ -193,15 +136,6 @@ func TestFreezeCSRForeignDstPanics(t *testing.T) {
 	FreezeCSR(part, 2, shards...)
 }
 
-func TestNewCSRShapeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewCSR with inconsistent shapes did not panic")
-		}
-	}()
-	NewCSR(graph.Partition{Size: 1}, 2, []int64{0, 1, 3}, make([]graph.V, 2), make([]float64, 3))
-}
-
 func TestFreezeReusesBuffers(t *testing.T) {
 	part := graph.Partition{Rank: 0, Size: 1}
 	c := new(CSR)
@@ -214,109 +148,6 @@ func TestFreezeReusesBuffers(t *testing.T) {
 		t.Fatalf("first freeze Len = %d, want 64", c.Len())
 	}
 	// Second freeze with fewer entries must not retain stale ones.
-	c.Freeze(part, 8, buildShards(part, 2, big[:10])...)
-	if c.Len() != 10 {
-		t.Fatalf("second freeze Len = %d, want 10", c.Len())
-	}
-	for _, tr := range big[:10] {
-		w, ok := c.GetPair(graph.V(tr[0]), graph.V(tr[1]))
-		if !ok || w != tr[2] {
-			t.Errorf("after refreeze GetPair(%v,%v) = %v,%v want %v", tr[0], tr[1], w, ok, tr[2])
-		}
-	}
-}
-
-func TestCSRStatsSemantics(t *testing.T) {
-	part := graph.Partition{Rank: 0, Size: 1}
-	// Rows of length 3, 1, 0, 2: entries 6, non-empty 3.
-	triples := [][3]float64{
-		{1, 0, 1}, {2, 0, 1}, {3, 0, 1},
-		{1, 1, 1},
-		{1, 3, 1}, {2, 3, 1},
-	}
-	s := FreezeCSR(part, 4, buildShards(part, 1, triples)...).Stats()
-	if s.Entries != 6 || s.Slots != 6 || s.LoadFactor != 1 {
-		t.Errorf("dense accounting: %+v", s)
-	}
-	if s.NonEmpty != 3 || s.MaxBinLen != 3 {
-		t.Errorf("row accounting: NonEmpty=%d MaxBinLen=%d", s.NonEmpty, s.MaxBinLen)
-	}
-	if s.AvgBinLen != 2 {
-		t.Errorf("AvgBinLen = %v, want 2", s.AvgBinLen)
-	}
-	// Probe cost: (3·4/2 + 1·2/2 + 2·3/2) / 6 = (6+1+3)/6.
-	if want := 10.0 / 6.0; s.MeanProbe != want {
-		t.Errorf("MeanProbe = %v, want %v", s.MeanProbe, want)
-	}
-	if len(s.PerPartition) != 1 || s.PerPartition[0] != 6 {
-		t.Errorf("PerPartition = %v", s.PerPartition)
-	}
-	if s.Growths != 0 {
-		t.Errorf("Growths = %d, want 0", s.Growths)
-	}
-
-	empty := FreezeCSR(part, 4, New(Config{})).Stats()
-	if empty.Entries != 0 || empty.LoadFactor != 0 || empty.MeanProbe != 0 || empty.AvgBinLen != 0 {
-		t.Errorf("empty CSR stats not zeroed: %+v", empty)
-	}
-}
-
-// TestStoreConformance exercises every Store implementation through the
-// interface with the same contents, pinning that they agree on all queries.
-func TestStoreConformance(t *testing.T) {
-	part := graph.Partition{Rank: 0, Size: 1}
-	triples := [][3]float64{{9, 1, 2}, {8, 1, 3}, {7, 0, 1}, {6, 2, 4}, {6, 2, 1}}
-	shards := buildShards(part, 2, triples)
-	single := New(Config{})
-	for _, tr := range triples {
-		single.AddPair(graph.V(tr[0]), graph.V(tr[1]), tr[2])
-	}
-	stores := map[string]Store{
-		"table":   single,
-		"sharded": NewSharded(shards...),
-		"csr":     FreezeCSR(part, 3, shards...),
-	}
-	for name, st := range stores {
-		t.Run(name, func(t *testing.T) {
-			if st.Len() != 4 {
-				t.Errorf("Len = %d, want 4", st.Len())
-			}
-			if w, ok := st.GetPair(6, 2); !ok || w != 5 {
-				t.Errorf("GetPair(6,2) = %v,%v want 5 (accumulated)", w, ok)
-			}
-			if w, ok := st.Get(hashfn.Pack32(7, 0)); !ok || w != 1 {
-				t.Errorf("Get(7,0) = %v,%v want 1", w, ok)
-			}
-			if _, ok := st.GetPair(1, 9); ok {
-				t.Error("GetPair found reversed tuple")
-			}
-			if d := st.Degree(1); d != 2 {
-				t.Errorf("Degree(1) = %d, want 2", d)
-			}
-			if d := st.Degree(3); d != 0 {
-				t.Errorf("Degree(3) = %d, want 0", d)
-			}
-			var rowSum float64
-			st.RangeOf(1, func(_ graph.V, w float64) bool {
-				rowSum += w
-				return true
-			})
-			if rowSum != 5 {
-				t.Errorf("RangeOf(1) weight sum = %v, want 5", rowSum)
-			}
-			var total float64
-			n := 0
-			st.Range(func(_ uint64, w float64) bool {
-				total += w
-				n++
-				return true
-			})
-			if n != 4 || total != 11 {
-				t.Errorf("Range visited %d entries totalling %v, want 4 and 11", n, total)
-			}
-			if s := st.Stats(); s.Entries != 4 {
-				t.Errorf("Stats.Entries = %d, want 4", s.Entries)
-			}
-		})
-	}
+	small := buildShards(part, 2, big[:10])
+	assertCSREqualsShards(t, c.Freeze(part, 8, small...), small)
 }

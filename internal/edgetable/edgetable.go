@@ -221,51 +221,6 @@ func (t *Table) AddPair(a, b graph.V, w float64) bool {
 	return t.Add(hashfn.Pack32(a, b), w)
 }
 
-// Set stores w under key, overwriting any previous value. Used for tables
-// that cache community state (Σtot) rather than accumulate edge weight.
-func (t *Table) Set(key uint64, w float64) {
-	if key == emptyKey {
-		panic("edgetable: reserved key")
-	}
-	if float64(t.length+1) > float64(t.slots)*t.cfg.LoadFactor {
-		t.grow()
-	}
-	if t.cfg.Layout == Probing {
-		for {
-			slot, lo, hi := t.slotOf(key)
-			for n := uint64(0); n < hi-lo; n++ {
-				k := t.keys[slot]
-				if k == key {
-					t.vals[slot] = w
-					return
-				}
-				if k == emptyKey {
-					t.keys[slot] = key
-					t.vals[slot] = w
-					t.occ = append(t.occ, slot)
-					t.length++
-					return
-				}
-				slot++
-				if slot == hi {
-					slot = lo
-				}
-			}
-			t.grow()
-		}
-	}
-	slot, _, _ := t.slotOf(key)
-	bin := t.bins[slot]
-	for i := range bin {
-		if bin[i].key == key {
-			bin[i].w = w
-			return
-		}
-	}
-	t.bins[slot] = append(bin, chainEntry{key, w})
-	t.length++
-}
-
 func (t *Table) addProbing(key uint64, w float64) bool {
 	for {
 		slot, lo, hi := t.slotOf(key)

@@ -377,48 +377,6 @@ func BenchmarkGet(b *testing.B) {
 
 var benchSink float64
 
-func TestSetOverwrites(t *testing.T) {
-	for _, cfg := range allConfigs() {
-		t.Run(cfgName(cfg), func(t *testing.T) {
-			tab := New(cfg)
-			tab.Set(5, 1.5)
-			tab.Set(5, 2.5) // overwrite, not accumulate
-			if w, ok := tab.Get(5); !ok || w != 2.5 {
-				t.Errorf("Get = %v,%v want 2.5,true", w, ok)
-			}
-			if tab.Len() != 1 {
-				t.Errorf("Len = %d", tab.Len())
-			}
-			// Set after Add also overwrites.
-			tab.Add(6, 1)
-			tab.Set(6, 9)
-			if w, _ := tab.Get(6); w != 9 {
-				t.Errorf("Set after Add: %v", w)
-			}
-			// Add after Set accumulates.
-			tab.Add(6, 1)
-			if w, _ := tab.Get(6); w != 10 {
-				t.Errorf("Add after Set: %v", w)
-			}
-		})
-	}
-}
-
-func TestSetGrows(t *testing.T) {
-	tab := New(Config{Capacity: 4})
-	for i := uint64(0); i < 1000; i++ {
-		tab.Set(i, float64(i))
-	}
-	if tab.Len() != 1000 {
-		t.Fatalf("Len = %d", tab.Len())
-	}
-	for i := uint64(0); i < 1000; i++ {
-		if w, ok := tab.Get(i); !ok || w != float64(i) {
-			t.Fatalf("key %d: %v %v", i, w, ok)
-		}
-	}
-}
-
 func TestAddReportsNewKeys(t *testing.T) {
 	tab := New(Config{})
 	if !tab.Add(1, 1) {
@@ -427,15 +385,6 @@ func TestAddReportsNewKeys(t *testing.T) {
 	if tab.Add(1, 1) {
 		t.Error("second Add should report existing")
 	}
-}
-
-func TestSetReservedKeyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Set(^0) did not panic")
-		}
-	}()
-	New(Config{}).Set(^uint64(0), 1)
 }
 
 func TestRangeAfterManyResets(t *testing.T) {

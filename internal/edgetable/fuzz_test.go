@@ -8,9 +8,9 @@ import (
 	"parlouvain/internal/hashfn"
 )
 
-// Fuzz targets for the frozen-CSR backend: arbitrary insertion sequences
-// are replayed into engine-style hash shards, frozen, and the two backends
-// must answer every query identically. Corpus bytes are consumed as
+// Fuzz targets for the frozen CSR: arbitrary insertion sequences are
+// replayed into engine-style hash shards, frozen, and the CSR sweep must
+// hold exactly the shards' entries. Corpus bytes are consumed as
 // 9-byte (src, dst, weight) records; the partition geometry is drawn from
 // the first two bytes so the LocalIndex/Owns arithmetic is fuzzed too.
 
@@ -57,60 +57,23 @@ func fuzzSeed(f *testing.F) {
 }
 
 // FuzzCSRFromHash: freeze arbitrary insertion sequences and assert the CSR
-// agrees with the hash shards on every lookup, degree, entry count and
-// iteration — bit-for-bit on weights.
+// sweep visits exactly the entries of the hash shards, each once — bit-for-bit
+// on weights.
 func FuzzCSRFromHash(f *testing.F) {
 	fuzzSeed(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		part, nLoc, shards, triples, ok := fuzzTriples(data)
+		part, nLoc, shards, _, ok := fuzzTriples(data)
 		if !ok {
 			t.Skip()
 		}
-		csr := FreezeCSR(part, nLoc, shards...)
-		hash := NewSharded(shards...)
-
-		if csr.Len() != hash.Len() {
-			t.Fatalf("Len: csr %d != hash %d", csr.Len(), hash.Len())
-		}
-		// Every inserted pair answers identically (duplicates re-query the
-		// same accumulated entry — still must match bitwise).
-		for _, tr := range triples {
-			src, dst := graph.V(tr[0]), graph.V(tr[1])
-			hw, hok := hash.GetPair(src, dst)
-			cw, cok := csr.GetPair(src, dst)
-			if hok != cok || hw != cw {
-				t.Fatalf("GetPair(%d,%d): hash %v,%v csr %v,%v", src, dst, hw, hok, cw, cok)
-			}
-			if hd, cd := hash.Degree(dst), csr.Degree(dst); hd != cd {
-				t.Fatalf("Degree(%d): hash %d != csr %d", dst, hd, cd)
-			}
-		}
-		// The CSR sweep covers exactly the hash contents, each key once.
-		seen := make(map[uint64]float64, csr.Len())
-		csr.Range(func(key uint64, w float64) bool {
-			if _, dup := seen[key]; dup {
-				t.Fatalf("Range visited key %x twice", key)
-			}
-			seen[key] = w
-			return true
-		})
-		if len(seen) != hash.Len() {
-			t.Fatalf("Range visited %d distinct keys, hash holds %d", len(seen), hash.Len())
-		}
-		hash.Range(func(key uint64, w float64) bool {
-			if got, ok := seen[key]; !ok || got != w {
-				t.Fatalf("hash key %x weight %v: csr sweep saw %v,%v", key, w, got, ok)
-			}
-			return true
-		})
+		assertCSREqualsShards(t, FreezeCSR(part, nLoc, shards...), shards)
 	})
 }
 
 // FuzzStoreIterOrder: the frozen iteration order is a deterministic
 // function of the insertion sequence — two freezes of the same sequence
 // produce the identical entry order (what keeps float accumulation over a
-// sweep reproducible), Range is row-major, and RangeOf concatenation
-// equals Range.
+// sweep reproducible) and Range is row-major.
 func FuzzStoreIterOrder(f *testing.F) {
 	fuzzSeed(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -146,23 +109,6 @@ func FuzzStoreIterOrder(f *testing.F) {
 				t.Fatalf("Range not row-major at entry %d: row %d after %d", i, li, last)
 			} else {
 				last = li
-			}
-		}
-		csr := FreezeCSR(part, nLoc, shards...)
-		var rows []ent
-		for li := 0; li < nLoc; li++ {
-			gid := part.GlobalID(li)
-			csr.RangeOf(gid, func(src graph.V, w float64) bool {
-				rows = append(rows, ent{hashfn.Pack32(src, gid), w})
-				return true
-			})
-		}
-		if len(rows) != len(a) {
-			t.Fatalf("RangeOf concatenation has %d entries, Range %d", len(rows), len(a))
-		}
-		for i := range rows {
-			if rows[i] != a[i] {
-				t.Fatalf("entry %d: RangeOf %+v != Range %+v", i, rows[i], a[i])
 			}
 		}
 	})

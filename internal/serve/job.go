@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"parlouvain/internal/algo"
-	"parlouvain/internal/core"
 	"parlouvain/internal/gencli"
 	"parlouvain/internal/graph"
 	"parlouvain/internal/obs"
@@ -67,8 +66,6 @@ type Spec struct {
 	// MaxLevels / MaxIter bound the engine's outer/inner loops; 0 = default.
 	MaxLevels int `json:"max_levels,omitempty"`
 	MaxIter   int `json:"max_iter,omitempty"`
-	// Storage selects the refine-loop backend: "hash", "csr" or "auto"/"".
-	Storage string `json:"storage,omitempty"`
 	// Check runs the unified invariant checker after detection.
 	Check bool `json:"check,omitempty"`
 }
@@ -95,9 +92,6 @@ func (sp *Spec) validate() error {
 	case "", "mem", "sim", "chaos":
 	default:
 		return fmt.Errorf("serve: unknown transport %q (want mem, sim or chaos)", sp.Transport)
-	}
-	if _, err := core.ParseStorage(sp.Storage); sp.Storage != "" && err != nil {
-		return err
 	}
 	if sp.Ranks < 0 || sp.Ranks > 64 {
 		return fmt.Errorf("serve: ranks %d out of range [0, 64]", sp.Ranks)
@@ -129,7 +123,6 @@ func (sp *Spec) materialize() (graph.EdgeList, error) {
 // algoOptions converts the spec into driver options wired to the job's
 // private telemetry plane.
 func (sp *Spec) algoOptions(rec *obs.Recorder, reg *obs.Registry) algo.Options {
-	storage, _ := core.ParseStorage(sp.Storage) // validated at submission
 	return algo.Options{
 		Ranks:           sp.Ranks,
 		Transport:       sp.Transport,
@@ -137,7 +130,6 @@ func (sp *Spec) algoOptions(rec *obs.Recorder, reg *obs.Registry) algo.Options {
 		Seed:            sp.Seed,
 		MaxLevels:       sp.MaxLevels,
 		MaxIter:         sp.MaxIter,
-		Storage:         storage,
 		CheckInvariants: sp.Check,
 		Recorder:        rec,
 		Metrics:         reg,

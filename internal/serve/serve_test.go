@@ -272,7 +272,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"no source", `{"algo":"louvain"}`},
 		{"two sources", `{"gen":"ring:k=4,s=5","edges":"0 1\n"}`},
 		{"bad transport", `{"gen":"ring:k=4,s=5","transport":"carrier-pigeon"}`},
-		{"bad storage", `{"gen":"ring:k=4,s=5","storage":"papyrus"}`},
+		{"removed field", `{"gen":"ring:k=4,s=5","storage":"csr"}`},
 		{"ranks out of range", `{"gen":"ring:k=4,s=5","ranks":1000}`},
 		{"unknown field", `{"gen":"ring:k=4,s=5","frobnicate":true}`},
 		{"malformed json", `{`},
@@ -489,9 +489,25 @@ func TestSSEAfterDone(t *testing.T) {
 // TestConcurrentSubmitters hammers the API from many goroutines — mixed
 // engines, sizes and rank counts — and asserts every accepted job reaches
 // done with a sane result. Run under -race this doubles as the data-race
-// sweep over store, recorder and registry.
+// sweep over store, recorder and registry. The saturated input is the
+// closed-loop backpressure smoke: one worker, held busy until every client has
+// had its first answer, and a queue of two, so most submissions are refused
+// with 429 and succeed only because the clients back off and retry.
 func TestConcurrentSubmitters(t *testing.T) {
-	_, srv := newTestServer(t, Config{Workers: 4, QueueDepth: 64})
+	for _, tc := range []struct {
+		name      string
+		cfg       Config
+		saturated bool
+	}{
+		{"roomy", Config{Workers: 4, QueueDepth: 64}, false},
+		{"saturated", Config{Workers: 1, QueueDepth: 2}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) { concurrentSubmitters(t, tc.cfg, tc.saturated) })
+	}
+}
+
+func concurrentSubmitters(t *testing.T, cfg Config, saturated bool) {
+	s, srv := newTestServer(t, cfg)
 	specs := []Spec{
 		{Gen: "ring:k=4,s=5", Algo: "seq"},
 		{Gen: "lfr:n=300,mu=0.2,seed=3", Algo: "louvain", Ranks: 2},
@@ -501,17 +517,30 @@ func TestConcurrentSubmitters(t *testing.T) {
 	const submitters = 6
 	const jobsEach = 4
 
-	var wg sync.WaitGroup
+	var blocker Status
+	if saturated {
+		blocker = submit(t, srv, Spec{Edges: "0 1\n", Algo: "test-block"}, http.StatusAccepted)
+		waitState(t, srv, blocker.ID, StateRunning)
+	}
+
+	var wg, answered sync.WaitGroup
+	answered.Add(submitters)
 	ids := make(chan string, submitters*jobsEach)
+	deadline := time.Now().Add(30 * time.Second)
 	for i := 0; i < submitters; i++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
+			first := true
 			rng := rand.New(rand.NewSource(seed))
-			for k := 0; k < jobsEach; k++ {
+			for k := 0; k < jobsEach; {
 				spec := specs[rng.Intn(len(specs))]
 				body, _ := json.Marshal(spec)
 				resp, err := http.Post(srv.URL+"/jobs", "application/json", bytes.NewReader(body))
+				if first {
+					first = false
+					answered.Done()
+				}
 				if err != nil {
 					t.Error(err)
 					return
@@ -519,11 +548,16 @@ func TestConcurrentSubmitters(t *testing.T) {
 				var st Status
 				err = json.NewDecoder(resp.Body).Decode(&st)
 				resp.Body.Close()
+				if resp.StatusCode == http.StatusTooManyRequests && time.Now().Before(deadline) {
+					time.Sleep(2 * time.Millisecond)
+					continue
+				}
 				if err != nil || resp.StatusCode != http.StatusAccepted {
 					t.Errorf("submit: code %d err %v", resp.StatusCode, err)
 					return
 				}
 				ids <- st.ID
+				k++
 				// Interleave reads with the writes.
 				if lr, err := http.Get(srv.URL + "/jobs"); err == nil {
 					io.Copy(io.Discard, lr.Body)
@@ -531,6 +565,10 @@ func TestConcurrentSubmitters(t *testing.T) {
 				}
 			}
 		}(int64(i + 1))
+	}
+	answered.Wait()
+	if saturated {
+		cancelJob(t, srv, blocker.ID)
 	}
 	wg.Wait()
 	close(ids)
@@ -545,6 +583,9 @@ func TestConcurrentSubmitters(t *testing.T) {
 	}
 	if count != submitters*jobsEach {
 		t.Errorf("completed %d jobs, want %d", count, submitters*jobsEach)
+	}
+	if rejected := s.Metrics().Counter("serve_jobs_rejected_total").Value(); (rejected > 0) != saturated {
+		t.Errorf("serve_jobs_rejected_total = %d with saturated=%v", rejected, saturated)
 	}
 }
 

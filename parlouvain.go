@@ -72,22 +72,6 @@ type (
 // streaming regardless of transport.
 const DefaultStreamChunk = core.DefaultStreamChunk
 
-// StorageKind selects the per-level edge-storage backend the refine loop
-// reads (Options.Storage): the mutable hash shards, a frozen CSR adjacency
-// array, or a per-level automatic choice. Results are bit-identical in
-// every mode.
-type StorageKind = core.StorageKind
-
-// Storage backend selectors for Options.Storage.
-const (
-	StorageAuto = core.StorageAuto
-	StorageHash = core.StorageHash
-	StorageCSR  = core.StorageCSR
-)
-
-// ParseStorage parses the -storage flag values "hash", "csr" and "auto".
-func ParseStorage(s string) (StorageKind, error) { return core.ParseStorage(s) }
-
 // Ordering selects the vertex visit order of the whole-graph move sweeps
 // (Options.Order / -order): the engine's historical default, natural,
 // seeded shuffle, or degree-ascending/descending.
