@@ -33,12 +33,13 @@ chaos:
 
 # Short fuzz pass over every fuzz target (wire codecs, graph readers and Build,
 # generator specs, edge-table freeze/iteration, the engine's out rows, the gain
-# scan against its scanning oracle).
+# scan against its scanning oracle, the whole-graph engines' direct call against
+# the rank-0 harness).
 # `go test -fuzz` takes one target per run, so iterate; FUZZTIME scales the
 # per-target budget.
 FUZZTIME ?= 10s
 fuzz:
-	@for pkg in ./internal/wire ./internal/graph ./internal/gencli ./internal/edgetable ./internal/metrics ./internal/movesched ./internal/core; do \
+	@for pkg in ./internal/wire ./internal/graph ./internal/gencli ./internal/edgetable ./internal/metrics ./internal/movesched ./internal/core ./internal/algo; do \
 		for target in $$($(GO) test -list 'Fuzz.*' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz $$pkg $$target"; \
 			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \

@@ -6,17 +6,18 @@
 // A Detector runs at the *rank* level — one instance per rank of a
 // comm-connected group, exactly like core.Parallel — over the rank's
 // destination-owned edge partition. Engines that are inherently
-// whole-graph (sequential Louvain, Leiden, LNS, ensemble) run through the
-// rank-0 harness (rank0.go): the group gathers the edge partitions to rank
-// 0, rank 0 computes, and the outcome is broadcast so every rank returns an
-// identical Result; the gather, compute and broadcast still flow through
-// the group's transport, so fault injection and the BSP cost model apply to
-// them too.
+// whole-graph (sequential Louvain, PLM, Leiden, LNS, PLP, ensemble) run
+// through the rank-0 harness (rank0.go): the group gathers the edge
+// partitions to rank 0, rank 0 computes, and the outcome is broadcast so
+// every rank returns an identical Result; the gather and broadcast flow
+// through the group's transport, so fault injection and the BSP cost model
+// apply to them too.
 //
 // The in-process driver (Run) mirrors core.RunInProcess for any registered
 // engine: it builds a mem, sim or chaos transport group, splits the edge
-// list, and runs one rank per goroutine. Distributed deployments
-// (cmd/louvaind) call Detect directly with their own transport.
+// list, and runs one rank per goroutine — except that a whole-graph engine on
+// one mem rank is simply called. Distributed deployments (cmd/louvaind) call
+// Detect directly with their own transport.
 package algo
 
 import (

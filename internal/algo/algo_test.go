@@ -76,57 +76,68 @@ func TestRegistryUnknownEnumerates(t *testing.T) {
 
 // TestEveryEngineEveryTransport is the tentpole guarantee: each registered
 // engine runs on each in-process transport kind with the invariant checker
-// forced on, and produces a valid, good-quality partition.
+// forced on, and produces a valid, good-quality partition — on a real group
+// (three ranks) and on a group of one.
 func TestEveryEngineEveryTransport(t *testing.T) {
 	el, truth, n := testGraph(t)
 	for _, name := range allEngines {
 		for _, transport := range []string{"mem", "sim", "chaos"} {
-			t.Run(name+"/"+transport, func(t *testing.T) {
-				opt := Options{
-					Ranks:           3,
-					Transport:       transport,
-					Seed:            7,
-					CheckInvariants: true,
+			for _, ranks := range []int{3, 1} {
+				label := name + "/" + transport
+				if ranks == 1 {
+					label += "/one-rank"
 				}
-				if transport == "chaos" {
-					opt.Chaos = comm.ChaosConfig{
-						Seed:      42,
-						DelayProb: 0.05,
-						MaxDelay:  200 * time.Microsecond,
-						ErrProb:   0.02,
-						DupProb:   0.05,
+				t.Run(label, func(t *testing.T) {
+					opt := Options{
+						Ranks:           ranks,
+						Transport:       transport,
+						Seed:            7,
+						CheckInvariants: true,
 					}
-				}
-				res, err := Run(context.Background(), name, el, n, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Algo != name {
-					t.Errorf("Algo = %q", res.Algo)
-				}
-				if len(res.Assignment) != n {
-					t.Fatalf("assignment covers %d of %d", len(res.Assignment), n)
-				}
-				if res.NumEdges <= 0 || res.NumVertices != n {
-					t.Errorf("input shape: %d vertices, %d edges", res.NumVertices, res.NumEdges)
-				}
-				if len(res.Levels) == 0 {
-					t.Error("empty level trajectory")
-				}
-				if res.Q < 0.3 {
-					t.Errorf("Q = %v, implausibly low for mu=0.3 LFR", res.Q)
-				}
-				if res.CommBytes == 0 || res.CommRounds == 0 {
-					t.Errorf("traffic accounting empty: %d bytes, %d rounds", res.CommBytes, res.CommRounds)
-				}
-				sim, err := metrics.Compare(res.Assignment, truth)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sim.NMI < 0.55 {
-					t.Errorf("NMI vs truth = %v", sim.NMI)
-				}
-			})
+					if transport == "chaos" {
+						opt.Chaos = comm.ChaosConfig{
+							Seed:      42,
+							DelayProb: 0.05,
+							MaxDelay:  200 * time.Microsecond,
+							ErrProb:   0.02,
+							DupProb:   0.05,
+						}
+					}
+					res, err := Run(context.Background(), name, el, n, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Algo != name {
+						t.Errorf("Algo = %q", res.Algo)
+					}
+					if len(res.Assignment) != n {
+						t.Fatalf("assignment covers %d of %d", len(res.Assignment), n)
+					}
+					if res.NumEdges <= 0 || res.NumVertices != n {
+						t.Errorf("input shape: %d vertices, %d edges", res.NumVertices, res.NumEdges)
+					}
+					if len(res.Levels) == 0 {
+						t.Error("empty level trajectory")
+					}
+					if res.Q < 0.3 {
+						t.Errorf("Q = %v, implausibly low for mu=0.3 LFR", res.Q)
+					}
+					// A whole-graph engine alone on mem is called directly and
+					// exchanges nothing; everything else went through a group.
+					d, _ := Get(name)
+					direct := d.Info().Rank0 && ranks == 1 && transport == "mem"
+					if silent := res.CommBytes == 0 && res.CommRounds == 0; silent != direct || (res.CommBytes == 0) != (res.CommRounds == 0) {
+						t.Errorf("traffic accounting: %d bytes, %d rounds (direct call: %v)", res.CommBytes, res.CommRounds, direct)
+					}
+					sim, err := metrics.Compare(res.Assignment, truth)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if sim.NMI < 0.55 {
+						t.Errorf("NMI vs truth = %v", sim.NMI)
+					}
+				})
+			}
 		}
 	}
 }
@@ -220,10 +231,10 @@ func TestRank0ErrorPropagatesToAllRanks(t *testing.T) {
 	for r := 0; r < 3; r++ {
 		r := r
 		g.Go(func() error {
-			_, err := runRank0(context.Background(), Graph{Comm: comm.New(trs[r]), Local: parts[r], N: n}, Options{}, "boom",
-				func(full *graph.Graph) (*core.Result, map[string]float64, error) {
-					return nil, nil, errors.New("synthetic failure")
-				})
+			boom := wholeGraph{info: Info{Name: "boom"}, compute: func(context.Context, *graph.Graph, Options) (*core.Result, map[string]float64, error) {
+				return nil, nil, errors.New("synthetic failure")
+			}}
+			_, err := boom.runRank0(context.Background(), Graph{Comm: comm.New(trs[r]), Local: parts[r], N: n}, Options{})
 			errs[r] = err
 			return nil
 		})
@@ -437,10 +448,12 @@ func TestResultCommunities(t *testing.T) {
 	}
 }
 
-// BenchmarkRank0Ingest times what the rank-0 harness adds around a
-// whole-graph engine — split, gather, decode, graph.Build, broadcast — by
-// running it with an engine that does nothing. Ranks 1 is the shape of every
-// DetectAlgo("seq-louvain" | "plm" | ...) call; `-short` shrinks the input.
+// BenchmarkRank0Ingest times what surrounds a whole-graph engine by running
+// one that does nothing: "direct" is check + graph.Build, the shape of every
+// DetectAlgo("seq-louvain" | "plm" | ...) call at one rank over mem; the
+// ranks rows are the harness — split, gather, decode, graph.Build, broadcast
+// — which a group of one still pays over sim or chaos. `-short` shrinks the
+// input.
 func BenchmarkRank0Ingest(b *testing.B) {
 	scale := 14
 	if testing.Short() {
@@ -451,15 +464,24 @@ func BenchmarkRank0Ingest(b *testing.B) {
 		b.Fatal(err)
 	}
 	n := el.NumVertices()
-	noop := func(*graph.Graph) (*core.Result, map[string]float64, error) {
+	noop := wholeGraph{info: Info{Name: "noop"}, compute: func(context.Context, *graph.Graph, Options) (*core.Result, map[string]float64, error) {
 		return &core.Result{}, nil, nil
-	}
+	}}
+	b.Run("direct", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := noop.direct(context.Background(), el, n, Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(el)), "ns/edge")
+	})
 	for _, ranks := range []int{1, 2} {
 		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				onMemGroup(b, el, ranks, func(r int, c *comm.Comm, local graph.EdgeList) error {
-					_, err := runRank0(context.Background(), Graph{Comm: c, Local: local, N: n}, Options{}, "noop", noop)
+					_, err := noop.runRank0(context.Background(), Graph{Comm: c, Local: local, N: n}, Options{})
 					return err
 				})
 			}

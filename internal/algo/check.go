@@ -27,7 +27,8 @@ const checkTol = 1e-6
 //     non-decreasing per-level Q (parallel Louvain is exempt under Naive).
 //
 // Violations wrap core.ErrInvariant, the same sentinel the parallel
-// engine's per-level checker uses.
+// engine's per-level checker uses. wholeGraph.direct, which has no group to
+// account or agree with, applies (1), (3) and (4) to the graph it built.
 func finish(g Graph, opt Options, info Info, res *Result) (*Result, error) {
 	c := g.Comm
 	if err := groupTraffic(c, res); err != nil {
@@ -37,16 +38,8 @@ func finish(g Graph, opt Options, info Info, res *Result) (*Result, error) {
 		return res, nil
 	}
 
-	// (1) Shape.
-	if len(res.Assignment) != g.N {
-		return nil, fmt.Errorf("%w: %s: assignment covers %d of %d vertices",
-			core.ErrInvariant, info.Name, len(res.Assignment), g.N)
-	}
-	for v, label := range res.Assignment {
-		if int(label) >= g.N {
-			return nil, fmt.Errorf("%w: %s: vertex %d labeled %d outside id space %d",
-				core.ErrInvariant, info.Name, v, label, g.N)
-		}
+	if err := checkShape(info, g.N, res); err != nil {
+		return nil, err
 	}
 
 	// (2) Cross-rank agreement.
@@ -75,21 +68,42 @@ func finish(g Graph, opt Options, info Info, res *Result) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := checkQ(info, opt, res, q); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// checkShape is post-condition (1).
+func checkShape(info Info, n int, res *Result) error {
+	if len(res.Assignment) != n {
+		return fmt.Errorf("%w: %s: assignment covers %d of %d vertices",
+			core.ErrInvariant, info.Name, len(res.Assignment), n)
+	}
+	for v, label := range res.Assignment {
+		if int(label) >= n {
+			return fmt.Errorf("%w: %s: vertex %d labeled %d outside id space %d",
+				core.ErrInvariant, info.Name, v, label, n)
+		}
+	}
+	return nil
+}
+
+// checkQ is post-conditions (3) and (4), given q recomputed from the input.
+func checkQ(info Info, opt Options, res *Result, q float64) error {
 	if math.Abs(q-res.Q) > checkTol*math.Max(1, math.Abs(q)) {
-		return nil, fmt.Errorf("%w: %s: reported Q %.12g, recomputed %.12g",
+		return fmt.Errorf("%w: %s: reported Q %.12g, recomputed %.12g",
 			core.ErrInvariant, info.Name, res.Q, q)
 	}
-
-	// (4) Monotone trajectory.
 	if info.MonotoneQ && !opt.Naive {
 		for i := 1; i < len(res.Levels); i++ {
 			if res.Levels[i].Q < res.Levels[i-1].Q-checkTol {
-				return nil, fmt.Errorf("%w: %s: level %d modularity decreased: %.12g -> %.12g",
+				return fmt.Errorf("%w: %s: level %d modularity decreased: %.12g -> %.12g",
 					core.ErrInvariant, info.Name, i, res.Levels[i-1].Q, res.Levels[i].Q)
 			}
 		}
 	}
-	return res, nil
+	return nil
 }
 
 // distModularity recomputes Newman modularity (Equation 3) of a full

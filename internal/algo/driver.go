@@ -13,6 +13,12 @@ import (
 // transport kind opt.Transport and returns rank 0's result — the registry
 // counterpart of core.RunInProcess that works for every engine. n <= 0
 // infers the vertex count from el.
+//
+// A whole-graph engine asked for one rank over mem is given no group — the
+// harness would split, gather, encode, copy, decode and broadcast to serve
+// nobody — but called on el (wholeGraph.direct): same result to the bit,
+// CommRounds and CommBytes 0. Only here is that choice made; Detect, more
+// ranks, sim and chaos always run the harness.
 func Run(ctx context.Context, name string, el graph.EdgeList, n int, opt Options) (*Result, error) {
 	d, err := Get(name)
 	if err != nil {
@@ -24,6 +30,30 @@ func Run(ctx context.Context, name string, el graph.EdgeList, n int, opt Options
 	if n <= 0 {
 		n = el.NumVertices()
 	}
+	var res *Result
+	if w, ok := d.(wholeGraph); ok && opt.Ranks == 1 && (opt.Transport == "" || opt.Transport == "mem") {
+		if res, err = w.direct(ctx, el, n, opt); err != nil {
+			err = fmt.Errorf("rank 0: %w", err)
+		}
+	} else {
+		res, err = runGroup(ctx, d, el, n, opt)
+	}
+	if err != nil {
+		// A canceled run surfaces as whatever error the first rank hit
+		// (a core cancellation error, or ErrClosed from the watchdog's
+		// teardown); report it under the context's error so callers can
+		// classify with errors.Is(err, context.Canceled).
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, fmt.Errorf("algo: %s canceled: %w (%v)", name, cerr, err)
+		}
+		return nil, err
+	}
+	return res, nil
+}
+
+// runGroup is Run on a group it builds: one goroutine per rank, each running
+// d.Detect on its share of el.
+func runGroup(ctx context.Context, d Detector, el graph.EdgeList, n int, opt Options) (*Result, error) {
 	trs, err := newGroup(&opt)
 	if err != nil {
 		return nil, err
@@ -74,17 +104,7 @@ func Run(ctx context.Context, name string, el graph.EdgeList, n int, opt Options
 	for _, tr := range trs {
 		tr.Close()
 	}
-	if err != nil {
-		// A canceled run surfaces as whatever error the first rank hit
-		// (a core cancellation error, or ErrClosed from the watchdog's
-		// teardown); report it under the context's error so callers can
-		// classify with errors.Is(err, context.Canceled).
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("algo: %s canceled: %w (%v)", name, cerr, err)
-		}
-		return nil, err
-	}
-	return results[0], nil
+	return results[0], err
 }
 
 // newGroup builds the in-process transport group Run drives the ranks over.

@@ -15,12 +15,10 @@ import (
 
 func init() {
 	Register(parLouvain{})
-	for _, e := range rank0Louvains {
+	Register(lpaEngine{})
+	for _, e := range wholeGraphs {
 		Register(e)
 	}
-	Register(plpEngine{})
-	Register(lpaEngine{})
-	Register(ensembleEngine{})
 }
 
 // fromCore translates a Louvain-family result into the unified form.
@@ -75,124 +73,147 @@ func (e parLouvain) Detect(ctx context.Context, g Graph, opt Options) (*Result, 
 	return finish(g, opt, e.Info(), fromCore(e.Name(), cres))
 }
 
-// rank0Louvain is a whole-graph Louvain-family engine behind the rank-0
-// harness. The family shares core's hierarchy driver; run names the entry
-// point that picks the move phase.
-type rank0Louvain struct {
-	info Info
-	run  func(*graph.Graph, core.Options) *core.Result
-	// extra reports engine-specific scalars; nil for none.
-	extra func(*core.Result) map[string]float64
+// wholeGraph is an engine that computes on the whole graph in one address
+// space. compute is all that tells one from another; how the graph reaches it
+// and the result leaves — the rank-0 harness on a real group, a plain call on
+// a group of one — is rank0.go's business. No extra scalars is a nil map.
+type wholeGraph struct {
+	info    Info
+	compute computeFunc
 }
 
-// rank0Louvains lists the family. plm decides moves on Threads workers
-// against frozen state and replays them serially in schedule order, so it
-// is bit-identical across thread counts; the others are serial.
-var rank0Louvains = []rank0Louvain{
+type computeFunc func(ctx context.Context, full *graph.Graph, opt Options) (*core.Result, map[string]float64, error)
+
+func (e wholeGraph) Name() string { return e.info.Name }
+
+func (e wholeGraph) Info() Info { return e.info }
+
+// Detect runs the engine as one rank of g.Comm, through the rank-0 harness.
+func (e wholeGraph) Detect(ctx context.Context, g Graph, opt Options) (*Result, error) {
+	res, err := e.runRank0(ctx, g, opt)
+	if err != nil {
+		return nil, err
+	}
+	return finish(g, opt, e.info, res)
+}
+
+// wholeGraphs lists them. The Louvain family shares core's hierarchy driver
+// and differs in the move phase: plm decides moves on Threads workers against
+// frozen state and replays them serially in schedule order, so it is
+// bit-identical across thread counts; the others are serial.
+var wholeGraphs = []wholeGraph{
 	{info: Info{
 		Name:         "seq-louvain",
 		Description:  "sequential Louvain baseline (Algorithm 1)",
 		Flags:        "-warm -max-levels -max-inner",
 		Hierarchical: true, MonotoneQ: true, Rank0: true,
-	}, run: core.Sequential},
+	}, compute: louvainFamily(core.Sequential, nil)},
 	{info: Info{
 		Name:         "plm",
 		Description:  "shared-memory parallel Louvain (Staudt & Meyerhenke PLM): color-batched decide/apply move phase with active-vertex pruning",
 		Flags:        "-threads -order -warm -max-levels -max-inner",
 		Hierarchical: true, MonotoneQ: true, Rank0: true,
-	}, run: core.PLM},
+	}, compute: louvainFamily(core.PLM, nil)},
 	{info: Info{
 		Name:         "leiden",
 		Description:  "Leiden-style Louvain: move + refine-within-communities + aggregate (connected communities)",
 		Flags:        "-warm -max-levels -max-inner",
 		Hierarchical: true, MonotoneQ: true, Rank0: true,
-	}, run: core.Leiden, extra: func(cres *core.Result) map[string]float64 {
+	}, compute: louvainFamily(core.Leiden, func(cres *core.Result) map[string]float64 {
 		return map[string]float64{"splits": float64(cres.LeidenSplits)}
-	}},
+	})},
 	{info: Info{
 		Name:         "lns",
 		Description:  "local neighbourhood search (Browet 2013): queue-driven moves, aggregation per pass",
 		Flags:        "-warm -max-levels -max-inner",
 		Hierarchical: true, MonotoneQ: true, Rank0: true,
-	}, run: core.LNS},
-}
-
-func (e rank0Louvain) Name() string { return e.info.Name }
-
-func (e rank0Louvain) Info() Info { return e.info }
-
-func (e rank0Louvain) Detect(ctx context.Context, g Graph, opt Options) (*Result, error) {
-	res, err := runRank0(ctx, g, opt, e.Name(), func(full *graph.Graph) (*core.Result, map[string]float64, error) {
-		if err := core.CheckWarm(opt.Warm, full.N); err != nil {
-			return nil, nil, err
-		}
-		cres := e.run(full, opt.coreOptions(ctx, true))
-		if err := ctx.Err(); err != nil {
-			return nil, nil, fmt.Errorf("%w: %w", core.ErrCanceled, err)
-		}
-		var extra map[string]float64
-		if e.extra != nil {
-			extra = e.extra(cres)
-		}
-		return cres, extra, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return finish(g, opt, e.Info(), res)
-}
-
-// plpEngine is shared-memory parallel label propagation (Staudt &
-// Meyerhenke's PLP) behind the rank-0 harness: synchronous pruned sweeps
-// over Threads workers, with the same seeded tie-breaking as the
-// distributed lpa engine.
-type plpEngine struct{}
-
-func (plpEngine) Name() string { return "plp" }
-
-func (plpEngine) Info() Info {
-	return Info{
+	}, compute: louvainFamily(core.LNS, nil)},
+	{info: Info{
 		Name:        "plp",
 		Description: "shared-memory parallel label propagation (Staudt & Meyerhenke PLP): synchronous pruned sweeps",
 		Flags:       "-threads -max-inner (sweep cap)",
 		Rank0:       true,
-	}
+	}, compute: computePLP},
+	{info: Info{
+		Name:        "ensemble",
+		Description: "core-groups ensemble (Ovelgönne & Geyer-Schulz): seeded weak runs vote, agreement contracted, full solve on the contraction",
+		Flags:       "-runs (ensemble size) -max-levels -max-inner",
+		Rank0:       true,
+	}, compute: computeEnsemble},
 }
 
-func (e plpEngine) Detect(ctx context.Context, g Graph, opt Options) (*Result, error) {
-	res, err := runRank0(ctx, g, opt, e.Name(), func(full *graph.Graph) (*core.Result, map[string]float64, error) {
-		threads := opt.Threads
-		if threads < 1 {
-			threads = 1
+// louvainFamily is the compute of a Louvain-family engine: run names the
+// core entry point that picks the move phase, extra (nil for none) the
+// engine-specific scalars it reports.
+func louvainFamily(run func(*graph.Graph, core.Options) *core.Result, extra func(*core.Result) map[string]float64) computeFunc {
+	return func(ctx context.Context, full *graph.Graph, opt Options) (*core.Result, map[string]float64, error) {
+		if err := core.CheckWarm(opt.Warm, full.N); err != nil {
+			return nil, nil, err
 		}
-		labels, moves := labelprop.Shared(full, labelprop.Options{
-			MaxSweeps: opt.MaxIter,
-			Seed:      opt.Seed,
-			Recorder:  opt.Recorder,
-		}, threads)
+		cres := run(full, opt.coreOptions(ctx, true))
 		if err := ctx.Err(); err != nil {
 			return nil, nil, fmt.Errorf("%w: %w", core.ErrCanceled, err)
 		}
-		sweeps := len(moves)
-		// LPA has no modularity objective; report the measured modularity
-		// of the labeling so quality is comparable across engines.
-		q := metrics.Modularity(full, labels)
-		cres := &core.Result{
-			Membership:  labels,
-			Q:           q,
-			NumVertices: full.N,
-			NumEdges:    int64(full.NumEdges()),
-			Levels: []core.Level{{
-				Q: q, Vertices: full.N, Communities: countLabels(labels),
-				InnerIterations: sweeps,
-			}},
+		if extra == nil {
+			return cres, nil, nil
 		}
-		return cres, map[string]float64{"sweeps": float64(sweeps)}, nil
+		return cres, extra(cres), nil
+	}
+}
+
+// flatResult is the one-level result of an engine with no hierarchy of its
+// own: the labeling, its measured modularity, and iterations sweeps or runs.
+func flatResult(full *graph.Graph, labels []graph.V, q float64, iterations int) *core.Result {
+	return &core.Result{
+		Membership:  labels,
+		Q:           q,
+		NumVertices: full.N,
+		NumEdges:    int64(full.NumEdges()),
+		Levels: []core.Level{{
+			Q: q, Vertices: full.N, Communities: countLabels(labels),
+			InnerIterations: iterations,
+		}},
+	}
+}
+
+// computePLP is shared-memory parallel label propagation (Staudt &
+// Meyerhenke's PLP): synchronous pruned sweeps over Threads workers, with the
+// same seeded tie-breaking as the distributed lpa engine.
+func computePLP(ctx context.Context, full *graph.Graph, opt Options) (*core.Result, map[string]float64, error) {
+	labels, moves := labelprop.Shared(full, labelprop.Options{
+		MaxSweeps: opt.MaxIter,
+		Seed:      opt.Seed,
+		Recorder:  opt.Recorder,
+	}, max(opt.Threads, 1))
+	if err := ctx.Err(); err != nil {
+		return nil, nil, fmt.Errorf("%w: %w", core.ErrCanceled, err)
+	}
+	// LPA has no modularity objective; report the measured modularity of
+	// the labeling so quality is comparable across engines.
+	cres := flatResult(full, labels, metrics.Modularity(full, labels), len(moves))
+	return cres, map[string]float64{"sweeps": float64(len(moves))}, nil
+}
+
+// computeEnsemble is core-groups ensemble detection (Ovelgönne &
+// Geyer-Schulz).
+func computeEnsemble(ctx context.Context, full *graph.Graph, opt Options) (*core.Result, map[string]float64, error) {
+	assign, q, groups, err := ensemble.Detect(full, ensemble.Options{
+		Runs: opt.Runs,
+		Seed: opt.Seed,
+		Final: core.Options{
+			Ctx:       ctx,
+			MaxLevels: opt.MaxLevels,
+			MaxInner:  opt.MaxIter,
+			MinGain:   opt.MinGain,
+			Seed:      opt.Seed,
+		},
+		Recorder: opt.Recorder,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return finish(g, opt, e.Info(), res)
+	cres := flatResult(full, assign, q, ensemble.EffectiveRuns(opt.Runs))
+	return cres, map[string]float64{"core_groups": float64(groups)}, nil
 }
 
 // lpaEngine is distributed synchronous label propagation (Raghavan et al.),
@@ -230,13 +251,7 @@ func (e lpaEngine) Detect(ctx context.Context, g Graph, opt Options) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	var singles uint64
-	for _, ed := range g.Local {
-		if ed.U <= ed.V {
-			singles++
-		}
-	}
-	edges, err := g.Comm.AllReduceUint64(singles, comm.OpSum)
+	edges, err := g.Comm.AllReduceUint64(uint64(singleCounted(g.Local)), comm.OpSum)
 	if err != nil {
 		return nil, err
 	}
@@ -252,55 +267,5 @@ func (e lpaEngine) Detect(ctx context.Context, g Graph, opt Options) (*Result, e
 	res.Levels = []LevelStat{{
 		Q: q, Vertices: g.N, Communities: res.Communities(), Iterations: len(moves),
 	}}
-	return finish(g, opt, e.Info(), res)
-}
-
-// ensembleEngine is core-groups ensemble detection (Ovelgönne &
-// Geyer-Schulz) behind the rank-0 harness.
-type ensembleEngine struct{}
-
-func (ensembleEngine) Name() string { return "ensemble" }
-
-func (ensembleEngine) Info() Info {
-	return Info{
-		Name:        "ensemble",
-		Description: "core-groups ensemble (Ovelgönne & Geyer-Schulz): seeded weak runs vote, agreement contracted, full solve on the contraction",
-		Flags:       "-runs (ensemble size) -max-levels -max-inner",
-		Rank0:       true,
-	}
-}
-
-func (e ensembleEngine) Detect(ctx context.Context, g Graph, opt Options) (*Result, error) {
-	res, err := runRank0(ctx, g, opt, e.Name(), func(full *graph.Graph) (*core.Result, map[string]float64, error) {
-		assign, q, groups, err := ensemble.Detect(full, ensemble.Options{
-			Runs: opt.Runs,
-			Seed: opt.Seed,
-			Final: core.Options{
-				Ctx:       ctx,
-				MaxLevels: opt.MaxLevels,
-				MaxInner:  opt.MaxIter,
-				MinGain:   opt.MinGain,
-				Seed:      opt.Seed,
-			},
-			Recorder: opt.Recorder,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		cres := &core.Result{
-			Membership:  assign,
-			Q:           q,
-			NumVertices: full.N,
-			NumEdges:    int64(full.NumEdges()),
-			Levels: []core.Level{{
-				Q: q, Vertices: full.N, Communities: countLabels(assign),
-				InnerIterations: ensemble.EffectiveRuns(opt.Runs),
-			}},
-		}
-		return cres, map[string]float64{"core_groups": float64(groups)}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	return finish(g, opt, e.Info(), res)
 }

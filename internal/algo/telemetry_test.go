@@ -23,23 +23,29 @@ var wantEvents = map[string][]string{
 
 func TestTelemetryEndToEndPerEngine(t *testing.T) {
 	el, _, n := testGraph(t)
+	run := func(t *testing.T, name string, ranks int) (seen map[string]bool, prom string) {
+		rec := obs.NewRecorder()
+		reg := obs.NewRegistry()
+		_, err := Run(context.Background(), name, el, n, Options{
+			Ranks:    ranks,
+			Seed:     9,
+			Recorder: rec,
+			Metrics:  reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen = map[string]bool{}
+		for _, e := range rec.Events() {
+			seen[e.Name] = true
+		}
+		var sb strings.Builder
+		reg.WritePrometheus(&sb)
+		return seen, sb.String()
+	}
 	for _, name := range allEngines {
 		t.Run(name, func(t *testing.T) {
-			rec := obs.NewRecorder()
-			reg := obs.NewRegistry()
-			_, err := Run(context.Background(), name, el, n, Options{
-				Ranks:    2,
-				Seed:     9,
-				Recorder: rec,
-				Metrics:  reg,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			seen := map[string]bool{}
-			for _, e := range rec.Events() {
-				seen[e.Name] = true
-			}
+			seen, prom := run(t, name, 2)
 			for _, want := range wantEvents[name] {
 				if !seen[want] {
 					t.Errorf("engine %s emitted no %q event (saw %v)", name, want, keys(seen))
@@ -47,10 +53,27 @@ func TestTelemetryEndToEndPerEngine(t *testing.T) {
 			}
 			// The comm layer must be instrumented for every engine: traffic
 			// flowed, so the counters cannot be zero.
-			var sb strings.Builder
-			reg.WritePrometheus(&sb)
-			if !strings.Contains(sb.String(), "comm_bytes_sent_total") {
-				t.Errorf("engine %s: metrics registry missing comm counters:\n%s", name, sb.String())
+			if !strings.Contains(prom, "comm_bytes_sent_total") {
+				t.Errorf("engine %s: metrics registry missing comm counters:\n%s", name, prom)
+			}
+		})
+	}
+	// One rank over mem: a whole-graph engine is a plain call, and the
+	// telemetry says so — the compute phase, the levels and the thread gauge,
+	// but no gather, no broadcast and no comm series, for nothing was exchanged.
+	for _, e := range wholeGraphs {
+		t.Run(e.Name()+"/one-rank", func(t *testing.T) {
+			seen, prom := run(t, e.Name(), 1)
+			for _, want := range wantEvents[e.Name()] {
+				if harnessOnly := want == "algo_gather" || want == "algo_broadcast"; !harnessOnly && !seen[want] {
+					t.Errorf("engine %s emitted no %q event (saw %v)", e.Name(), want, keys(seen))
+				}
+			}
+			if seen["algo_gather"] || seen["algo_broadcast"] {
+				t.Errorf("engine %s: a gather or broadcast phase with nobody to exchange with (saw %v)", e.Name(), keys(seen))
+			}
+			if !strings.Contains(prom, "louvain_threads") || strings.Contains(prom, "comm_") {
+				t.Errorf("engine %s: want louvain_threads and no comm_* series:\n%s", e.Name(), prom)
 			}
 		})
 	}

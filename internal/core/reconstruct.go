@@ -30,10 +30,7 @@ func (s *engine) loadLocal(local graph.EdgeList) error {
 		if !s.part.Owns(e.V) {
 			return fmt.Errorf("core: rank %d given edge with dst %d owned by rank %d", s.part.Rank, e.V, s.part.Owner(e.V))
 		}
-		if int(e.V) >= s.n || int(e.U) >= s.n {
-			return fmt.Errorf("core: edge (%d,%d) outside vertex space %d", e.U, e.V, s.n)
-		}
-		if err := e.CheckWeight(); err != nil {
+		if err := e.Check(s.n); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
 		w := e.W

@@ -60,15 +60,33 @@ func (el EdgeList) TotalWeight() float64 {
 }
 
 // CheckWeight returns an error naming e when its weight is NaN or ±Inf. The
-// file readers, the rank-0 gather and par-louvain's and lpa's load call it,
-// because the engines' accumulators read a sum of zero as "nothing here yet"
-// and a NaN sum is never zero. Build does not: an edge list made in memory
+// engines' accumulators read a sum of zero as "nothing here yet" and a NaN sum
+// is never zero, so the file readers call it, and everything that takes edges
+// from a caller calls Check. Build does not: an edge list made in memory
 // reaches Build, and an engine run on its graph, unchecked.
 func (e Edge) CheckWeight() error {
 	if e.W-e.W != 0 { // NaN for NaN and ±Inf, zero for everything else
 		return fmt.Errorf("edge (%d,%d) has non-finite weight %v", e.U, e.V, e.W)
 	}
 	return nil
+}
+
+// Check returns an error naming e when an endpoint lies outside the vertex
+// space [0, n) or the weight is not finite: the one test every engine applies
+// to an edge it was handed (the rank-0 gather and the direct whole-graph
+// path, par-louvain's and lpa's load) before it indexes by the ids.
+func (e Edge) Check(n int) error {
+	if int(max(e.U, e.V)) < n && e.W-e.W == 0 {
+		return nil // the whole test for a good edge, small enough to inline
+	}
+	return e.checkFailed(n)
+}
+
+func (e Edge) checkFailed(n int) error {
+	if int(e.U) >= n || int(e.V) >= n {
+		return fmt.Errorf("edge (%d,%d) outside vertex space %d", e.U, e.V, n)
+	}
+	return e.CheckWeight()
 }
 
 // oriented returns e with U <= V.

@@ -155,3 +155,32 @@ func TestNumEdgesCountsSelfLoops(t *testing.T) {
 		t.Errorf("NumEdges = %d, want 3", got)
 	}
 }
+
+// TestEdgeCheck pins the one test the engines apply to an edge they are
+// handed: both endpoints inside [0, n), weight finite, id range reported first.
+func TestEdgeCheck(t *testing.T) {
+	for _, tc := range []struct {
+		e    Edge
+		n    int
+		want string
+	}{
+		{Edge{0, 3, 1.5}, 4, ""},
+		{Edge{3, 3, 0}, 4, ""},
+		{Edge{2, 1, -0.25}, 3, ""},
+		{Edge{0, 4, 1}, 4, "edge (0,4) outside vertex space 4"},
+		{Edge{4, 0, 1}, 4, "edge (4,0) outside vertex space 4"},
+		{Edge{0, 0, 1}, 0, "edge (0,0) outside vertex space 0"},
+		{Edge{7, 1, math.NaN()}, 4, "edge (7,1) outside vertex space 4"},
+		{Edge{1, 2, math.NaN()}, 4, "edge (1,2) has non-finite weight NaN"},
+		{Edge{2, 1, math.Inf(1)}, 4, "edge (2,1) has non-finite weight +Inf"},
+		{Edge{1, 2, math.Inf(-1)}, math.MaxInt, "edge (1,2) has non-finite weight -Inf"},
+	} {
+		got := ""
+		if err := tc.e.Check(tc.n); err != nil {
+			got = err.Error()
+		}
+		if got != tc.want {
+			t.Errorf("%+v.Check(%d) = %q, want %q", tc.e, tc.n, got, tc.want)
+		}
+	}
+}

@@ -142,7 +142,7 @@ func Parallel(c *comm.Comm, local graph.EdgeList, n int, opt Options) ([]graph.V
 		if !part.Owns(e.V) {
 			return nil, nil, fmt.Errorf("labelprop: rank %d given edge with dst %d", part.Rank, e.V)
 		}
-		if err := e.CheckWeight(); err != nil {
+		if err := e.Check(n); err != nil {
 			return nil, nil, fmt.Errorf("labelprop: %w", err)
 		}
 		adjOff[part.LocalIndex(e.V)+1]++

@@ -2,6 +2,7 @@ package labelprop
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"parlouvain/internal/comm"
@@ -134,6 +135,22 @@ func TestParallelValidEdge(t *testing.T) {
 	labels, _ := runParallel(t, graph.EdgeList{{U: 0, V: 1, W: 1}}, 0, 1, Options{})
 	if len(labels) != 2 {
 		t.Fatalf("labels: %v", labels)
+	}
+}
+
+// TestParallelRejectsBadEdge: an id outside the vertex space is an error from
+// the load (it used to index past the local arrays), as a non-finite weight is.
+func TestParallelRejectsBadEdge(t *testing.T) {
+	trs := comm.NewMemGroup(1)
+	defer trs[0].Close()
+	for want, ed := range map[string]graph.Edge{
+		"labelprop: edge (9,1) outside vertex space 3":    {U: 9, V: 1, W: 1},
+		"labelprop: edge (1,2) has non-finite weight NaN": {U: 1, V: 2, W: math.NaN()},
+	} {
+		_, _, err := Parallel(comm.New(trs[0]), graph.EdgeList{{U: 0, V: 1, W: 1}, ed}, 3, Options{})
+		if err == nil || err.Error() != want {
+			t.Errorf("err = %v, want %q", err, want)
+		}
 	}
 }
 
