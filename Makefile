@@ -25,15 +25,18 @@ vet:
 # cross-engine suites (what the CI chaos soak step executes). The Stream
 # pattern soaks the chunked streaming path: per-chunk fault injection in
 # comm, streaming-vs-bulk equivalence in core. The last line races the sweep
-# workers against the merge worker over par-louvain's skip marks.
+# workers against the merge worker over par-louvain's skip marks, which merge
+# worker 0 clears for every row a told vertex appears in (the OutRows and
+# Asymmetric tests drive that merge at up to 65 ranks, two threads, streaming).
 chaos:
 	$(GO) test -race -count=3 -run 'Chaos|TCP|Stream' ./internal/comm
 	$(GO) test -short -run 'Chaos|Invariant|CrossEngine|Stream' ./internal/core
-	GOMAXPROCS=2 $(GO) test -race -run 'Skip|GoldenTrace' ./internal/core
+	GOMAXPROCS=2 $(GO) test -race -run 'Skip|GoldenTrace|OutRows|Asymmetric' ./internal/core
 
 # Short fuzz pass over every fuzz target (wire codecs, graph readers and Build,
-# generator specs, edge-table freeze/iteration, the engine's out rows, the gain
-# scan against its scanning oracle, the whole-graph engines' direct call against
+# generator specs, edge-table freeze/iteration, par-louvain's rows read through
+# ghost after a full and a move-log propagation — and its refusal of a list with
+# a mirror dropped — the gain scan against its scanning oracle, the whole-graph engines' direct call against
 # the rank-0 harness).
 # `go test -fuzz` takes one target per run, so iterate; FUZZTIME scales the
 # per-target budget.

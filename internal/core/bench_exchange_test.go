@@ -15,8 +15,8 @@ import (
 
 // BenchmarkExchangeAllocs measures the propagate→exchange hot path per rank.
 // Without a phase suffix one op is one full state propagation (Algorithm 3)
-// — plane building, the all-to-all exchange, decode, one store per slot and
-// the Σtot pull; under phase=iter it is the part of a steady-state inner
+// — plane building, the all-to-all exchange, decode, one store per told
+// vertex and the Σtot pull; under phase=iter it is the part of a steady-state inner
 // iteration that lives on the out rows: findBest, a move-log propagation of
 // a fixed sixteenth of the vertices, and computeQ. allocs/op is the
 // steady-state allocation count; the buffer pooling in internal/wire and the

@@ -20,7 +20,8 @@ import (
 //	engine.go      — engine state, the level loop (Algorithm 2), wire I/O
 //	reconstruct.go — graph loading, per-level derivation, reconstruction
 //	               	 (Algorithm 5) and assignment gathering
-//	outrows.go     — the per-level out-row arena and its slot handshake
+//	outrows.go     — the level's out rows: in-edge rows read through ghost,
+//	               	 and the two indexes propagation is addressed by
 //	propagate.go   — full and move-log state propagation + Σtot pull
 //	               	 (Algorithm 3 / Equation 4 inputs)
 //	refine.go      — the inner refinement loop: findBest, threshold, update,
@@ -38,17 +39,16 @@ import (
 // of the group behind c. local is this rank's portion of the input in
 // destination-owned orientation — entry (U=src, V=dst, W) with owner(dst)
 // == rank — as produced by graph.SplitEdges (self-loops delivered once).
-// n is the global vertex count. Every rank receives an identical Result.
+// The group's input must be symmetric: every undirected edge once per
+// orientation, (u→v) at owner(v) and (v→u) at owner(u); a group handed
+// anything else gets an error on every rank (levelInit). n is the global
+// vertex count. Every rank receives an identical Result.
 func Parallel(c *comm.Comm, local graph.EdgeList, n int, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	if err := CheckWarm(opt.Warm, n); err != nil {
 		return nil, err
 	}
-	s := newEngine(c, n, opt)
-	if err := s.loadLocal(local); err != nil {
-		return nil, err
-	}
-	return s.run()
+	return newEngine(c, n, opt).run(local)
 }
 
 // engine is one rank's working state, shared by every phase unit. Vertex and
@@ -69,30 +69,29 @@ type engine struct {
 	// up to which li's sweep result is provably (0, commOf[li]) and need not
 	// be recomputed; 0 means "score it". drift is the running sum, over the
 	// level's Σtot pulls since the last full propagation, of the largest
-	// |ΔΣtot| each pull brought to a referenced community. slotRow maps an
-	// out-row slot to the local vertex whose row holds it, so a propagation
-	// record can clear that vertex's mark. skipUntil[li] is written by the
-	// sweep worker of li's range and, between sweeps, by relocate and the
-	// one merge worker — never two of them at once. rowsEvaluated counts the
-	// rows findBest actually scored (Result.RowsEvaluated).
+	// |ΔΣtot| each pull brought to a referenced community. skipUntil[li] is
+	// written by the sweep worker of li's range and, between sweeps, by
+	// relocate and the one merge worker (for every row a told vertex appears
+	// in) — never two of them at once. rowsEvaluated counts the rows findBest
+	// actually scored (Result.RowsEvaluated).
 	skipUntil     []float64
 	drift         float64
-	slotRow       []uint32
 	rowsEvaluated atomic.Uint64
 
 	// intra is this rank's share of Σ_c Σin_c, the quantity intraWeight
 	// scans for: set by the scan after every full propagation, then kept
 	// current by relocate (a mover's row against its old and new community)
-	// and mergeRecords (a slot entering or leaving its row owner's
+	// and mergeRecords (a neighbor entering or leaving a row owner's
 	// community), so computeQ costs O(owned communities) per iteration.
 	intra float64
 
 	// totCache and memCache hold Σtot and the member count of every
-	// community this rank references — one that appears in an out-row slot
-	// or holds an owned vertex — indexed by community id and refreshed by
-	// the pull that ends each state propagation. refs lists the referenced
-	// communities (refSeen is its membership test); it grows with each
-	// first-seen slot value and sheds communities a pull reports empty.
+	// community this rank references — one that a neighbor of an owned
+	// vertex is in or that holds an owned vertex — indexed by community id
+	// and refreshed by the pull that ends each state propagation. refs lists
+	// the referenced communities (refSeen is its membership test); it grows
+	// with each first-seen record value and sheds communities a pull reports
+	// empty.
 	// Member counts feed the singleton minimum-label rule that breaks
 	// symmetric swap cycles (see findBest).
 	totCache     []float64
@@ -110,24 +109,36 @@ type engine struct {
 
 	// Per-level CSR of the owned vertices' in-edges, derived from the
 	// In_Table at levelInit: entry e of row li is the in-edge
-	// (adjSrc[e] → li) of weight adjW[e]. State propagation walks it — all
-	// rows for a full propagation, the rows of the vertices that moved
-	// otherwise, so late low-movement iterations are cheap.
+	// (adjSrc[e] → li) of weight adjW[e]. The level's graph is symmetric, so
+	// the same row is li's out-edges (outrows.go): the far endpoint of entry
+	// e is adjSrc[e], and the community it is in is ghost[adjSrc[e]].
 	adjOff []int64
 	adjSrc []graph.V
 	adjW   []float64
 
-	// The level's out-row arena (outrows.go): the out-edges of owned vertex
-	// li are the slots [outOff[li], outOff[li+1]), slot p carrying the edge
-	// weight outW[p] (fixed for the level) and the community outComm[p] its
-	// far endpoint is in (stored by state propagation). peerSlot[e] is the
-	// slot that in-edge e occupies at owner(adjSrc[e]). cursor is the
-	// per-row fill position both CSR builds share.
-	outOff   []int64
-	outW     []float64
-	outComm  []uint32
-	peerSlot []uint32
+	// ghost[v] is the community of vertex v as last told to this rank by
+	// state propagation — for every v that is a neighbor of an owned vertex,
+	// owned ones included: an owned vertex's move reaches its own rank's rows
+	// through the self plane like anyone else's, so between an update and its
+	// propagation ghost still holds what the rows were scored against.
+	// Indexed by global id, like totCache.
+	ghost []uint32
+
+	// The two indexes propagation is addressed by, derived from the in-edge
+	// CSR at levelInit (outrows.go). rev is its transpose: vertex v appears
+	// in the owned rows revRow[revOff[v]:revOff[v+1]] (local indices,
+	// ascending) with the weights revW. nbrRank[nbrOff[li]:nbrOff[li+1]] are
+	// the ranks that own a neighbor of owned vertex li — who must be told
+	// when li moves. cursor is the per-row fill position of the in-edge CSR
+	// build; rankSeen the per-rank stamp that keeps a rank list
+	// duplicate-free.
+	revOff   []int64
+	revRow   []uint32
+	revW     []float64
+	nbrOff   []int64
+	nbrRank  []int32
 	cursor   []int64
+	rankSeen []int
 
 	// scan[t] is worker t's neighbor-community accumulator: the same dense
 	// weights + touched list the whole-graph engines use.
@@ -152,7 +163,7 @@ type engine struct {
 	snapMembers []int64
 
 	// Pooled per-destination send planes, reset at the start of every
-	// exchange-building pass and recycled when the engine finishes.
+	// exchange-building pass and handed back when run returns.
 	planes *wire.Planes
 
 	// Streaming-exchange state (scatter.go): per-thread chunked send
@@ -217,6 +228,9 @@ func newEngine(c *comm.Comm, n int, opt Options) *engine {
 		totCache:  make([]float64, n),
 		memCache:  make([]uint32, n),
 		refSeen:   make([]bool, n),
+		ghost:     make([]uint32, n),
+		revOff:    make([]int64, n+1),
+		rankSeen:  make([]int, c.Size()),
 		bestTo:    make([]graph.V, nLoc),
 		bestGain:  make([]float64, nLoc),
 		skipUntil: make([]float64, nLoc),
@@ -345,9 +359,17 @@ func (s *engine) exchange(p *wire.Planes) ([][]byte, error) {
 
 func (s *engine) shardOf(localIdx int) int { return localIdx % s.opt.Threads }
 
-// run drives the outer loop (Algorithm 2): per level, a full propagation,
-// the inner refinement loop, then reconstruction of the supergraph.
-func (s *engine) run() (*Result, error) {
+// run loads this rank's input and drives the outer loop (Algorithm 2): per
+// level, a full propagation, the inner refinement loop, then reconstruction
+// of the supergraph. The engine is spent when run returns, on any path.
+func (s *engine) run(local graph.EdgeList) (*Result, error) {
+	defer func() {
+		s.planes.Release()
+		s.planes = nil
+	}()
+	if err := s.loadLocal(local); err != nil {
+		return nil, err
+	}
 	start := time.Now()
 	res := &Result{
 		NumVertices: s.n,
@@ -511,7 +533,5 @@ func (s *engine) run() (*Result, error) {
 	}
 	res.CommBytes, res.RowsEvaluated = totals[0], totals[1]
 	res.CommRounds = s.c.Rounds()
-	s.planes.Release()
-	s.planes = nil
 	return res, nil
 }

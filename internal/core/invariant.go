@@ -9,6 +9,7 @@ import (
 
 	"parlouvain/internal/comm"
 	"parlouvain/internal/graph"
+	"parlouvain/internal/hashfn"
 	"parlouvain/internal/wire"
 )
 
@@ -33,12 +34,13 @@ import (
 //  7. In-edge consistency — the in-edge arrays the out rows are built from
 //     hold exactly the In_Table: the same number of entries, and every
 //     array entry is in its shard of the table with the same weight bits.
-//  8. Out-row consistency — every out-row slot is the target of exactly one
-//     in-edge and holds the community of that edge's far endpoint in the
-//     all-gathered assignment, every row's weights sum to its vertex's
-//     degree, modularity recomputed from the rows and the gathered
-//     assignment alone equals the engine's, and the running Σin computeQ
-//     reads equals a fresh scan of the rows.
+//  8. Out-row consistency — every in-edge (u→v, w) has its twin (v→u) at
+//     owner(u), named exactly once and of equal weight, so a row of in-edges
+//     is its vertex's out-edges; ghost holds, for every row entry, the
+//     community of the entry's source in the all-gathered assignment; every
+//     row's weights sum to its vertex's degree; modularity recomputed from
+//     the rows and the gathered assignment alone equals the engine's; and the
+//     running Σin computeQ reads equals a fresh scan of the rows.
 //
 // Checks run when Options.CheckInvariants is set (the -check flag of
 // cmd/louvain and cmd/louvaind) and in every core test. Each check folds
@@ -56,8 +58,9 @@ var forceInvariantChecks bool
 // only ever set by the negative test proving the checker catches it.
 var debugBreakReconstruct bool
 
-// debugBreakOutRow deliberately corrupts one out-row slot on rank 0 at the
-// end of every level, likewise only for the negative test.
+// debugBreakOutRow deliberately corrupts the ghost entry behind rank 0's
+// first row entry at the end of every level, likewise only for the negative
+// test.
 var debugBreakOutRow bool
 
 // invariantTol is the relative tolerance of the floating-point checks.
@@ -151,8 +154,8 @@ func (s *engine) checkLevel(level int, vertices uint64, q, qPrev float64) error 
 	}
 
 	// (8) Out-row consistency.
-	if debugBreakOutRow && s.part.Rank == 0 && len(s.outComm) > 0 {
-		s.outComm[0] = (s.outComm[0] + 1) % uint32(s.n)
+	if debugBreakOutRow && s.part.Rank == 0 && len(s.adjSrc) > 0 {
+		s.ghost[s.adjSrc[0]] = (s.ghost[s.adjSrc[0]] + 1) % uint32(s.n)
 	}
 	if err := s.checkOutRows(level, q, full); err != nil {
 		return err
@@ -193,29 +196,28 @@ func (s *engine) checkInEdges(level int) error {
 }
 
 // checkOutRows verifies invariant 8 against full, the all-gathered
-// assignment. One exchange names the far endpoint of every slot — each
-// in-edge (v→u) sends (its slot, u) to owner(v) — which checks the handshake
-// (every slot named exactly once) and the propagation (the slot holds
-// full[u]) together. Q is then rebuilt from nothing but the rows and full:
-// Σin from the slots whose two endpoints share a community, Σtot of a
-// community from the row weights of its members. All ranks fold the verdict
-// through one reduction so a violation seen by one aborts them together.
+// assignment. One exchange names every in-edge (u→v, w) to owner(u), which
+// must hold the twin (v→u) — found, named by no other in-edge, of equal
+// weight within invariantTol (the two were summed in different orders) — and
+// must in turn have every in-edge of its own named: the symmetry a row of
+// in-edges is read as out-edges on, weights included. Each row entry must
+// then read, through ghost, the community its source has in full. Q is
+// rebuilt from nothing but the rows and full: Σin from the entries whose two
+// endpoints share a community, Σtot of a community from the row weights of
+// its members. All ranks fold the verdict through one reduction so a
+// violation seen by one aborts them together.
 func (s *engine) checkOutRows(level int, q float64, full []graph.V) error {
 	p := s.outPlanes()
 	for li := 0; li < s.nLoc; li++ {
-		u := uint32(s.part.GlobalID(li))
+		v := uint32(s.part.GlobalID(li))
 		for e := s.adjOff[li]; e < s.adjOff[li+1]; e++ {
-			p.To(s.part.Owner(s.adjSrc[e])).PutPair(s.peerSlot[e], u)
+			u := s.adjSrc[e]
+			p.To(s.part.Owner(u)).PutTriple(wire.Triple{A: u, B: v, W: s.adjW[e]})
 		}
 	}
 	in, err := s.exchange(p)
 	if err != nil {
 		return err
-	}
-	const unnamed = ^uint32(0)
-	far := make([]uint32, len(s.outComm))
-	for i := range far {
-		far[i] = unnamed
 	}
 	var bad error
 	fail := func(format string, args ...any) {
@@ -223,25 +225,37 @@ func (s *engine) checkOutRows(level int, q float64, full []graph.V) error {
 			bad = fmt.Errorf("%w: rank %d level %d: "+format, append([]any{ErrInvariant, s.part.Rank, level}, args...)...)
 		}
 	}
+	named := make(map[uint64]struct{}, len(s.adjSrc))
 	var r wire.Reader
 	for src, plane := range in {
 		r.Reset(plane)
 		for r.More() {
-			slot, u := r.Pair()
+			e := r.Triple() // in-edge (e.A→e.B) of rank src; its twin (e.B→e.A) is an in-edge of e.A, held here
 			if r.Err() != nil {
 				return r.Err()
 			}
-			switch {
-			case int(slot) >= len(far) || int(u) >= s.n:
-				fail("rank %d names slot %d for vertex %d, outside %d slots / %d ids", src, slot, u, len(far), s.n)
-			case far[slot] != unnamed:
-				fail("out-row slot %d named by two in-edges (from vertices %d and %d)", slot, far[slot], u)
-			default:
-				far[slot] = u
+			if int(e.A) >= s.n || int(e.B) >= s.n || !s.part.Owns(e.A) {
+				fail("rank %d names in-edge (%d→%d), whose twin cannot be here (%d ids)", src, e.A, e.B, s.n)
+				continue
 			}
+			twin := hashfn.Pack32(e.B, e.A)
+			w, ok := s.in[s.shardOf(s.part.LocalIndex(e.A))].Get(twin)
+			_, again := named[twin]
+			switch {
+			case !ok:
+				fail("in-edge (%d→%d) of rank %d has no twin (%d→%d) here: the out rows are read off a graph that is not symmetric", e.A, e.B, src, e.B, e.A)
+			case again:
+				fail("in-edge (%d→%d) is named as a twin by two in-edges of rank %d", e.B, e.A, src)
+			case math.Abs(w-e.W) > invariantTol*math.Max(1, math.Abs(w)):
+				fail("in-edge (%d→%d) weighs %.12g at rank %d, its twin in the out row of vertex %d weighs %.12g", e.A, e.B, e.W, src, e.A, w)
+			}
+			named[twin] = struct{}{}
 		}
 	}
 	wire.ReleasePlanes(in)
+	if len(named) != len(s.adjSrc) {
+		fail("%d of the %d in-edges the out rows are read off were named by a twin", len(named), len(s.adjSrc))
+	}
 
 	tol := invariantTol * math.Max(1, 2*s.m)
 	rowTot := make([]float64, s.n)
@@ -252,18 +266,14 @@ func (s *engine) checkOutRows(level int, q float64, full []graph.V) error {
 			break // padding past the last owned vertex
 		}
 		var rowW float64
-		for p := s.outOff[li]; p < s.outOff[li+1]; p++ {
-			u := far[p]
-			if u == unnamed {
-				fail("out-row slot %d of vertex %d is no in-edge's target", p, v)
-				continue
+		for e := s.adjOff[li]; e < s.adjOff[li+1]; e++ {
+			u := s.adjSrc[e]
+			if s.ghost[u] != uint32(full[u]) {
+				fail("out row of vertex %d reads community %d for its neighbor %d, which is in %d", v, s.ghost[u], u, full[u])
 			}
-			if s.outComm[p] != uint32(full[u]) {
-				fail("out-row slot %d of vertex %d holds community %d, its neighbor %d is in %d", p, v, s.outComm[p], u, full[u])
-			}
-			rowW += s.outW[p]
+			rowW += s.adjW[e]
 			if full[u] == full[v] {
-				sumIn += s.outW[p]
+				sumIn += s.adjW[e]
 			}
 		}
 		if math.Abs(rowW-s.k[li]) > tol {
@@ -304,7 +314,7 @@ func (s *engine) checkOutRows(level int, q float64, full []graph.V) error {
 }
 
 // checkIntra compares the running Σin with a fresh scan of the rows: equal
-// to the bit when every slot weight is an integer (sums of integers are
+// to the bit when every edge weight is an integer (sums of integers are
 // exact in any order), within 1e-12 relative otherwise.
 func (s *engine) checkIntra() error {
 	scan := s.intraWeight()
@@ -312,7 +322,7 @@ func (s *engine) checkIntra() error {
 		return nil
 	}
 	integral := true
-	for _, w := range s.outW {
+	for _, w := range s.adjW {
 		if w != math.Trunc(w) {
 			integral = false
 			break

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"parlouvain/internal/gen"
+	"parlouvain/internal/graph"
 )
 
 // TestMain arms the invariant checker for the entire core test suite: every
@@ -63,10 +64,11 @@ func TestInvariantCatchesBrokenReconstruction(t *testing.T) {
 	}
 }
 
-// TestInvariantCatchesCorruptOutRow is invariant 8's negative test: one slot
-// of rank 0's out rows is pointed at the wrong community at the end of each
-// level, and the run must abort on every rank with an ErrInvariant — naming
-// the slot on the rank that holds it.
+// TestInvariantCatchesCorruptOutRow is invariant 8's negative test: the ghost
+// entry behind the first entry of rank 0's first row is pointed at the wrong
+// community at the end of each level, and the run must abort on every rank
+// with an ErrInvariant — naming the row and the neighbor on the rank that
+// reads it.
 func TestInvariantCatchesCorruptOutRow(t *testing.T) {
 	el, _, err := gen.RingOfCliques(8, 5)
 	if err != nil {
@@ -80,9 +82,43 @@ func TestInvariantCatchesCorruptOutRow(t *testing.T) {
 			t.Fatalf("ranks=%d: err = %v, want ErrInvariant in the chain", ranks, err)
 		}
 		// Whichever rank's error the group reports first.
-		if !strings.Contains(err.Error(), "out-row slot 0 of vertex 0 holds community") &&
+		if !strings.Contains(err.Error(), "out row of vertex 0 reads community") &&
 			!strings.Contains(err.Error(), "out rows inconsistent on another rank") {
 			t.Errorf("ranks=%d: error %q does not attribute the violation to the out rows", ranks, err)
+		}
+	}
+}
+
+// TestInvariantCatchesUnequalTwin: the two orientations of one edge carry
+// different weights — structurally symmetric, so levelInit's always-on check
+// has nothing to see and an unchecked run completes, but a row of in-edges is
+// then not its vertex's out-edges, and invariant 8's twin comparison must
+// abort the run on every rank, naming the pair on the rank that holds it.
+func TestInvariantCatchesUnequalTwin(t *testing.T) {
+	c := rowCase{n: 5, entries: both(
+		graph.Edge{U: 0, V: 1, W: 1}, graph.Edge{U: 1, V: 2, W: 2}, graph.Edge{U: 0, V: 2, W: 1}, graph.Edge{U: 2, V: 3, W: 4}, graph.Edge{U: 3, V: 4, W: 1},
+	)}
+	for i, e := range c.entries {
+		if e.U == 2 && e.V == 1 {
+			c.entries[i].W = 2.5
+		}
+	}
+	defer func() { forceInvariantChecks = true }()
+	for _, ranks := range []int{1, 2, 3} {
+		forceInvariantChecks = false
+		if _, errs := parallelGroup(c.split(ranks), c.n, Options{}); errors.Join(errs...) != nil {
+			t.Fatalf("ranks=%d, unchecked: %v — unequal twin weights should go unnoticed without the checker", ranks, errors.Join(errs...))
+		}
+		_, errs := parallelGroup(c.split(ranks), c.n, Options{CheckInvariants: true})
+		blamed := false
+		for rank, err := range errs {
+			if !errors.Is(err, ErrInvariant) {
+				t.Fatalf("ranks=%d rank %d: err = %v, want ErrInvariant in the chain", ranks, rank, err)
+			}
+			blamed = blamed || strings.Contains(err.Error(), "in-edge (1→2) weighs 2 at rank") || strings.Contains(err.Error(), "in-edge (2→1) weighs 2.5 at rank")
+		}
+		if !blamed {
+			t.Errorf("ranks=%d: no rank names the unequal twin: %v", ranks, errs)
 		}
 	}
 }

@@ -1,111 +1,55 @@
 package core
 
-import (
-	"fmt"
-	"math"
+import "parlouvain/internal/graph"
 
-	"parlouvain/internal/graph"
-	"parlouvain/internal/wire"
-)
+// The out rows: Algorithm 3's Out_Table — w_{u→c} for every owned u and
+// neighbor community c — without a table. The level's graph is symmetric
+// (levelInit refuses one that is not), so the out-edges of owned vertex u are
+// the in-edges levelInit laid out as its row, weights included, and the only
+// thing the rank lacks is the community of each far endpoint. State
+// propagation supplies that per vertex, not per edge: when u moves, owner(u)
+// tells each rank that owns a neighbor of u once, (u, comm[u]), the receiver
+// stores it in ghost[u], and w_{u→c} is the sum of the row's weights whose
+// source is in c according to ghost. Algorithm 3 sends the same fact along
+// every in-edge, from owner(dst) to owner(src); this is the same flow counted
+// once per (vertex, rank), and every reader sees exactly the values the
+// per-edge copies would hold (DESIGN.md §2).
 
-// The out-row arena: Algorithm 3's Out_Table — w_{u→c} for every owned u and
-// neighbor community c — held as flat per-edge rows instead of a hash keyed
-// by (u, c) that is rebuilt every iteration. The level's graph is fixed, so
-// each in-edge (v→u) stored at owner(u) is given, once per level, a slot in
-// v's row at owner(v): the slot keeps the edge weight, state propagation
-// stores comm[u] into it, and w_{u→c} is the sum of the row's weights whose
-// slot holds c. Every slot has exactly one writer — the in-edge it was
-// assigned to — so a propagation record is (slot, community) and applying it
-// is one store: no lookup, no insertion, nothing to delete when u leaves c.
-
-// buildOutRows is the level's slot handshake, two exchange rounds over the
-// in-edge CSR levelInit just built. Round one announces every in-edge
-// (v→u, w) to owner(v) as (v, w); owner(v) lays the announcements out as v's
-// row — in arrival order: source rank, then the sender's CSR order, which is
-// the same for any thread count or exchange mode — and round two returns the
-// slot of each announcement, in the order received, which the sender keeps
-// as peerSlot.
-func (s *engine) buildOutRows() error {
-	p := s.outPlanes()
-	for e, src := range s.adjSrc {
-		b := p.To(s.part.Owner(src))
-		b.PutU32(uint32(src))
-		b.PutF64(s.adjW[e])
+// buildNeighborIndex derives, from the in-edge CSR levelInit just built, the
+// two indexes propagation is addressed by: the transpose rev (count, prefix,
+// fill — rows ascending, so every rev list is in ascending row order whatever
+// order the In_Table handed the entries out in) and the rank list of every
+// owned vertex. No allocation once the arrays have reached level 0's size.
+func (s *engine) buildNeighborIndex() {
+	clear(s.revOff)
+	for _, v := range s.adjSrc {
+		s.revOff[v+1]++
 	}
-	in, err := s.exchange(p)
-	if err != nil {
-		return err
+	for v := 0; v < s.n; v++ {
+		s.revOff[v+1] += s.revOff[v]
 	}
-
-	s.outOff = resize(s.outOff, s.nLoc+1)
-	clear(s.outOff)
-	var r wire.Reader
-	for _, plane := range in {
-		r.Reset(plane)
-		for r.More() {
-			v := graph.V(r.U32())
-			r.F64()
-			if err := r.Err(); err != nil {
-				return err
-			}
-			if int(v) >= s.n || !s.part.Owns(v) {
-				return fmt.Errorf("core: rank %d handed an out-edge of vertex %d it does not own", s.part.Rank, v)
-			}
-			s.outOff[s.part.LocalIndex(v)+1]++
-		}
-	}
+	s.revRow = resize(s.revRow, len(s.adjSrc))
+	s.revW = resize(s.revW, len(s.adjSrc))
+	s.nbrOff = resize(s.nbrOff, s.nLoc+1)
+	s.nbrRank = s.nbrRank[:0]
+	clear(s.rankSeen)
 	for li := 0; li < s.nLoc; li++ {
-		s.outOff[li+1] += s.outOff[li]
-	}
-	slots := s.outOff[s.nLoc]
-	if slots > math.MaxUint32 {
-		return fmt.Errorf("core: rank %d holds %d out-edges, more than a 32-bit slot can address", s.part.Rank, slots)
-	}
-	s.outW = resize(s.outW, int(slots))
-	s.outComm = resize(s.outComm, int(slots))
-	s.slotRow = resize(s.slotRow, int(slots))
-	for li := 0; li < s.nLoc; li++ {
-		row := s.slotRow[s.outOff[li]:s.outOff[li+1]]
-		for i := range row {
-			row[i] = uint32(li)
+		for e := s.adjOff[li]; e < s.adjOff[li+1]; e++ {
+			v := s.adjSrc[e]
+			// revOff[v] is advanced to the end of v's list as it fills and
+			// shifted back below.
+			p := s.revOff[v]
+			s.revOff[v]++
+			s.revRow[p], s.revW[p] = uint32(li), s.adjW[e]
+			if r := s.part.Owner(v); s.rankSeen[r] != li+1 {
+				s.rankSeen[r] = li + 1
+				s.nbrRank = append(s.nbrRank, int32(r))
+			}
 		}
+		s.nbrOff[li+1] = int64(len(s.nbrRank))
 	}
-	s.cursor = resize(s.cursor, s.nLoc)
-	copy(s.cursor, s.outOff)
-
-	resp := s.outPlanes()
-	for src, plane := range in {
-		r.Reset(plane)
-		b := resp.To(src)
-		for r.More() {
-			li := s.part.LocalIndex(graph.V(r.U32()))
-			slot := s.cursor[li]
-			s.cursor[li]++
-			s.outW[slot] = r.F64()
-			b.PutU32(uint32(slot))
-		}
-	}
-	wire.ReleasePlanes(in)
-	back, err := s.exchange(resp)
-	if err != nil {
-		return err
-	}
-
-	s.peerSlot = resize(s.peerSlot, len(s.adjSrc))
-	for dst, plane := range back {
-		s.replyReaders[dst].Reset(plane)
-	}
-	for e, src := range s.adjSrc {
-		s.peerSlot[e] = s.replyReaders[s.part.Owner(src)].U32()
-	}
-	for dst := range back {
-		if r := &s.replyReaders[dst]; r.Err() != nil || r.More() {
-			return fmt.Errorf("core: rank %d got %d slot bytes from rank %d for the in-edges it announced (decode error: %v)",
-				s.part.Rank, len(back[dst]), dst, r.Err())
-		}
-	}
-	wire.ReleasePlanes(back)
-	return nil
+	copy(s.revOff[1:], s.revOff[:s.n])
+	s.revOff[0] = 0
 }
 
 // resize returns xs with length n, reusing its backing array when it is
@@ -121,12 +65,12 @@ func resize[T any](xs []T, n int) []T {
 // sc.w2c and returns the communities it touched — gainScan's list, which may
 // name a community twice.
 func (s *engine) gatherRow(sc *gainScan, li int) []graph.V {
-	lo, hi := s.outOff[li], s.outOff[li+1]
-	comm, w := s.outComm[lo:hi], s.outW[lo:hi]
-	touched := resize(sc.touched, len(comm))
-	w2c, n := sc.w2c, 0
-	for i, c := range comm {
-		n = listAdd(w2c, touched, n, c, w[i])
+	lo, hi := s.adjOff[li], s.adjOff[li+1]
+	src, w := s.adjSrc[lo:hi], s.adjW[lo:hi]
+	touched := resize(sc.touched, len(src))
+	w2c, n, ghost := sc.w2c, 0, s.ghost
+	for i, v := range src {
+		n = listAdd(w2c, touched, n, ghost[v], w[i])
 	}
 	sc.touched = touched[:n]
 	return sc.touched

@@ -211,7 +211,8 @@ func TestParallelWeightedGraph(t *testing.T) {
 // The hash Out_Table failed this — moving a 0.1·k contribution out of an
 // aggregation left residues like 5.5e-17 that read as live edges to dead
 // communities, which reconstruction shipped and the next level counted as
-// vertices; a slot holds one community, so there is nothing to leave behind.
+// vertices; a row entry reads one community, so there is nothing to leave
+// behind.
 func TestParallelFractionalWeightsLevelShapes(t *testing.T) {
 	el, _, err := gen.LFR(gen.DefaultLFR(600, 0.3, 77))
 	if err != nil {

@@ -9,16 +9,17 @@ import (
 )
 
 // State propagation (Algorithm 3): the phase that tells every rank which
-// community each out-neighbor of its owned vertices is in, as 8-byte
-// (slot, community) records into the level's out rows (outrows.go), followed
-// by the Σtot/member pull Equation 4 needs. It comes in two builds over one
-// record shape and one merge: propagate ships every in-edge (level start,
-// warm start, rollback), propagateDelta only the in-edges of the vertices
-// the last update moved (every inner iteration).
+// community each neighbor of its owned vertices is in, as 8-byte
+// (vertex, community) records into ghost (outrows.go), followed by the
+// Σtot/member pull Equation 4 needs. It comes in two builds over one record
+// shape and one merge: propagate tells of every owned vertex (level start,
+// warm start, rollback), propagateDelta only of the vertices the last update
+// moved (every inner iteration).
 
-// propagate stores comm[u] into the slot of every in-edge (v→u), rebuilds
-// the set of communities this rank references from what arrives, and pulls
-// their Σtot and member counts from their owners.
+// propagate tells every rank that owns a neighbor of an owned vertex u which
+// community u is in, rebuilds the set of communities this rank references
+// from what arrives, and pulls their Σtot and member counts from their
+// owners.
 func (s *engine) propagate() error {
 	for _, cc := range s.refs {
 		s.refSeen[cc] = false
@@ -46,8 +47,8 @@ func (s *engine) propagate() error {
 	return nil
 }
 
-// propagateDelta re-stores only the slots of the in-edges of the vertices
-// that changed community in the last update. The totals are re-pulled for
+// propagateDelta tells only of the vertices that changed community in the
+// last update. The totals are re-pulled for
 // the whole reference set: they change even for communities whose
 // membership this rank did not touch.
 func (s *engine) propagateDelta() error {
@@ -57,7 +58,7 @@ func (s *engine) propagateDelta() error {
 	return s.pullTotals()
 }
 
-// propagateBuild encodes the in-edges of a contiguous range of owned
+// propagateBuild encodes the records of a contiguous range of owned
 // vertices.
 func (s *engine) propagateBuild(_, lo, hi int, w *wire.ChunkWriter) {
 	for li := lo; li < hi; li++ {
@@ -67,25 +68,24 @@ func (s *engine) propagateBuild(_, lo, hi int, w *wire.ChunkWriter) {
 	}
 }
 
-// deltaBuild encodes the in-edges of a contiguous range of the move log.
+// deltaBuild encodes the records of a contiguous range of the move log.
 func (s *engine) deltaBuild(_, lo, hi int, w *wire.ChunkWriter) {
 	for _, li := range s.moveLog[lo:hi] {
 		s.shipRow(li, w)
 	}
 }
 
-// shipRow tells the owner of every in-neighbor of local vertex li which
-// community li is in now: one (slot, community) record per in-edge.
+// shipRow tells every rank that owns a neighbor of local vertex li which
+// community li is in now: one (vertex, community) record per rank.
 func (s *engine) shipRow(li int, w *wire.ChunkWriter) {
-	cc := uint32(s.commOf[li])
-	for e := s.adjOff[li]; e < s.adjOff[li+1]; e++ {
-		dst := s.part.Owner(s.adjSrc[e])
-		w.To(dst).PutPair(s.peerSlot[e], cc)
-		w.Commit(dst)
+	u, cc := uint32(s.part.GlobalID(li)), uint32(s.commOf[li])
+	for _, dst := range s.nbrRank[s.nbrOff[li]:s.nbrOff[li+1]] {
+		w.To(int(dst)).PutPair(u, cc)
+		w.Commit(int(dst))
 	}
 }
 
-// propagateMerge and deltaMerge store received (slot, community) records,
+// propagateMerge and deltaMerge store received (vertex, community) records,
 // for a full and a move-log propagation.
 func (s *engine) propagateMerge(t int, r *wire.Reader) error { return s.mergeRecords(t, r, false) }
 func (s *engine) deltaMerge(t int, r *wire.Reader) error     { return s.mergeRecords(t, r, true) }
@@ -95,37 +95,45 @@ func (s *engine) deltaMerge(t int, r *wire.Reader) error     { return s.mergeRec
 // applies them all and the others return at once; the reference set, the
 // sweep marks and the running Σin then have one writer too. With delta set,
 // the state the inner loop carries between iterations is kept current: a
-// record changes its row, so the row's vertex is scored by the next sweep,
-// and it moves the slot's weight into or out of Σin when the slot enters or
-// leaves its row owner's community. A full propagation resets that state
-// wholesale afterwards and skips the bookkeeping.
+// record changes every row its vertex appears in — rev lists them — so each
+// such row's vertex is scored by the next sweep, and the edge's weight moves
+// into or out of Σin when the told vertex enters or leaves the row owner's
+// community. A full propagation resets that state wholesale afterwards and
+// skips the bookkeeping.
 func (s *engine) mergeRecords(t int, r *wire.Reader, delta bool) error {
 	if t != 0 {
 		return nil
 	}
 	for r.More() {
-		slot, cc := r.Pair()
+		u, cc := r.Pair()
 		if r.Err() != nil {
 			break
 		}
-		if int(slot) >= len(s.outComm) || int(cc) >= s.n {
-			return fmt.Errorf("core: rank %d received propagation record (slot %d, community %d) outside its %d slots / %d ids",
-				s.part.Rank, slot, cc, len(s.outComm), s.n)
+		if int(u) >= s.n || int(cc) >= s.n {
+			return fmt.Errorf("core: rank %d received propagation record (vertex %d, community %d) outside its %d ids",
+				s.part.Rank, u, cc, s.n)
 		}
-		old := s.outComm[slot]
-		s.outComm[slot] = cc
+		lo, hi := s.revOff[u], s.revOff[u+1]
+		if lo == hi {
+			return fmt.Errorf("core: rank %d was told the community of vertex %d, which no row of its has for a neighbor",
+				s.part.Rank, u)
+		}
+		old := s.ghost[u]
+		s.ghost[u] = cc
 		s.reference(cc)
 		if !delta {
 			continue
 		}
-		li := s.slotRow[slot]
-		s.skipUntil[li] = 0
-		c0 := uint32(s.commOf[li])
-		if old == c0 {
-			s.intra -= s.outW[slot]
-		}
-		if cc == c0 {
-			s.intra += s.outW[slot]
+		w := s.revW[lo:hi]
+		for i, li := range s.revRow[lo:hi] {
+			s.skipUntil[li] = 0
+			c0 := uint32(s.commOf[li])
+			if old == c0 {
+				s.intra -= w[i]
+			}
+			if cc == c0 {
+				s.intra += w[i]
+			}
 		}
 	}
 	return r.Err()
@@ -143,7 +151,7 @@ func (s *engine) reference(cc uint32) {
 // community: one round of requests (community ids) to the owners, one round
 // of replies — (Σtot f64, members u32) per request, in request order, so the
 // id is not echoed. A community reported empty leaves the reference set: the
-// totals of this iteration's update are already applied and every slot is
+// totals of this iteration's update are already applied and ghost is
 // current, so nothing on this rank points at it any more, and it re-enters
 // through reference if a later move revives it. The largest |ΔΣtot| the pull
 // brings to any referenced community — measured against whatever value was

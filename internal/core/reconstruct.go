@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"parlouvain/internal/comm"
 	"parlouvain/internal/graph"
@@ -46,6 +47,15 @@ func (s *engine) loadLocal(local graph.EdgeList) error {
 // levelInit derives per-vertex state from the current In_Table and returns
 // the global number of active vertices. It is called at the start of every
 // level (the In_Table is the level's graph).
+//
+// It also refuses a graph that is not symmetric, which the out rows rest on
+// (outrows.go): the entries (u→v) held across the group must be matched one
+// for one by their mirrors (v→u). Each entry adds a 64-bit mix of its
+// unordered pair to a wrapping sum when u < v and takes it off when u > v, so
+// the group's total — which rides the active-count reduction, no round of its
+// own — is zero for a symmetric graph and, for any other, zero with
+// probability 2⁻⁶⁴; every rank reads the same total and returns together.
+// Weights are not compared here; invariant 8 does that under -check.
 func (s *engine) levelInit() (uint64, error) {
 	for i := 0; i < s.nLoc; i++ {
 		s.active[i] = false
@@ -56,18 +66,26 @@ func (s *engine) levelInit() (uint64, error) {
 	}
 	s.adjOff = resize(s.adjOff, s.nLoc+1)
 	clear(s.adjOff)
+	var mirror atomic.Uint64
 	par.For(s.opt.Threads, s.opt.Threads, func(t, lo, hi int) {
+		var sum uint64
 		s.in[t].Range(func(key uint64, w float64) bool {
 			src, dst := hashfn.Unpack32(key)
 			li := s.part.LocalIndex(dst)
 			s.active[li] = true
 			s.k[li] += w
 			s.adjOff[li+1]++
-			if src == dst {
+			switch {
+			case src < dst:
+				sum += hashfn.Mix(hashfn.Bitwise, key)
+			case src > dst:
+				sum -= hashfn.Mix(hashfn.Bitwise, hashfn.Pack32(dst, src))
+			default:
 				s.self2[li] = w
 			}
 			return true
 		})
+		mirror.Add(sum)
 	})
 	var localK float64
 	var localActive uint64
@@ -100,15 +118,21 @@ func (s *engine) levelInit() (uint64, error) {
 			return true
 		})
 	})
-	if err := s.buildOutRows(); err != nil {
-		return 0, err
-	}
+	s.buildNeighborIndex()
 	twoM, err := s.c.AllReduceFloat64(localK, comm.OpSum)
 	if err != nil {
 		return 0, err
 	}
 	s.m = twoM / 2
-	return s.c.AllReduceUint64(localActive, comm.OpSum)
+	sums := [2]uint64{localActive, mirror.Load()}
+	if err := s.c.AllReduceUint64Slice(sums[:]); err != nil {
+		return 0, err
+	}
+	if sums[1] != 0 {
+		return 0, fmt.Errorf("core: rank %d: the input is not symmetric: some edge (u→v) is held by owner(v) without its mirror (v→u) at owner(u); "+
+			"every undirected edge must be given once per orientation, as graph.SplitEdges produces", s.part.Rank)
+	}
+	return sums[0], nil
 }
 
 // reconstruct is Algorithm 5: every owned vertex u's out row, summed per

@@ -382,16 +382,16 @@ func (s *engine) update(dqHat float64) (uint64, error) {
 
 // relocate moves owned vertex li into community newC, not the one it is in:
 // the assignment, the move log, and Σin — the weight of li's row into its old
-// community leaves it and the weight into the new one enters, as the slots
-// stand before the move is propagated. Only a vertex the sweep just scored
+// community leaves it and the weight into the new one enters, as ghost
+// stands before the move is propagated. Only a vertex the sweep just scored
 // can be admitted, so its skip mark is clear already; it is cleared here for
 // callers that move vertices by fiat.
 func (s *engine) relocate(li int, newC graph.V) {
 	oldC, nc := uint32(s.commOf[li]), uint32(newC)
-	lo, hi := s.outOff[li], s.outOff[li+1]
-	w := s.outW[lo:hi]
-	for i, cc := range s.outComm[lo:hi] {
-		switch cc {
+	lo, hi := s.adjOff[li], s.adjOff[li+1]
+	w := s.adjW[lo:hi]
+	for i, v := range s.adjSrc[lo:hi] {
+		switch s.ghost[v] {
 		case oldC:
 			s.intra -= w[i]
 		case nc:
@@ -459,14 +459,14 @@ func (s *engine) intraWeight() float64 {
 	var in float64
 	for li := 0; li < s.nLoc; li++ {
 		c0 := uint32(s.commOf[li])
-		lo, hi := s.outOff[li], s.outOff[li+1]
-		w := s.outW[lo:hi]
-		for i, cc := range s.outComm[lo:hi] {
+		lo, hi := s.adjOff[li], s.adjOff[li+1]
+		w := s.adjW[lo:hi]
+		for i, v := range s.adjSrc[lo:hi] {
 			// Whether a neighbor shares the community is a coin flip to the
 			// branch predictor; masking the weight to +0 instead (the
 			// compiler turns this into a conditional move) scans 3-4x faster.
 			var keep uint64
-			if cc == c0 {
+			if s.ghost[v] == c0 {
 				keep = ^uint64(0)
 			}
 			in += math.Float64frombits(math.Float64bits(w[i]) & keep)

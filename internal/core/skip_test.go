@@ -264,8 +264,8 @@ func TestParallelExactCounts(t *testing.T) {
 		ranks                      int
 		rounds, bytes, iters, rows uint64
 	}{
-		{ranks: 1, rounds: 157, bytes: 900603, iters: 19, rows: 9937},
-		{ranks: 2, rounds: 157, bytes: 995484, iters: 19, rows: 9937},
+		{ranks: 1, rounds: 151, bytes: 238222, iters: 19, rows: 9937},
+		{ranks: 2, rounds: 151, bytes: 364328, iters: 19, rows: 9937},
 	} {
 		res, err := RunInProcess(el, 1000, want.ranks, Options{})
 		if err != nil {

@@ -144,7 +144,8 @@ func ExtendAssignment(prev []V, n int) []V {
 // DetectDistributed runs one rank of a multi-process detection over an
 // established transport (see NewTCPTransport). local must contain this
 // rank's destination-owned edges (SplitEdges applied to the global graph),
-// and n the global vertex count.
+// and n the global vertex count. The group's lists must together be
+// symmetric, as DetectAlgoDistributed describes.
 func DetectDistributed(t Transport, local EdgeList, n int, opt Options) (*Result, error) {
 	return core.Parallel(comm.New(t), local, n, opt)
 }
@@ -309,6 +310,13 @@ func DetectAlgoContext(ctx context.Context, name string, el EdgeList, opt AlgoOp
 // named engine over an established transport (see NewTCPTransport). local
 // must contain this rank's destination-owned edges and n the global vertex
 // count; every rank must use the same engine and options.
+//
+// The group's lists must together be symmetric: each undirected edge {u,v}
+// once per orientation — (U: u, V: v) in the list of v's owner and
+// (U: v, V: u) in the list of u's owner, a self-loop once — which is what
+// SplitEdges produces. par-louvain reads a vertex's in-edges as its
+// out-edges; handed a directed or half-mirrored group of lists it returns an
+// error saying the input is not symmetric, on every rank.
 func DetectAlgoDistributed(name string, t Transport, local EdgeList, n int, opt AlgoOptions) (*AlgoResult, error) {
 	return DetectAlgoDistributedContext(context.Background(), name, t, local, n, opt)
 }
