@@ -3,8 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
+	"strings"
 	"testing"
 
 	"parlouvain/internal/comm"
@@ -90,9 +93,11 @@ func TestExchangeSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestInvariantCatchesInEdgeDrift is invariant 7's negative test: one weight
-// of the in-edge arrays is changed after levelInit built them from the
-// In_Table, and the check must name the entry.
+// TestInvariantCatchesInEdgeDrift is invariant 7's negative test: each clause
+// broken in turn on rows buildRows just laid out — two entries of a row
+// swapped, a source repeated, a source outside the id space, a weight bumped
+// (the row no longer sums to the degree), a weight not finite — and the check
+// must say so every time.
 func TestInvariantCatchesInEdgeDrift(t *testing.T) {
 	el, _, err := gen.RingOfCliques(8, 5)
 	if err != nil {
@@ -102,9 +107,27 @@ func TestInvariantCatchesInEdgeDrift(t *testing.T) {
 	if err := s.checkInEdges(0); err != nil {
 		t.Fatalf("untouched engine: %v", err)
 	}
-	s.adjW[len(s.adjW)/2]++
-	if err := s.checkInEdges(0); !errors.Is(err, ErrInvariant) {
-		t.Fatalf("err = %v, want ErrInvariant in the chain", err)
+	e := s.adjOff[7] // a row of at least two entries
+	for _, c := range []struct {
+		name, want string
+		break_     func()
+	}{
+		{"two entries swapped", "rows are ascending", func() {
+			s.adjSrc[e], s.adjSrc[e+1] = s.adjSrc[e+1], s.adjSrc[e]
+			s.adjW[e], s.adjW[e+1] = s.adjW[e+1], s.adjW[e]
+		}},
+		{"a source repeated", "rows are ascending", func() { s.adjSrc[e+1] = s.adjSrc[e] }},
+		{"a source outside the id space", "inside 40 ids", func() { s.adjSrc[s.adjOff[8]-1] = 40 }},
+		{"a weight bumped", "its degree is", func() { s.adjW[e]++ }},
+		{"a weight not finite", "NaN", func() { s.adjW[e] = math.NaN() }},
+	} {
+		src, w := slices.Clone(s.adjSrc), slices.Clone(s.adjW)
+		c.break_()
+		if err := s.checkInEdges(0); !errors.Is(err, ErrInvariant) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want an ErrInvariant saying %q", c.name, err, c.want)
+		}
+		copy(s.adjSrc, src)
+		copy(s.adjW, w)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"parlouvain/internal/comm"
-	"parlouvain/internal/edgetable"
 	"parlouvain/internal/graph"
 	"parlouvain/internal/obs"
 	"parlouvain/internal/perf"
@@ -18,8 +17,9 @@ import (
 // shared engine state, one file per phase family:
 //
 //	engine.go      — engine state, the level loop (Algorithm 2), wire I/O
-//	reconstruct.go — graph loading, per-level derivation, reconstruction
-//	               	 (Algorithm 5) and assignment gathering
+//	reconstruct.go — graph loading, the level's rows sorted out of its edge
+//	               	 records, reconstruction (Algorithm 5) and assignment
+//	               	 gathering
 //	outrows.go     — the level's out rows: in-edge rows read through ghost,
 //	               	 and the two indexes propagation is addressed by
 //	propagate.go   — full and move-log state propagation + Σtot pull
@@ -54,8 +54,8 @@ func Parallel(c *comm.Comm, local graph.EdgeList, n int, opt Options) (*Result, 
 // engine is one rank's working state, shared by every phase unit. Vertex and
 // community ids share the global id space [0,n); this rank owns ids
 // congruent to its rank mod P and indexes them densely by id/P ("local
-// index"). The In_Table is sharded by local index so worker threads scan
-// disjoint vertex sets.
+// index"). Rows are dealt to worker threads by local index (shardOf), so
+// workers build and scan disjoint vertex sets.
 type engine struct {
 	c    *comm.Comm
 	opt  Options
@@ -63,7 +63,17 @@ type engine struct {
 	n    int
 	nLoc int
 
-	in []*edgetable.Table // (src,dst) -> w, dst owned; self-loops doubled
+	// The edge records (U=src → V=dst, dst owned) of the level being
+	// assembled: pend[t] holds those whose row is worker t's, in arrival
+	// order — the caller's input at level 0 (raw: self-loops not yet doubled,
+	// and at one thread the caller's own list, read and never written), then
+	// the supergraph in-edges reconstructMerge decodes. buildRows sorts them
+	// into the in-edge CSR below; bySrc[t] and srcPos[t] are worker t's
+	// scratch for that sort (the records by source, and its n+1 counters).
+	pend   []graph.EdgeList
+	raw    bool
+	bySrc  []graph.EdgeList
+	srcPos [][]int64
 
 	// Margin-bounded skipping (findBest): skipUntil[li] is the value of drift
 	// up to which li's sweep result is provably (0, commOf[li]) and need not
@@ -107,11 +117,12 @@ type engine struct {
 	totOwn []float64 // Σtot of owned communities
 	memOwn []int64   // member count of owned communities
 
-	// Per-level CSR of the owned vertices' in-edges, derived from the
-	// In_Table at levelInit: entry e of row li is the in-edge
-	// (adjSrc[e] → li) of weight adjW[e]. The level's graph is symmetric, so
-	// the same row is li's out-edges (outrows.go): the far endpoint of entry
-	// e is adjSrc[e], and the community it is in is ghost[adjSrc[e]].
+	// The level's graph: the CSR of the owned vertices' in-edges, rows
+	// ascending by source, one entry per (src, dst) pair (buildRows). Entry e
+	// of row li is the in-edge (adjSrc[e] → li) of weight adjW[e], self-loops
+	// doubled. The level's graph is symmetric, so the same row is li's
+	// out-edges (outrows.go): the far endpoint of entry e is adjSrc[e], and
+	// the community it is in is ghost[adjSrc[e]].
 	adjOff []int64
 	adjSrc []graph.V
 	adjW   []float64
@@ -129,9 +140,8 @@ type engine struct {
 	// in the owned rows revRow[revOff[v]:revOff[v+1]] (local indices,
 	// ascending) with the weights revW. nbrRank[nbrOff[li]:nbrOff[li+1]] are
 	// the ranks that own a neighbor of owned vertex li — who must be told
-	// when li moves. cursor is the per-row fill position of the in-edge CSR
-	// build; rankSeen the per-rank stamp that keeps a rank list
-	// duplicate-free.
+	// when li moves. cursor is the per-row fill position of buildRows;
+	// rankSeen the per-rank stamp that keeps a rank list duplicate-free.
 	revOff   []int64
 	revRow   []uint32
 	revW     []float64
@@ -181,7 +191,7 @@ type engine struct {
 	// round that the plane pooling works to keep allocation-free. curBuild
 	// and curMerge select the active phase for the shared bodies; bulkIn
 	// and readers carry the received round through bulkMergeBody. findBody
-	// is findBest's par.For body.
+	// is findBest's par.For body, bySrcBody and byRowBody are buildRows'.
 	curBuild      func(t, lo, hi int, w *wire.ChunkWriter)
 	curMerge      func(t int, r *wire.Reader) error
 	buildBody     func(t, lo, hi int)
@@ -195,6 +205,8 @@ type engine struct {
 	reconBuildFn  func(t, lo, hi int, w *wire.ChunkWriter)
 	reconMergeFn  func(t int, r *wire.Reader) error
 	findBody      func(t, lo, hi int)
+	bySrcBody     func(t, lo, hi int)
+	byRowBody     func(t, lo, hi int)
 
 	m  float64
 	bd *perf.Breakdown
@@ -236,15 +248,12 @@ func newEngine(c *comm.Comm, n int, opt Options) *engine {
 		skipUntil: make([]float64, nLoc),
 		bd:        perf.NewBreakdown(),
 	}
-	s.in = make([]*edgetable.Table, opt.Threads)
+	s.pend = make([]graph.EdgeList, opt.Threads)
+	s.bySrc = make([]graph.EdgeList, opt.Threads)
+	s.srcPos = make([][]int64, opt.Threads)
 	s.scan = make([]*gainScan, opt.Threads)
 	for t := 0; t < opt.Threads; t++ {
-		s.in[t] = edgetable.New(edgetable.Config{
-			Hash:       opt.Hash,
-			Layout:     opt.TableLayout,
-			LoadFactor: opt.LoadFactor,
-			Capacity:   1024,
-		})
+		s.srcPos[t] = make([]int64, n+1)
 		s.scan[t] = newGainScan(n)
 	}
 	s.planes = wire.GetPlanes(c.Size())
@@ -270,6 +279,8 @@ func newEngine(c *comm.Comm, n int, opt Options) *engine {
 	s.reconBuildFn = s.reconstructBuild
 	s.reconMergeFn = s.reconstructMerge
 	s.findBody = s.findBestRange
+	s.bySrcBody = func(t, _, _ int) { s.sortBySource(t) }
+	s.byRowBody = func(t, _, _ int) { s.fillRows(t) }
 	s.rec = opt.Recorder
 	if reg := opt.Metrics; reg != nil {
 		c.Instrument(reg)
@@ -335,15 +346,6 @@ func (c *phaseClock) lap(phase string) time.Duration {
 	return d
 }
 
-// inEntries is the number of distinct (src,dst) entries the In_Table holds.
-func (s *engine) inEntries() int {
-	n := 0
-	for _, tab := range s.in {
-		n += tab.Len()
-	}
-	return n
-}
-
 // outPlanes resets and returns the per-destination send planes.
 func (s *engine) outPlanes() *wire.Planes {
 	s.planes.Reset()
@@ -390,7 +392,7 @@ func (s *engine) run(local graph.EdgeList) (*Result, error) {
 		}
 	}
 	// Input edge count for TEPS: single-counted distinct entries.
-	localEdges := uint64(s.inEntries())
+	localEdges := uint64(len(s.adjSrc))
 	totalEntries, err := s.c.AllReduceUint64(localEdges, comm.OpSum)
 	if err != nil {
 		return nil, err
@@ -411,10 +413,7 @@ func (s *engine) run(local graph.EdgeList) (*Result, error) {
 		}
 		refineStart := time.Now()
 		tsLevel := s.now()
-		var inStats edgetable.Stats
-		if s.rec != nil {
-			inStats = edgetable.AggregateStats(s.in...)
-		}
+		inEntries := len(s.adjSrc)
 		if s.mLevel != nil {
 			s.mLevel.Set(float64(level))
 			s.mActive.Set(float64(vertices))
@@ -484,13 +483,7 @@ func (s *engine) run(local graph.EdgeList) (*Result, error) {
 					"comm_bytes":       float64(levelBytes),
 					"comm_rounds":      float64(levelRounds),
 					"recon_us":         float64(dRecon.Microseconds()),
-					"in_entries":       float64(inStats.Entries),
-					"in_slots":         float64(inStats.Slots),
-					"in_load_factor":   inStats.LoadFactor,
-					"in_avg_bin_len":   inStats.AvgBinLen,
-					"in_max_bin_len":   float64(inStats.MaxBinLen),
-					"in_mean_probe":    inStats.MeanProbe,
-					"in_growths":       float64(inStats.Growths),
+					"in_entries":       float64(inEntries),
 				},
 			})
 		}

@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 
 	"parlouvain/internal/comm"
 	"parlouvain/internal/graph"
-	"parlouvain/internal/hashfn"
 	"parlouvain/internal/wire"
 )
 
@@ -31,16 +31,17 @@ import (
 //     (Section IV-B's convergence claim), within floating-point tolerance.
 //  6. Weight preservation — graph reconstruction (Algorithm 5) preserves
 //     total edge weight: m is identical at every level.
-//  7. In-edge consistency — the in-edge arrays the out rows are built from
-//     hold exactly the In_Table: the same number of entries, and every
-//     array entry is in its shard of the table with the same weight bits.
+//  7. In-edge consistency — the in-edge rows are what buildRows left: every
+//     row strictly ascending by source (so no pair twice), every source
+//     inside the id space, every weight finite, and every row's weights sum
+//     to its vertex's degree.
 //  8. Out-row consistency — every in-edge (u→v, w) has its twin (v→u) at
 //     owner(u), named exactly once and of equal weight, so a row of in-edges
 //     is its vertex's out-edges; ghost holds, for every row entry, the
-//     community of the entry's source in the all-gathered assignment; every
-//     row's weights sum to its vertex's degree; modularity recomputed from
-//     the rows and the gathered assignment alone equals the engine's; and the
-//     running Σin computeQ reads equals a fresh scan of the rows.
+//     community of the entry's source in the all-gathered assignment;
+//     modularity recomputed from the rows and the gathered assignment alone
+//     equals the engine's; and the running Σin computeQ reads equals a fresh
+//     scan of the rows.
 //
 // Checks run when Options.CheckInvariants is set (the -check flag of
 // cmd/louvain and cmd/louvaind) and in every core test. Each check folds
@@ -172,24 +173,24 @@ func (s *engine) checkLevel(level int, vertices uint64, q, qPrev float64) error 
 	return nil
 }
 
-// checkInEdges verifies invariant 7: the in-edge arrays levelInit derived
-// from the In_Table — what the out rows and every later phase of the level
-// are built from — still hold exactly the table's entries. Equal counts and
-// every array entry found in its shard with bit-equal weight; every row.
+// checkInEdges verifies invariant 7 on this rank's rows — what the out rows
+// and every phase of the level read: ascending without a repeat, sources in
+// the id space, weights finite, and each row summing to its vertex's degree.
 func (s *engine) checkInEdges(level int) error {
-	if got, want := s.inEntries(), len(s.adjSrc); got != want {
-		return fmt.Errorf("%w: rank %d level %d: In_Table holds %d entries, adjacency has %d",
-			ErrInvariant, s.part.Rank, level, got, want)
-	}
+	tol := invariantTol * math.Max(1, 2*s.m)
 	for li := 0; li < s.nLoc; li++ {
-		gid := s.part.GlobalID(li)
-		tab := s.in[s.shardOf(li)]
+		var rowW float64
 		for e := s.adjOff[li]; e < s.adjOff[li+1]; e++ {
-			w, ok := tab.GetPair(s.adjSrc[e], gid)
-			if !ok || w != s.adjW[e] {
-				return fmt.Errorf("%w: rank %d level %d: In_Table lookup (%d,%d) = (%v,%v), adjacency holds %v",
-					ErrInvariant, s.part.Rank, level, s.adjSrc[e], gid, w, ok, s.adjW[e])
+			u, w := s.adjSrc[e], s.adjW[e]
+			if int(u) >= s.n || w-w != 0 || e > s.adjOff[li] && s.adjSrc[e-1] >= u {
+				return fmt.Errorf("%w: rank %d level %d: entry %d of the row of vertex %d has source %d and weight %v: rows are ascending by source, inside %d ids, of finite weight",
+					ErrInvariant, s.part.Rank, level, e-s.adjOff[li], s.part.GlobalID(li), u, w, s.n)
 			}
+			rowW += w
+		}
+		if math.Abs(rowW-s.k[li]) > tol {
+			return fmt.Errorf("%w: rank %d level %d: out row of vertex %d weighs %.12g, its degree is %.12g",
+				ErrInvariant, s.part.Rank, level, s.part.GlobalID(li), rowW, s.k[li])
 		}
 	}
 	return nil
@@ -219,13 +220,14 @@ func (s *engine) checkOutRows(level int, q float64, full []graph.V) error {
 	if err != nil {
 		return err
 	}
+	defer wire.ReleasePlanes(in)
 	var bad error
 	fail := func(format string, args ...any) {
 		if bad == nil {
 			bad = fmt.Errorf("%w: rank %d level %d: "+format, append([]any{ErrInvariant, s.part.Rank, level}, args...)...)
 		}
 	}
-	named := make(map[uint64]struct{}, len(s.adjSrc))
+	named, namedCount := make([]bool, len(s.adjSrc)), 0
 	var r wire.Reader
 	for src, plane := range in {
 		r.Reset(plane)
@@ -238,26 +240,29 @@ func (s *engine) checkOutRows(level int, q float64, full []graph.V) error {
 				fail("rank %d names in-edge (%d→%d), whose twin cannot be here (%d ids)", src, e.A, e.B, s.n)
 				continue
 			}
-			twin := hashfn.Pack32(e.B, e.A)
-			w, ok := s.in[s.shardOf(s.part.LocalIndex(e.A))].Get(twin)
-			_, again := named[twin]
-			switch {
-			case !ok:
+			li := s.part.LocalIndex(e.A)
+			row := s.adjSrc[s.adjOff[li]:s.adjOff[li+1]]
+			i, ok := slices.BinarySearch(row, e.B)
+			if !ok {
 				fail("in-edge (%d→%d) of rank %d has no twin (%d→%d) here: the out rows are read off a graph that is not symmetric", e.A, e.B, src, e.B, e.A)
-			case again:
+				continue
+			}
+			twin := int(s.adjOff[li]) + i
+			if named[twin] {
 				fail("in-edge (%d→%d) is named as a twin by two in-edges of rank %d", e.B, e.A, src)
-			case math.Abs(w-e.W) > invariantTol*math.Max(1, math.Abs(w)):
+				continue
+			}
+			named[twin] = true
+			namedCount++
+			if w := s.adjW[twin]; math.Abs(w-e.W) > invariantTol*math.Max(1, math.Abs(w)) {
 				fail("in-edge (%d→%d) weighs %.12g at rank %d, its twin in the out row of vertex %d weighs %.12g", e.A, e.B, e.W, src, e.A, w)
 			}
-			named[twin] = struct{}{}
 		}
 	}
-	wire.ReleasePlanes(in)
-	if len(named) != len(s.adjSrc) {
-		fail("%d of the %d in-edges the out rows are read off were named by a twin", len(named), len(s.adjSrc))
+	if namedCount != len(s.adjSrc) {
+		fail("%d of the %d in-edges the out rows are read off were named by a twin", namedCount, len(s.adjSrc))
 	}
 
-	tol := invariantTol * math.Max(1, 2*s.m)
 	rowTot := make([]float64, s.n)
 	var sumIn float64
 	for li := 0; li < s.nLoc; li++ {
@@ -275,9 +280,6 @@ func (s *engine) checkOutRows(level int, q float64, full []graph.V) error {
 			if full[u] == full[v] {
 				sumIn += s.adjW[e]
 			}
-		}
-		if math.Abs(rowW-s.k[li]) > tol {
-			fail("out row of vertex %d weighs %.12g, its degree is %.12g", v, rowW, s.k[li])
 		}
 		rowTot[full[v]] += rowW
 	}
@@ -336,7 +338,7 @@ func (s *engine) checkIntra() error {
 }
 
 // checkReconstruction verifies invariant 6 right after the next level's
-// levelInit re-derived m from the reconstructed In_Table: Algorithm 5 must
+// levelInit re-derived m from the reconstructed records: Algorithm 5 must
 // preserve the total edge weight exactly (up to reduction rounding).
 func (s *engine) checkReconstruction(level int, mPrev float64) error {
 	if math.Abs(s.m-mPrev) > invariantTol*math.Max(1, mPrev) {

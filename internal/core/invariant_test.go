@@ -42,7 +42,7 @@ func TestInvariantChecksPassOnHealthyRun(t *testing.T) {
 
 // TestInvariantCatchesBrokenReconstruction is the checker's negative test:
 // deliberately corrupt Algorithm 5 (phantom edge weight smuggled into the
-// rebuilt In_Table on rank 0) and require the run to abort with an
+// next level's records on rank 0) and require the run to abort with an
 // ErrInvariant-wrapped, reconstruction-attributed error instead of quietly
 // producing a wrong hierarchy.
 func TestInvariantCatchesBrokenReconstruction(t *testing.T) {

@@ -14,9 +14,7 @@ import (
 	"math"
 	"time"
 
-	"parlouvain/internal/edgetable"
 	"parlouvain/internal/graph"
-	"parlouvain/internal/hashfn"
 	"parlouvain/internal/movesched"
 	"parlouvain/internal/obs"
 	"parlouvain/internal/par"
@@ -104,12 +102,6 @@ type Options struct {
 	// set); see movesched.Ordering for the alternatives. The parallel
 	// distributed engine ignores it. Exposed as -order on cmd/louvain.
 	Order movesched.Ordering
-	// Hash selects the edge-table hash family; default Fibonacci.
-	Hash hashfn.Kind
-	// LoadFactor for the edge tables; 0 means the paper's 1/4.
-	LoadFactor float64
-	// TableLayout for the edge tables (probing by default).
-	TableLayout edgetable.Layout
 
 	// StreamChunk selects the exchange mode of the heavy scatter phases
 	// (full propagation, delta propagation, reconstruction): 0 picks
@@ -158,7 +150,7 @@ type Options struct {
 	// parallel engine: one "iteration" event per inner iteration (moved,
 	// ε, ΔQ̂, modularity, per-phase durations), one event per timed phase,
 	// and one "level" event per completed level (vertex/edge counts,
-	// reconstruction time, In_Table occupancy). A single Recorder is safe
+	// reconstruction time, in-edge entries). A single Recorder is safe
 	// to share across every rank of an in-process group.
 	Recorder *obs.Recorder
 
@@ -186,9 +178,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Threads <= 0 {
 		o.Threads = 1
-	}
-	if o.LoadFactor <= 0 {
-		o.LoadFactor = 0.25
 	}
 	if o.Epsilon == nil {
 		o.Epsilon = DefaultEpsilon()

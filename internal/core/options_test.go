@@ -40,12 +40,12 @@ func TestPaperLiteralEpsilonDecaysTowardP1(t *testing.T) {
 func TestWithDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.MaxLevels != 32 || o.MaxInner != 64 || o.MinGain != 1e-6 ||
-		o.ProgressGain != 1e-4 || o.Threads != 1 || o.LoadFactor != 0.25 || o.Epsilon == nil {
+		o.ProgressGain != 1e-4 || o.Threads != 1 || o.Epsilon == nil {
 		t.Errorf("defaults: %+v", o)
 	}
 	// Explicit values survive.
-	o = Options{MaxLevels: 3, MaxInner: 5, MinGain: 0.1, Threads: 2, LoadFactor: 0.5}.withDefaults()
-	if o.MaxLevels != 3 || o.MaxInner != 5 || o.MinGain != 0.1 || o.Threads != 2 || o.LoadFactor != 0.5 {
+	o = Options{MaxLevels: 3, MaxInner: 5, MinGain: 0.1, Threads: 2}.withDefaults()
+	if o.MaxLevels != 3 || o.MaxInner != 5 || o.MinGain != 0.1 || o.Threads != 2 {
 		t.Errorf("explicit values overridden: %+v", o)
 	}
 	// StreamChunk=0 stays 0 through withDefaults: the auto choice needs the

@@ -5,7 +5,7 @@ import "parlouvain/internal/graph"
 // The out rows: Algorithm 3's Out_Table — w_{u→c} for every owned u and
 // neighbor community c — without a table. The level's graph is symmetric
 // (levelInit refuses one that is not), so the out-edges of owned vertex u are
-// the in-edges levelInit laid out as its row, weights included, and the only
+// the in-edges buildRows laid out as its row, weights included, and the only
 // thing the rank lacks is the community of each far endpoint. State
 // propagation supplies that per vertex, not per edge: when u moves, owner(u)
 // tells each rank that owns a neighbor of u once, (u, comm[u]), the receiver
@@ -15,11 +15,11 @@ import "parlouvain/internal/graph"
 // once per (vertex, rank), and every reader sees exactly the values the
 // per-edge copies would hold (DESIGN.md §2).
 
-// buildNeighborIndex derives, from the in-edge CSR levelInit just built, the
-// two indexes propagation is addressed by: the transpose rev (count, prefix,
-// fill — rows ascending, so every rev list is in ascending row order whatever
-// order the In_Table handed the entries out in) and the rank list of every
-// owned vertex. No allocation once the arrays have reached level 0's size.
+// buildNeighborIndex derives, from the in-edge CSR buildRows just laid out,
+// the two indexes propagation is addressed by: the transpose rev (count,
+// prefix, fill — rows ascending, so every rev list is in ascending row order)
+// and the rank list of every owned vertex. No allocation once the arrays have
+// reached level 0's size.
 func (s *engine) buildNeighborIndex() {
 	clear(s.revOff)
 	for _, v := range s.adjSrc {

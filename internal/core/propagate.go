@@ -166,6 +166,7 @@ func (s *engine) pullTotals() error {
 	if err != nil {
 		return err
 	}
+	defer wire.ReleasePlanes(reqs)
 	resp := s.outPlanes()
 	var r wire.Reader
 	for src, plane := range reqs {
@@ -184,11 +185,11 @@ func (s *engine) pullTotals() error {
 			b.PutU32(uint32(s.memOwn[li]))
 		}
 	}
-	wire.ReleasePlanes(reqs)
 	resps, err := s.exchange(resp)
 	if err != nil {
 		return err
 	}
+	defer wire.ReleasePlanes(resps)
 	for src, plane := range resps {
 		s.replyReaders[src].Reset(plane)
 	}
@@ -215,6 +216,5 @@ func (s *engine) pullTotals() error {
 				s.part.Rank, len(resps[src]), src, r.Err())
 		}
 	}
-	wire.ReleasePlanes(resps)
 	return nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"parlouvain/internal/comm"
 	"parlouvain/internal/graph"
@@ -11,21 +10,25 @@ import (
 	"parlouvain/internal/wire"
 )
 
-// Graph construction: loading the rank's input edges, deriving per-level
-// vertex state from the In_Table, collapsing communities into the next
-// level's supergraph (Algorithm 5), and gathering the level's assignment
-// vector for result reporting.
+// Graph construction: taking the rank's input edges, sorting a level's edge
+// records into its rows and deriving per-vertex state from them, collapsing
+// communities into the next level's supergraph (Algorithm 5), and gathering
+// the level's assignment vector for result reporting.
 
-// loadLocal fills the In_Table from this rank's input edges. Self-loop
-// weights are doubled on insertion so that the degree of a vertex is simply
-// the sum of its in-entries (DESIGN.md §5); the doubling is consistent
-// across levels because graph reconstruction regenerates (c,c) entries
-// already doubled.
+// loadLocal checks this rank's input edges and makes them level 0's records:
+// at one thread the caller's list itself, otherwise a copy dealt out to the
+// workers that own the rows. The records are raw — buildRows doubles each
+// self-loop weight as it sorts, so that the degree of a vertex is simply the
+// sum of its row (DESIGN.md §5); graph reconstruction regenerates (c,c)
+// records already doubled.
 func (s *engine) loadLocal(local graph.EdgeList) error {
-	// Shards hold about an equal share of the entries; sizing them once
-	// spares the eight-odd doublings (and re-insertions) a cold table needs.
-	for _, tab := range s.in {
-		tab.Reserve(len(local) / s.opt.Threads)
+	T := s.opt.Threads
+	if T == 1 {
+		s.pend[0] = local
+	} else {
+		for t := range s.pend {
+			s.pend[t] = make(graph.EdgeList, 0, len(local)/T)
+		}
 	}
 	for _, e := range local {
 		if !s.part.Owns(e.V) {
@@ -34,19 +37,124 @@ func (s *engine) loadLocal(local graph.EdgeList) error {
 		if err := e.Check(s.n); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
-		w := e.W
-		if e.U == e.V {
-			w *= 2
+		if T > 1 {
+			t := s.shardOf(s.part.LocalIndex(e.V))
+			s.pend[t] = append(s.pend[t], e)
 		}
-		li := s.part.LocalIndex(e.V)
-		s.in[s.shardOf(li)].AddPair(e.U, e.V, w)
 	}
+	s.raw = true
 	return nil
 }
 
-// levelInit derives per-vertex state from the current In_Table and returns
-// the global number of active vertices. It is called at the start of every
-// level (the In_Table is the level's graph).
+// buildRows sorts the level's records into the in-edge CSR — the level's
+// graph — and derives the per-vertex state and the two propagation indexes
+// from it. The sort is two stable counting passes, by source and then by row,
+// each worker over the records of the rows it owns; the second merges the
+// records of one (src, dst) pair as they land next to each other, summing
+// their weights in arrival order. So a row is ascending by source and holds a
+// pair once, and neither its order nor a bit of its weights depends on the
+// thread count or the exchange mode. Linear in records + ids, no allocation
+// once the arrays have reached level 0's size. It returns this rank's Σk,
+// active count and mirror sum (levelInit).
+func (s *engine) buildRows() (localK float64, localActive, mirror uint64) {
+	T := s.opt.Threads
+	s.adjOff = resize(s.adjOff, s.nLoc+1)
+	clear(s.adjOff)
+	par.For(T, T, s.bySrcBody)
+	for i := 0; i < s.nLoc; i++ {
+		s.adjOff[i+1] += s.adjOff[i]
+	}
+	s.adjSrc = resize(s.adjSrc, int(s.adjOff[s.nLoc]))
+	s.adjW = resize(s.adjW, len(s.adjSrc))
+	s.cursor = resize(s.cursor, s.nLoc)
+	copy(s.cursor, s.adjOff)
+	par.For(T, T, s.byRowBody)
+	if s.raw && T == 1 {
+		s.pend[0] = nil // the caller's list: the next level's records start afresh
+	}
+	s.raw = false
+
+	// One pass over the rows closes the gaps the merged records left and
+	// derives the vertex state from the entries that remain.
+	var p int64
+	for li := 0; li < s.nLoc; li++ {
+		dst := s.part.GlobalID(li)
+		lo, hi := s.adjOff[li], s.cursor[li]
+		s.adjOff[li] = p
+		var k, self2 float64
+		for e := lo; e < hi; e++ {
+			src, w := s.adjSrc[e], s.adjW[e]
+			s.adjSrc[p], s.adjW[p] = src, w
+			p++
+			k += w
+			switch {
+			case src < dst:
+				mirror += hashfn.Mix(hashfn.Bitwise, hashfn.Pack32(src, dst))
+			case src > dst:
+				mirror -= hashfn.Mix(hashfn.Bitwise, hashfn.Pack32(dst, src))
+			default:
+				self2 = w
+			}
+		}
+		s.k[li], s.self2[li], s.totOwn[li] = k, self2, k
+		s.commOf[li] = dst
+		s.active[li], s.memOwn[li] = hi > lo, 0
+		if s.active[li] {
+			s.memOwn[li] = 1
+			localK += k
+			localActive++
+		}
+	}
+	s.adjOff[s.nLoc] = p
+	s.adjSrc, s.adjW = s.adjSrc[:p], s.adjW[:p]
+	s.buildNeighborIndex()
+	return localK, localActive, mirror
+}
+
+// sortBySource is buildRows' first pass for worker t: its records, stably
+// sorted by source into bySrc[t] with the row in place of the destination and
+// a raw self-loop doubled, and the record count of each of its rows added
+// into adjOff.
+func (s *engine) sortBySource(t int) {
+	recs, pos := s.pend[t], s.srcPos[t]
+	clear(pos)
+	for _, e := range recs {
+		pos[e.U+1]++
+		s.adjOff[s.part.LocalIndex(e.V)+1]++
+	}
+	for v := 0; v < s.n; v++ {
+		pos[v+1] += pos[v]
+	}
+	out := resize(s.bySrc[t], len(recs))
+	for _, e := range recs {
+		if s.raw && e.U == e.V {
+			e.W *= 2
+		}
+		e.V = graph.V(s.part.LocalIndex(e.V))
+		out[pos[e.U]] = e
+		pos[e.U]++
+	}
+	s.bySrc[t] = out
+}
+
+// fillRows is the second pass: worker t's records, in source order, go to the
+// fill position of their row, or onto the entry before it when that is the
+// same pair.
+func (s *engine) fillRows(t int) {
+	for _, e := range s.bySrc[t] {
+		p := s.cursor[e.V]
+		if p > s.adjOff[e.V] && s.adjSrc[p-1] == e.U {
+			s.adjW[p-1] += e.W
+			continue
+		}
+		s.adjSrc[p], s.adjW[p] = e.U, e.W
+		s.cursor[e.V] = p + 1
+	}
+}
+
+// levelInit builds the level's graph from the records gathered for it and
+// returns the global number of active vertices. It is called at the start of
+// every level.
 //
 // It also refuses a graph that is not symmetric, which the out rows rest on
 // (outrows.go): the entries (u→v) held across the group must be matched one
@@ -57,74 +165,13 @@ func (s *engine) loadLocal(local graph.EdgeList) error {
 // probability 2⁻⁶⁴; every rank reads the same total and returns together.
 // Weights are not compared here; invariant 8 does that under -check.
 func (s *engine) levelInit() (uint64, error) {
-	for i := 0; i < s.nLoc; i++ {
-		s.active[i] = false
-		s.k[i] = 0
-		s.self2[i] = 0
-		s.totOwn[i] = 0
-		s.commOf[i] = s.part.GlobalID(i)
-	}
-	s.adjOff = resize(s.adjOff, s.nLoc+1)
-	clear(s.adjOff)
-	var mirror atomic.Uint64
-	par.For(s.opt.Threads, s.opt.Threads, func(t, lo, hi int) {
-		var sum uint64
-		s.in[t].Range(func(key uint64, w float64) bool {
-			src, dst := hashfn.Unpack32(key)
-			li := s.part.LocalIndex(dst)
-			s.active[li] = true
-			s.k[li] += w
-			s.adjOff[li+1]++
-			switch {
-			case src < dst:
-				sum += hashfn.Mix(hashfn.Bitwise, key)
-			case src > dst:
-				sum -= hashfn.Mix(hashfn.Bitwise, hashfn.Pack32(dst, src))
-			default:
-				s.self2[li] = w
-			}
-			return true
-		})
-		mirror.Add(sum)
-	})
-	var localK float64
-	var localActive uint64
-	for i := 0; i < s.nLoc; i++ {
-		s.memOwn[i] = 0
-		if s.active[i] {
-			localK += s.k[i]
-			s.totOwn[i] = s.k[i]
-			s.memOwn[i] = 1
-			localActive++
-		}
-	}
-	// Build the in-edge CSR (second pass over the In_Table).
-	for i := 0; i < s.nLoc; i++ {
-		s.adjOff[i+1] += s.adjOff[i]
-	}
-	total := int(s.adjOff[s.nLoc])
-	s.adjSrc = resize(s.adjSrc, total)
-	s.adjW = resize(s.adjW, total)
-	s.cursor = resize(s.cursor, s.nLoc)
-	copy(s.cursor, s.adjOff)
-	par.For(s.opt.Threads, s.opt.Threads, func(t, lo, hi int) {
-		s.in[t].Range(func(key uint64, w float64) bool {
-			src, dst := hashfn.Unpack32(key)
-			li := s.part.LocalIndex(dst)
-			p := s.cursor[li]
-			s.adjSrc[p] = src
-			s.adjW[p] = w
-			s.cursor[li]++
-			return true
-		})
-	})
-	s.buildNeighborIndex()
+	localK, localActive, mirror := s.buildRows()
 	twoM, err := s.c.AllReduceFloat64(localK, comm.OpSum)
 	if err != nil {
 		return 0, err
 	}
 	s.m = twoM / 2
-	sums := [2]uint64{localActive, mirror.Load()}
+	sums := [2]uint64{localActive, mirror}
 	if err := s.c.AllReduceUint64Slice(sums[:]); err != nil {
 		return 0, err
 	}
@@ -137,22 +184,22 @@ func (s *engine) levelInit() (uint64, error) {
 
 // reconstruct is Algorithm 5: every owned vertex u's out row, summed per
 // neighbor community c, becomes the supergraph in-edges ((comm[u], c),
-// w_{u→c}) at owner(c), rebuilding the In_Table for the next level.
+// w_{u→c}) at owner(c) — the next level's records.
 func (s *engine) reconstruct() error {
-	// The In_Table is reset before the scatter so merge workers can rebuild
-	// it while the row scan is still producing records; build reads the rows,
-	// merge writes the In_Table, so the two overlap safely.
-	for t := 0; t < s.opt.Threads; t++ {
-		s.in[t].Reset()
+	// The record lists are emptied before the scatter so merge workers can
+	// fill them while the row scan is still producing records; build reads
+	// the rows, merge appends records, so the two overlap safely.
+	for t := range s.pend {
+		s.pend[t] = s.pend[t][:0]
 	}
 	if err := s.scatter(s.nLoc, s.reconBuildFn, s.reconMergeFn); err != nil {
 		return err
 	}
 	if debugBreakReconstruct && s.part.Rank == 0 {
-		// Negative-test hook: smuggle phantom edge weight into the rebuilt
-		// In_Table so the next level's total weight drifts — the invariant
-		// checker must catch this as a reconstruction violation.
-		s.in[s.shardOf(0)].AddPair(0, 0, 1)
+		// Negative-test hook: smuggle phantom edge weight into the next
+		// level's records so its total weight drifts — the invariant checker
+		// must catch this as a reconstruction violation.
+		s.pend[0] = append(s.pend[0], graph.Edge{U: 0, V: 0, W: 1})
 	}
 	return nil
 }
@@ -178,19 +225,25 @@ func (s *engine) reconstructBuild(t, lo, hi int, cw *wire.ChunkWriter) {
 	}
 }
 
-// reconstructMerge inserts received supergraph edges into this worker's
-// In_Table shard.
+// reconstructMerge keeps the received supergraph edges whose row is worker
+// t's, refusing one this rank cannot hold.
 func (s *engine) reconstructMerge(t int, r *wire.Reader) error {
 	for r.More() {
 		tr := r.Triple()
 		if r.Err() != nil {
 			break
 		}
-		li := s.part.LocalIndex(tr.B)
-		if li%s.opt.Threads != t {
+		if s.shardOf(s.part.LocalIndex(tr.B)) != t {
 			continue
 		}
-		s.in[t].AddPair(tr.A, tr.B, tr.W)
+		e := graph.Edge{U: tr.A, V: tr.B, W: tr.W}
+		if err := e.Check(s.n); err != nil {
+			return fmt.Errorf("core: rank %d: reconstruction record: %w", s.part.Rank, err)
+		}
+		if !s.part.Owns(e.V) {
+			return fmt.Errorf("core: rank %d: reconstruction record (%d→%d) for a vertex of rank %d", s.part.Rank, e.U, e.V, s.part.Owner(e.V))
+		}
+		s.pend[t] = append(s.pend[t], e)
 	}
 	return r.Err()
 }

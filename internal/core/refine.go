@@ -408,6 +408,7 @@ func (s *engine) relocate(li int, newC graph.V) {
 // releases the round. Shared by update and applyWarm, whose planes have the
 // same shape.
 func (s *engine) applyTotDeltas(in [][]byte) error {
+	defer wire.ReleasePlanes(in)
 	var r wire.Reader
 	for _, plane := range in {
 		r.Reset(plane)
@@ -426,7 +427,6 @@ func (s *engine) applyTotDeltas(in [][]byte) error {
 			}
 		}
 	}
-	wire.ReleasePlanes(in)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"parlouvain/internal/comm"
@@ -47,13 +48,20 @@ func TestSimulatedScalingMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	times := map[int]float64{}
-	for _, p := range []int{1, 4, 16} {
-		res, err := RunSimulated(el, 8000, p, Options{}, comm.DefaultCostModel())
-		if err != nil {
-			t.Fatal(err)
+	// The makespan is built from measured compute, so one collector cycle or
+	// a busy neighbour inflates a run several-fold; the fastest of five is
+	// the run nobody disturbed. (Since PR 24 took the In_Table's work — which
+	// fell with 1/P — out of every rank, P=4 sits at ~0.45 of P=1 where it sat
+	// at ~0.35, and a single disturbed run crossed the bar one time in five.)
+	times := map[int]float64{1: math.Inf(1), 4: math.Inf(1), 16: math.Inf(1)}
+	for rep := 0; rep < 5; rep++ {
+		for p := range times {
+			res, err := RunSimulated(el, 8000, p, Options{}, comm.DefaultCostModel())
+			if err != nil {
+				t.Fatal(err)
+			}
+			times[p] = min(times[p], res.SimDuration.Seconds())
 		}
-		times[p] = res.SimDuration.Seconds()
 	}
 	// Strong scaling: clear win from 1 to 4 ranks; at 16 ranks on this
 	// small graph communication saturates, but the makespan must not

@@ -254,7 +254,10 @@ func TestSkipCommunityEmptiedThenRevived(t *testing.T) {
 // golden-trace input the engine's work is deterministic, so its rounds,
 // bytes, inner iterations and scored rows are pinned by equality. A change
 // that adds a collective, a byte per record or a sweep fails here on any
-// host; a change that removes one updates the numbers and says so.
+// host; a change that removes one updates the numbers and says so. Pinned
+// with them, per rank at level 0: the entries of the in-edge CSR and the bytes
+// of level storage the engine holds (levelBytes) — the first instalment of a
+// bytes-per-rank count.
 func TestParallelExactCounts(t *testing.T) {
 	el := skipLFR(t, 1000, 0.3, 19)
 	// The invariant checker adds collectives of its own.
@@ -263,9 +266,10 @@ func TestParallelExactCounts(t *testing.T) {
 	for _, want := range []struct {
 		ranks                      int
 		rounds, bytes, iters, rows uint64
+		entries, levelBytes        []int // per rank
 	}{
-		{ranks: 1, rounds: 151, bytes: 238222, iters: 19, rows: 9937},
-		{ranks: 2, rounds: 151, bytes: 364328, iters: 19, rows: 9937},
+		{ranks: 1, rounds: 151, bytes: 238222, iters: 19, rows: 9937, entries: []int{14662}, levelBytes: []int{434552}},
+		{ranks: 2, rounds: 151, bytes: 364328, iters: 19, rows: 9937, entries: []int{7292, 7370}, levelBytes: []int{220192, 222376}},
 	} {
 		res, err := RunInProcess(el, 1000, want.ranks, Options{})
 		if err != nil {
@@ -280,5 +284,21 @@ func TestParallelExactCounts(t *testing.T) {
 				want.ranks, res.CommRounds, res.CommBytes, iters, res.RowsEvaluated,
 				want.rounds, want.bytes, want.iters, want.rows)
 		}
+		for r, s := range levelEngines(t, el, 1000, want.ranks, -1) {
+			if len(s.adjSrc) != want.entries[r] || s.levelBytes() != want.levelBytes[r] {
+				t.Errorf("ranks=%d rank %d: %d level-0 entries in %d bytes of level storage; pinned %d, %d",
+					want.ranks, r, len(s.adjSrc), s.levelBytes(), want.entries[r], want.levelBytes[r])
+			}
+		}
 	}
+}
+
+// levelBytes is what the engine holds for the level's graph: the pending
+// records it owns, the sort's scratch, and the CSR with its fill cursor.
+func (s *engine) levelBytes() int {
+	b := 8*(cap(s.adjOff)+cap(s.cursor)) + 4*cap(s.adjSrc) + 8*cap(s.adjW)
+	for t := range s.pend {
+		b += 16*(cap(s.pend[t])+cap(s.bySrc[t])) + 8*cap(s.srcPos[t])
+	}
+	return b
 }

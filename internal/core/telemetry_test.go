@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"parlouvain/internal/gen"
@@ -13,7 +14,7 @@ import (
 // shared recorder and checks the contract the exporters and the Figure 8
 // harness rely on: one "iteration" event per rank per inner iteration with
 // the phase durations attached, a monotone non-decreasing best-modularity
-// series, per-level events carrying table stats, and both export formats
+// series, per-level events carrying the level's in-edge count, and both export formats
 // well-formed.
 func TestParallelTelemetryEvents(t *testing.T) {
 	el, _, err := gen.LFR(gen.DefaultLFR(1200, 0.3, 19))
@@ -53,19 +54,20 @@ func TestParallelTelemetryEvents(t *testing.T) {
 			}
 		case "level":
 			levelEvents++
-			for _, f := range []string{"q", "vertices", "communities", "comm_bytes", "comm_rounds", "in_entries", "in_load_factor", "in_avg_bin_len", "in_mean_probe"} {
+			for _, f := range []string{"q", "vertices", "communities", "comm_bytes", "comm_rounds", "in_entries"} {
 				if _, ok := e.Fields[f]; !ok {
 					t.Fatalf("level event missing field %q: %+v", f, e)
 				}
 			}
 			if e.Fields["in_entries"] <= 0 && e.Level == 0 {
-				t.Errorf("level 0 event reports empty In_Table: %+v", e)
+				t.Errorf("level 0 event reports no in-edges: %+v", e)
 			}
-			// The in_* series is the hash In_Table's (the paper's Fig. 6) at
-			// every level, whatever the level's size: never fuller than the
-			// default load factor, never fewer slots than entries.
-			if e.Fields["in_load_factor"] > 0.25 || e.Fields["in_slots"] < e.Fields["in_entries"] {
-				t.Errorf("level event does not describe the hash In_Table: %+v", e)
+			// The hash In_Table left the engine; its occupancy series
+			// (Fig. 6) comes from `experiments fig6`, not from level events.
+			for f := range e.Fields {
+				if strings.HasPrefix(f, "in_") && f != "in_entries" {
+					t.Errorf("level event still carries table field %q: %+v", f, e)
+				}
 			}
 		default:
 			phaseEvents++

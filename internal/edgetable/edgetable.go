@@ -1,10 +1,13 @@
 // Package edgetable implements the paper's hash-based edge storage
 // (Section IV-A): tables keyed by packed (t1,t2) tuples holding weighted
-// triples ((t1,t2),w), with accumulate-on-collision semantics. The
-// In_Table (in-edges, rebuilt once per outer loop) is an instance of Table;
-// the paper's Out_Table (edge→community aggregations, rebuilt every inner
-// iteration) was one too until internal/core replaced it with
-// slot-addressed out rows (core/outrows.go).
+// triples ((t1,t2),w), with accumulate-on-collision semantics. The paper's
+// In_Table (in-edges, rebuilt once per outer loop) and Out_Table
+// (edge→community aggregations, rebuilt every inner iteration) are instances
+// of Table. internal/core carries neither any more — a level's in-edges are
+// sorted rows (core/reconstruct.go buildRows), read as out rows too
+// (core/outrows.go) — so the package is the paper's data structure on its
+// own: the hash study of Figure 6 (internal/exp), the benchmark's ladder, and
+// the oracle core's row tests hold the sort to.
 //
 // Two physical layouts are provided:
 //
@@ -87,8 +90,8 @@ type Table struct {
 	slots uint64 // conceptual table size M
 
 	// Probing layout. occ journals the occupied slots in insertion
-	// order, making Range and Reset O(entries) instead of O(slots) at a
-	// load factor of 1/4.
+	// order, making Range O(entries) instead of O(slots) at a load factor
+	// of 1/4.
 	keys []uint64
 	vals []float64
 	occ  []uint64
@@ -122,40 +125,15 @@ func (t *Table) alloc(slots uint64) {
 	t.slots = slots
 	t.length = 0
 	if t.cfg.Layout == Probing {
-		reuse := uint64(cap(t.keys)) >= slots
-		if reuse {
-			t.keys = t.keys[:slots]
-			t.vals = t.vals[:slots]
-		} else {
-			t.keys = make([]uint64, slots)
-			t.vals = make([]float64, slots)
+		t.keys = make([]uint64, slots)
+		t.vals = make([]float64, slots)
+		for i := range t.keys {
+			t.keys[i] = emptyKey
 		}
-		// Clear selectively via the journal when that is cheaper than a
-		// full sweep (a fresh allocation is already zeroed, so it only
-		// needs the sentinel sweep once).
-		if reuse && uint64(len(t.occ)) < slots/4 {
-			for _, s := range t.occ {
-				t.keys[s] = emptyKey
-			}
-		} else {
-			for i := range t.keys {
-				t.keys[i] = emptyKey
-			}
-		}
-		t.occ = t.occ[:0]
-		t.bins = nil
+		t.occ = nil
 		return
 	}
-	t.occ = nil
-	if uint64(cap(t.bins)) >= slots {
-		t.bins = t.bins[:slots]
-		for i := range t.bins {
-			t.bins[i] = t.bins[i][:0]
-		}
-	} else {
-		t.bins = make([][]chainEntry, slots)
-	}
-	t.keys, t.vals = nil, nil
+	t.bins = make([][]chainEntry, slots)
 }
 
 // partitionRange returns the slot range [lo,hi) of partition p.
@@ -317,11 +295,6 @@ func (t *Table) Reserve(entries int) {
 // order.
 func (t *Table) rehash(slots uint64) {
 	old := *t
-	if t.cfg.Layout == Probing {
-		t.keys, t.vals, t.occ = nil, nil, nil
-	} else {
-		t.bins = nil
-	}
 	t.alloc(slots)
 	old.rangeAll(func(key uint64, w float64) bool {
 		if t.cfg.Layout == Probing {
@@ -378,12 +351,6 @@ func (t *Table) RangePartition(p int, fn func(key uint64, w float64) bool) {
 			}
 		}
 	}
-}
-
-// Reset empties the table, keeping its capacity. It implements the
-// "Reset In_Table / Reset Out_Table" steps of Algorithms 4 and 5.
-func (t *Table) Reset() {
-	t.alloc(t.slots)
 }
 
 // Stats reports the occupancy statistics of Figure 6. For the chained
@@ -470,8 +437,7 @@ func (t *Table) Stats() Stats {
 // AggregateStats folds the Stats of several tables (the per-thread shards
 // of one logical table) into one summary: entries, slots and growths sum;
 // bin metrics combine over the union of bins; PerPartition concatenates in
-// shard order. Used by the telemetry layer to report one In_/Out_Table per
-// rank regardless of the shard count.
+// shard order.
 func AggregateStats(tables ...*Table) Stats {
 	var out Stats
 	totalLen := 0.0

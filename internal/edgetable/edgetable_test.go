@@ -241,27 +241,6 @@ func TestRangeEarlyStop(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	for _, cfg := range allConfigs() {
-		tab := New(cfg)
-		for i := uint64(0); i < 100; i++ {
-			tab.Add(i, 1)
-		}
-		tab.Reset()
-		if tab.Len() != 0 {
-			t.Fatalf("%s: Len after Reset = %d", cfgName(cfg), tab.Len())
-		}
-		if _, ok := tab.Get(5); ok {
-			t.Fatalf("%s: key survived Reset", cfgName(cfg))
-		}
-		// Table remains usable.
-		tab.Add(5, 2)
-		if w, ok := tab.Get(5); !ok || w != 2 {
-			t.Fatalf("%s: Add after Reset broken", cfgName(cfg))
-		}
-	}
-}
-
 func TestStatsBasics(t *testing.T) {
 	for _, cfg := range allConfigs() {
 		tab := New(Config{Hash: cfg.Hash, Layout: cfg.Layout, Partitions: cfg.Partitions, Capacity: 10000})
@@ -384,29 +363,5 @@ func TestAddReportsNewKeys(t *testing.T) {
 	}
 	if tab.Add(1, 1) {
 		t.Error("second Add should report existing")
-	}
-}
-
-func TestRangeAfterManyResets(t *testing.T) {
-	// Journal-based reset must not leak stale entries.
-	tab := New(Config{Capacity: 128})
-	for round := 0; round < 10; round++ {
-		for i := uint64(0); i < 100; i++ {
-			tab.Add(i*7+uint64(round), 1)
-		}
-		count := 0
-		tab.Range(func(uint64, float64) bool { count++; return true })
-		if count != tab.Len() {
-			t.Fatalf("round %d: Range saw %d, Len %d", round, count, tab.Len())
-		}
-		tab.Reset()
-		if tab.Len() != 0 {
-			t.Fatalf("round %d: Len after reset %d", round, tab.Len())
-		}
-		empty := 0
-		tab.Range(func(uint64, float64) bool { empty++; return true })
-		if empty != 0 {
-			t.Fatalf("round %d: stale entries after reset: %d", round, empty)
-		}
 	}
 }

@@ -168,12 +168,11 @@ func (r *Reader) Bytes(n int) []byte {
 
 // String decodes a length-prefixed string ("" after an error).
 func (r *Reader) String() string {
-	n := r.Uvarint()
-	if r.err != nil || n > uint64(r.Remaining()) {
-		r.need(int(n)) // latch a short-plane error
+	n := r.count("string length", 1)
+	if r.err != nil {
 		return ""
 	}
-	return string(r.Bytes(int(n)))
+	return string(r.Bytes(n))
 }
 
 // Uvarint decodes an unsigned LEB128 varint (0 after an error).

@@ -136,6 +136,8 @@ func FuzzTelemetryBatch(f *testing.F) {
 	f.Add([]byte{}, uint32(0), uint64(0))
 	f.Add(seed.Bytes(), uint32(2), uint64(7))
 	f.Add(bytes.Repeat([]byte{0xff}, 48), uint32(0), uint64(0))
+	// A histogram whose bounds vector claims ~2⁶⁴ elements: 8*n wrapped and make panicked.
+	f.Add([]byte("\x01000\x02\x010\x02\xf4\xf4\xf4\xf4\xf4\xf4\xf4\xf40"), uint32(2), uint64(43))
 	f.Fuzz(func(t *testing.T, data []byte, rank uint32, seq uint64) {
 		// Arbitrary bytes into the decoder: must not panic.
 		if tb, err := NewReader(data).TelemetryBatch(); err == nil {
@@ -188,6 +190,7 @@ func FuzzReaderNeverPanics(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{0x80, 0x80, 0x80}, uint8(3))
 	f.Add(bytes.Repeat([]byte{0xff}, 32), uint8(4))
+	f.Add([]byte("\xc8\xc8\xc8\xc8\xc8\xc8\xc8\xc80"), uint8(0x96)) // a u32 vector of ~2⁶⁴ elements: 4*n wrapped
 	f.Fuzz(func(t *testing.T, data []byte, which uint8) {
 		var r Reader
 		r.Reset(data)

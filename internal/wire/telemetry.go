@@ -178,13 +178,15 @@ func (r *Reader) u32Capped(what string) uint32 {
 
 // count decodes an element count and rejects values that could not possibly
 // fit in the remaining bytes (each element takes at least minBytes), so a
-// corrupted length cannot drive an attacker-sized allocation loop.
+// corrupted length cannot drive an attacker-sized allocation loop. The test
+// divides: a count near 2⁶⁴ wraps any product, and wrapped to a small one it
+// went on to panic in make.
 func (r *Reader) count(what string, minBytes int) int {
 	n := r.Uvarint()
 	if r.err != nil {
 		return 0
 	}
-	if n*uint64(minBytes) > uint64(r.Remaining()) {
+	if n > uint64(r.Remaining()/minBytes) {
 		r.err = fmt.Errorf("wire: implausible %s count %d for %d remaining bytes", what, n, r.Remaining())
 		return 0
 	}
