@@ -42,7 +42,9 @@ chaos:
 # (FuzzBuildRows: the sorted rows of two levels against that table as oracle),
 # its rows read through ghost after a full and a move-log propagation — and its
 # refusal of a list with a mirror dropped — the gain scan against its scanning
-# oracle, the whole-graph engines' direct call against the rank-0 harness).
+# oracle, seq-louvain's and leiden's skipping sweep against the full sweep on
+# lists with NaN, ±Inf, negative and zero-sum weights (FuzzSweepSkip), the
+# whole-graph engines' direct call against the rank-0 harness).
 # `go test -fuzz` takes one target per run, so iterate; FUZZTIME scales the
 # per-target budget.
 FUZZTIME ?= 10s

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"parlouvain/internal/graph"
@@ -13,9 +14,9 @@ import (
 // moveFn is one level's move phase, the only thing that varies between the
 // whole-graph Louvain engines. It starts from comm (the community of each
 // working-graph vertex, labels < wg.N) and tot (the summed degree of each
-// community), improves both in place, and returns the moves made per sweep
-// plus the sweep count the level reports.
-type moveFn func(wg *graph.Graph, opt Options, level int, comm []graph.V, tot []float64) (movesPerIter []int, iterations int)
+// community), improves both in place, and returns the moves made per sweep,
+// the sweep count the level reports and the rows it scored (best calls).
+type moveFn func(wg *graph.Graph, opt Options, level int, comm []graph.V, tot []float64) (movesPerIter []int, iterations int, rows uint64)
 
 // hierarchy is Algorithm 1's outer loop, shared by Sequential, PLM, Leiden
 // and LNS: run the move phase, record the level, condense, repeat until a
@@ -62,7 +63,8 @@ func hierarchy(g *graph.Graph, opt Options, move moveFn, refine bool) *Result {
 		for u, c := range comm {
 			tot[c] += wg.Deg[u]
 		}
-		movesPerIter, iterations := move(wg, opt, level, comm, tot)
+		movesPerIter, iterations, rows := move(wg, opt, level, comm, tot)
+		res.RowsEvaluated += rows
 		q := metrics.Modularity(wg, comm)
 
 		// labels is this level's answer per working-graph vertex, agg the
@@ -205,7 +207,14 @@ func levelOrder(wg *graph.Graph, opt Options, level int) []uint32 {
 type gainScan struct {
 	w2c     []float64
 	touched []graph.V
+	rows    uint64  // calls to best
+	drift   float64 // Σ |new − old| over relocate's stores to tot, rounded up
+	rivals  bool    // best computes rival (sweepLevel reads it; plm and lns do not)
 }
+
+// driftUp rounds drift up: 2⁻⁵⁰ of the running sum per store is more than the
+// rounding of its adds, so drift never grows by less than the stores it counts.
+const driftUp = 1 + 0x1p-50
 
 func newGainScan(n int) *gainScan {
 	return &gainScan{w2c: make([]float64, n), touched: make([]graph.V, 0, 64)}
@@ -233,11 +242,14 @@ func (s *gainScan) dropRow() {
 
 // best evaluates Equation 4 for u against every neighbor community and
 // returns the community of maximum gain (ties to the lower id, staying
-// preferred), that gain minus the gain of staying, and u's edge weight into
-// its own community c0 and into the winner. totC0 is c0's total without u —
-// the caller either removed u from tot already or subtracts it from frozen
-// state — and the other totals are read from tot.
-func (s *gainScan) best(wg *graph.Graph, comm []graph.V, tot []float64, u graph.V, totC0 float64) (bestC graph.V, gain, wStay, wBest float64) {
+// preferred), that gain minus the gain of staying, u's edge weight into its
+// own community c0 and into the winner, and rival: with s.rivals set, the
+// largest gain over staying of any other community in the row (the returned
+// gain whenever the winner is not c0), else −Inf. totC0 is c0's total
+// without u — the caller either removed u from tot already or subtracts it
+// from frozen state — and the other totals are read from tot.
+func (s *gainScan) best(wg *graph.Graph, comm []graph.V, tot []float64, u graph.V, totC0 float64) (bestC graph.V, gain, wStay, wBest, rival float64) {
+	s.rows++
 	c0, ku := comm[u], wg.Deg[u]
 	nbr, w := wg.Nbr[wg.Off[u]:wg.Off[u+1]], wg.NbrW[wg.Off[u]:wg.Off[u+1]]
 	touched := resize(s.touched, len(nbr))
@@ -248,40 +260,53 @@ func (s *gainScan) best(wg *graph.Graph, comm []graph.V, tot []float64, u graph.
 	s.touched = touched[:n]
 
 	// A maximum with ties to the lower id: the same answer in any order and
-	// however often a community is listed. c0 has its own total.
+	// however often a community is listed. c0 has its own total. The rival's
+	// maximum runs on orderBits keys, where max is a conditional move: a float
+	// compare would be a branch mispredicted at every new maximum.
 	stay := metrics.DeltaQ(w2c[c0], totC0, ku, wg.M)
-	bestC, bestGain := c0, stay
+	bestC, bestGain, other := c0, stay, int64(orderBits(math.Float64bits(math.Inf(-1))))
 	for _, c := range s.touched {
 		if c == c0 {
 			continue
 		}
 		g := metrics.DeltaQ(w2c[c], tot[c], ku, wg.M)
+		if s.rivals {
+			other = max(other, int64(orderBits(math.Float64bits(g))))
+		}
 		if g > bestGain || (g == bestGain && c < bestC) {
 			bestC, bestGain = c, g
 		}
 	}
 	wStay, wBest = w2c[c0], w2c[bestC]
 	s.dropRow()
-	return bestC, bestGain - stay, wStay, wBest
+	return bestC, bestGain - stay, wStay, wBest, math.Float64frombits(orderBits(uint64(other))) - stay
 }
+
+// orderBits flips a negative float64's magnitude bits: read as int64, the
+// results order as the floats do (NaN aside). It is its own inverse.
+func orderBits(b uint64) uint64 { return b ^ uint64(int64(b)>>63)>>1 }
 
 // relocate is the serial move step shared by the sweep and the queue: take
 // u out of its community (the isolated-vertex premise of Equation 4), and
 // either move it to the best neighbor community or put it back. It reports
-// whether u moved.
-func (s *gainScan) relocate(wg *graph.Graph, comm []graph.V, tot []float64, u graph.V) bool {
+// whether u moved, and best's rival (NaN when u has no weight to score).
+func (s *gainScan) relocate(wg *graph.Graph, comm []graph.V, tot []float64, u graph.V) (bool, float64) {
 	ku := wg.Deg[u]
 	if ku == 0 {
-		return false
+		return false, math.NaN()
 	}
 	c0 := comm[u]
+	old0 := tot[c0]
 	tot[c0] -= ku
-	bestC, gain, _, _ := s.best(wg, comm, tot, u, tot[c0])
+	bestC, gain, _, _, rival := s.best(wg, comm, tot, u, tot[c0])
 	if bestC != c0 && gain > minMoveGain {
+		oldC := tot[bestC]
 		comm[u] = bestC
 		tot[bestC] += ku
-		return true
+		s.drift = (s.drift + math.Abs(tot[c0]-old0) + math.Abs(tot[bestC]-oldC)) * driftUp
+		return true, rival
 	}
 	tot[c0] += ku
-	return false
+	s.drift = (s.drift + math.Abs(tot[c0]-old0)) * driftUp
+	return false, rival
 }

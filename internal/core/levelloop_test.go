@@ -19,7 +19,7 @@ type refScan struct {
 	touched []graph.V
 }
 
-func (s *refScan) best(wg *graph.Graph, comm []graph.V, tot []float64, u graph.V, totC0 float64) (bestC graph.V, gain, wStay, wBest float64) {
+func (s *refScan) best(wg *graph.Graph, comm []graph.V, tot []float64, u graph.V, totC0 float64) (bestC graph.V, gain, wStay, wBest, rival float64) {
 	w2c, touched := s.w2c, s.touched[:0]
 	c0, ku := comm[u], wg.Deg[u]
 	touched = append(touched, c0)
@@ -43,9 +43,13 @@ func (s *refScan) best(wg *graph.Graph, comm []graph.V, tot []float64, u graph.V
 	}
 
 	stay := metrics.DeltaQ(w2c[c0], totC0, ku, wg.M)
-	bestC, bestGain := c0, stay
+	// rival is the largest gain of another community, +0 above −0.
+	bestC, bestGain, other := c0, stay, math.Inf(-1)
 	for _, c := range touched[1:] {
 		g := metrics.DeltaQ(w2c[c], tot[c], ku, wg.M)
+		if g > other || (g == 0 && other == 0 && !math.Signbit(g)) {
+			other = g
+		}
 		if g > bestGain || (g == bestGain && c < bestC) {
 			bestC, bestGain = c, g
 		}
@@ -55,11 +59,11 @@ func (s *refScan) best(wg *graph.Graph, comm []graph.V, tot []float64, u graph.V
 		w2c[c] = 0
 	}
 	s.touched = touched
-	return bestC, bestGain - stay, wStay, wBest
+	return bestC, bestGain - stay, wStay, wBest, other - stay
 }
 
 // checkBest holds gainScan.best to the scanning oracle on every vertex of wg
-// under the partition comm (labels < wg.N): the same four results to the bit,
+// under the partition comm (labels < wg.N): the same five results to the bit,
 // and an accumulator left all zero. It returns how many rows listed a
 // community twice — the case the oracle's scan existed to prevent and the new
 // fold has to tolerate.
@@ -70,15 +74,19 @@ func checkBest(t testing.TB, wg *graph.Graph, comm []graph.V) (relisted int) {
 		tot[c] += wg.Deg[u]
 	}
 	scan := newGainScan(wg.N)
+	scan.rivals = true
 	ref := &refScan{w2c: make([]float64, wg.N)}
 	bits := math.Float64bits
 	for u := 0; u < wg.N; u++ {
 		totC0 := tot[comm[u]] - wg.Deg[u]
-		c, gain, wStay, wBest := scan.best(wg, comm, tot, graph.V(u), totC0)
-		rc, rGain, rStay, rBest := ref.best(wg, comm, tot, graph.V(u), totC0)
-		if c != rc || bits(gain) != bits(rGain) || bits(wStay) != bits(rStay) || bits(wBest) != bits(rBest) {
-			t.Fatalf("vertex %d of community %d: best = (%d, %v, %v, %v), the scanning oracle says (%d, %v, %v, %v)",
-				u, comm[u], c, gain, wStay, wBest, rc, rGain, rStay, rBest)
+		c, gain, wStay, wBest, rival := scan.best(wg, comm, tot, graph.V(u), totC0)
+		rc, rGain, rStay, rBest, rRival := ref.best(wg, comm, tot, graph.V(u), totC0)
+		if c != rc || bits(gain) != bits(rGain) || bits(wStay) != bits(rStay) || bits(wBest) != bits(rBest) || bits(rival) != bits(rRival) {
+			t.Fatalf("vertex %d of community %d: best = (%d, %v, %v, %v, %v), the scanning oracle says (%d, %v, %v, %v, %v)",
+				u, comm[u], c, gain, wStay, wBest, rival, rc, rGain, rStay, rBest, rRival)
+		}
+		if c != comm[u] && gain != rival { // equal values; a zero may differ in sign
+			t.Fatalf("vertex %d moves to %d with gain %v but its rival is %v", u, c, gain, rival)
 		}
 		seen := map[graph.V]bool{}
 		for _, c := range scan.touched {
@@ -97,6 +105,22 @@ func checkBest(t testing.TB, wg *graph.Graph, comm []graph.V) (relisted int) {
 		}
 	}
 	return relisted
+}
+
+// TestOrderBits: the keys of ascending floats ascend as int64, and the
+// mapping undoes itself.
+func TestOrderBits(t *testing.T) {
+	asc := []float64{math.Inf(-1), -math.MaxFloat64, -1, -math.SmallestNonzeroFloat64, math.Copysign(0, -1), 0,
+		math.SmallestNonzeroFloat64, 1e-12, 1, math.MaxFloat64, math.Inf(1)}
+	for i, f := range asc {
+		k := orderBits(math.Float64bits(f))
+		if back := math.Float64frombits(orderBits(k)); math.Float64bits(back) != math.Float64bits(f) {
+			t.Errorf("%v comes back as %v", f, back)
+		}
+		if i > 0 && int64(k) <= int64(orderBits(math.Float64bits(asc[i-1]))) {
+			t.Errorf("key of %v is not above the key of %v", f, asc[i-1])
+		}
+	}
 }
 
 // randomPartition labels n vertices with k random labels below n.
@@ -247,7 +271,7 @@ var benchSink float64
 // flat in d; the scanning oracle, run next to it, grows linearly (d/2
 // comparisons per entry).
 func BenchmarkGainScanHub(b *testing.B) {
-	type bestFn func(*graph.Graph, []graph.V, []float64, graph.V, float64) (graph.V, float64, float64, float64)
+	type bestFn func(*graph.Graph, []graph.V, []float64, graph.V, float64) (graph.V, float64, float64, float64, float64)
 	for _, d := range []int{100, 1000, 10000} {
 		wg := starGraph(d)
 		comm, tot := make([]graph.V, d+1), make([]float64, d+1)
@@ -264,7 +288,7 @@ func BenchmarkGainScanHub(b *testing.B) {
 		} {
 			b.Run(fmt.Sprintf("d=%d%s", d, k.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					_, gain, _, _ := k.best(wg, comm, tot, 0, 0)
+					_, gain, _, _, _ := k.best(wg, comm, tot, 0, 0)
 					benchSink += gain
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(d), "ns/edge")

@@ -24,7 +24,7 @@ func LNS(g *graph.Graph, opt Options) *Result {
 // lnsLevel drains one level's active queue. The queue has no sweep
 // structure, so the level reports its accepted moves as one entry and the
 // full-graph passes its pops amount to as the iteration count.
-func lnsLevel(wg *graph.Graph, opt Options, level int, comm []graph.V, tot []float64) ([]int, int) {
+func lnsLevel(wg *graph.Graph, opt Options, level int, comm []graph.V, tot []float64) ([]int, int, uint64) {
 	n := wg.N
 	queue := movesched.NewQueue(n)
 	for _, u := range levelOrder(wg, opt, level) {
@@ -42,7 +42,7 @@ func lnsLevel(wg *graph.Graph, opt Options, level int, comm []graph.V, tot []flo
 			break
 		}
 		pops++
-		if scan.relocate(wg, comm, tot, graph.V(u)) {
+		if ok, _ := scan.relocate(wg, comm, tot, graph.V(u)); ok {
 			moved++
 			// The local neighbourhood: re-examine the vertices whose best
 			// community may have changed.
@@ -54,5 +54,5 @@ func lnsLevel(wg *graph.Graph, opt Options, level int, comm []graph.V, tot []flo
 			})
 		}
 	}
-	return []int{moved}, (pops + n - 1) / n
+	return []int{moved}, (pops + n - 1) / n, scan.rows
 }

@@ -281,10 +281,10 @@ type Result struct {
 	// executed per rank.
 	CommBytes  uint64
 	CommRounds uint64
-	// RowsEvaluated counts the vertex rows the parallel engine's findBest
-	// sweeps actually scored, summed over ranks, levels and iterations (rows
-	// skipped as provably unchanged are not counted). Deterministic for a
-	// fixed input and rank count; zero for the whole-graph engines.
+	// RowsEvaluated counts the vertex rows the move phases actually scored —
+	// par-louvain's findBest, the whole-graph engines' gain scan — summed over
+	// ranks, levels and iterations (rows skipped as provably unchanged are not
+	// counted). Deterministic for a fixed input and rank count.
 	RowsEvaluated uint64
 	// LeidenSplits counts the internally-disconnected communities the
 	// refinement phase split, summed over all levels (Leiden engine only).

@@ -28,7 +28,7 @@ func PLM(g *graph.Graph, opt Options) *Result {
 }
 
 // plmLevel runs one level's color-batched move phase.
-func plmLevel(wg *graph.Graph, opt Options, level int, comm []graph.V, tot []float64) ([]int, int) {
+func plmLevel(wg *graph.Graph, opt Options, level int, comm []graph.V, tot []float64) ([]int, int, uint64) {
 	n := wg.N
 	order := levelOrder(wg, opt, level)
 	sched := movesched.Greedy(n, order, func(u uint32, emit func(v uint32)) {
@@ -72,7 +72,7 @@ func plmLevel(wg *graph.Graph, opt Options, level int, comm []graph.V, tot []flo
 					if ku == 0 || !active.Active(u) {
 						continue
 					}
-					bestTo[u], _, wStay[u], wBest[u] = scans[t].best(wg, comm, tot, graph.V(u), tot[c0]-ku)
+					bestTo[u], _, wStay[u], wBest[u], _ = scans[t].best(wg, comm, tot, graph.V(u), tot[c0]-ku)
 				}
 			})
 			// Apply: serial, in schedule order. Same-color vertices are
@@ -115,5 +115,9 @@ func plmLevel(wg *graph.Graph, opt Options, level int, comm []graph.V, tot []flo
 			break
 		}
 	}
-	return movesPerIter, len(movesPerIter)
+	var rows uint64
+	for _, sc := range scans {
+		rows += sc.rows
+	}
+	return movesPerIter, len(movesPerIter), rows
 }

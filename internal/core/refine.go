@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"parlouvain/internal/comm"
@@ -131,7 +129,7 @@ func (s *engine) refineLevel(level int, vertices uint64, q0 float64) (float64, [
 		// reconstructing. All ranks observe the same reduced q and
 		// restore the same snapshot iteration.
 		if a := auditSkips; a != nil {
-			a.rollbacks.Add(1)
+			a.rollback()
 		}
 		s.restore()
 		clk := s.clock(level, 0)
@@ -149,24 +147,17 @@ func (s *engine) refineLevel(level int, vertices uint64, q0 float64) (float64, [
 // over staying put — one sequential pass over the vertex's out row into the
 // worker's dense accumulator, then Equation 4 per community touched.
 //
-// The sweep pays only for vertices whose answer can have changed. With u's
-// row and community fixed, the gain of moving u to c is
-//
-//	g_c = [(w_c − w_c0 + self) − (k_u/2m)(Σtot_c − Σtot_c0 + k_u)] / m,
-//
-// so between two sweeps it moves by at most (k_u/m²)·D, D being the largest
-// |ΔΣtot| of any community the rank references — what pullTotals adds to
-// drift. A sweep that finds every other community in u's row strictly worse
-// than staying, the best of them by a margin δ, therefore knows u's result
-// is exactly (0, c0) until drift has grown by δ·m²/k_u, and stores that
-// horizon (less skipSlack and skipSafety, which absorb floating-point
-// rounding) in skipUntil[u]; later sweeps skip u while drift stays below it.
-// Communities the singleton rule suppresses count toward the margin, because
-// a member count can change and lift the suppression. The mark is cleared
-// when u's row changes (mergeRecords) or u moves (relocate), and a full
-// propagation clears them all; a vertex with a positive gain is never
-// marked. So bestGain and bestTo — and with them the histogram, ΔQ̂ and the
-// admitted set — are bit-for-bit those of a sweep that scores everyone.
+// The sweep pays only for vertices whose answer can have changed (skipRoom),
+// D being the largest |ΔΣtot| of any community the rank references — what
+// pullTotals adds to drift. A sweep that finds every other community in u's
+// row strictly worse than staying stores u's horizon in skipUntil[u]; later
+// sweeps skip u while drift stays below it. Communities the singleton rule
+// suppresses count toward the margin, because a member count can change and
+// lift the suppression. The mark is cleared when u's row changes
+// (mergeRecords) or u moves (relocate), and a full propagation clears them
+// all; a vertex with a positive gain is never marked. So bestGain and bestTo
+// — and with them the histogram, ΔQ̂ and the admitted set — are bit-for-bit
+// those of a sweep that scores everyone.
 func (s *engine) findBest() {
 	par.For(s.nLoc, s.opt.Threads, s.findBody)
 }
@@ -203,14 +194,26 @@ func (s *engine) findBestRange(t, lo, hi int) {
 		var rival float64
 		s.bestGain[li], s.bestTo[li], rival = s.score(sc, li)
 		until := 0.0
-		if rival < 0 {
-			if room := (-rival*s.m/s.k[li] - skipSlack) * s.m * skipSafety; room > 0 {
-				until = s.drift + room
-			}
+		if room := skipRoom(-rival, s.m, s.k[li]); room > 0 {
+			until = s.drift + room
 		}
 		s.skipUntil[li] = until
 	}
 	s.rowsEvaluated.Add(scored)
+}
+
+// skipRoom is the horizon both engine families skip a row by. With the row
+// and community c0 fixed, g_c = [(w_c − w_c0 + self) − (k_u/2m)(Σtot_c −
+// Σtot_c0 + k_u)] / m moves by at most (k_u/m²)·D while neither total moves by
+// more than D, so a vertex whose best other community sits margin below the
+// gain it needs to move keeps its answer until D has grown by margin·m²/k_u:
+// skipRoom returns that less skipSlack and skipSafety, or 0 unless margin and
+// m are positive and m is finite.
+func skipRoom(margin, m, k float64) float64 {
+	if room := (margin*m/k - skipSlack) * m * skipSafety; margin > 0 && m > 0 && m <= math.MaxFloat64 && room > 0 {
+		return room
+	}
+	return 0
 }
 
 // score evaluates local vertex li: its best move (gain over staying and
@@ -248,30 +251,15 @@ func (s *engine) score(sc *gainScan, li int) (bestGain float64, bestTo graph.V, 
 	return bestGain, bestTo, rival
 }
 
-// auditSkips, when non-nil, makes every engine in the process prove its two
-// shortcuts as it runs: findBest re-scores each vertex it skips and computeQ
-// compares the running Σin with a fresh scan. Set only by tests.
-var auditSkips *skipAudit
-
-// skipAudit collects what the audited engines saw.
-type skipAudit struct {
-	skipped   atomic.Uint64 // rows findBest skipped (and re-scored)
-	rollbacks atomic.Uint64 // levels that ended in the rollback branch
-	mu        sync.Mutex
-	failures  []string
-}
-
-func (a *skipAudit) rescore(s *engine, sc *gainScan, li int) {
-	a.skipped.Add(1)
-	g, to, _ := s.score(sc, li)
-	c0 := s.commOf[li]
-	if g != 0 || to != c0 || s.bestGain[li] != 0 || s.bestTo[li] != c0 {
-		a.mu.Lock()
-		a.failures = append(a.failures, fmt.Sprintf(
-			"rank %d skipped vertex %d of community %d (drift %g < horizon %g) holding (%g, %d); a fresh score gives (%g, %d)",
-			s.part.Rank, s.part.GlobalID(li), c0, s.drift, s.skipUntil[li], s.bestGain[li], s.bestTo[li], g, to))
-		a.mu.Unlock()
-	}
+// auditSkips, when non-nil, makes every engine in the process prove its
+// shortcuts as it runs: findBest and sweepLevel re-score each vertex they
+// skip (a vertex that would move is a failure), refineLevel counts the levels
+// it rolls back, and computeQ compares the running Σin with a fresh scan. Set
+// only by tests, which implement it.
+var auditSkips interface {
+	rescore(s *engine, sc *gainScan, li int)
+	rescoreRow(sc *gainScan, wg *graph.Graph, comm []graph.V, tot []float64, u graph.V)
+	rollback()
 }
 
 // dq is Equation 4.

@@ -88,7 +88,7 @@ func (s *Store) handleList(w http.ResponseWriter, _ *http.Request) {
 func (s *Store) lookup(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	j, ok := s.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("%w: %q", ErrNotFound, r.PathValue("id")))
+		writeError(w, http.StatusNotFound, s.notFound(r.PathValue("id")))
 	}
 	return j, ok
 }

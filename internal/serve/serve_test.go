@@ -659,6 +659,63 @@ func TestNotFound(t *testing.T) {
 	}
 }
 
+// TestFinishedJobsForgotten runs 40 jobs through a store that keeps 8
+// finished ones: the listing holds the newest 8, the early ids answer 404
+// saying why, and the eviction counter has counted the other 32.
+func TestFinishedJobsForgotten(t *testing.T) {
+	s := NewStore(Config{Workers: 2, QueueDepth: 4})
+	s.keepFinished = 8
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		srv.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	})
+	var ids []string
+	for i := 0; i < 40; i++ {
+		st := submit(t, srv, Spec{Gen: "ring:k=4,s=5", Algo: "seq"}, http.StatusAccepted)
+		waitState(t, srv, st.ID, StateDone)
+		ids = append(ids, st.ID)
+	}
+
+	resp, err := http.Get(srv.URL + "/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list struct{ Jobs []Status }
+	err = json.NewDecoder(resp.Body).Decode(&list)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listed []string
+	for _, st := range list.Jobs {
+		if st.State != StateDone {
+			t.Errorf("job %s listed as %s", st.ID, st.State)
+		}
+		listed = append(listed, st.ID)
+	}
+	if fmt.Sprint(listed) != fmt.Sprint(ids[32:]) {
+		t.Errorf("GET /jobs lists %v, want the newest 8: %v", listed, ids[32:])
+	}
+
+	for _, id := range []string{ids[0], ids[31]} {
+		resp, err := http.Get(srv.URL + "/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound || !strings.Contains(string(body), "finished jobs beyond the newest 8 are not kept") {
+			t.Errorf("GET /jobs/%s: %d %s, want a 404 saying finished jobs beyond the newest 8 are not kept", id, resp.StatusCode, body)
+		}
+	}
+	if n := s.Metrics().Counter("serve_jobs_evicted_total").Value(); n != 32 {
+		t.Errorf("serve_jobs_evicted_total = %d, want 32", n)
+	}
+}
+
 // TestJobIDsSequential pins the id scheme the load generator keys on.
 func TestJobIDsSequential(t *testing.T) {
 	s := NewStore(Config{Workers: 1})

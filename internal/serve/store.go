@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,9 +39,14 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// Store owns the job table, the bounded FIFO queue, and the worker pool.
-// Jobs are kept in memory for the lifetime of the store; results of small
-// service deployments are bounded by the queue and client discipline.
+// maxFinished is how many finished jobs a Store keeps. When one more job
+// finishes, the job that finished longest ago is forgotten — its recorder,
+// registry and result with it — so a long-running server's memory stays
+// bounded; its id then answers 404. Queued and running jobs are never dropped.
+const maxFinished = 1024
+
+// Store owns the job table, the bounded FIFO queue, and the worker pool. It
+// keeps every queued and running job and the newest maxFinished finished ones.
 type Store struct {
 	cfg     Config
 	reg     *obs.Registry
@@ -53,6 +59,10 @@ type Store struct {
 	seq    int
 	jobs   map[string]*Job
 	order  []*Job // submission order, for GET /jobs listings
+	// finished holds the kept terminal jobs in the order they finished;
+	// keepFinished is maxFinished, lowered by tests.
+	finished     []*Job
+	keepFinished int
 
 	// service instruments
 	mSubmitted *obs.Counter
@@ -60,6 +70,7 @@ type Store struct {
 	mDone      *obs.Counter
 	mFailed    *obs.Counter
 	mCancelled *obs.Counter
+	mEvicted   *obs.Counter
 	gQueued    *obs.Gauge
 	gRunning   *obs.Gauge
 	hWait      *obs.Histogram
@@ -84,11 +95,14 @@ func NewStore(cfg Config) *Store {
 		queue: make(chan *Job, cfg.QueueDepth),
 		jobs:  map[string]*Job{},
 
+		keepFinished: maxFinished,
+
 		mSubmitted: reg.Counter("serve_jobs_submitted_total"),
 		mRejected:  reg.Counter("serve_jobs_rejected_total"),
 		mDone:      reg.Counter("serve_jobs_done_total"),
 		mFailed:    reg.Counter("serve_jobs_failed_total"),
 		mCancelled: reg.Counter("serve_jobs_cancelled_total"),
+		mEvicted:   reg.Counter("serve_jobs_evicted_total"),
 		gQueued:    reg.Gauge("serve_jobs_queued"),
 		gRunning:   reg.Gauge("serve_jobs_running"),
 		hWait:      reg.Histogram("serve_job_queue_wait_seconds", obs.LatencyBuckets),
@@ -96,6 +110,7 @@ func NewStore(cfg Config) *Store {
 	}
 	reg.SetHelp("serve_jobs_submitted_total", "jobs accepted into the queue")
 	reg.SetHelp("serve_jobs_rejected_total", "submissions rejected because the queue was full")
+	reg.SetHelp("serve_jobs_evicted_total", fmt.Sprintf("finished jobs forgotten so that only the newest %d are kept", maxFinished))
 	reg.SetHelp("serve_jobs_queued", "jobs currently waiting for a worker")
 	reg.SetHelp("serve_jobs_running", "jobs currently executing")
 	for i := 0; i < cfg.Workers; i++ {
@@ -146,6 +161,26 @@ func (s *Store) Submit(spec Spec) (*Job, error) {
 	return j, nil
 }
 
+// notFound is the ErrNotFound for id, which may name a job since forgotten.
+func (s *Store) notFound(id string) error {
+	return fmt.Errorf("%w: %q (finished jobs beyond the newest %d are not kept)", ErrNotFound, id, s.keepFinished)
+}
+
+// retire records that j reached a terminal state and forgets the jobs that
+// finished longest ago beyond the newest keepFinished.
+func (s *Store) retire(j *Job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.finished = append(s.finished, j)
+	for len(s.finished) > s.keepFinished {
+		old := s.finished[0]
+		s.finished = slices.Delete(s.finished, 0, 1)
+		delete(s.jobs, old.id)
+		s.order = slices.DeleteFunc(s.order, func(o *Job) bool { return o == old })
+		s.mEvicted.Inc()
+	}
+}
+
 // Get returns the job with the given id.
 func (s *Store) Get(id string) (*Job, bool) {
 	s.mu.Lock()
@@ -169,7 +204,7 @@ func (s *Store) Jobs() []*Job {
 func (s *Store) Cancel(id string) (*Job, bool, error) {
 	j, ok := s.Get(id)
 	if !ok {
-		return nil, false, ErrNotFound
+		return nil, false, s.notFound(id)
 	}
 	j.mu.Lock()
 	switch j.state {
@@ -181,6 +216,7 @@ func (s *Store) Cancel(id string) (*Job, bool, error) {
 		j.mu.Unlock()
 		j.emitState(StateCancelled)
 		s.mCancelled.Inc()
+		s.retire(j)
 		return j, true, nil
 	case StateRunning:
 		cancel := j.cancel
@@ -223,6 +259,7 @@ func (s *Store) Shutdown(ctx context.Context) error {
 			j.mu.Unlock()
 			j.emitState(StateCancelled)
 			s.mCancelled.Inc()
+			s.retire(j)
 			continue
 		}
 		j.mu.Unlock()
@@ -318,4 +355,5 @@ func (s *Store) runJob(j *Job) {
 		s.mFailed.Inc()
 	}
 	j.emitState(final)
+	s.retire(j)
 }
