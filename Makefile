@@ -25,26 +25,28 @@ vet:
 # cross-engine suites (what the CI chaos soak step executes). The Stream
 # pattern soaks the chunked streaming path: per-chunk fault injection in
 # comm, streaming-vs-bulk equivalence in core. The last line races the sweep
-# workers against the merge worker over par-louvain's skip marks, which merge
-# worker 0 clears for every row a told vertex appears in (the OutRows and
-# Asymmetric tests drive that merge at up to 65 ranks, two threads, streaming),
-# and buildRows' workers filling disjoint rows of shared arrays while, in
-# streaming mode, merge workers still append the next level's records
-# (BuildRows, RowsCanonical: three threads).
+# workers against the merge worker over par-louvain's skip marks, whose
+# horizons merge worker 0 spends for every row a told vertex appears in (the
+# OutRows and Asymmetric tests drive that merge at up to 65 ranks, two threads,
+# streaming; ParallelFingerprint's three-rank, two-thread runs on the bench
+# inputs, ~15 s), and buildRows' workers filling disjoint rows of shared arrays
+# while, in streaming mode, merge workers still append the next level's
+# records (BuildRows, RowsCanonical: three threads).
 chaos:
 	$(GO) test -race -count=3 -run 'Chaos|TCP|Stream' ./internal/comm
 	$(GO) test -short -run 'Chaos|Invariant|CrossEngine|Stream' ./internal/core
-	GOMAXPROCS=2 $(GO) test -race -run 'Skip|GoldenTrace|OutRows|Asymmetric|BuildRows|RowsCanonical' ./internal/core
+	GOMAXPROCS=2 $(GO) test -race -run 'Skip|GoldenTrace|OutRows|Asymmetric|BuildRows|RowsCanonical|ParallelFingerprint' ./internal/core
 
 # Short fuzz pass over every fuzz target (wire codecs, graph readers and Build,
 # generator specs, the hash edge table of Fig. 6 and the ladder — freeze and
 # iteration; no engine stores a level in it — par-louvain's level storage
 # (FuzzBuildRows: the sorted rows of two levels against that table as oracle),
 # its rows read through ghost after a full and a move-log propagation — and its
-# refusal of a list with a mirror dropped — the gain scan against its scanning
-# oracle, seq-louvain's and leiden's skipping sweep against the full sweep on
-# lists with NaN, ±Inf, negative and zero-sum weights (FuzzSweepSkip), the
-# whole-graph engines' direct call against the rank-0 harness).
+# refusal of a list with a mirror dropped or a negative weight — the gain scan
+# against its scanning oracle, seq-louvain's and leiden's skipping sweep
+# against the full sweep on lists with NaN, ±Inf, negative and zero-sum
+# weights (FuzzSweepSkip), the whole-graph engines' direct call against the
+# rank-0 harness).
 # `go test -fuzz` takes one target per run, so iterate; FUZZTIME scales the
 # per-target budget.
 FUZZTIME ?= 10s

@@ -77,14 +77,15 @@ type engine struct {
 
 	// Margin-bounded skipping (findBest): skipUntil[li] is the value of drift
 	// up to which li's sweep result is provably (0, commOf[li]) and need not
-	// be recomputed; 0 means "score it". drift is the running sum, over the
-	// level's Σtot pulls since the last full propagation, of the largest
+	// be recomputed; 0 or less means "score it". drift is the running sum, over
+	// the level's Σtot pulls since the last full propagation, of the largest
 	// |ΔΣtot| each pull brought to a referenced community. skipUntil[li] is
 	// written by the sweep worker of li's range and, between sweeps, by
-	// relocate and the one merge worker (for every row a told vertex appears
-	// in) — never two of them at once. rowsEvaluated counts the rows findBest
-	// actually scored (Result.RowsEvaluated).
+	// relocate and the one merge worker (spending it at skipRate, m/k made
+	// 2⁻²⁰ larger, per unit of weight) — never two of them at once.
+	// rowsEvaluated counts the rows findBest scored (Result.RowsEvaluated).
 	skipUntil     []float64
+	skipRate      []float64
 	drift         float64
 	rowsEvaluated atomic.Uint64
 
@@ -246,6 +247,7 @@ func newEngine(c *comm.Comm, n int, opt Options) *engine {
 		bestTo:    make([]graph.V, nLoc),
 		bestGain:  make([]float64, nLoc),
 		skipUntil: make([]float64, nLoc),
+		skipRate:  make([]float64, nLoc),
 		bd:        perf.NewBreakdown(),
 	}
 	s.pend = make([]graph.EdgeList, opt.Threads)
@@ -370,7 +372,7 @@ func (s *engine) run(local graph.EdgeList) (*Result, error) {
 		s.planes = nil
 	}()
 	if err := s.loadLocal(local); err != nil {
-		return nil, err
+		return nil, s.refuseInput(err)
 	}
 	start := time.Now()
 	res := &Result{

@@ -95,10 +95,12 @@ func (s *engine) deltaMerge(t int, r *wire.Reader) error     { return s.mergeRec
 // applies them all and the others return at once; the reference set, the
 // sweep marks and the running Σin then have one writer too. With delta set,
 // the state the inner loop carries between iterations is kept current: a
-// record changes every row its vertex appears in — rev lists them — so each
-// such row's vertex is scored by the next sweep, and the edge's weight moves
-// into or out of Σin when the told vertex enters or leaves the row owner's
-// community. A full propagation resets that state wholesale afterwards and
+// record changes every row its vertex appears in — rev lists them — and the
+// edge's weight w moves into or out of Σin when the told vertex enters or
+// leaves the row owner's community c0. It lifts no gain over staying in the
+// row by more than c·w/m — c = 2 when it leaves c0 (w_c0 falls, w_cc rises),
+// 0 when it joins c0, 1 otherwise — so c·w·m/k of the row's horizon is spent
+// (skipRoom). A full propagation resets that state wholesale afterwards and
 // skips the bookkeeping.
 func (s *engine) mergeRecords(t int, r *wire.Reader, delta bool) error {
 	if t != 0 {
@@ -126,14 +128,16 @@ func (s *engine) mergeRecords(t int, r *wire.Reader, delta bool) error {
 		}
 		w := s.revW[lo:hi]
 		for i, li := range s.revRow[lo:hi] {
-			s.skipUntil[li] = 0
-			c0 := uint32(s.commOf[li])
+			c0, spend := uint32(s.commOf[li]), 1.0
 			if old == c0 {
 				s.intra -= w[i]
+				spend = 2
 			}
 			if cc == c0 {
 				s.intra += w[i]
+				spend = 0
 			}
+			s.skipUntil[li] -= spend * w[i] * s.skipRate[li]
 		}
 	}
 	return r.Err()

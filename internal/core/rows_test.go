@@ -389,9 +389,9 @@ func BenchmarkBuildRows(b *testing.B) {
 // TestReconstructRejectsHostileRecord hands reconstructMerge, on every rank
 // and worker of a group about to rebuild its graph, records no honest peer
 // sends: an id outside the id space, a destination the receiver does not own,
-// a weight that is not finite, half a record — as one bulk plane, and as a
-// stream's chunks of one record each. Each is an error naming the receiving
-// rank — the parent indexed with them — and none is kept.
+// a weight that is not finite or is negative, half a record — as one bulk
+// plane, and as a stream's chunks of one record each. Each is an error naming
+// the receiving rank — the parent indexed with them — and none is kept.
 func TestReconstructRejectsHostileRecord(t *testing.T) {
 	el := graph.EdgeList{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 2, V: 3, W: 1}, {U: 4, V: 5, W: 1}}
 	const n = 6
@@ -411,6 +411,7 @@ func TestReconstructRejectsHostileRecord(t *testing.T) {
 						{"destination far outside", wire.Triple{A: 0, B: math.MaxUint32, W: 1}},
 						{"NaN weight", wire.Triple{A: 0, B: own, W: math.NaN()}},
 						{"infinite weight", wire.Triple{A: 0, B: own, W: math.Inf(-1)}},
+						{"negative weight", wire.Triple{A: 0, B: own, W: -0.25}},
 					}
 					if ranks > 1 {
 						bad = append(bad, badRec{"destination of another rank", wire.Triple{A: 0, B: other, W: 1}})
