@@ -22,19 +22,16 @@ vet:
 	$(GO) vet ./...
 
 # Repeated fault-injection runs over the transports plus the invariant and
-# cross-engine suites (what the CI chaos soak step executes). The Stream
-# pattern soaks the chunked streaming path: per-chunk fault injection in
-# comm, streaming-vs-bulk equivalence in core. The last line races the sweep
-# workers against the merge worker over par-louvain's skip marks, whose
-# horizons merge worker 0 spends for every row a told vertex appears in (the
-# OutRows and Asymmetric tests drive that merge at up to 65 ranks, two threads,
-# streaming; ParallelFingerprint's three-rank, two-thread runs on the bench
-# inputs, ~15 s), and buildRows' workers filling disjoint rows of shared arrays
-# while, in streaming mode, merge workers still append the next level's
-# records (BuildRows, RowsCanonical: three threads).
+# cross-engine suites (what the CI chaos soak step executes). The last line
+# races the sweep workers against the merge worker over par-louvain's skip
+# marks, whose horizons merge worker 0 spends for every row a told vertex
+# appears in (the OutRows and Asymmetric tests drive that merge at up to 65
+# ranks and two threads; ParallelFingerprint's three-rank, two-thread runs on
+# the bench inputs, ~15 s), and buildRows' workers filling disjoint rows of
+# shared arrays (BuildRows, RowsCanonical: three threads).
 chaos:
-	$(GO) test -race -count=3 -run 'Chaos|TCP|Stream' ./internal/comm
-	$(GO) test -short -run 'Chaos|Invariant|CrossEngine|Stream' ./internal/core
+	$(GO) test -race -count=3 -run 'Chaos|TCP' ./internal/comm
+	$(GO) test -short -run 'Chaos|Invariant|CrossEngine' ./internal/core
 	GOMAXPROCS=2 $(GO) test -race -run 'Skip|GoldenTrace|OutRows|Asymmetric|BuildRows|RowsCanonical|ParallelFingerprint' ./internal/core
 
 # Short fuzz pass over every fuzz target (wire codecs, graph readers and Build,

@@ -57,7 +57,6 @@ func main() {
 		refine    = flag.Bool("refine", false, "split internally disconnected communities afterwards (Leiden-style post-pass)")
 		check     = flag.Bool("check", false, "verify algorithm invariants (assignment shape, rank agreement, recomputed modularity, Q monotonicity; any engine)")
 		traceF    = flag.String("trace", "", "write telemetry events to this file as JSONL (any engine)")
-		streamSz  = flag.Int("stream-chunk", 0, "streaming-exchange chunk size in bytes for the heavy phases; 0 picks per transport, negative disables streaming (bulk rounds)")
 		chromeF   = flag.String("chrome-trace", "", "write a Chrome trace_event JSON timeline to this file (load in chrome://tracing or Perfetto)")
 		report    = flag.Bool("report", false, "print a per-phase run report (time share, imbalance, wire traffic) after the run")
 		metricsF  = flag.String("metrics-out", "", "write a final Prometheus text-format metrics snapshot to this file")
@@ -114,7 +113,6 @@ func main() {
 		MaxIter:         *maxInner,
 		Runs:            *runs,
 		CheckInvariants: *check,
-		StreamChunk:     streamChunkOption(*streamSz),
 	}
 	var rec *parlouvain.Recorder
 	if *traceF != "" || *chromeF != "" || *report {
@@ -227,14 +225,4 @@ func main() {
 		}
 		fmt.Printf("metrics snapshot written to %s\n", *metricsF)
 	}
-}
-
-// streamChunkOption maps the -stream-chunk flag to Options.StreamChunk:
-// 0 means "pick per transport" (the library auto-selects bulk or streaming
-// from the group's transport kind and size), negative forces bulk mode.
-func streamChunkOption(flagVal int) int {
-	if flagVal < 0 {
-		return -1
-	}
-	return flagVal
 }

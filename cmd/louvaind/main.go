@@ -78,7 +78,6 @@ func main() {
 		report    = flag.Bool("report", false, "print a per-phase run report to stdout after the run (cluster-wide on rank 0)")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /healthz, expvar and pprof on this address (e.g. :9090); rank 0 adds /metrics/cluster, /events and /events.jsonl")
 		aggEvery  = flag.Duration("agg-interval", agg.DefaultInterval, "how often to publish telemetry to rank 0 over the out-of-band channel (0 disables aggregation)")
-		streamSz  = flag.Int("stream-chunk", 0, "streaming-exchange chunk size in bytes for the heavy phases; 0 picks per transport, negative disables streaming (bulk rounds); must match across ranks")
 		serveMode = flag.Bool("serve", false, "run as a job service on -debug-addr instead of one batch detection (POST /jobs, see README \"Service mode\")")
 		serveWk   = flag.Int("serve-workers", 2, "job-service worker pool size (with -serve)")
 		serveQD   = flag.Int("serve-queue", 16, "job-service queue depth; submissions beyond it get 429 (with -serve)")
@@ -227,7 +226,6 @@ func main() {
 		Naive:           *naive,
 		Seed:            *seed,
 		CheckInvariants: *check,
-		StreamChunk:     streamChunkOption(*streamSz),
 		Recorder:        rec,
 		Metrics:         reg,
 	})
@@ -295,14 +293,4 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-}
-
-// streamChunkOption maps the -stream-chunk flag to Options.StreamChunk:
-// 0 means "pick per transport" (the library auto-selects bulk or streaming
-// from the group's transport kind and size), negative forces bulk mode.
-func streamChunkOption(flagVal int) int {
-	if flagVal < 0 {
-		return -1
-	}
-	return flagVal
 }

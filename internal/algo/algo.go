@@ -86,10 +86,6 @@ type Options struct {
 	// Naive disables the parallel Louvain convergence heuristic.
 	Naive bool
 
-	// StreamChunk passes through to the parallel Louvain engine (see
-	// core.Options).
-	StreamChunk int
-
 	// Warm seeds modularity engines with a previous assignment.
 	Warm []graph.V
 
@@ -123,7 +119,6 @@ func (o Options) coreOptions(ctx context.Context, collect bool) core.Options {
 		Naive:           o.Naive,
 		Threads:         o.Threads,
 		Order:           o.Order,
-		StreamChunk:     o.StreamChunk,
 		CollectLevels:   collect,
 		CheckInvariants: o.CheckInvariants,
 		Warm:            o.Warm,

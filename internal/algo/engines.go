@@ -56,7 +56,7 @@ func (parLouvain) Info() Info {
 	return Info{
 		Name:         "par-louvain",
 		Description:  "distributed parallel Louvain (Algorithms 2-5, dynamic-threshold heuristic)",
-		Flags:        "-threads -naive -stream-chunk -warm -max-levels -max-inner",
+		Flags:        "-threads -naive -warm -max-levels -max-inner",
 		Hierarchical: true,
 		MonotoneQ:    true,
 	}

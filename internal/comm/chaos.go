@@ -93,7 +93,7 @@ type chaosTransport struct {
 
 	rngMu     sync.Mutex
 	rng       chaosRNG // sequential schedule for the one-per-round fault sites
-	seed0     uint64   // base state for the per-chunk keyed streams
+	seed0     uint64   // base state for the telemetry plane's keyed streams
 	round     uint64
 	slowEvery uint64
 	maxDelay  time.Duration
@@ -177,15 +177,6 @@ func (t *chaosTransport) stats() ChaosStats {
 	}
 }
 
-// TransportKind implements Kinded by forwarding to the wrapped transport —
-// chaos perturbs timing, not the transport family policy keys off.
-func (t *chaosTransport) TransportKind() string {
-	if k, ok := t.inner.(Kinded); ok {
-		return k.TransportKind()
-	}
-	return "unknown"
-}
-
 func (t *chaosTransport) Rank() int { return t.inner.Rank() }
 func (t *chaosTransport) Size() int { return t.inner.Size() }
 
@@ -207,8 +198,8 @@ func (t *chaosTransport) sleep(d time.Duration) {
 
 // randFloat and randUint serialize draws from the sequential splitmix64
 // stream. This stream serves the fault sites that execute exactly once per
-// round on the rank's own goroutine (round-start delays, bulk Exchange
-// faults), so a fixed seed yields a fixed schedule.
+// round on the rank's own goroutine (round-start delays, Exchange faults),
+// so a fixed seed yields a fixed schedule.
 func (t *chaosTransport) randFloat() float64 {
 	t.rngMu.Lock()
 	defer t.rngMu.Unlock()
@@ -221,19 +212,18 @@ func (t *chaosTransport) randUint() uint64 {
 	return t.rng.next()
 }
 
-// keyedRNG derives an independent splitmix64 stream for one streamed chunk.
-// Stream rounds draw faults from many goroutines concurrently (builder
-// threads sending, the pump receiving), so a shared sequential stream would
-// make the schedule depend on goroutine interleaving; keying each chunk's
-// draws by (site, round, peer, payload) keeps the whole round's fault
-// multiset a pure function of the seed.
-func (t *chaosTransport) keyedRNG(site, round uint64, peer int, payload []byte) chaosRNG {
+// keyedRNG derives an independent splitmix64 stream for one payload.
+// Telemetry sends draw faults from publisher goroutines concurrent with the
+// round loop, so a shared sequential stream would make the schedule depend
+// on goroutine interleaving; keying each payload's draws by (site, seq,
+// peer, payload) keeps the fault multiset a pure function of the seed.
+func (t *chaosTransport) keyedRNG(site, seq uint64, peer int, payload []byte) chaosRNG {
 	// FNV-1a over the payload, then fold in the coordinates.
 	h := uint64(14695981039346656037)
 	for _, b := range payload {
 		h = (h ^ uint64(b)) * 1099511628211
 	}
-	rng := chaosRNG{state: t.seed0 ^ h ^ site*0x9E3779B97F4A7C15 ^ round*0xBF58476D1CE4E5B9 ^ (uint64(peer)+1)*0x94D049BB133111EB}
+	rng := chaosRNG{state: t.seed0 ^ h ^ site*0x9E3779B97F4A7C15 ^ seq*0xBF58476D1CE4E5B9 ^ (uint64(peer)+1)*0x94D049BB133111EB}
 	rng.next() // scramble away any key structure
 	return rng
 }
@@ -249,25 +239,19 @@ func (t *chaosTransport) injectRoundStart(round uint64) {
 	}
 }
 
-// injectSendFaults draws the transient-fault schedule for one send attempt
-// (a bulk round, or a single streamed chunk), retrying with jittered
-// exponential backoff. Exhausting the budget tears the group down and
-// returns an ErrInjected-tagged failure. rng selects the draw source: nil
-// uses the transport's sequential stream (bulk rounds), non-nil a caller-
-// derived keyed stream (concurrent per-chunk faults).
-func (t *chaosTransport) injectSendFaults(rng *chaosRNG, round uint64) error {
+// injectSendFaults draws the transient-fault schedule for one round's send
+// attempt from the sequential stream, retrying with jittered exponential
+// backoff. Exhausting the budget tears the group down and returns an
+// ErrInjected-tagged failure.
+func (t *chaosTransport) injectSendFaults(round uint64) error {
 	p := t.cfg.ErrProb + t.cfg.ResetProb
 	if p <= 0 {
 		return nil
 	}
-	drawFloat, drawUint := t.randFloat, t.randUint
-	if rng != nil {
-		drawFloat, drawUint = rng.float, rng.next
-	}
 	backoff := t.backoff0
 	attempts := 0
 	for {
-		draw := drawFloat()
+		draw := t.randFloat()
 		if draw >= p {
 			break
 		}
@@ -293,7 +277,7 @@ func (t *chaosTransport) injectSendFaults(rng *chaosRNG, round uint64) error {
 		if t.cRetries != nil {
 			t.cRetries.Inc()
 		}
-		jitter := time.Duration(drawUint() % uint64(backoff/2+1))
+		jitter := time.Duration(t.randUint() % uint64(backoff/2+1))
 		time.Sleep(backoff + jitter)
 		if backoff < 8*time.Millisecond {
 			backoff *= 2
@@ -317,7 +301,7 @@ func (t *chaosTransport) Exchange(out [][]byte) ([][]byte, error) {
 	// Transient faults on the send attempt, retried with jittered
 	// exponential backoff. The inner exchange is only entered once the
 	// attempt survives, so delivery stays exactly-once.
-	if err := t.injectSendFaults(nil, round); err != nil {
+	if err := t.injectSendFaults(round); err != nil {
 		return nil, err
 	}
 
@@ -350,128 +334,6 @@ func (t *chaosTransport) Exchange(out [][]byte) ([][]byte, error) {
 		}
 	}
 	return in, nil
-}
-
-// OpenStream implements Streamer by wrapping the inner transport's stream
-// with per-chunk fault injection: every Send draws its own delay and
-// transient-fault schedule (retry budget per chunk, fail-fast with mesh
-// teardown on exhaustion), and the receive pump injects duplicate delivery
-// attempts per chunk. Successful delivery never alters the bytes, so
-// completed streamed rounds stay bit-identical to fault-free ones.
-func (t *chaosTransport) OpenStream() (Stream, error) {
-	if t.closed.Load() {
-		return nil, fmt.Errorf("comm: chaos rank %d: %w", t.rank, ErrClosed)
-	}
-	str, ok := t.inner.(Streamer)
-	if !ok {
-		// Degrade to the generic bulk adapter over this chaos transport, so
-		// the faults still apply to the fallback's one Exchange.
-		return nil, ErrStreamUnsupported
-	}
-	round := t.round
-	t.round++
-	t.nRounds.Add(1)
-	t.injectRoundStart(round)
-	inner, err := str.OpenStream()
-	if err != nil {
-		if errors.Is(err, ErrStreamUnsupported) {
-			return nil, err
-		}
-		return nil, fmt.Errorf("comm: chaos rank %d round %d: %w", t.rank, round, err)
-	}
-	cs := &chaosStream{t: t, inner: inner, round: round, ch: make(chan Chunk, 8)}
-	go cs.pump()
-	return cs, nil
-}
-
-type chaosStream struct {
-	t     *chaosTransport
-	inner Stream
-	round uint64
-	ch    chan Chunk
-
-	mu  sync.Mutex
-	err error
-}
-
-func (cs *chaosStream) Send(dst int, chunk []byte) error {
-	t := cs.t
-	if t.closed.Load() {
-		return fmt.Errorf("comm: chaos rank %d: %w", t.rank, ErrClosed)
-	}
-	// Per-chunk faults: streamed rounds expose many more injection points
-	// than one bulk Exchange, which is exactly the coverage wanted. Draws
-	// come from a keyed stream so the schedule is seed-deterministic even
-	// though builder threads send concurrently.
-	rng := t.keyedRNG(1, cs.round, dst, chunk)
-	if t.cfg.DelayProb > 0 && rng.float() < t.cfg.DelayProb {
-		t.sleep(time.Duration(1 + rng.next()%uint64(t.maxDelay)))
-	}
-	if err := t.injectSendFaults(&rng, cs.round); err != nil {
-		cs.fail(err)
-		return err
-	}
-	if err := cs.inner.Send(dst, chunk); err != nil {
-		return fmt.Errorf("comm: chaos rank %d round %d: %w", t.rank, cs.round, err)
-	}
-	return nil
-}
-
-func (cs *chaosStream) pump() {
-	t := cs.t
-	for ck := range cs.inner.Recv() {
-		// Duplicate delivery attempt per chunk: materialize a copy, verify
-		// it matches, discard it. Keyed draw — see Send.
-		rng := t.keyedRNG(2, cs.round, ck.Src, ck.Data)
-		if t.cfg.DupProb > 0 && rng.float() < t.cfg.DupProb {
-			t.nDups.Add(1)
-			if t.cDups != nil {
-				t.cDups.Inc()
-			}
-			dup := wire.GetPlane(len(ck.Data))
-			copy(dup, ck.Data)
-			same := bytes.Equal(dup, ck.Data)
-			wire.PutPlane(dup)
-			if !same {
-				cs.fail(fmt.Errorf("comm: chaos rank %d round %d: duplicate chunk delivery from rank %d diverged: %w",
-					t.rank, cs.round, ck.Src, ErrInjected))
-				t.Close()
-				wire.PutPlane(ck.Data)
-				continue // keep draining so the inner stream can finish
-			}
-		}
-		cs.ch <- ck
-	}
-	close(cs.ch)
-}
-
-func (cs *chaosStream) CloseSend() error {
-	if err := cs.inner.CloseSend(); err != nil {
-		return fmt.Errorf("comm: chaos rank %d round %d: %w", cs.t.rank, cs.round, err)
-	}
-	return nil
-}
-
-func (cs *chaosStream) Recv() <-chan Chunk { return cs.ch }
-
-func (cs *chaosStream) Err() error {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if cs.err != nil {
-		return cs.err
-	}
-	if err := cs.inner.Err(); err != nil {
-		return fmt.Errorf("comm: chaos rank %d round %d: %w", cs.t.rank, cs.round, err)
-	}
-	return nil
-}
-
-func (cs *chaosStream) fail(err error) {
-	cs.mu.Lock()
-	if cs.err == nil {
-		cs.err = err
-	}
-	cs.mu.Unlock()
 }
 
 // OpenTelemetry implements Telemeter with best-effort fault injection on

@@ -63,11 +63,6 @@ type Comm struct {
 	// uninstrumented hot path at three atomic adds per round.
 	sentC, recvC, roundsC *obs.Counter
 	latencyH, planeH      *obs.Histogram
-
-	// Streaming-exchange instruments (see OpenStream / Collator).
-	chunksC                 *obs.Counter
-	chunkBytesH, chunkWaitH *obs.Histogram
-	overlapH, transferH     *obs.Histogram
 }
 
 // New wraps a transport.
@@ -79,11 +74,6 @@ func New(tr Transport) *Comm { return &Comm{tr: tr} }
 //	comm_bytes_sent_total / comm_bytes_received_total / comm_rounds_total
 //	comm_exchange_seconds (histogram of Exchange round latency)
 //	comm_plane_bytes      (histogram of outbound plane sizes)
-//	comm_stream_chunks    (counter of streamed chunks sent)
-//	comm_stream_chunk_bytes / comm_stream_chunk_wait_seconds
-//	                      (per-chunk size, and arrival→merge queue latency)
-//	comm_stream_transfer_seconds (per stream round, open→last chunk)
-//	comm_overlap_seconds  (merge time spent while transfer was in flight)
 //
 // Several Comms (an in-process rank group) may share one registry; the
 // instruments are atomic, so the registry then carries group totals.
@@ -96,11 +86,6 @@ func (c *Comm) Instrument(reg *obs.Registry) {
 	c.roundsC = reg.Counter("comm_rounds_total")
 	c.latencyH = reg.Histogram("comm_exchange_seconds", obs.LatencyBuckets)
 	c.planeH = reg.Histogram("comm_plane_bytes", obs.SizeBuckets)
-	c.chunksC = reg.Counter("comm_stream_chunks")
-	c.chunkBytesH = reg.Histogram("comm_stream_chunk_bytes", obs.SizeBuckets)
-	c.chunkWaitH = reg.Histogram("comm_stream_chunk_wait_seconds", obs.LatencyBuckets)
-	c.transferH = reg.Histogram("comm_stream_transfer_seconds", obs.LatencyBuckets)
-	c.overlapH = reg.Histogram("comm_overlap_seconds", obs.LatencyBuckets)
 }
 
 // BytesSent returns the total bytes this rank put on the wire.

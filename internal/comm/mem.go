@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"fmt"
 	"sync"
 
 	"parlouvain/internal/wire"
@@ -16,12 +15,6 @@ import (
 type memHub struct {
 	size int
 	mail [][]chan []byte
-
-	// smail[dst][src] carries streamed chunks (OpenStream rounds); a nil
-	// chunk is src's end-of-round sentinel. Streams are full rounds like
-	// Exchange, so modest buffering suffices — a sender that runs ahead
-	// blocks until the receiver's pump drains, which it always does.
-	smail [][]chan []byte
 
 	// tel is the out-of-band telemetry queue (see telemetry.go): any rank
 	// enqueues, rank 0 drains.
@@ -45,18 +38,15 @@ func NewMemGroup(size int) []Transport {
 		size = 1
 	}
 	hub := &memHub{
-		size:  size,
-		mail:  make([][]chan []byte, size),
-		smail: make([][]chan []byte, size),
-		tel:   newTelHub(),
-		done:  make(chan struct{}),
+		size: size,
+		mail: make([][]chan []byte, size),
+		tel:  newTelHub(),
+		done: make(chan struct{}),
 	}
 	for d := 0; d < size; d++ {
 		hub.mail[d] = make([]chan []byte, size)
-		hub.smail[d] = make([]chan []byte, size)
 		for s := 0; s < size; s++ {
 			hub.mail[d][s] = make(chan []byte, 1)
-			hub.smail[d][s] = make(chan []byte, 8)
 		}
 	}
 	trs := make([]Transport, size)
@@ -113,9 +103,6 @@ func (t *memTransport) Close() error {
 	return nil
 }
 
-// TransportKind implements Kinded.
-func (t *memTransport) TransportKind() string { return "mem" }
-
 // OpenTelemetry implements Telemeter: payloads flow through the hub's
 // shared queue; rank 0's handle carries the receive side.
 func (t *memTransport) OpenTelemetry() (TelemetryConn, error) {
@@ -128,103 +115,3 @@ func (t *memTransport) OpenTelemetry() (TelemetryConn, error) {
 }
 
 func (t *memTransport) telemetryDrops() uint64 { return t.hub.tel.Drops() }
-
-// OpenStream implements Streamer: one pump goroutine per source forwards
-// chunks from the hub's stream channels until the source's end-of-round
-// sentinel; Recv closes once every source (self included) has finished.
-func (t *memTransport) OpenStream() (Stream, error) {
-	select {
-	case <-t.hub.done:
-		return nil, ErrClosed
-	default:
-	}
-	st := &memStream{t: t, ch: make(chan Chunk, 4*t.hub.size)}
-	st.wg.Add(t.hub.size)
-	for src := 0; src < t.hub.size; src++ {
-		go st.pump(src)
-	}
-	go func() {
-		st.wg.Wait()
-		close(st.ch)
-	}()
-	return st, nil
-}
-
-type memStream struct {
-	t  *memTransport
-	ch chan Chunk
-	wg sync.WaitGroup
-
-	mu  sync.Mutex
-	err error
-}
-
-func (st *memStream) pump(src int) {
-	defer st.wg.Done()
-	hub := st.t.hub
-	for {
-		select {
-		case chunk := <-hub.smail[st.t.rank][src]:
-			if chunk == nil {
-				return // src closed its send side for this round
-			}
-			select {
-			case st.ch <- Chunk{Src: src, Data: chunk}:
-			case <-hub.done:
-				wire.PutPlane(chunk)
-				st.fail(ErrClosed)
-				return
-			}
-		case <-hub.done:
-			st.fail(ErrClosed)
-			return
-		}
-	}
-}
-
-func (st *memStream) Send(dst int, chunk []byte) error {
-	hub := st.t.hub
-	if dst < 0 || dst >= hub.size {
-		return fmt.Errorf("comm: stream send to out-of-range rank %d", dst)
-	}
-	if len(chunk) == 0 {
-		return nil // nothing to deliver; nil is reserved for the sentinel
-	}
-	cp := wire.GetPlane(len(chunk))
-	copy(cp, chunk)
-	select {
-	case hub.smail[dst][st.t.rank] <- cp:
-		return nil
-	case <-hub.done:
-		wire.PutPlane(cp)
-		return ErrClosed
-	}
-}
-
-func (st *memStream) CloseSend() error {
-	hub := st.t.hub
-	for dst := 0; dst < hub.size; dst++ {
-		select {
-		case hub.smail[dst][st.t.rank] <- nil:
-		case <-hub.done:
-			return ErrClosed
-		}
-	}
-	return nil
-}
-
-func (st *memStream) Recv() <-chan Chunk { return st.ch }
-
-func (st *memStream) Err() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.err
-}
-
-func (st *memStream) fail(err error) {
-	st.mu.Lock()
-	if st.err == nil {
-		st.err = err
-	}
-	st.mu.Unlock()
-}

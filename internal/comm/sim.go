@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -54,24 +53,20 @@ func SimGroup(size int, model CostModel) []Transport {
 		model = DefaultCostModel()
 	}
 	hub := &simHub{
-		size:            size,
-		model:           model,
-		tel:             newTelHub(),
-		resume:          make([]chan error, size),
-		staged:          make([][][]byte, size),
-		delivered:       make([][][]byte, size),
-		stagedChunks:    make([][][][]byte, size),
-		deliveredChunks: make([][][][]byte, size),
-		arrived:         make([]bool, size),
-		blocked:         make([]bool, size),
-		done:            make([]bool, size),
+		size:      size,
+		model:     model,
+		tel:       newTelHub(),
+		resume:    make([]chan error, size),
+		staged:    make([][][]byte, size),
+		delivered: make([][][]byte, size),
+		arrived:   make([]bool, size),
+		blocked:   make([]bool, size),
+		done:      make([]bool, size),
 	}
 	for r := 0; r < size; r++ {
 		hub.resume[r] = make(chan error, 1)
 		hub.staged[r] = make([][]byte, size)
 		hub.delivered[r] = make([][]byte, size)
-		hub.stagedChunks[r] = make([][][]byte, size)
-		hub.deliveredChunks[r] = make([][][]byte, size)
 		if r != 0 {
 			hub.blocked[r] = true // waits in WaitTurn until scheduled
 		}
@@ -94,11 +89,6 @@ type simHub struct {
 	resume    []chan error
 	staged    [][][]byte // staged[src][dst], this round's outgoing planes
 	delivered [][][]byte // delivered[dst][src], last completed round
-
-	// Stream rounds stage per-destination chunk lists instead of single
-	// planes; both kinds share the same barrier and cost accounting.
-	stagedChunks    [][][][]byte // stagedChunks[src][dst] = chunks
-	deliveredChunks [][][][]byte // deliveredChunks[dst][src] = chunks
 
 	arrived []bool // reached Exchange this round
 	blocked []bool // waiting on resume
@@ -210,9 +200,6 @@ func (t *simTransport) Close() error {
 	return nil
 }
 
-// TransportKind implements Kinded.
-func (t *simTransport) TransportKind() string { return "sim" }
-
 // OpenTelemetry implements Telemeter. Telemetry flows outside the
 // serialized-rank protocol: enqueueing is just a channel send, so a rank
 // may push while another holds the simulated CPU, and the rank-0 collector
@@ -230,118 +217,6 @@ func (t *simTransport) OpenTelemetry() (TelemetryConn, error) {
 }
 
 func (t *simTransport) telemetryDrops() uint64 { return t.hub.tel.Drops() }
-
-// OpenStream implements Streamer under the serialized-rank protocol: Send
-// stages pooled chunk copies locally (the rank holds the CPU, so nothing
-// moves yet), CloseSend joins the round barrier exactly like Exchange, and
-// once the round completes the stream replays every delivered chunk into
-// Recv. The BSP cost charged is identical to a bulk round of the same
-// bytes — the sim models the volume, not the overlap.
-func (t *simTransport) OpenStream() (Stream, error) {
-	h := t.hub
-	h.mu.Lock()
-	dead := h.done[t.rank]
-	h.mu.Unlock()
-	if dead {
-		return nil, ErrClosed
-	}
-	return &simStream{
-		t:      t,
-		staged: make([][][]byte, h.size),
-		ch:     make(chan Chunk, 64),
-	}, nil
-}
-
-type simStream struct {
-	t      *simTransport
-	ch     chan Chunk
-	mu     sync.Mutex
-	staged [][][]byte // [dst] -> chunk copies, in Send order
-	closed bool
-	err    error
-}
-
-func (st *simStream) Send(dst int, chunk []byte) error {
-	if dst < 0 || dst >= st.t.hub.size {
-		return fmt.Errorf("comm: stream send to out-of-range rank %d", dst)
-	}
-	if len(chunk) == 0 {
-		return nil
-	}
-	cp := wire.GetPlane(len(chunk))
-	copy(cp, chunk)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
-		wire.PutPlane(cp)
-		return fmt.Errorf("comm: stream send after CloseSend")
-	}
-	st.staged[dst] = append(st.staged[dst], cp)
-	return nil
-}
-
-func (st *simStream) CloseSend() error {
-	st.mu.Lock()
-	if st.closed {
-		st.mu.Unlock()
-		return nil
-	}
-	st.closed = true
-	st.mu.Unlock()
-
-	h := st.t.hub
-	rank := st.t.rank
-	h.mu.Lock()
-	if h.done[rank] {
-		h.mu.Unlock()
-		st.err = ErrClosed
-		close(st.ch)
-		return ErrClosed
-	}
-	if seg := time.Since(h.sliceStart); seg > h.roundMaxSegment {
-		h.roundMaxSegment = seg
-	}
-	h.arrived[rank] = true
-	for dst := 0; dst < h.size; dst++ {
-		h.stagedChunks[rank][dst] = st.staged[dst]
-	}
-	h.blocked[rank] = true
-	h.scheduleLocked()
-	ch := h.resume[rank]
-	h.mu.Unlock()
-
-	if err := <-ch; err != nil {
-		st.mu.Lock()
-		st.err = err
-		st.mu.Unlock()
-		close(st.ch)
-		return err
-	}
-
-	h.mu.Lock()
-	in := make([][][]byte, h.size)
-	for src := 0; src < h.size; src++ {
-		in[src] = h.deliveredChunks[rank][src]
-		h.deliveredChunks[rank][src] = nil // ownership moves to the receiver
-	}
-	h.mu.Unlock()
-	// Replay off the hub lock; the receiver's pump drains concurrently.
-	for src := 0; src < h.size; src++ {
-		for _, ck := range in[src] {
-			st.ch <- Chunk{Src: src, Data: ck}
-		}
-	}
-	close(st.ch)
-	return nil
-}
-
-func (st *simStream) Recv() <-chan Chunk { return st.ch }
-
-func (st *simStream) Err() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.err
-}
 
 // scheduleLocked hands the CPU to the next live rank that has not yet
 // reached this round's exchange; when none remain it completes the round
@@ -386,9 +261,6 @@ func (h *simHub) completeRoundLocked() {
 		var b int64
 		for dst := 0; dst < h.size; dst++ {
 			b += int64(len(h.staged[src][dst]))
-			for _, ck := range h.stagedChunks[src][dst] {
-				b += int64(len(ck))
-			}
 		}
 		if b > maxBytes {
 			maxBytes = b
@@ -408,8 +280,6 @@ func (h *simHub) completeRoundLocked() {
 			}
 			h.delivered[dst][src] = plane
 			h.staged[src][dst] = nil
-			h.deliveredChunks[dst][src] = h.stagedChunks[src][dst]
-			h.stagedChunks[src][dst] = nil
 		}
 	}
 	for r := range h.arrived {

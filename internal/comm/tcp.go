@@ -374,9 +374,6 @@ func (t *tcpTransport) serveTelemetry(conn net.Conn) {
 func (t *tcpTransport) Rank() int { return t.rank }
 func (t *tcpTransport) Size() int { return t.size }
 
-// TransportKind implements Kinded.
-func (t *tcpTransport) TransportKind() string { return "tcp" }
-
 func (t *tcpTransport) telemetryDrops() uint64 { return t.tel.Drops() }
 
 // OpenTelemetry implements Telemeter. Rank 0's handle is a loopback into
@@ -622,193 +619,6 @@ func (t *tcpTransport) Close() error {
 		}
 	})
 	return nil
-}
-
-// tcpStreamFin is the length-sentinel frame that ends one rank's stream
-// round on a connection. Ordinary frames are capped far below it, so it can
-// never collide with a real chunk length.
-const tcpStreamFin = ^uint64(0)
-
-// OpenStream implements Streamer over the existing mesh connections: chunks
-// travel as the same [u64 length][payload] frames Exchange uses, with the
-// fin sentinel closing each (src,dst) pair's round. Because stream rounds
-// occupy the same position in every rank's collective sequence, frames from
-// different rounds can never interleave on a connection.
-func (t *tcpTransport) OpenStream() (Stream, error) {
-	if t.closed.Load() {
-		return nil, fmt.Errorf("comm: rank %d: %w", t.rank, ErrClosed)
-	}
-	round := t.rounds.Add(1) - 1
-	st := &tcpStream{
-		t:      t,
-		round:  round,
-		ch:     make(chan Chunk, 4*t.size),
-		sendMu: make([]sync.Mutex, t.size),
-	}
-	// One token per remote reader plus one for our own CloseSend, so Recv
-	// only closes after self-delivery is complete too.
-	st.wg.Add(t.size)
-	for src := 0; src < t.size; src++ {
-		if src == t.rank {
-			continue
-		}
-		go st.recvFrom(src)
-	}
-	go func() {
-		st.wg.Wait()
-		close(st.ch)
-	}()
-	return st, nil
-}
-
-type tcpStream struct {
-	t     *tcpTransport
-	round uint64
-	ch    chan Chunk
-	wg    sync.WaitGroup
-
-	sendMu []sync.Mutex // serializes writers per destination connection
-
-	mu       sync.Mutex
-	err      error
-	sendDone bool
-}
-
-func (st *tcpStream) recvFrom(src int) {
-	defer st.wg.Done()
-	t := st.t
-	const maxChunk = 1 << 33
-	for {
-		if t.roundTimeout > 0 {
-			t.inConns[src].SetReadDeadline(time.Now().Add(t.roundTimeout))
-		}
-		var hdr [8]byte
-		if _, err := io.ReadFull(t.inBufs[src], hdr[:]); err != nil {
-			st.fail(t.roundErr(st.round, "stream recv header from", src, err))
-			return
-		}
-		n := binary.LittleEndian.Uint64(hdr[:])
-		if n == tcpStreamFin {
-			return
-		}
-		if n > maxChunk {
-			st.fail(fmt.Errorf("comm: rank %d round %d: implausible chunk size %d from rank %d", t.rank, st.round, n, src))
-			return
-		}
-		buf := wire.GetPlane(int(n))
-		if _, err := io.ReadFull(t.inBufs[src], buf); err != nil {
-			wire.PutPlane(buf)
-			st.fail(t.roundErr(st.round, "stream recv from", src, err))
-			return
-		}
-		// Plain send: the receiver's pump drains ch until it closes, and ch
-		// closes only after every reader (us included) has returned.
-		st.ch <- Chunk{Src: src, Data: buf}
-	}
-}
-
-func (st *tcpStream) Send(dst int, chunk []byte) error {
-	t := st.t
-	if t.closed.Load() {
-		return fmt.Errorf("comm: rank %d: %w", t.rank, ErrClosed)
-	}
-	st.mu.Lock()
-	done := st.sendDone
-	st.mu.Unlock()
-	if done {
-		return fmt.Errorf("comm: rank %d round %d: stream send after CloseSend", t.rank, st.round)
-	}
-	if dst < 0 || dst >= t.size {
-		return fmt.Errorf("comm: stream send to out-of-range rank %d", dst)
-	}
-	if dst == t.rank {
-		if len(chunk) == 0 {
-			return nil
-		}
-		cp := wire.GetPlane(len(chunk))
-		copy(cp, chunk)
-		st.ch <- Chunk{Src: t.rank, Data: cp}
-		return nil
-	}
-	st.sendMu[dst].Lock()
-	defer st.sendMu[dst].Unlock()
-	return st.writeFrame(dst, uint64(len(chunk)), chunk)
-}
-
-// writeFrame writes one length-framed chunk (or the fin sentinel) and
-// flushes so the receiver can make progress mid-build. Callers hold
-// sendMu[dst].
-func (st *tcpStream) writeFrame(dst int, n uint64, payload []byte) error {
-	t := st.t
-	if t.roundTimeout > 0 {
-		t.outConns[dst].SetWriteDeadline(time.Now().Add(t.roundTimeout))
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], n)
-	if _, err := t.outBufs[dst].Write(hdr[:]); err != nil {
-		st.fail(t.roundErr(st.round, "stream send header to", dst, err))
-		return st.Err()
-	}
-	if len(payload) > 0 {
-		if _, err := t.outBufs[dst].Write(payload); err != nil {
-			st.fail(t.roundErr(st.round, "stream send to", dst, err))
-			return st.Err()
-		}
-	}
-	if err := t.outBufs[dst].Flush(); err != nil {
-		st.fail(t.roundErr(st.round, "stream flush to", dst, err))
-		return st.Err()
-	}
-	return nil
-}
-
-func (st *tcpStream) CloseSend() error {
-	st.mu.Lock()
-	if st.sendDone {
-		st.mu.Unlock()
-		return nil
-	}
-	st.sendDone = true
-	st.mu.Unlock()
-	defer st.wg.Done() // release the self token whatever happens
-	t := st.t
-	var firstErr error
-	for dst := 0; dst < t.size; dst++ {
-		if dst == t.rank {
-			continue
-		}
-		st.sendMu[dst].Lock()
-		err := st.writeFrame(dst, tcpStreamFin, nil)
-		st.sendMu[dst].Unlock()
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-func (st *tcpStream) Recv() <-chan Chunk { return st.ch }
-
-func (st *tcpStream) Err() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.err
-}
-
-// fail records the round's first failure and tears the mesh down so no
-// peer stays parked — the same fail-fast contract as Exchange. A failure
-// observed after our own Close reads as a graceful ErrClosed.
-func (st *tcpStream) fail(err error) {
-	if st.t.closed.Load() {
-		err = fmt.Errorf("comm: rank %d: %w", st.t.rank, ErrClosed)
-	} else {
-		st.t.Close()
-	}
-	st.mu.Lock()
-	if st.err == nil {
-		st.err = err
-	}
-	st.mu.Unlock()
 }
 
 // LocalAddrs returns n distinct loopback listen addresses with

@@ -39,13 +39,6 @@ type Telemeter interface {
 	OpenTelemetry() (TelemetryConn, error)
 }
 
-// Kinded is the optional transport capability behind Comm.TransportKind.
-type Kinded interface {
-	// TransportKind names the concrete transport family ("mem", "tcp",
-	// "sim"); wrappers forward to the wrapped transport.
-	TransportKind() string
-}
-
 // ErrTelemetryUnsupported marks a transport without an out-of-band channel.
 var ErrTelemetryUnsupported = errors.New("comm: transport does not support telemetry")
 
@@ -61,17 +54,6 @@ func (c *Comm) OpenTelemetry() (TelemetryConn, error) {
 		return tm.OpenTelemetry()
 	}
 	return nil, ErrTelemetryUnsupported
-}
-
-// TransportKind names the underlying transport family ("mem", "tcp",
-// "sim"), or "unknown" for transports without the capability. Engine-level
-// policy (streaming auto-selection) keys off it; the value is uniform
-// across a group, so collective decisions derived from it stay in lockstep.
-func (c *Comm) TransportKind() string {
-	if k, ok := c.tr.(Kinded); ok {
-		return k.TransportKind()
-	}
-	return "unknown"
 }
 
 // telQueueDepth bounds the rank-0 delivery queue. Deep enough to absorb a

@@ -160,9 +160,6 @@ func TestTelemetryConcurrentWithExchange(t *testing.T) {
 // out-of-band surface.
 func TestTelemetrySimTransport(t *testing.T) {
 	trs := SimGroup(2, CostModel{})
-	if kind := New(trs[0]).TransportKind(); kind != "sim" {
-		t.Errorf("TransportKind = %q, want sim", kind)
-	}
 	conn0, err := New(trs[0]).OpenTelemetry()
 	if err != nil {
 		t.Fatal(err)
@@ -201,27 +198,6 @@ func TestTelemetrySimTransport(t *testing.T) {
 	}
 	if !seen[0] || !seen[1] {
 		t.Errorf("payload sources = %v, want both ranks", seen)
-	}
-}
-
-func TestTransportKind(t *testing.T) {
-	mem := NewMemGroup(1)
-	defer closeAll(mem)
-	if k := New(mem[0]).TransportKind(); k != "mem" {
-		t.Errorf("mem kind = %q", k)
-	}
-	tcp, err := NewTCP(TCPConfig{Rank: 0, Addrs: []string{"unused:0"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tcp.Close()
-	if k := New(tcp).TransportKind(); k != "tcp" {
-		t.Errorf("tcp kind = %q", k)
-	}
-	chaos := NewChaos(NewMemGroup(1)[0], ChaosConfig{})
-	defer chaos.Close()
-	if k := New(chaos).TransportKind(); k != "mem" {
-		t.Errorf("chaos-over-mem kind = %q", k)
 	}
 }
 

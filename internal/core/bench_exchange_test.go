@@ -24,46 +24,35 @@ import (
 // a fixed sixteenth of the vertices, and computeQ. allocs/op is the
 // steady-state allocation count; the buffer pooling in internal/wire and the
 // pre-bound phase bodies exist to keep it at zero (numbers tracked in
-// EXPERIMENTS.md). The mode axis pins both exchange paths: bulk is the
-// zero-alloc baseline (its numbers must not regress), stream pays a small
-// constant per-round cost for merge workers and the collator pump.
+// EXPERIMENTS.md). The rows keep the mode=bulk prefix their earlier numbers
+// were recorded under.
 func BenchmarkExchangeAllocs(b *testing.B) {
 	const n = 2000
 	el, _, err := gen.LFR(gen.DefaultLFR(n, 0.3, 11))
 	if err != nil {
 		b.Fatal(err)
 	}
-	modes := []struct {
-		name  string
-		chunk int
-	}{
-		{"bulk", -1},
-		{"stream", DefaultStreamChunk},
-	}
-	for _, mode := range modes {
-		for _, ranks := range []int{1, 2} {
-			for _, phase := range exchangeOps {
-				b.Run(fmt.Sprintf("mode=%s/ranks=%d%s", mode.name, ranks, phase.suffix), func(b *testing.B) {
-					states := steadyEngines(b, el, n, ranks, mode.chunk, phase.op)
-					b.ReportAllocs()
-					b.ResetTimer()
-					if err := onRanks(states, repeat(b.N, phase.op)); err != nil {
-						b.Fatal(err)
-					}
-				})
-			}
+	for _, ranks := range []int{1, 2} {
+		for _, phase := range exchangeOps {
+			b.Run(fmt.Sprintf("mode=bulk/ranks=%d%s", ranks, phase.suffix), func(b *testing.B) {
+				states := steadyEngines(b, el, n, ranks, phase.op)
+				b.ReportAllocs()
+				b.ResetTimer()
+				if err := onRanks(states, repeat(b.N, phase.op)); err != nil {
+					b.Fatal(err)
+				}
+			})
 		}
 	}
 }
 
 // TestExchangeSteadyStateAllocatesNothing is the blocking form of the
-// benchmark's bulk-mode rows: a steady-state full propagation, and the
+// benchmark: a steady-state full propagation, and the
 // findBest + move-log propagation + computeQ trio, allocate nothing at ranks
 // 1 and 2. The count is every malloc of the process over the measured ops,
 // the goroutines that drive the ranks included, divided by the ops per rank —
 // so it reads 0 while the hot path is clean and ≥ 1 as soon as one rank
-// allocates once per op. Streaming mode allocates by design (merge workers,
-// the collator pump) and stays benchmark-only.
+// allocates once per op.
 func TestExchangeSteadyStateAllocatesNothing(t *testing.T) {
 	if raceBuild() {
 		t.Skip("under -race sync.Pool drops a quarter of its Puts, so the pooled wire planes are re-allocated")
@@ -78,7 +67,7 @@ func TestExchangeSteadyStateAllocatesNothing(t *testing.T) {
 	}
 	for _, ranks := range []int{1, 2} {
 		for _, phase := range exchangeOps {
-			states := steadyEngines(t, el, n, ranks, -1, phase.op)
+			states := steadyEngines(t, el, n, ranks, phase.op)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			err := onRanks(states, repeat(ops, phase.op))
@@ -87,7 +76,7 @@ func TestExchangeSteadyStateAllocatesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			if perOp := (after.Mallocs - before.Mallocs) / ops; perOp != 0 {
-				t.Errorf("mode=bulk/ranks=%d%s: %d allocs/op, want 0", ranks, phase.suffix, perOp)
+				t.Errorf("ranks=%d%s: %d allocs/op, want 0", ranks, phase.suffix, perOp)
 			}
 		}
 	}
@@ -103,7 +92,7 @@ func TestInvariantCatchesInEdgeDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := levelEngines(t, el, 40, 1, -1)[0]
+	s := levelEngines(t, el, 40, 1)[0]
 	if err := s.checkInEdges(0); err != nil {
 		t.Fatalf("untouched engine: %v", err)
 	}
@@ -165,7 +154,7 @@ var exchangeOps = []struct {
 // levelEngines builds one single-threaded engine per rank over an in-process
 // group and takes each through loadLocal and levelInit: the state a level's
 // first propagation starts from. The transports close with the test.
-func levelEngines(tb testing.TB, el graph.EdgeList, n, ranks, streamChunk int) []*engine {
+func levelEngines(tb testing.TB, el graph.EdgeList, n, ranks int) []*engine {
 	tb.Helper()
 	parts := graph.SplitEdges(el, ranks)
 	trs := comm.NewMemGroup(ranks)
@@ -176,8 +165,7 @@ func levelEngines(tb testing.TB, el graph.EdgeList, n, ranks, streamChunk int) [
 	})
 	states := make([]*engine, ranks)
 	for r := range states {
-		opt := Options{Threads: 1, StreamChunk: streamChunk}.withDefaults()
-		states[r] = newEngine(comm.New(trs[r]), n, opt)
+		states[r] = newEngine(comm.New(trs[r]), n, Options{Threads: 1}.withDefaults())
 	}
 	err := onRanks(states, func(s *engine) error {
 		if err := s.loadLocal(parts[s.part.Rank]); err != nil {
@@ -195,9 +183,9 @@ func levelEngines(tb testing.TB, el graph.EdgeList, n, ranks, streamChunk int) [
 // steadyEngines is levelEngines with a fixed sixteenth of the vertices logged
 // as moved and every reusable buffer warm — one full propagation and one op
 // have run — so the caller's next op sees steady state.
-func steadyEngines(tb testing.TB, el graph.EdgeList, n, ranks, streamChunk int, op func(*engine) error) []*engine {
+func steadyEngines(tb testing.TB, el graph.EdgeList, n, ranks int, op func(*engine) error) []*engine {
 	tb.Helper()
-	states := levelEngines(tb, el, n, ranks, streamChunk)
+	states := levelEngines(tb, el, n, ranks)
 	err := onRanks(states, func(s *engine) error {
 		for li := 0; li < s.nLoc; li += 16 {
 			if s.active[li] {

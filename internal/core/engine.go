@@ -177,12 +177,9 @@ type engine struct {
 	// exchange-building pass and handed back when run returns.
 	planes *wire.Planes
 
-	// Streaming-exchange state (scatter.go): per-thread chunked send
-	// planes, the collator that restores deterministic merge order on the
-	// receive side, and the per-merge-worker error slots. All reused
-	// across rounds.
+	// Scatter state (scatter.go): the per-thread send planes and the
+	// per-merge-worker error slots, both reused across rounds.
 	chunked   wire.ChunkedPlanes
-	coll      *comm.Collator
 	mergeErrs []error
 
 	// Scatter callback plumbing. The per-phase build/merge callbacks and
@@ -190,24 +187,24 @@ type engine struct {
 	// creating a method value or a capturing closure allocates, and doing
 	// that inside propagate would put allocations back on the steady-state
 	// round that the plane pooling works to keep allocation-free. curBuild
-	// and curMerge select the active phase for the shared bodies; bulkIn
-	// and readers carry the received round through bulkMergeBody. findBody
+	// and curMerge select the active phase for the shared bodies; received
+	// and readers carry the received round through mergeBody. findBody
 	// is findBest's par.For body, bySrcBody and byRowBody are buildRows'.
-	curBuild      func(t, lo, hi int, w *wire.ChunkWriter)
-	curMerge      func(t int, r *wire.Reader) error
-	buildBody     func(t, lo, hi int)
-	bulkMergeBody func(t, lo, hi int)
-	bulkIn        [][]byte
-	readers       []wire.Reader
-	propBuildFn   func(t, lo, hi int, w *wire.ChunkWriter)
-	deltaBuildFn  func(t, lo, hi int, w *wire.ChunkWriter)
-	propMergeFn   func(t int, r *wire.Reader) error
-	deltaMergeFn  func(t int, r *wire.Reader) error
-	reconBuildFn  func(t, lo, hi int, w *wire.ChunkWriter)
-	reconMergeFn  func(t int, r *wire.Reader) error
-	findBody      func(t, lo, hi int)
-	bySrcBody     func(t, lo, hi int)
-	byRowBody     func(t, lo, hi int)
+	curBuild     func(t, lo, hi int, w *wire.Planes)
+	curMerge     func(t int, r *wire.Reader) error
+	buildBody    func(t, lo, hi int)
+	mergeBody    func(t, lo, hi int)
+	received     [][]byte
+	readers      []wire.Reader
+	propBuildFn  func(t, lo, hi int, w *wire.Planes)
+	deltaBuildFn func(t, lo, hi int, w *wire.Planes)
+	propMergeFn  func(t int, r *wire.Reader) error
+	deltaMergeFn func(t int, r *wire.Reader) error
+	reconBuildFn func(t, lo, hi int, w *wire.Planes)
+	reconMergeFn func(t int, r *wire.Reader) error
+	findBody     func(t, lo, hi int)
+	bySrcBody    func(t, lo, hi int)
+	byRowBody    func(t, lo, hi int)
 
 	m  float64
 	bd *perf.Breakdown
@@ -223,7 +220,6 @@ type engine struct {
 }
 
 func newEngine(c *comm.Comm, n int, opt Options) *engine {
-	opt.StreamChunk = ResolveStreamChunk(opt.StreamChunk, c.TransportKind(), c.Size())
 	part := graph.Partition{Rank: c.Rank(), Size: c.Size()}
 	nLoc := part.MaxLocalCount(n)
 	s := &engine{
@@ -259,14 +255,13 @@ func newEngine(c *comm.Comm, n int, opt Options) *engine {
 		s.scan[t] = newGainScan(n)
 	}
 	s.planes = wire.GetPlanes(c.Size())
-	s.coll = c.NewCollator()
 	s.mergeErrs = make([]error, opt.Threads)
 	s.readers = make([]wire.Reader, opt.Threads)
 	s.replyReaders = make([]wire.Reader, c.Size())
 	s.buildBody = func(t, lo, hi int) { s.curBuild(t, lo, hi, s.chunked.Writer(t)) }
-	s.bulkMergeBody = func(t, _, _ int) {
+	s.mergeBody = func(t, _, _ int) {
 		r := &s.readers[t]
-		for _, plane := range s.bulkIn {
+		for _, plane := range s.received {
 			r.Reset(plane)
 			if err := s.curMerge(t, r); err != nil {
 				s.mergeErrs[t] = err
@@ -292,20 +287,17 @@ func newEngine(c *comm.Comm, n int, opt Options) *engine {
 		s.mActive = reg.Gauge("louvain_active_vertices")
 		s.mMoves = reg.Counter("louvain_moves_total")
 		s.mIters = reg.Counter("louvain_iterations_total")
-		reg.Gauge("louvain_stream_chunk_bytes").Set(float64(opt.StreamChunk))
-		reg.SetHelp("louvain_stream_chunk_bytes", "resolved scatter exchange mode: chunk size in bytes, -1 for bulk rounds")
 		reg.Gauge("louvain_threads").Set(float64(opt.Threads))
 		reg.SetHelp("louvain_threads", "resolved per-rank worker thread count (-threads 0 auto-selects the CPU count)")
 	}
 	if s.rec != nil {
-		// A zero-duration config marker pinning the resolved exchange mode
-		// (and the inputs of the automatic choice) into the event stream.
+		// A zero-duration config marker pinning the group shape into the
+		// event stream.
 		s.rec.Emit(obs.Event{
 			Name: "config", Rank: part.Rank, TS: s.rec.Now(),
 			Fields: map[string]float64{
-				"stream_chunk": float64(opt.StreamChunk),
-				"ranks":        float64(c.Size()),
-				"threads":      float64(opt.Threads),
+				"ranks":   float64(c.Size()),
+				"threads": float64(opt.Threads),
 			},
 		})
 	}

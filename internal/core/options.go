@@ -52,11 +52,6 @@ func DefaultEpsilon() EpsilonFunc {
 	return DecayEpsilon(1.0, 2.0)
 }
 
-// DefaultStreamChunk is the streaming-exchange chunk size (bytes) used when
-// Options.StreamChunk is zero: 64 KiB keeps per-chunk overhead negligible
-// while leaving enough chunks per round to overlap transfer with compute.
-const DefaultStreamChunk = 64 << 10
-
 // Options configures either engine. The zero value is usable.
 type Options struct {
 	// Ctx, when non-nil, cancels the run: the parallel engine checks it at
@@ -102,19 +97,6 @@ type Options struct {
 	// set); see movesched.Ordering for the alternatives. The parallel
 	// distributed engine ignores it. Exposed as -order on cmd/louvain.
 	Order movesched.Ordering
-
-	// StreamChunk selects the exchange mode of the heavy scatter phases
-	// (full propagation, delta propagation, reconstruction): 0 picks
-	// automatically from the transport (see ResolveStreamChunk), a
-	// positive value streams with that chunk size in bytes, and a
-	// negative value forces the bulk single-Exchange rounds. Streaming
-	// overlaps plane building, transfer and merging; results are
-	// bit-identical in every mode. Every rank of a group must set it
-	// identically (the modes frame rounds differently; the automatic
-	// choice is a pure function of the group's transport kind and size,
-	// so it agrees across ranks). Exposed as -stream-chunk on cmd/louvain
-	// and cmd/louvaind.
-	StreamChunk int
 
 	// CollectLevels, when true, gathers the per-level membership of every
 	// original vertex into Result.Levels[i].Membership. Costs one
@@ -200,13 +182,6 @@ func (o *Options) canceled() error {
 // errors.Is(err, core.ErrCanceled) or errors.Is(err, context.Canceled).
 var ErrCanceled = errors.New("detection canceled")
 
-// autoBulkMaxRanks bounds the group sizes for which the automatic exchange
-// mode prefers bulk rounds on the in-process transport: the PR 5 benchmark
-// baseline measured mem-transport streaming ~9% slower end-to-end at 2
-// ranks — chunk framing and collation overhead with no network transfer to
-// hide — while TCP gains from the overlap at every size.
-const autoBulkMaxRanks = 4
-
 // ResolveThreads maps a CLI -threads value to the concrete per-rank worker
 // count: explicit positives pass through, zero (and negatives) auto-select
 // par.DefaultThreads(), the usable CPU count. Frontends call this before
@@ -218,22 +193,6 @@ func ResolveThreads(threads int) int {
 		return threads
 	}
 	return par.DefaultThreads()
-}
-
-// ResolveStreamChunk maps Options.StreamChunk to the concrete exchange mode
-// for a group of the given transport kind ("mem", "tcp", "sim", ...) and
-// size. Explicit settings pass through; 0 selects bulk (-1) on small
-// in-process groups and DefaultStreamChunk-sized streaming everywhere else.
-// The result depends only on the arguments, so every rank of a group
-// resolves the same mode.
-func ResolveStreamChunk(chunk int, transportKind string, ranks int) int {
-	if chunk != 0 {
-		return chunk
-	}
-	if transportKind == "mem" && ranks <= autoBulkMaxRanks {
-		return -1
-	}
-	return DefaultStreamChunk
 }
 
 // Level records one outer iteration's outcome.

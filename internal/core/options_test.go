@@ -48,34 +48,6 @@ func TestWithDefaults(t *testing.T) {
 	if o.MaxLevels != 3 || o.MaxInner != 5 || o.MinGain != 0.1 || o.Threads != 2 {
 		t.Errorf("explicit values overridden: %+v", o)
 	}
-	// StreamChunk=0 stays 0 through withDefaults: the auto choice needs the
-	// transport, so it resolves in newEngine via ResolveStreamChunk.
-	if o.StreamChunk != 0 {
-		t.Errorf("withDefaults resolved StreamChunk = %d, want 0 (auto)", o.StreamChunk)
-	}
-}
-
-func TestResolveStreamChunk(t *testing.T) {
-	cases := []struct {
-		chunk int
-		kind  string
-		ranks int
-		want  int
-	}{
-		{0, "mem", 2, -1},                                    // small in-process group: bulk wins (PR5 bench)
-		{0, "mem", autoBulkMaxRanks, -1},                     // boundary inclusive
-		{0, "mem", autoBulkMaxRanks + 1, DefaultStreamChunk}, // larger groups overlap enough to pay off
-		{0, "tcp", 2, DefaultStreamChunk},                    // real network always streams
-		{0, "sim", 2, DefaultStreamChunk},
-		{0, "unknown", 2, DefaultStreamChunk},
-		{-1, "tcp", 8, -1},     // explicit bulk passes through
-		{4096, "mem", 2, 4096}, // explicit size passes through
-	}
-	for _, c := range cases {
-		if got := ResolveStreamChunk(c.chunk, c.kind, c.ranks); got != c.want {
-			t.Errorf("ResolveStreamChunk(%d, %q, %d) = %d, want %d", c.chunk, c.kind, c.ranks, got, c.want)
-		}
-	}
 }
 
 func TestGainHistogramThreshold(t *testing.T) {

@@ -163,7 +163,7 @@ func runRanks(engines []*engine, fn func(s *engine) error) error {
 // labels a → move-log propagation to labels b, checking every row and the
 // running Σin against the oracle after each propagation, then sweeping. An
 // asymmetric case must stop at levelInit, on every rank.
-func checkRows(c rowCase, ranks, threads, chunk int) error {
+func checkRows(c rowCase, ranks, threads int) error {
 	parts := c.split(ranks)
 	trs := comm.NewMemGroup(ranks)
 	defer func() {
@@ -173,8 +173,7 @@ func checkRows(c rowCase, ranks, threads, chunk int) error {
 	}()
 	engines := make([]*engine, ranks)
 	for r := range engines {
-		opt := Options{Threads: threads, StreamChunk: chunk}.withDefaults()
-		engines[r] = newEngine(comm.New(trs[r]), c.n, opt)
+		engines[r] = newEngine(comm.New(trs[r]), c.n, Options{Threads: threads}.withDefaults())
 	}
 	a, b := rowLabels(c.n)
 
@@ -294,23 +293,20 @@ func checkRows(c rowCase, ranks, threads, chunk int) error {
 // rank list cannot quietly become a 64-bit mask.
 var rowRanks = []int{1, 2, 3, 4, 7, 65}
 
+// TestOutRowsMatchOracle's subtests end in /bulk, the exchange every scatter
+// runs.
 func TestOutRowsMatchOracle(t *testing.T) {
 	for _, c := range rowCases() {
 		for _, ranks := range rowRanks {
 			for _, threads := range []int{1, 2} {
-				for _, mode := range []struct {
-					name  string
-					chunk int
-				}{{"bulk", -1}, {"stream", 64}} {
-					name := fmt.Sprintf("%s/ranks=%d/threads=%d/%s", c.name, ranks, threads, mode.name)
-					t.Run(name, func(t *testing.T) {
-						a := armSkipAudit(t)
-						if err := checkRows(c, ranks, threads, mode.chunk); err != nil {
-							t.Fatal(err)
-						}
-						a.clean(t, name)
-					})
-				}
+				name := fmt.Sprintf("%s/ranks=%d/threads=%d/bulk", c.name, ranks, threads)
+				t.Run(name, func(t *testing.T) {
+					a := armSkipAudit(t)
+					if err := checkRows(c, ranks, threads); err != nil {
+						t.Fatal(err)
+					}
+					a.clean(t, name)
+				})
 			}
 		}
 	}
@@ -340,34 +336,30 @@ func parallelGroup(parts []graph.EdgeList, n int, opt Options) ([]*Result, []err
 // nothing mirrored, or one mirror record missing from an otherwise symmetric
 // list, in a place where the vertex that lost it keeps other in-edges from
 // the same rank — gets an input error on every rank, with the invariant
-// checker on or off, in either exchange mode; no rank is left waiting on a
-// peer that gave up, and none returns a partition.
+// checker on or off; no rank is left waiting on a peer that gave up, and none
+// returns a partition. The /bulk in the subtest names is the exchange every
+// scatter runs.
 func TestAsymmetricLocalRejected(t *testing.T) {
 	defer func() { forceInvariantChecks = true }()
 	for _, c := range []rowCase{directedCase(), halfMirroredCase()} {
 		for _, ranks := range []int{1, 2, 3} {
-			for _, mode := range []struct {
-				name  string
-				chunk int
-			}{{"bulk", -1}, {"stream", 64}} {
-				for _, check := range []bool{false, true} {
-					t.Run(fmt.Sprintf("%s/ranks=%d/%s/check=%v", c.name, ranks, mode.name, check), func(t *testing.T) {
-						forceInvariantChecks = check
-						var results []*Result
-						var errs []error
-						guard(t, time.Minute, "the group", func() {
-							results, errs = parallelGroup(c.split(ranks), c.n, Options{StreamChunk: mode.chunk, CheckInvariants: check})
-						})
-						for rank, err := range errs {
-							if results[rank] != nil {
-								t.Errorf("rank %d returned a partition", rank)
-							}
-							if err := wantAsymmetric(rank, err); err != nil {
-								t.Error(err)
-							}
-						}
+			for _, check := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/ranks=%d/bulk/check=%v", c.name, ranks, check), func(t *testing.T) {
+					forceInvariantChecks = check
+					var results []*Result
+					var errs []error
+					guard(t, time.Minute, "the group", func() {
+						results, errs = parallelGroup(c.split(ranks), c.n, Options{CheckInvariants: check})
 					})
-				}
+					for rank, err := range errs {
+						if results[rank] != nil {
+							t.Errorf("rank %d returned a partition", rank)
+						}
+						if err := wantAsymmetric(rank, err); err != nil {
+							t.Error(err)
+						}
+					}
+				})
 			}
 		}
 	}
@@ -458,24 +450,24 @@ func TestRunReleasesPlanes(t *testing.T) {
 // FuzzOutRows reads the payload as (u, v, w) byte triples over at most 48
 // vertices and mirrors each — duplicates, self-loops, zero weights and rows of
 // zero degree all occur — and holds the rows to the oracle, the running Σin to
-// a scan and the sweep's skips to a re-score, at a fuzzed rank count, thread
-// count and exchange mode. On every third input (by the thread byte) every
+// a scan and the sweep's skips to a re-score, at a fuzzed rank count and
+// thread count. On every third input (by the thread byte) every
 // (v→u) mirror of the first non-loop entry is dropped, and the group must
 // refuse the list instead. The weight byte is signed: a negative weight must
 // make every rank of the group return an error.
 func FuzzOutRows(f *testing.F) {
-	f.Add([]byte{0, 1, 4, 1, 0, 4, 1, 2, 8, 2, 1, 8}, uint8(2), uint8(1), false)
-	f.Add([]byte{0, 0, 6, 0, 1, 4, 1, 1, 1, 4, 5, 8, 5, 5, 4}, uint8(3), uint8(2), true)
-	f.Add([]byte{0, 1, 2, 0, 1, 5, 2, 1, 12, 3, 3, 4, 3, 3, 4}, uint8(1), uint8(2), false)
-	f.Add([]byte{0, 1, 4, 0, 2, 8, 3, 0, 2, 4, 4, 4, 5, 6, 0, 5, 1, 1}, uint8(4), uint8(1), true)
-	f.Add([]byte{0, 1, 4, 1, 2, 8, 2, 0, 8, 2, 3, 4}, uint8(5), uint8(4), false)
-	f.Add([]byte{7, 7, 2, 7, 9, 4, 9, 7, 1, 3, 9, 0}, uint8(2), uint8(5), true)
+	f.Add([]byte{0, 1, 4, 1, 0, 4, 1, 2, 8, 2, 1, 8}, uint8(2), uint8(1))
+	f.Add([]byte{0, 0, 6, 0, 1, 4, 1, 1, 1, 4, 5, 8, 5, 5, 4}, uint8(3), uint8(2))
+	f.Add([]byte{0, 1, 2, 0, 1, 5, 2, 1, 12, 3, 3, 4, 3, 3, 4}, uint8(1), uint8(2))
+	f.Add([]byte{0, 1, 4, 0, 2, 8, 3, 0, 2, 4, 4, 4, 5, 6, 0, 5, 1, 1}, uint8(4), uint8(1))
+	f.Add([]byte{0, 1, 4, 1, 2, 8, 2, 0, 8, 2, 3, 4}, uint8(5), uint8(4))
+	f.Add([]byte{7, 7, 2, 7, 9, 4, 9, 7, 1, 3, 9, 0}, uint8(2), uint8(5))
 	// Vertex 4's one edge weighs nothing, and its neighbour 3 moves from
 	// labels a to b: a spend at the rate m/0.
-	f.Add([]byte{0, 1, 4, 1, 2, 8, 2, 3, 4, 3, 4, 0, 5, 5, 4}, uint8(0), uint8(0), false)
-	f.Add([]byte{0, 3, 0, 3, 6, 4, 6, 7, 0, 1, 3, 4, 7, 7, 0}, uint8(1), uint8(1), true)
-	f.Add([]byte{0, 1, 4, 1, 2, 0xfc, 2, 0, 8}, uint8(2), uint8(1), false) // (1,2) weighs −1
-	f.Fuzz(func(t *testing.T, data []byte, ranks, threads uint8, stream bool) {
+	f.Add([]byte{0, 1, 4, 1, 2, 8, 2, 3, 4, 3, 4, 0, 5, 5, 4}, uint8(0), uint8(0))
+	f.Add([]byte{0, 3, 0, 3, 6, 4, 6, 7, 0, 1, 3, 4, 7, 7, 0}, uint8(1), uint8(1))
+	f.Add([]byte{0, 1, 4, 1, 2, 0xfc, 2, 0, 8}, uint8(2), uint8(1)) // (1,2) weighs −1
+	f.Fuzz(func(t *testing.T, data []byte, ranks, threads uint8) {
 		c := rowCase{name: "fuzz", n: 1}
 		var raw graph.EdgeList
 		negative := false
@@ -508,12 +500,8 @@ func FuzzOutRows(f *testing.F) {
 				break
 			}
 		}
-		chunk := -1
-		if stream {
-			chunk = 64
-		}
 		a := armSkipAudit(t)
-		if err := checkRows(c, rowRanks[int(ranks)%len(rowRanks)], int(threads%2)+1, chunk); err != nil {
+		if err := checkRows(c, rowRanks[int(ranks)%len(rowRanks)], int(threads%2)+1); err != nil {
 			t.Fatal(err)
 		}
 		a.clean(t, "fuzz")

@@ -60,7 +60,7 @@ func (s *engine) propagateDelta() error {
 
 // propagateBuild encodes the records of a contiguous range of owned
 // vertices.
-func (s *engine) propagateBuild(_, lo, hi int, w *wire.ChunkWriter) {
+func (s *engine) propagateBuild(_, lo, hi int, w *wire.Planes) {
 	for li := lo; li < hi; li++ {
 		if s.active[li] {
 			s.shipRow(li, w)
@@ -69,7 +69,7 @@ func (s *engine) propagateBuild(_, lo, hi int, w *wire.ChunkWriter) {
 }
 
 // deltaBuild encodes the records of a contiguous range of the move log.
-func (s *engine) deltaBuild(_, lo, hi int, w *wire.ChunkWriter) {
+func (s *engine) deltaBuild(_, lo, hi int, w *wire.Planes) {
 	for _, li := range s.moveLog[lo:hi] {
 		s.shipRow(li, w)
 	}
@@ -77,11 +77,10 @@ func (s *engine) deltaBuild(_, lo, hi int, w *wire.ChunkWriter) {
 
 // shipRow tells every rank that owns a neighbor of local vertex li which
 // community li is in now: one (vertex, community) record per rank.
-func (s *engine) shipRow(li int, w *wire.ChunkWriter) {
+func (s *engine) shipRow(li int, w *wire.Planes) {
 	u, cc := uint32(s.part.GlobalID(li)), uint32(s.commOf[li])
 	for _, dst := range s.nbrRank[s.nbrOff[li]:s.nbrOff[li+1]] {
 		w.To(int(dst)).PutPair(u, cc)
-		w.Commit(int(dst))
 	}
 }
 

@@ -75,7 +75,7 @@ func (s *engine) refuseInput(err error) error {
 // records of one (src, dst) pair as they land next to each other, summing
 // their weights in arrival order. So a row is ascending by source and holds a
 // pair once, and neither its order nor a bit of its weights depends on the
-// thread count or the exchange mode. Linear in records + ids, no allocation
+// thread count. Linear in records + ids, no allocation
 // once the arrays have reached level 0's size. It returns this rank's Σk,
 // active count and mirror sum (levelInit).
 func (s *engine) buildRows() (localK float64, localActive, mirror uint64) {
@@ -214,9 +214,8 @@ func (s *engine) levelInit() (uint64, error) {
 // neighbor community c, becomes the supergraph in-edges ((comm[u], c),
 // w_{u→c}) at owner(c) — the next level's records.
 func (s *engine) reconstruct() error {
-	// The record lists are emptied before the scatter so merge workers can
-	// fill them while the row scan is still producing records; build reads
-	// the rows, merge appends records, so the two overlap safely.
+	// The record lists are emptied before the scatter, whose merge workers
+	// append the received records to them.
 	for t := range s.pend {
 		s.pend[t] = s.pend[t][:0]
 	}
@@ -235,7 +234,7 @@ func (s *engine) reconstruct() error {
 // reconstructBuild collapses the out rows of a contiguous range of owned
 // vertices, emitting each (vertex, neighbor community) sum as a supergraph
 // in-edge for the owner of its destination supervertex.
-func (s *engine) reconstructBuild(t, lo, hi int, cw *wire.ChunkWriter) {
+func (s *engine) reconstructBuild(t, lo, hi int, cw *wire.Planes) {
 	sc := s.scan[t]
 	for li := lo; li < hi; li++ {
 		if !s.active[li] {
@@ -247,7 +246,6 @@ func (s *engine) reconstructBuild(t, lo, hi int, cw *wire.ChunkWriter) {
 		for _, cc := range s.gatherRow(sc, li) {
 			dst := s.part.Owner(cc)
 			cw.To(dst).PutTriple(wire.Triple{A: from, B: uint32(cc), W: sc.w2c[cc]})
-			cw.Commit(dst)
 			sc.w2c[cc] = 0 // listed twice, a community still ships its sum once
 		}
 	}

@@ -126,7 +126,7 @@ func buildCases() []rowCase {
 // groups of three, one reconstruction and the level after it, holding every
 // rank's rows at both levels to the table oracle. It returns them, level by
 // level and rank by rank.
-func buildLevels(c rowCase, ranks, threads, chunk int) ([2][]csr, error) {
+func buildLevels(c rowCase, ranks, threads int) ([2][]csr, error) {
 	var levels [2][]csr
 	parts := c.split(ranks)
 	trs := comm.NewMemGroup(ranks)
@@ -137,7 +137,7 @@ func buildLevels(c rowCase, ranks, threads, chunk int) ([2][]csr, error) {
 	}()
 	engines := make([]*engine, ranks)
 	for r := range engines {
-		engines[r] = newEngine(comm.New(trs[r]), c.n, Options{Threads: threads, StreamChunk: chunk}.withDefaults())
+		engines[r] = newEngine(comm.New(trs[r]), c.n, Options{Threads: threads}.withDefaults())
 		levels[0], levels[1] = append(levels[0], csr{}), append(levels[1], csr{})
 	}
 	hold := func(s *engine, level int, recs graph.EdgeList) error {
@@ -179,19 +179,12 @@ func buildLevels(c rowCase, ranks, threads, chunk int) ([2][]csr, error) {
 	return levels, err
 }
 
-var buildModes = []struct {
-	name  string
-	chunk int
-}{{"bulk", -1}, {"stream", 64}}
-
 func TestBuildRowsMatchesTableOracle(t *testing.T) {
 	for _, c := range buildCases() {
 		for _, ranks := range []int{1, 2, 3} {
 			for _, threads := range []int{1, 2, 3} {
-				for _, mode := range buildModes {
-					if _, err := buildLevels(c, ranks, threads, mode.chunk); err != nil {
-						t.Errorf("%s/ranks=%d/threads=%d/%s: %v", c.name, ranks, threads, mode.name, err)
-					}
+				if _, err := buildLevels(c, ranks, threads); err != nil {
+					t.Errorf("%s/ranks=%d/threads=%d: %v", c.name, ranks, threads, err)
 				}
 			}
 		}
@@ -199,9 +192,9 @@ func TestBuildRowsMatchesTableOracle(t *testing.T) {
 }
 
 // TestRowsCanonicalAcrossConfigs: a level's rows are a function of the input
-// and the rank count alone — the same bytes at every thread count and in both
-// exchange modes (in In_Table hash order they depended on the shard's
-// capacity, hence on Threads).
+// and the rank count alone — the same bytes at every thread count (in
+// In_Table hash order they depended on the shard's capacity, hence on
+// Threads).
 func TestRowsCanonicalAcrossConfigs(t *testing.T) {
 	frac := rowCase{name: "lfr-fractional", n: 600}
 	for i, e := range skipLFR(t, 600, 0.3, 77) {
@@ -209,21 +202,19 @@ func TestRowsCanonicalAcrossConfigs(t *testing.T) {
 	}
 	for _, c := range append(buildCases(), frac) {
 		for _, ranks := range []int{1, 2, 3} {
-			base, err := buildLevels(c, ranks, 1, -1)
+			base, err := buildLevels(c, ranks, 1)
 			if err != nil {
 				t.Fatalf("%s/ranks=%d: %v", c.name, ranks, err)
 			}
-			for _, threads := range []int{1, 2, 3} {
-				for _, mode := range buildModes {
-					got, err := buildLevels(c, ranks, threads, mode.chunk)
-					if err != nil {
-						t.Fatalf("%s/ranks=%d/threads=%d/%s: %v", c.name, ranks, threads, mode.name, err)
-					}
-					for level := range got {
-						for rank := range got[level] {
-							if d := got[level][rank].differs(base[level][rank]); d != "" {
-								t.Errorf("%s/ranks=%d/threads=%d/%s: rank %d level %d differs from threads=1/bulk: %s", c.name, ranks, threads, mode.name, rank, level, d)
-							}
+			for _, threads := range []int{2, 3} {
+				got, err := buildLevels(c, ranks, threads)
+				if err != nil {
+					t.Fatalf("%s/ranks=%d/threads=%d: %v", c.name, ranks, threads, err)
+				}
+				for level := range got {
+					for rank := range got[level] {
+						if d := got[level][rank].differs(base[level][rank]); d != "" {
+							t.Errorf("%s/ranks=%d/threads=%d: rank %d level %d differs from threads=1: %s", c.name, ranks, threads, rank, level, d)
 						}
 					}
 				}
@@ -235,13 +226,12 @@ func TestRowsCanonicalAcrossConfigs(t *testing.T) {
 // FuzzBuildRows reads the payload as (u, v, w) byte triples over at most 48
 // vertices, mirrors each — multi-edges, self-loops, zero and rounding weights
 // all occur — and holds both levels' rows to the table oracle and to the rows
-// of one thread in bulk mode, at a fuzzed rank count, thread count and
-// exchange mode.
+// of one thread, at a fuzzed rank count and thread count.
 func FuzzBuildRows(f *testing.F) {
-	f.Add([]byte{0, 1, 1, 0, 1, 2, 0, 1, 7, 1, 2, 3}, uint8(1), uint8(1), false)
-	f.Add([]byte{0, 0, 3, 0, 1, 4, 0, 0, 1, 4, 5, 8, 5, 5, 4, 0, 0, 7}, uint8(2), uint8(2), true)
-	f.Add([]byte{7, 9, 1, 9, 7, 2, 3, 9, 0, 12, 40, 9, 40, 12, 3}, uint8(0), uint8(0), true)
-	f.Fuzz(func(t *testing.T, data []byte, ranks, threads uint8, stream bool) {
+	f.Add([]byte{0, 1, 1, 0, 1, 2, 0, 1, 7, 1, 2, 3}, uint8(1), uint8(1))
+	f.Add([]byte{0, 0, 3, 0, 1, 4, 0, 0, 1, 4, 5, 8, 5, 5, 4, 0, 0, 7}, uint8(2), uint8(2))
+	f.Add([]byte{7, 9, 1, 9, 7, 2, 3, 9, 0, 12, 40, 9, 40, 12, 3}, uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, ranks, threads uint8) {
 		c := rowCase{name: "fuzz", n: 1}
 		var raw graph.EdgeList
 		for i := 0; i+2 < len(data) && len(raw) < 128; i += 3 {
@@ -250,22 +240,18 @@ func FuzzBuildRows(f *testing.F) {
 			c.n = max(c.n, int(e.U)+1, int(e.V)+1)
 		}
 		c.entries = both(raw...)
-		mode := buildModes[0]
-		if stream {
-			mode = buildModes[1]
-		}
-		got, err := buildLevels(c, int(ranks%3)+1, int(threads%3)+1, mode.chunk)
+		got, err := buildLevels(c, int(ranks%3)+1, int(threads%3)+1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := buildLevels(c, int(ranks%3)+1, 1, -1)
+		base, err := buildLevels(c, int(ranks%3)+1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for level := range got {
 			for rank := range got[level] {
 				if d := got[level][rank].differs(base[level][rank]); d != "" {
-					t.Fatalf("rank %d level %d differs from threads=1/bulk: %s", rank, level, d)
+					t.Fatalf("rank %d level %d differs from threads=1: %s", rank, level, d)
 				}
 			}
 		}
@@ -299,7 +285,7 @@ func TestParallelLeavesLocalUntouched(t *testing.T) {
 // vertex still on its own, reconstructed.
 func secondLevel(tb testing.TB, el graph.EdgeList, n, ranks int) []*engine {
 	tb.Helper()
-	states := levelEngines(tb, el, n, ranks, -1)
+	states := levelEngines(tb, el, n, ranks)
 	err := onRanks(states, func(s *engine) error {
 		if err := s.propagate(); err != nil {
 			return err
@@ -389,70 +375,60 @@ func BenchmarkBuildRows(b *testing.B) {
 // TestReconstructRejectsHostileRecord hands reconstructMerge, on every rank
 // and worker of a group about to rebuild its graph, records no honest peer
 // sends: an id outside the id space, a destination the receiver does not own,
-// a weight that is not finite or is negative, half a record — as one bulk
-// plane, and as a stream's chunks of one record each. Each is an error naming
-// the receiving rank — the parent indexed with them — and none is kept.
+// a weight that is not finite or is negative, half a record — in one
+// received plane. Each is an error naming the receiving rank — the parent
+// indexed with them — and none is kept.
 func TestReconstructRejectsHostileRecord(t *testing.T) {
 	el := graph.EdgeList{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 2, V: 3, W: 1}, {U: 4, V: 5, W: 1}}
 	const n = 6
 	for _, ranks := range []int{1, 2, 3} {
 		for _, threads := range []int{1, 2} {
-			for _, mode := range buildModes {
-				g := newScriptedGroup(t, el, n, ranks, threads)
-				for _, s := range g.engines {
-					own, other := uint32(s.part.Rank), uint32((s.part.Rank+1)%ranks)
-					type badRec struct {
-						name string
-						tr   wire.Triple
-					}
-					bad := []badRec{
-						{"source >= n", wire.Triple{A: n, B: own, W: 1}},
-						{"destination >= n", wire.Triple{A: 0, B: n + own, W: 1}},
-						{"destination far outside", wire.Triple{A: 0, B: math.MaxUint32, W: 1}},
-						{"NaN weight", wire.Triple{A: 0, B: own, W: math.NaN()}},
-						{"infinite weight", wire.Triple{A: 0, B: own, W: math.Inf(-1)}},
-						{"negative weight", wire.Triple{A: 0, B: own, W: -0.25}},
-					}
-					if ranks > 1 {
-						bad = append(bad, badRec{"destination of another rank", wire.Triple{A: 0, B: other, W: 1}})
-					}
-					for _, c := range bad {
-						var b wire.Buffer
-						b.PutTriple(wire.Triple{A: own, B: own, W: 2}) // a good record first
-						b.PutTriple(c.tr)
-						label := fmt.Sprintf("ranks=%d/threads=%d/%s rank %d: %s", ranks, threads, mode.name, s.part.Rank, c.name)
-						refused := 0
-						for t2 := 0; t2 < threads; t2++ {
-							s.pend[t2] = s.pend[t2][:0]
-							var err error
-							if mode.chunk < 0 {
-								err = s.reconstructMerge(t2, wire.NewReader(b.Bytes()))
-							} else {
-								for off := 0; off < b.Len() && err == nil; off += wire.TripleSize {
-									err = s.reconstructMerge(t2, wire.NewReader(b.Bytes()[off:off+wire.TripleSize]))
-								}
-							}
-							if err != nil {
-								refused++
-								if !strings.Contains(err.Error(), fmt.Sprintf("rank %d", s.part.Rank)) {
-									t.Errorf("%s: error %q does not name the rank", label, err)
-								}
-							}
-							for _, e := range s.pend[t2] {
-								if e != (graph.Edge{U: own, V: own, W: 2}) {
-									t.Errorf("%s: worker %d kept %v", label, t2, e)
-								}
+			g := newScriptedGroup(t, el, n, ranks, threads)
+			for _, s := range g.engines {
+				own, other := uint32(s.part.Rank), uint32((s.part.Rank+1)%ranks)
+				type badRec struct {
+					name string
+					tr   wire.Triple
+				}
+				bad := []badRec{
+					{"source >= n", wire.Triple{A: n, B: own, W: 1}},
+					{"destination >= n", wire.Triple{A: 0, B: n + own, W: 1}},
+					{"destination far outside", wire.Triple{A: 0, B: math.MaxUint32, W: 1}},
+					{"NaN weight", wire.Triple{A: 0, B: own, W: math.NaN()}},
+					{"infinite weight", wire.Triple{A: 0, B: own, W: math.Inf(-1)}},
+					{"negative weight", wire.Triple{A: 0, B: own, W: -0.25}},
+				}
+				if ranks > 1 {
+					bad = append(bad, badRec{"destination of another rank", wire.Triple{A: 0, B: other, W: 1}})
+				}
+				for _, c := range bad {
+					var b wire.Buffer
+					b.PutTriple(wire.Triple{A: own, B: own, W: 2}) // a good record first
+					b.PutTriple(c.tr)
+					label := fmt.Sprintf("ranks=%d/threads=%d rank %d: %s", ranks, threads, s.part.Rank, c.name)
+					refused := 0
+					for t2 := 0; t2 < threads; t2++ {
+						s.pend[t2] = s.pend[t2][:0]
+						if err := s.reconstructMerge(t2, wire.NewReader(b.Bytes())); err != nil {
+							refused++
+							if !strings.Contains(err.Error(), fmt.Sprintf("rank %d", s.part.Rank)) {
+								t.Errorf("%s: error %q does not name the rank", label, err)
 							}
 						}
-						if refused != 1 {
-							t.Errorf("%s: refused by %d workers, want exactly the one whose row it would be", label, refused)
+						for _, e := range s.pend[t2] {
+							if e != (graph.Edge{U: own, V: own, W: 2}) {
+								t.Errorf("%s: worker %d kept %v", label, t2, e)
+							}
 						}
 					}
-					var half wire.Buffer
-					half.PutU32(own)
-					if err := s.reconstructMerge(0, wire.NewReader(half.Bytes())); err == nil {
-						t.Errorf("ranks=%d rank %d: half a record accepted", ranks, s.part.Rank)
+					if refused != 1 {
+						t.Errorf("%s: refused by %d workers, want exactly the one whose row it would be", label, refused)
 					}
+				}
+				var half wire.Buffer
+				half.PutU32(own)
+				if err := s.reconstructMerge(0, wire.NewReader(half.Bytes())); err == nil {
+					t.Errorf("ranks=%d rank %d: half a record accepted", ranks, s.part.Rank)
 				}
 			}
 		}
@@ -499,7 +475,7 @@ func TestDecodeErrorReleasesReceivedRound(t *testing.T) {
 		at   int
 		op   func(s *engine) error
 	}{
-		{"scatterBulk", 1, (*engine).reconstruct},
+		{"scatter", 1, (*engine).reconstruct},
 		{"pullTotals requests", 1, (*engine).pullTotals},
 		{"pullTotals replies", 2, (*engine).pullTotals},
 		{"applyTotDeltas", 1, func(s *engine) error {
@@ -510,7 +486,7 @@ func TestDecodeErrorReleasesReceivedRound(t *testing.T) {
 		{"checkOutRows", 1, func(s *engine) error { return s.checkOutRows(0, 0, s.commOf) }}, // one rank, everyone on their own
 	} {
 		tr := &cutTransport{Transport: comm.NewMemGroup(1)[0]}
-		s := newEngine(comm.New(tr), 16, Options{StreamChunk: -1}.withDefaults())
+		s := newEngine(comm.New(tr), 16, Options{}.withDefaults())
 		if err := s.loadLocal(graph.SplitEdges(ring, 1)[0]); err != nil {
 			t.Fatal(err)
 		}

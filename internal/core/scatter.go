@@ -1,114 +1,33 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-	"time"
-
 	"parlouvain/internal/par"
 	"parlouvain/internal/wire"
 )
 
 // scatter is the engine's one all-to-all scaffold, shared by the three heavy
-// phases (propagate, propagateDelta, reconstruct). The caller supplies two
-// callbacks:
+// phases (propagate, propagateDelta, reconstruct): a parallel build into
+// per-thread writers, thread-order concatenation into the engine's pooled
+// planes (a buffer swap when single-threaded, keeping that path allocation-
+// and copy-free), one blocking Exchange, then a parallel merge of the
+// received round. The caller supplies two callbacks:
 //
 //   - build(t, lo, hi, w) encodes this rank's records for the work range
-//     [lo,hi) into w — append a record with the Buffer codecs via w.To(dst),
-//     then w.Commit(dst). Ranges are contiguous and assigned in thread
-//     order, so the per-destination record order is identical to a serial
-//     li-ascending build no matter the thread count.
-//   - merge(t, r) decodes one received payload, applying only the records
-//     whose local index is in shard t (li % Threads == t). It is called
-//     once per bulk plane or once per streamed chunk; records never
-//     straddle a chunk boundary, so the same decode loop serves both.
-//
-// In streaming mode (Options.StreamChunk > 0) build, transfer and merge run
-// concurrently: writers flush fixed-size chunks through the transport as
-// they fill, and T merge workers replay arriving chunks in the collator's
-// canonical (source, thread, seq) order — exactly the byte order of a bulk
-// round, which keeps results bit-identical across modes. In bulk mode
-// (StreamChunk < 0) the same writers accumulate whole planes that one
-// blocking Exchange ships, preserving the pre-streaming wire format.
-func (s *engine) scatter(nWork int, build func(t, lo, hi int, w *wire.ChunkWriter), merge func(t int, r *wire.Reader) error) error {
+//     [lo,hi) into w — append a record with the Buffer codecs via w.To(dst).
+//     Ranges are contiguous and assigned in thread order, so the
+//     per-destination record order is identical to a serial li-ascending
+//     build no matter the thread count.
+//   - merge(t, r) decodes one received plane, applying only the records
+//     whose local index is in shard t (li % Threads == t).
+func (s *engine) scatter(nWork int, build func(t, lo, hi int, w *wire.Planes), merge func(t int, r *wire.Reader) error) error {
 	// The callbacks are pre-bound func fields (see newEngine), so selecting
 	// the phase is two pointer stores — no per-round closure allocation.
 	s.curBuild, s.curMerge = build, merge
 	for t := range s.mergeErrs {
 		s.mergeErrs[t] = nil
 	}
-	if !s.streaming() {
-		return s.scatterBulk(nWork)
-	}
-
-	st, err := s.c.OpenStream()
-	if err != nil {
-		return err
-	}
 	T := s.opt.Threads
-	s.coll.Begin(st)
-	s.chunked.Init(s.c.Size(), T, s.opt.StreamChunk, st.Send)
-
-	// Merge workers drain the collator concurrently with the build. Time a
-	// worker spends merging while the transfer is still in flight is the
-	// phase's overlap — work that bulk mode would serialize after the
-	// exchange barrier.
-	var overlapNs atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(T)
-	for t := 0; t < T; t++ {
-		go func(t int) {
-			defer wg.Done()
-			r := &s.readers[t]
-			var local time.Duration
-			cur := s.coll.Cursor(t == 0)
-			for {
-				payload, ok, err := s.coll.Next(&cur)
-				if err != nil {
-					s.mergeErrs[t] = err
-					break
-				}
-				if !ok {
-					break
-				}
-				m0 := time.Now()
-				r.Reset(payload)
-				err = s.curMerge(t, r)
-				if s.coll.TransferInFlight() {
-					local += time.Since(m0)
-				}
-				if err != nil {
-					s.mergeErrs[t] = err
-					break
-				}
-			}
-			overlapNs.Add(int64(local))
-		}(t)
-	}
-
-	par.For(nWork, T, s.buildBody)
-	buildErr := s.chunked.FinishAll()
-	closeErr := st.CloseSend()
-	wg.Wait()
-	collErr := s.coll.Finish()
-	s.c.ObserveOverlap(time.Duration(overlapNs.Load()))
-
-	for _, err := range []error{buildErr, closeErr, s.firstMergeErr(), collErr} {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// scatterBulk is the single-Exchange mode: parallel build into per-thread
-// writers, thread-order concatenation into the engine's pooled planes (a
-// buffer swap when single-threaded, keeping that path allocation- and
-// copy-free), one blocking exchange, then a parallel merge of the received
-// round.
-func (s *engine) scatterBulk(nWork int) error {
-	T := s.opt.Threads
-	s.chunked.Init(s.c.Size(), T, 0, nil)
+	s.chunked.Init(s.c.Size(), T)
 	par.For(nWork, T, s.buildBody)
 	p := s.outPlanes()
 	s.chunked.ConcatInto(p)
@@ -116,18 +35,10 @@ func (s *engine) scatterBulk(nWork int) error {
 	if err != nil {
 		return err
 	}
-	s.bulkIn = in
-	par.For(T, T, s.bulkMergeBody)
-	s.bulkIn = nil
+	s.received = in
+	par.For(T, T, s.mergeBody)
+	s.received = nil
 	wire.ReleasePlanes(in)
-	return s.firstMergeErr()
-}
-
-// streaming reports whether the scatter phases run in chunked streaming
-// mode (see Options.StreamChunk).
-func (s *engine) streaming() bool { return s.opt.StreamChunk > 0 }
-
-func (s *engine) firstMergeErr() error {
 	for _, err := range s.mergeErrs {
 		if err != nil {
 			return err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"parlouvain/internal/comm"
 	"parlouvain/internal/gen"
 	"parlouvain/internal/graph"
+	"parlouvain/internal/par"
 )
 
 // The inner loop takes two shortcuts that must not move a bit: findBest
@@ -387,8 +389,10 @@ func TestSkipSpentByNeighbourMoves(t *testing.T) {
 // host; a change that removes one updates the numbers and says so. Pinned
 // with them, per rank at level 0: the entries of the in-edge CSR and the bytes
 // of level storage the engine holds (levelBytes) — the first instalment of a
-// bytes-per-rank count. Ranks 1, 2, 4 and 8 make the same moves; only the
-// bytes and the per-rank split change with the group.
+// bytes-per-rank count. Ranks 1, 2, 3, 4 and 8 make the same moves; only the
+// bytes and the per-rank split change with the group. The tcp rows run the
+// group over loopback TCP: the same counts, and the Q bits of the in-process
+// group of that size.
 func TestParallelExactCounts(t *testing.T) {
 	el := skipLFR(t, 1000, 0.3, 19)
 	// The invariant checker adds collectives of its own.
@@ -396,36 +400,88 @@ func TestParallelExactCounts(t *testing.T) {
 	defer func() { forceInvariantChecks = true }()
 	for _, want := range []struct {
 		ranks                      int
+		tcp                        bool
 		rounds, bytes, iters, rows uint64
-		entries, levelBytes        []int // per rank
+		entries, levelBytes        []int // per rank, in-process rows only
 	}{
 		{ranks: 1, rounds: 151, bytes: 238222, iters: 19, rows: 7971, entries: []int{14662}, levelBytes: []int{434552}},
 		{ranks: 2, rounds: 151, bytes: 364328, iters: 19, rows: 7971, entries: []int{7292, 7370}, levelBytes: []int{220192, 222376}},
 		{ranks: 4, rounds: 151, bytes: 667864, iters: 19, rows: 7971, entries: []int{3597, 3828, 3695, 3542}, levelBytes: []int{112732, 119200, 115476, 111192}},
-		{ranks: 8, rounds: 151, bytes: 1460488, iters: 19, rows: 7971,
+		{ranks: 8, rounds: 151, bytes: 1448712, iters: 19, rows: 7971,
 			entries:    []int{1818, 1987, 1927, 1728, 1779, 1841, 1768, 1814},
 			levelBytes: []int{60920, 65652, 63972, 58400, 59828, 61564, 59520, 60808}},
+		{ranks: 2, tcp: true, rounds: 151, bytes: 364328, iters: 19, rows: 7971},
+		{ranks: 3, tcp: true, rounds: 151, bytes: 507118, iters: 19, rows: 7971},
 	} {
+		name := fmt.Sprintf("ranks=%d", want.ranks)
 		res, err := RunInProcess(el, 1000, want.ranks, Options{})
 		if err != nil {
-			t.Fatalf("ranks=%d: %v", want.ranks, err)
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want.tcp {
+			name += "/tcp"
+			mem := res
+			res = runTCPGroup(t, el, 1000, want.ranks, Options{})
+			if math.Float64bits(res.Q) != math.Float64bits(mem.Q) || res.CommBytes != mem.CommBytes {
+				t.Errorf("%s: Q %v in %d bytes, in process %v in %d bytes", name, res.Q, res.CommBytes, mem.Q, mem.CommBytes)
+			}
 		}
 		var iters uint64
 		for _, lv := range res.Levels {
 			iters += uint64(lv.InnerIterations)
 		}
 		if res.CommRounds != want.rounds || res.CommBytes != want.bytes || iters != want.iters || res.RowsEvaluated != want.rows {
-			t.Errorf("ranks=%d: rounds %d, bytes %d, inner iterations %d, rows evaluated %d; pinned %d, %d, %d, %d",
-				want.ranks, res.CommRounds, res.CommBytes, iters, res.RowsEvaluated,
+			t.Errorf("%s: rounds %d, bytes %d, inner iterations %d, rows evaluated %d; pinned %d, %d, %d, %d",
+				name, res.CommRounds, res.CommBytes, iters, res.RowsEvaluated,
 				want.rounds, want.bytes, want.iters, want.rows)
 		}
-		for r, s := range levelEngines(t, el, 1000, want.ranks, -1) {
+		if want.tcp {
+			continue
+		}
+		for r, s := range levelEngines(t, el, 1000, want.ranks) {
 			if len(s.adjSrc) != want.entries[r] || s.levelBytes() != want.levelBytes[r] {
-				t.Errorf("ranks=%d rank %d: %d level-0 entries in %d bytes of level storage; pinned %d, %d",
-					want.ranks, r, len(s.adjSrc), s.levelBytes(), want.entries[r], want.levelBytes[r])
+				t.Errorf("%s rank %d: %d level-0 entries in %d bytes of level storage; pinned %d, %d",
+					name, r, len(s.adjSrc), s.levelBytes(), want.entries[r], want.levelBytes[r])
 			}
 		}
 	}
+}
+
+// runTCPGroup runs a rank group over real loopback TCP and returns rank 0's
+// result after checking all ranks agree on the final Q.
+func runTCPGroup(t *testing.T, el graph.EdgeList, n, ranks int, opt Options) *Result {
+	t.Helper()
+	parts := graph.SplitEdges(el, ranks)
+	addrs, err := comm.LocalAddrs(ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([]*Result, ranks)
+	var g par.Group
+	for r := 0; r < ranks; r++ {
+		g.Go(func() error {
+			tr, err := comm.NewTCP(comm.TCPConfig{Rank: r, Addrs: addrs})
+			if err != nil {
+				return fmt.Errorf("rank %d: %w", r, err)
+			}
+			defer tr.Close()
+			res, err := Parallel(comm.New(tr), parts[r], n, opt)
+			if err != nil {
+				return fmt.Errorf("rank %d: %w", r, err)
+			}
+			results[r] = res
+			return nil
+		})
+	}
+	if err := g.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for r := 1; r < ranks; r++ {
+		if results[r].Q != results[0].Q {
+			t.Fatalf("rank %d Q %v != rank 0 Q %v", r, results[r].Q, results[0].Q)
+		}
+	}
+	return results[0]
 }
 
 // levelBytes is what the engine holds for the level's graph: the pending

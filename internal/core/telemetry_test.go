@@ -88,16 +88,15 @@ func TestParallelTelemetryEvents(t *testing.T) {
 		t.Error("no phase events recorded")
 	}
 
-	// Each rank pins its resolved exchange mode in a config marker; the
-	// 3-rank mem group auto-selects bulk mode (-1).
+	// Each rank pins the group shape in a config marker.
 	configs := 0
 	for _, e := range rec.Events() {
 		if e.Name != "config" {
 			continue
 		}
 		configs++
-		if e.Fields["stream_chunk"] != -1 || e.Fields["ranks"] != ranks {
-			t.Errorf("config event fields = %v, want stream_chunk=-1 ranks=%d", e.Fields, ranks)
+		if e.Fields["ranks"] != ranks {
+			t.Errorf("config event fields = %v, want ranks=%d", e.Fields, ranks)
 		}
 	}
 	if configs != ranks {

@@ -54,10 +54,8 @@ var nameOrder = map[string]int{
 
 // collectGoldenTrace runs a fixed-seed 2-rank detection with one recorder
 // per rank and returns the normalized, deterministically ordered event
-// stream. streamChunk is passed through to Options.StreamChunk so the trace
-// can be collected in streaming (DefaultStreamChunk), bulk (-1), and
-// auto-selected (0) exchange modes — the stream must be identical in all.
-func collectGoldenTrace(t *testing.T, streamChunk int) []goldenEvent {
+// stream.
+func collectGoldenTrace(t *testing.T) []goldenEvent {
 	t.Helper()
 	const (
 		n     = 1000
@@ -76,9 +74,8 @@ func collectGoldenTrace(t *testing.T, streamChunk int) []goldenEvent {
 		recs[r] = obs.NewRecorder()
 		g.Go(func() error {
 			_, err := Parallel(comm.New(trs[r]), parts[r], n, Options{
-				Threads:     2,
-				Recorder:    recs[r],
-				StreamChunk: streamChunk,
+				Threads:  2,
+				Recorder: recs[r],
 			})
 			return err
 		})
@@ -130,7 +127,7 @@ func collectGoldenTrace(t *testing.T, streamChunk int) []goldenEvent {
 // must reproduce this stream bit-for-bit; regenerate deliberately with
 // `go test ./internal/core -run GoldenTrace -update` and inspect the diff.
 func TestParallelGoldenTrace(t *testing.T) {
-	got := collectGoldenTrace(t, 0)
+	got := collectGoldenTrace(t)
 	buf := goldenJSONL(t, got)
 	path := filepath.Join("testdata", "golden_trace.jsonl")
 	if *updateGolden {
@@ -203,31 +200,14 @@ func splitLines(s string) []string {
 // TestGoldenTraceDeterministic guards the golden harness itself: two
 // collections must agree, otherwise the golden comparison would flake.
 func TestGoldenTraceDeterministic(t *testing.T) {
-	a := collectGoldenTrace(t, 0)
-	b := collectGoldenTrace(t, 0)
+	a := collectGoldenTrace(t)
+	b := collectGoldenTrace(t)
 	if len(a) != len(b) {
 		t.Fatalf("event counts differ: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
 		if fmt.Sprintf("%+v", a[i]) != fmt.Sprintf("%+v", b[i]) {
 			t.Fatalf("event %d differs:\n  %+v\n  %+v", i, a[i], b[i])
-		}
-	}
-}
-
-// TestGoldenTraceBulkMatchesStreaming pins the streaming exchange as a pure
-// transport optimization at golden-trace granularity: the bulk-mode run
-// (StreamChunk=-1) must emit the exact event stream of the default streaming
-// run, moved counts and modularity values included.
-func TestGoldenTraceBulkMatchesStreaming(t *testing.T) {
-	stream := collectGoldenTrace(t, DefaultStreamChunk)
-	bulk := collectGoldenTrace(t, -1)
-	if len(stream) != len(bulk) {
-		t.Fatalf("event counts differ: streaming %d vs bulk %d", len(stream), len(bulk))
-	}
-	for i := range stream {
-		if fmt.Sprintf("%+v", stream[i]) != fmt.Sprintf("%+v", bulk[i]) {
-			t.Fatalf("event %d differs:\n  streaming: %+v\n  bulk:      %+v", i, stream[i], bulk[i])
 		}
 	}
 }

@@ -130,7 +130,10 @@ func ReadBinary(r io.Reader) (EdgeList, error) {
 	if n > maxEdges {
 		return nil, fmt.Errorf("%w: implausible edge count %d", ErrBadFormat, n)
 	}
-	el := make(EdgeList, 0, n)
+	// The count is a claim until the records arrive: reserve at most 1 MiB
+	// of edges up front and let append grow the rest, so a header that
+	// promises billions of edges to a short input cannot exhaust memory.
+	el := make(EdgeList, 0, min(n, 1<<16))
 	var rec [16]byte
 	for i := uint64(0); i < n; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {

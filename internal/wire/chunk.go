@@ -1,228 +1,61 @@
 package wire
 
-import (
-	"encoding/binary"
-	"fmt"
-	"sync"
-)
+// Per-thread plane building for one scatter round. A ChunkedPlanes holds one
+// Planes set per builder thread (its chunk of every destination's plane);
+// threads append records with the ordinary Buffer codecs, and ConcatInto
+// collapses the chunks — in thread order — into one Planes set for a single
+// blocking Exchange. Because build ranges are contiguous and assigned in
+// thread order, the concatenation is byte for byte what a serial build would
+// have written.
 
-// Chunked plane building for the streaming exchange. A ChunkedPlanes is the
-// send side of one scatter phase: every builder thread owns a ChunkWriter
-// with a private per-destination buffer, appends records with the ordinary
-// Buffer codecs, and calls Commit after each record; when a buffer crosses
-// the chunk-size threshold it is stamped with a chunk header and handed to
-// the transport immediately, so transfer starts while the build is still
-// running. In bulk mode (no send function) the same writers act as plain
-// per-thread plane builders that ConcatInto collapses — in thread order —
-// into one Planes set for a single blocking Exchange.
-//
-// Chunk framing (ChunkHeaderSize bytes, little-endian):
-//
-//	[u16 thread][u16 nthreads][u32 seq | ChunkFin]
-//
-// seq counts the chunks this (thread, destination) pair emitted, and the
-// fin bit marks the thread's final chunk for that destination. Every thread
-// sends exactly one fin chunk per destination (possibly empty), and every
-// chunk announces the sender's thread count, so a receiver knows when a
-// source rank's round is complete without any out-of-band signal. Receivers
-// that replay chunks in (source, thread, seq) order observe exactly the
-// byte sequence a serial build would have produced — the property the
-// engine's bit-identical determinism rests on.
-
-// ChunkHeaderSize is the fixed size of the per-chunk header.
-const ChunkHeaderSize = 8
-
-// ChunkFin flags the final chunk of a (thread, destination) pair.
-const ChunkFin = 1 << 31
-
-// ChunkHeader is the decoded per-chunk header.
-type ChunkHeader struct {
-	Thread  int    // producing thread index
-	Threads int    // sender's thread count, same in every chunk of a round
-	Seq     uint32 // per-(thread,destination) chunk counter
-	Fin     bool   // last chunk from this thread for this destination
-}
-
-// ParseChunk splits a received chunk into its header and payload view.
-func ParseChunk(chunk []byte) (ChunkHeader, []byte, error) {
-	if len(chunk) < ChunkHeaderSize {
-		return ChunkHeader{}, nil, fmt.Errorf("wire: short chunk: %d bytes", len(chunk))
-	}
-	h := ChunkHeader{
-		Thread:  int(binary.LittleEndian.Uint16(chunk[0:])),
-		Threads: int(binary.LittleEndian.Uint16(chunk[2:])),
-	}
-	seq := binary.LittleEndian.Uint32(chunk[4:])
-	h.Seq = seq &^ ChunkFin
-	h.Fin = seq&ChunkFin != 0
-	if h.Threads == 0 {
-		return ChunkHeader{}, nil, fmt.Errorf("wire: chunk announces zero threads")
-	}
-	if h.Thread >= h.Threads {
-		return ChunkHeader{}, nil, fmt.Errorf("wire: chunk thread %d outside announced count %d", h.Thread, h.Threads)
-	}
-	return h, chunk[ChunkHeaderSize:], nil
-}
-
-// putChunkHeader stamps hdr into the 8 reserved bytes at the front of a
-// streaming buffer.
-func putChunkHeader(dst []byte, thread, threads int, seq uint32, fin bool) {
-	binary.LittleEndian.PutUint16(dst[0:], uint16(thread))
-	binary.LittleEndian.PutUint16(dst[2:], uint16(threads))
-	if fin {
-		seq |= ChunkFin
-	}
-	binary.LittleEndian.PutUint32(dst[4:], seq)
-}
-
-// ChunkedPlanes coordinates the per-thread ChunkWriters of one scatter
-// phase. Init re-arms it for a round (buffer capacity survives); a single
-// value is meant to live as long as the engine that owns it.
+// ChunkedPlanes coordinates the per-thread writers of one scatter phase.
+// Init re-arms it for a round (buffer capacity survives); a single value is
+// meant to live as long as the engine that owns it.
 type ChunkedPlanes struct {
-	dests     int
-	threads   int
-	chunkSize int
-	send      func(dst int, chunk []byte) error // nil in bulk mode
-	writers   []ChunkWriter
-
-	mu  sync.Mutex
-	err error
+	writers []Planes
 }
 
-// Init re-arms c for one round: threads writers over dests destinations.
-// With chunkSize > 0 and a send function, each writer flushes header-framed
-// chunks through send as its buffers fill (send must be safe for concurrent
-// calls from different writers). With chunkSize <= 0 or a nil send, the
-// writers only accumulate and ConcatInto collapses them for a bulk round.
-func (c *ChunkedPlanes) Init(dests, threads, chunkSize int, send func(dst int, chunk []byte) error) {
-	if chunkSize > 0 && send == nil {
-		chunkSize = 0
-	}
-	c.dests, c.threads, c.chunkSize, c.send = dests, threads, chunkSize, send
-	c.err = nil
+// Init re-arms c for one round: threads writers over dests destinations,
+// every buffer empty.
+func (c *ChunkedPlanes) Init(dests, threads int) {
 	if cap(c.writers) < threads {
-		w := make([]ChunkWriter, threads)
+		w := make([]Planes, threads)
 		copy(w, c.writers)
 		c.writers = w
 	}
 	c.writers = c.writers[:threads]
 	for t := range c.writers {
 		w := &c.writers[t]
-		w.cp, w.thread = c, t
 		if cap(w.bufs) < dests {
 			bufs := make([]Buffer, dests)
 			copy(bufs, w.bufs)
 			w.bufs = bufs
-			w.seq = make([]uint32, dests)
 		}
 		w.bufs = w.bufs[:dests]
-		w.seq = w.seq[:dests]
-		for d := range w.bufs {
-			w.bufs[d].Reset()
-			w.seq[d] = 0
-			if c.streaming() {
-				w.bufs[d].PutU64(0) // header placeholder, stamped at flush
-			}
-		}
+		w.Reset()
 	}
 }
-
-func (c *ChunkedPlanes) streaming() bool { return c.chunkSize > 0 }
 
 // Writer returns thread t's writer.
-func (c *ChunkedPlanes) Writer(t int) *ChunkWriter { return &c.writers[t] }
-
-// Err returns the first send failure. After a failure, writers silently
-// drop further data so builder threads need not check per record.
-func (c *ChunkedPlanes) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
-}
-
-func (c *ChunkedPlanes) fail(err error) {
-	c.mu.Lock()
-	if c.err == nil {
-		c.err = err
-	}
-	c.mu.Unlock()
-}
-
-// FinishAll flushes every writer's remainders and emits the fin chunk of
-// every (thread, destination) pair — all threads, including ones the build
-// never touched, so receivers can rely on exactly threads fin markers per
-// destination. Call it from the coordinating goroutine after the builder
-// threads have joined. Streaming mode only.
-func (c *ChunkedPlanes) FinishAll() error {
-	if !c.streaming() {
-		return c.Err()
-	}
-	for t := range c.writers {
-		w := &c.writers[t]
-		for d := range w.bufs {
-			w.flush(d, true)
-		}
-	}
-	return c.Err()
-}
+func (c *ChunkedPlanes) Writer(t int) *Planes { return &c.writers[t] }
 
 // ConcatInto collapses the writers' buffers into p in thread order, so the
 // per-destination planes carry the records in exactly the order a serial
-// build over the same contiguous index ranges would have written them.
-// Bulk mode only. With a single thread the buffers are swapped into p,
-// making the single-threaded bulk path copy-free.
+// build over the same contiguous index ranges would have written them. With
+// a single thread the buffers are swapped into p, making the
+// single-threaded path copy-free.
 func (c *ChunkedPlanes) ConcatInto(p *Planes) {
-	if c.threads == 1 {
+	if len(c.writers) == 1 {
 		w := &c.writers[0]
-		for d := 0; d < c.dests; d++ {
+		for d := range w.bufs {
 			p.bufs[d], w.bufs[d] = w.bufs[d], p.bufs[d]
 		}
 		return
 	}
-	for d := 0; d < c.dests; d++ {
+	for d := range p.bufs {
 		b := p.To(d)
 		for t := range c.writers {
 			b.PutBytes(c.writers[t].bufs[d].Bytes())
 		}
-	}
-}
-
-// ChunkWriter is one builder thread's private per-destination encoder.
-// Append records to To(dst) with the Buffer codecs, then call Commit(dst);
-// records must not straddle a Commit (the chunk boundary falls there).
-type ChunkWriter struct {
-	cp     *ChunkedPlanes
-	thread int
-	bufs   []Buffer
-	seq    []uint32
-}
-
-// To returns the destination buffer for appending the next record.
-func (w *ChunkWriter) To(dst int) *Buffer { return &w.bufs[dst] }
-
-// Commit marks a record boundary on dst and ships the buffer as a chunk if
-// it has reached the chunk size. No-op in bulk mode.
-func (w *ChunkWriter) Commit(dst int) {
-	if w.cp.streaming() && w.bufs[dst].Len() >= w.cp.chunkSize {
-		w.flush(dst, false)
-	}
-}
-
-// flush stamps the header and hands the chunk to the transport. Fin chunks
-// are always sent, even empty; non-fin flushes with no payload are skipped.
-func (w *ChunkWriter) flush(dst int, fin bool) {
-	b := &w.bufs[dst]
-	if !fin && b.Len() <= ChunkHeaderSize {
-		return
-	}
-	putChunkHeader(b.b, w.thread, w.cp.threads, w.seq[dst], fin)
-	w.seq[dst]++
-	var err error
-	if w.cp.Err() == nil {
-		err = w.cp.send(dst, b.Bytes())
-	}
-	b.b = b.b[:ChunkHeaderSize] // keep the header placeholder for the next chunk
-	if err != nil {
-		w.cp.fail(err)
 	}
 }

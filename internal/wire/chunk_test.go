@@ -2,180 +2,23 @@ package wire
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"testing"
 )
 
-func TestChunkHeaderRoundTrip(t *testing.T) {
-	cases := []struct {
-		thread, threads int
-		seq             uint32
-		fin             bool
-	}{
-		{0, 1, 0, false},
-		{0, 1, 0, true},
-		{3, 8, 17, false},
-		{7, 8, 0x7FFFFFFF &^ ChunkFin, true},
-	}
-	for _, c := range cases {
-		buf := make([]byte, ChunkHeaderSize, ChunkHeaderSize+3)
-		buf = append(buf, 1, 2, 3)
-		putChunkHeader(buf, c.thread, c.threads, c.seq, c.fin)
-		hdr, payload, err := ParseChunk(buf)
-		if err != nil {
-			t.Fatalf("%+v: %v", c, err)
-		}
-		if hdr.Thread != c.thread || hdr.Threads != c.threads || hdr.Seq != c.seq || hdr.Fin != c.fin {
-			t.Fatalf("round trip %+v -> %+v", c, hdr)
-		}
-		if !bytes.Equal(payload, []byte{1, 2, 3}) {
-			t.Fatalf("payload = %v", payload)
-		}
-	}
-}
-
-func TestParseChunkRejectsMalformed(t *testing.T) {
-	if _, _, err := ParseChunk(make([]byte, ChunkHeaderSize-1)); err == nil {
-		t.Error("short chunk accepted")
-	}
-	// Zero announced threads.
-	buf := make([]byte, ChunkHeaderSize)
-	putChunkHeader(buf, 0, 0, 0, false)
-	if _, _, err := ParseChunk(buf); err == nil {
-		t.Error("zero-thread chunk accepted")
-	}
-	// Thread index outside the announced count.
-	putChunkHeader(buf, 5, 4, 0, false)
-	if _, _, err := ParseChunk(buf); err == nil {
-		t.Error("out-of-range thread accepted")
-	}
-}
-
-// collectSend returns a send function that files chunk copies per
-// destination and the backing store to inspect.
-func collectSend(dests int) (func(dst int, chunk []byte) error, [][][]byte) {
-	got := make([][][]byte, dests)
-	store := got
-	return func(dst int, chunk []byte) error {
-		cp := append([]byte(nil), chunk...)
-		store[dst] = append(store[dst], cp)
-		return nil
-	}, got
-}
-
-// TestChunkedPlanesStreamingFlush drives three writer threads over two
-// destinations with a tiny chunk size and checks the streamed chunks carry
-// correct headers (thread, threads, seq, fin) and that replaying them in
-// (thread, seq) order reproduces the bytes of a serial build.
-func TestChunkedPlanesStreamingFlush(t *testing.T) {
-	const (
-		dests     = 2
-		threads   = 3
-		chunkSize = 32
-		records   = 10
-	)
-	send, got := collectSend(dests)
-	var cp ChunkedPlanes
-	cp.Init(dests, threads, chunkSize, send)
-
-	want := make([][]byte, dests) // serial concat in thread order
-	for th := 0; th < threads; th++ {
-		w := cp.Writer(th)
-		for i := 0; i < records; i++ {
-			dst := i % dests
-			rec := fmt.Sprintf("t%d-rec%02d", th, i)
-			w.To(dst).PutBytes([]byte(rec))
-			w.Commit(dst)
-			want[dst] = append(want[dst], rec...)
-		}
-	}
-	if err := cp.FinishAll(); err != nil {
-		t.Fatal(err)
-	}
-
-	for dst := 0; dst < dests; dst++ {
-		// Group by thread, validate seq and fin, then replay in
-		// (thread, seq) canonical order.
-		perThread := make([][][]byte, threads)
-		fins := make([]int, threads)
-		for _, chunk := range got[dst] {
-			hdr, payload, err := ParseChunk(chunk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if hdr.Threads != threads {
-				t.Fatalf("announced threads = %d, want %d", hdr.Threads, threads)
-			}
-			if int(hdr.Seq) != len(perThread[hdr.Thread]) {
-				t.Fatalf("thread %d seq %d out of order (have %d)", hdr.Thread, hdr.Seq, len(perThread[hdr.Thread]))
-			}
-			if fins[hdr.Thread] != 0 {
-				t.Fatalf("thread %d sent chunk after fin", hdr.Thread)
-			}
-			if hdr.Fin {
-				fins[hdr.Thread]++
-			}
-			perThread[hdr.Thread] = append(perThread[hdr.Thread], payload)
-		}
-		var replay []byte
-		for th := 0; th < threads; th++ {
-			if fins[th] != 1 {
-				t.Fatalf("thread %d sent %d fin chunks to dst %d, want exactly 1", th, fins[th], dst)
-			}
-			for _, p := range perThread[th] {
-				replay = append(replay, p...)
-			}
-		}
-		if !bytes.Equal(replay, want[dst]) {
-			t.Fatalf("dst %d replay mismatch:\n got %q\nwant %q", dst, replay, want[dst])
-		}
-	}
-}
-
-// TestChunkedPlanesFinishAllCoversIdleThreads: every thread must emit a fin
-// per destination even when the build never touched it.
-func TestChunkedPlanesFinishAllCoversIdleThreads(t *testing.T) {
-	const threads = 4
-	send, got := collectSend(1)
-	var cp ChunkedPlanes
-	cp.Init(1, threads, 64, send)
-	cp.Writer(0).To(0).PutBytes([]byte("only thread 0 wrote"))
-	cp.Writer(0).Commit(0)
-	if err := cp.FinishAll(); err != nil {
-		t.Fatal(err)
-	}
-	fins := make([]bool, threads)
-	for _, chunk := range got[0] {
-		hdr, _, err := ParseChunk(chunk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hdr.Fin {
-			fins[hdr.Thread] = true
-		}
-	}
-	for th, ok := range fins {
-		if !ok {
-			t.Errorf("thread %d sent no fin", th)
-		}
-	}
-}
-
-// TestChunkedPlanesBulkConcat checks that bulk mode concatenates the
-// writers' planes in thread order — the order a serial build over the same
+// TestChunkedPlanesBulkConcat checks that ConcatInto joins the writers'
+// planes in thread order — the order a serial build over the same
 // contiguous ranges would have produced.
 func TestChunkedPlanesBulkConcat(t *testing.T) {
 	const dests, threads = 2, 3
 	var cp ChunkedPlanes
-	cp.Init(dests, threads, 0, nil)
+	cp.Init(dests, threads)
 	want := make([][]byte, dests)
 	for th := 0; th < threads; th++ {
 		w := cp.Writer(th)
 		for d := 0; d < dests; d++ {
 			rec := fmt.Sprintf("t%d->d%d", th, d)
 			w.To(d).PutBytes([]byte(rec))
-			w.Commit(d)
 			want[d] = append(want[d], rec...)
 		}
 	}
@@ -193,10 +36,9 @@ func TestChunkedPlanesBulkConcat(t *testing.T) {
 // buffer swap, not a copy — the plane must alias the writer's old storage.
 func TestChunkedPlanesBulkSingleThreadSwap(t *testing.T) {
 	var cp ChunkedPlanes
-	cp.Init(1, 1, 0, nil)
+	cp.Init(1, 1)
 	w := cp.Writer(0)
 	w.To(0).PutBytes([]byte("swapped"))
-	w.Commit(0)
 	backing := w.To(0).Bytes()
 	p := GetPlanes(1)
 	defer p.Release()
@@ -207,29 +49,5 @@ func TestChunkedPlanesBulkSingleThreadSwap(t *testing.T) {
 	}
 	if &out[0] != &backing[0] {
 		t.Error("single-thread concat copied instead of swapping buffers")
-	}
-}
-
-// TestChunkedPlanesSendErrorSticky: a send failure is latched, further
-// flushes are dropped, and FinishAll reports the first error.
-func TestChunkedPlanesSendErrorSticky(t *testing.T) {
-	boom := errors.New("boom")
-	calls := 0
-	var cp ChunkedPlanes
-	cp.Init(1, 2, 8, func(dst int, chunk []byte) error {
-		calls++
-		return boom
-	})
-	w := cp.Writer(0)
-	w.To(0).PutBytes(bytes.Repeat([]byte("x"), 16))
-	w.Commit(0) // crosses chunkSize: flush fails
-	after := calls
-	w.To(0).PutBytes(bytes.Repeat([]byte("y"), 16))
-	w.Commit(0) // error latched: no further send
-	if calls != after {
-		t.Errorf("send called after failure (%d -> %d)", after, calls)
-	}
-	if err := cp.FinishAll(); !errors.Is(err, boom) {
-		t.Errorf("FinishAll = %v, want %v", err, boom)
 	}
 }

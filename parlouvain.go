@@ -67,11 +67,6 @@ type (
 	Similarity = metrics.Similarity
 )
 
-// DefaultStreamChunk is the chunk size Options.StreamChunk = 0 resolves to
-// when the auto-selection picks streaming mode; pass it explicitly to force
-// streaming regardless of transport.
-const DefaultStreamChunk = core.DefaultStreamChunk
-
 // Ordering selects the vertex visit order of the whole-graph move sweeps
 // (Options.Order / -order): the engine's historical default, natural,
 // seeded shuffle, or degree-ascending/descending.
