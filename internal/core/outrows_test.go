@@ -163,9 +163,12 @@ func runRanks(engines []*engine, fn func(s *engine) error) error {
 // labels a → move-log propagation to labels b, checking every row and the
 // running Σin against the oracle after each propagation, then sweeping. An
 // asymmetric case must stop at levelInit, on every rank.
-func checkRows(c rowCase, ranks, threads int) error {
+func checkRows(c rowCase, ranks, threads int, open openGroup) error {
 	parts := c.split(ranks)
-	trs := comm.NewMemGroup(ranks)
+	trs, err := open(ranks)
+	if err != nil {
+		return err
+	}
 	defer func() {
 		for _, tr := range trs {
 			tr.Close()
@@ -253,7 +256,7 @@ func checkRows(c rowCase, ranks, threads int) error {
 		return nil
 	}
 
-	err := runRanks(engines, func(s *engine) error {
+	err = runRanks(engines, func(s *engine) error {
 		if err := s.loadLocal(parts[s.part.Rank]); err != nil {
 			return err
 		}
@@ -293,20 +296,58 @@ func checkRows(c rowCase, ranks, threads int) error {
 // rank list cannot quietly become a 64-bit mask.
 var rowRanks = []int{1, 2, 3, 4, 7, 65}
 
-// TestOutRowsMatchOracle's subtests end in /bulk, the exchange every scatter
-// runs.
+// openGroup brings up the transports of a rank group of the given size.
+type openGroup func(ranks int) ([]comm.Transport, error)
+
+func memGroup(ranks int) ([]comm.Transport, error) { return comm.NewMemGroup(ranks), nil }
+
+// tcpGroup brings up a group over real loopback TCP.
+func tcpGroup(ranks int) ([]comm.Transport, error) {
+	addrs, err := comm.LocalAddrs(ranks)
+	if err != nil {
+		return nil, err
+	}
+	trs := make([]comm.Transport, ranks)
+	var g par.Group
+	for r := range trs {
+		g.Go(func() (err error) {
+			trs[r], err = comm.NewTCP(comm.TCPConfig{Rank: r, Addrs: addrs})
+			return err
+		})
+	}
+	if err := g.Wait(); err != nil {
+		for _, tr := range trs {
+			if tr != nil {
+				tr.Close()
+			}
+		}
+		return nil, err
+	}
+	return trs, nil
+}
+
+// groupModes are the two ways the row and refusal tests carry a round: /bulk
+// hands each plane whole between in-process mailboxes, /stream writes it down
+// loopback TCP sockets, framed, as a group spread over hosts does.
+var groupModes = []struct {
+	name string
+	open openGroup
+}{{"bulk", memGroup}, {"stream", tcpGroup}}
+
 func TestOutRowsMatchOracle(t *testing.T) {
 	for _, c := range rowCases() {
 		for _, ranks := range rowRanks {
 			for _, threads := range []int{1, 2} {
-				name := fmt.Sprintf("%s/ranks=%d/threads=%d/bulk", c.name, ranks, threads)
-				t.Run(name, func(t *testing.T) {
-					a := armSkipAudit(t)
-					if err := checkRows(c, ranks, threads); err != nil {
-						t.Fatal(err)
-					}
-					a.clean(t, name)
-				})
+				for _, mode := range groupModes {
+					name := fmt.Sprintf("%s/ranks=%d/threads=%d/%s", c.name, ranks, threads, mode.name)
+					t.Run(name, func(t *testing.T) {
+						a := armSkipAudit(t)
+						if err := checkRows(c, ranks, threads, mode.open); err != nil {
+							t.Fatal(err)
+						}
+						a.clean(t, name)
+					})
+				}
 			}
 		}
 	}
@@ -315,7 +356,13 @@ func TestOutRowsMatchOracle(t *testing.T) {
 // parallelGroup runs Parallel on every rank of an in-process group, rank r on
 // parts[r], and returns every rank's result and error.
 func parallelGroup(parts []graph.EdgeList, n int, opt Options) ([]*Result, []error) {
-	trs := comm.NewMemGroup(len(parts))
+	return runGroup(comm.NewMemGroup(len(parts)), parts, n, opt)
+}
+
+// runGroup runs Parallel on every rank of trs, rank r on parts[r], closes the
+// transports once all have returned, and returns every rank's result and
+// error.
+func runGroup(trs []comm.Transport, parts []graph.EdgeList, n int, opt Options) ([]*Result, []error) {
 	results, errs := make([]*Result, len(parts)), make([]error, len(parts))
 	var wg sync.WaitGroup
 	for r := range parts {
@@ -336,30 +383,35 @@ func parallelGroup(parts []graph.EdgeList, n int, opt Options) ([]*Result, []err
 // nothing mirrored, or one mirror record missing from an otherwise symmetric
 // list, in a place where the vertex that lost it keeps other in-edges from
 // the same rank — gets an input error on every rank, with the invariant
-// checker on or off; no rank is left waiting on a peer that gave up, and none
-// returns a partition. The /bulk in the subtest names is the exchange every
-// scatter runs.
+// checker on or off, over either group; no rank is left waiting on a peer
+// that gave up, and none returns a partition.
 func TestAsymmetricLocalRejected(t *testing.T) {
 	defer func() { forceInvariantChecks = true }()
 	for _, c := range []rowCase{directedCase(), halfMirroredCase()} {
 		for _, ranks := range []int{1, 2, 3} {
-			for _, check := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/ranks=%d/bulk/check=%v", c.name, ranks, check), func(t *testing.T) {
-					forceInvariantChecks = check
-					var results []*Result
-					var errs []error
-					guard(t, time.Minute, "the group", func() {
-						results, errs = parallelGroup(c.split(ranks), c.n, Options{CheckInvariants: check})
+			for _, mode := range groupModes {
+				for _, check := range []bool{false, true} {
+					t.Run(fmt.Sprintf("%s/ranks=%d/%s/check=%v", c.name, ranks, mode.name, check), func(t *testing.T) {
+						forceInvariantChecks = check
+						trs, err := mode.open(ranks)
+						if err != nil {
+							t.Fatal(err)
+						}
+						var results []*Result
+						var errs []error
+						guard(t, time.Minute, "the group", func() {
+							results, errs = runGroup(trs, c.split(ranks), c.n, Options{CheckInvariants: check})
+						})
+						for rank, err := range errs {
+							if results[rank] != nil {
+								t.Errorf("rank %d returned a partition", rank)
+							}
+							if err := wantAsymmetric(rank, err); err != nil {
+								t.Error(err)
+							}
+						}
 					})
-					for rank, err := range errs {
-						if results[rank] != nil {
-							t.Errorf("rank %d returned a partition", rank)
-						}
-						if err := wantAsymmetric(rank, err); err != nil {
-							t.Error(err)
-						}
-					}
-				})
+				}
 			}
 		}
 	}
@@ -501,7 +553,7 @@ func FuzzOutRows(f *testing.F) {
 			}
 		}
 		a := armSkipAudit(t)
-		if err := checkRows(c, rowRanks[int(ranks)%len(rowRanks)], int(threads%2)+1); err != nil {
+		if err := checkRows(c, rowRanks[int(ranks)%len(rowRanks)], int(threads%2)+1, memGroup); err != nil {
 			t.Fatal(err)
 		}
 		a.clean(t, "fuzz")

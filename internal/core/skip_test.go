@@ -10,7 +10,6 @@ import (
 	"parlouvain/internal/comm"
 	"parlouvain/internal/gen"
 	"parlouvain/internal/graph"
-	"parlouvain/internal/par"
 )
 
 // The inner loop takes two shortcuts that must not move a bit: findBest
@@ -451,30 +450,15 @@ func TestParallelExactCounts(t *testing.T) {
 // result after checking all ranks agree on the final Q.
 func runTCPGroup(t *testing.T, el graph.EdgeList, n, ranks int, opt Options) *Result {
 	t.Helper()
-	parts := graph.SplitEdges(el, ranks)
-	addrs, err := comm.LocalAddrs(ranks)
+	trs, err := tcpGroup(ranks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := make([]*Result, ranks)
-	var g par.Group
-	for r := 0; r < ranks; r++ {
-		g.Go(func() error {
-			tr, err := comm.NewTCP(comm.TCPConfig{Rank: r, Addrs: addrs})
-			if err != nil {
-				return fmt.Errorf("rank %d: %w", r, err)
-			}
-			defer tr.Close()
-			res, err := Parallel(comm.New(tr), parts[r], n, opt)
-			if err != nil {
-				return fmt.Errorf("rank %d: %w", r, err)
-			}
-			results[r] = res
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
+	results, errs := runGroup(trs, graph.SplitEdges(el, ranks), n, opt)
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
 	}
 	for r := 1; r < ranks; r++ {
 		if results[r].Q != results[0].Q {
