@@ -38,8 +38,9 @@ chaos:
 	$(GO) test -short -run 'Chaos|Invariant|CrossEngine' ./internal/core
 	GOMAXPROCS=2 $(GO) test -race -run 'Skip|GoldenTrace|OutRows|Asymmetric|BuildRows|RowsCanonical|ParallelFingerprint|CancelMidRun' ./internal/core
 
-# Short fuzz pass over every fuzz target (wire codecs, graph readers and Build,
-# generator specs, the hash edge table of Fig. 6 and the ladder — freeze and
+# Short fuzz pass over every fuzz target (wire codecs, graph readers, Build and
+# the rank rows lpa/bfs/sssp run on — FuzzBuild: Build and Partition.InRows at
+# one to three ranks against comparison-sort oracles — generator specs, the hash edge table of Fig. 6 and the ladder — freeze and
 # iteration; no engine stores a level in it — par-louvain's level storage
 # (FuzzBuildRows: the sorted rows of two levels against that table as oracle),
 # its rows read through ghost after a full and a move-log propagation — and its

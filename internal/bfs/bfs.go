@@ -69,24 +69,11 @@ func Parallel(c *comm.Comm, local graph.EdgeList, n int, root graph.V) (*Result,
 	part := graph.Partition{Rank: c.Rank(), Size: c.Size()}
 	nLoc := part.MaxLocalCount(n)
 
-	// In-edge CSR of owned vertices. For an undirected graph the in-edge
+	// In-edge rows of owned vertices. For an undirected graph the in-edge
 	// sources are exactly the neighbor lists.
-	adjOff := make([]int64, nLoc+1)
-	for _, e := range local {
-		if !part.Owns(e.V) {
-			return nil, fmt.Errorf("bfs: rank %d given edge with dst %d", part.Rank, e.V)
-		}
-		adjOff[part.LocalIndex(e.V)+1]++
-	}
-	for i := 0; i < nLoc; i++ {
-		adjOff[i+1] += adjOff[i]
-	}
-	adjSrc := make([]graph.V, adjOff[nLoc])
-	fill := make([]int64, nLoc)
-	for _, e := range local {
-		li := part.LocalIndex(e.V)
-		adjSrc[adjOff[li]+fill[li]] = e.U
-		fill[li]++
+	adjOff, adjSrc, _, err := part.InRows(local, n)
+	if err != nil {
+		return nil, fmt.Errorf("bfs: %w", err)
 	}
 
 	levels := make([]int32, nLoc)

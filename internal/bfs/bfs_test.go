@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -102,6 +103,23 @@ func TestParallelDisconnected(t *testing.T) {
 func TestParallelBadRoot(t *testing.T) {
 	if _, err := RunInProcess(graph.EdgeList{{U: 0, V: 1, W: 1}}, 2, 2, 9); err == nil {
 		t.Error("bad root accepted")
+	}
+}
+
+// TestParallelRejectsBadEdge: an id outside the vertex space is an error
+// naming the edge, as a non-finite weight is, on one rank and on two (it used
+// to index past the local arrays and take the process down).
+func TestParallelRejectsBadEdge(t *testing.T) {
+	for want, bad := range map[string]graph.Edge{
+		"rank 0: bfs: edge (9,0) outside vertex space 3":    {U: 9, V: 0, W: 1},
+		"rank 0: bfs: edge (1,2) has non-finite weight NaN": {U: 1, V: 2, W: math.NaN()},
+	} {
+		for _, ranks := range []int{1, 2} {
+			_, err := RunInProcess(graph.EdgeList{bad, {U: 0, V: 1, W: 1}}, 3, ranks, 0)
+			if err == nil || err.Error() != want {
+				t.Errorf("ranks=%d: err = %v, want %q", ranks, err, want)
+			}
+		}
 	}
 }
 

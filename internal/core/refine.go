@@ -7,6 +7,7 @@ import (
 
 	"parlouvain/internal/comm"
 	"parlouvain/internal/graph"
+	"parlouvain/internal/metrics"
 	"parlouvain/internal/obs"
 	"parlouvain/internal/par"
 	"parlouvain/internal/perf"
@@ -225,7 +226,7 @@ func skipRoom(margin, m, k float64) float64 {
 func (s *engine) score(sc *gainScan, li int) (bestGain float64, bestTo graph.V, rival, stay float64) {
 	c0, ku := s.commOf[li], s.k[li]
 	touched := s.gatherRow(sc, li)
-	stay = dq(sc.w2c[c0]-s.self2[li], s.totCache[c0]-ku, ku, s.m)
+	stay = metrics.DeltaQ(sc.w2c[c0]-s.self2[li], s.totCache[c0]-ku, ku, s.m)
 	single := s.memCache[c0] == 1
 	bestGain, bestTo = 0.0, c0
 	// The rival is a branch-free maximum over orderBits keys, as in gainScan.best.
@@ -234,7 +235,7 @@ func (s *engine) score(sc *gainScan, li int) (bestGain float64, bestTo graph.V, 
 		if cc == c0 {
 			continue
 		}
-		g := dq(sc.w2c[cc], s.totCache[cc], ku, s.m) - stay
+		g := metrics.DeltaQ(sc.w2c[cc], s.totCache[cc], ku, s.m) - stay
 		other = max(other, int64(orderBits(math.Float64bits(g))))
 		// Singleton minimum-label rule (Grappolo-style, the paper's
 		// ref [11]): when a vertex alone in its community targets
@@ -261,11 +262,6 @@ var auditSkips interface {
 	rescore(s *engine, sc *gainScan, li int)
 	rescoreRow(sc *gainScan, wg *graph.Graph, comm []graph.V, tot []float64, u graph.V)
 	rollback()
-}
-
-// dq is Equation 4.
-func dq(wUToC, sumTot, ku, m float64) float64 {
-	return wUToC/m - sumTot*ku/(2*m*m)
 }
 
 // snapshot records the current level state as the best seen so far.

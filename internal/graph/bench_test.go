@@ -35,6 +35,12 @@ func perEdge(b *testing.B, el graph.EdgeList) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(el)), "ns/edge")
 }
 
+// perRecord is perEdge over records laid out: InRows sees each non-self edge
+// twice, once at each endpoint's owner.
+func perRecord(b *testing.B, records int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/record")
+}
+
 func BenchmarkBuild(b *testing.B) {
 	for name, el := range benchInputs(b) {
 		b.Run(name, func(b *testing.B) {
@@ -55,6 +61,28 @@ func BenchmarkSplitEdges(b *testing.B) {
 				sink += len(graph.SplitEdges(el, 2)[1])
 			}
 			perEdge(b, el)
+		})
+	}
+}
+
+// BenchmarkInRows lays out both ranks' rows of the inputs split two ways, the
+// load lpa, bfs and sssp run at every rank.
+func BenchmarkInRows(b *testing.B) {
+	for name, el := range benchInputs(b) {
+		n := el.NumVertices()
+		parts := graph.SplitEdges(el, 2)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for r, local := range parts {
+					_, src, _, err := graph.Partition{Rank: r, Size: 2}.InRows(local, n)
+					if err != nil {
+						b.Fatal(err)
+					}
+					sink += len(src)
+				}
+			}
+			perRecord(b, len(parts[0])+len(parts[1]))
 		})
 	}
 }

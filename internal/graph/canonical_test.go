@@ -9,9 +9,10 @@ import (
 	"testing"
 )
 
-// refCanonicalize is the comparison-sort Canonicalize the radix sort
-// replaced, made stable so that duplicates sum in input order — the one
-// thing the old code left unspecified and the new one guarantees.
+// refCanonicalize is the comparison-sort canonical form Build started from
+// before its counting sort: every edge oriented U <= V, sorted by (U, V),
+// made stable so that duplicates sum in input order — the one thing the
+// first sort left unspecified and sortMerged guarantees.
 func refCanonicalize(el EdgeList) EdgeList {
 	out := make(EdgeList, 0, len(el))
 	for _, e := range el {
@@ -37,7 +38,7 @@ func refCanonicalize(el EdgeList) EdgeList {
 	return merged
 }
 
-// refBuild is Build as it stood before the radix sort, over refCanonicalize.
+// refBuild is Build as it stood before its counting sort, over refCanonicalize.
 func refBuild(el EdgeList, n int) *Graph {
 	if n <= 0 {
 		n = el.NumVertices()
@@ -113,41 +114,44 @@ func TestBuildMatchesComparisonSortBuild(t *testing.T) {
 	}
 	for i, el := range lists {
 		in := append(EdgeList(nil), el...)
-		got, want := el.Canonicalize(), refCanonicalize(el)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("list %d (%d edges): Canonicalize differs from the comparison sort", i, len(el))
-		}
-		for j := range in {
-			if el[j] != in[j] {
-				t.Fatalf("list %d: Canonicalize changed its receiver at %d", i, j)
-			}
-		}
 		for _, n := range []int{0, el.NumVertices() + 3} { // inferred, and with isolated ids on top
 			g, ref := Build(el, n), refBuild(el, n)
 			if !reflect.DeepEqual(g, ref) {
 				t.Fatalf("list %d, n=%d: Build differs from the comparison-sort build", i, n)
 			}
 		}
+		for j := range in {
+			if el[j] != in[j] {
+				t.Fatalf("list %d: Build changed its input at %d", i, j)
+			}
+		}
+		oriented := make(EdgeList, len(el))
+		for j, e := range el {
+			oriented[j] = Edge{min(e.U, e.V), max(e.U, e.V), e.W}
+		}
+		if got, want := sortMerged(oriented, el.NumVertices()), refCanonicalize(el); !reflect.DeepEqual(got, want) {
+			t.Fatalf("list %d (%d edges): sortMerged differs from the comparison sort", i, len(el))
+		}
 	}
 }
 
-// TestCanonicalizeScratchIsPerEdge holds Canonicalize to scratch that
-// depends on the number of edges and not on the ids: a handful of edges
-// next to 2^32-1 must sort within a few kilobytes.
+// TestCanonicalizeScratchIsPerEdge bounds what Build allocates by c·edges +
+// c′·n bytes, results included: two lists of 16 B per record (the oriented
+// copy and the sort's scratch), 12 B per CSR entry (two per record at most)
+// and five n-sized arrays of 8 B (the sort's counters, Off, SelfW, Deg and
+// fill). A third per-record list would cost 16 B per record more and fail it.
 func TestCanonicalizeScratchIsPerEdge(t *testing.T) {
-	const top = math.MaxUint32
-	el := EdgeList{
-		{top, top - 1, 1}, {0, top, 2}, {top - 1, top, 0.5}, {top, top, 3},
-		{1 << 31, 1 << 16, 1}, {top - 255, 255, 1}, {0, top, 4}, {0, 1, 1},
-	}
-	if got, want := el.Canonicalize(), refCanonicalize(el); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Canonicalize = %v, want %v", got, want)
+	const n, m = 1000, 20000
+	el := randomList(rand.New(rand.NewSource(5)), m, n)
+	g := Build(el, n)
+	if ref := refBuild(el, n); !reflect.DeepEqual(g, ref) {
+		t.Fatal("Build differs from the comparison-sort build")
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	el.Canonicalize()
+	Build(el, n)
 	runtime.ReadMemStats(&after)
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4096 {
-		t.Errorf("Canonicalize of %d edges allocated %d bytes", len(el), grew)
+	if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(56*m+48*n+4096); grew > bound {
+		t.Errorf("Build of %d edges on %d vertices allocated %d bytes, bound %d", m, n, grew, bound)
 	}
 }

@@ -57,9 +57,9 @@ func FuzzReadText(f *testing.F) {
 }
 
 // FuzzBuild reads its input as 5-byte records (u, v: 12 bits each; w: 1..8,
-// so every sum is exact) and holds Build to the CSR contract and Canonicalize
-// to the comparison sort it replaced — the latter also with the ids spread
-// over all four bytes, which Build's dense arrays could not afford.
+// so every sum is exact) and holds Build to the CSR contract and to the
+// comparison-sort build, and Partition.InRows at one to three ranks to the
+// comparison-sort rows of refInRows.
 func FuzzBuild(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 0, 0})
@@ -92,16 +92,53 @@ func FuzzBuild(f *testing.F) {
 		if back := Build(g.EdgeList(), g.N); !reflect.DeepEqual(back, g) {
 			t.Fatalf("Build(g.EdgeList()) differs from g")
 		}
-		wide := make(EdgeList, len(el))
-		for i, e := range el {
-			wide[i] = Edge{e.U * 1000003, e.V * 1000003, e.W}
+		if ref := refBuild(el, 0); !reflect.DeepEqual(g, ref) {
+			t.Fatalf("Build differs from the comparison-sort build")
 		}
-		for _, l := range []EdgeList{el, wide} {
-			if got, want := l.Canonicalize(), refCanonicalize(l); !reflect.DeepEqual(got, want) {
-				t.Fatalf("Canonicalize differs from the comparison sort on %v", l)
+		for size := 1; size <= 3; size++ {
+			for r, local := range SplitEdges(el, size) {
+				p := Partition{Rank: r, Size: size}
+				in := append(EdgeList(nil), local...)
+				off, src, w, err := p.InRows(local, g.N)
+				if err != nil {
+					t.Fatalf("rank %d/%d: %v", r, size, err)
+				}
+				if !reflect.DeepEqual(local, in) {
+					t.Fatalf("rank %d/%d: InRows changed its input", r, size)
+				}
+				wantOff, wantSrc, wantW := refInRows(p, local, g.N)
+				if !reflect.DeepEqual(off, wantOff) || !reflect.DeepEqual(src, wantSrc) || !reflect.DeepEqual(w, wantW) {
+					t.Fatalf("rank %d/%d: InRows differs from the comparison sort on %v", r, size, local)
+				}
 			}
 		}
 	})
+}
+
+// refInRows is InRows by comparison sort: records stably sorted by (local
+// destination, source), a pair's records summed in input order.
+func refInRows(p Partition, local EdgeList, n int) (off []int64, src []V, w []float64) {
+	recs := append(EdgeList(nil), local...)
+	sort.SliceStable(recs, func(i, j int) bool {
+		if recs[i].V != recs[j].V {
+			return recs[i].V < recs[j].V
+		}
+		return recs[i].U < recs[j].U
+	})
+	off = make([]int64, p.MaxLocalCount(n)+1)
+	src, w = []V{}, []float64{}
+	for i, e := range recs {
+		if i > 0 && recs[i-1].U == e.U && recs[i-1].V == e.V {
+			w[len(w)-1] += e.W
+			continue
+		}
+		off[p.LocalIndex(e.V)+1]++
+		src, w = append(src, e.U), append(w, e.W)
+	}
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	return off, src, w
 }
 
 func FuzzReadBinary(f *testing.F) {

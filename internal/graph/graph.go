@@ -74,7 +74,8 @@ func (e Edge) CheckWeight() error {
 // Check returns an error naming e when an endpoint lies outside the vertex
 // space [0, n) or the weight is not finite: the one test every engine applies
 // to an edge it was handed (the rank-0 gather and the direct whole-graph
-// path, par-louvain's and lpa's load) before it indexes by the ids.
+// path, par-louvain's load, and Partition.InRows for lpa, bfs and sssp)
+// before it indexes by the ids.
 func (e Edge) Check(n int) error {
 	if int(max(e.U, e.V)) < n && e.W-e.W == 0 {
 		return nil // the whole test for a good edge, small enough to inline
@@ -89,84 +90,44 @@ func (e Edge) checkFailed(n int) error {
 	return e.CheckWeight()
 }
 
-// oriented returns e with U <= V.
-func (e Edge) oriented() Edge {
-	if e.U > e.V {
-		e.U, e.V = e.V, e.U
+// sortMerged sorts recs in place by (U, V) and merges the records of each
+// pair into one, summing their weights in input order; it returns the merged
+// prefix of recs. Every id must be below n. Two stable counting passes, by V
+// into one scratch list and then by U back into recs, make it linear in
+// len(recs) + n: the ids are dense, so a count per id is cheaper than a sort
+// by key. A pair's records then sit next to each other in input order, and
+// one forward pass sums them.
+func sortMerged(recs EdgeList, n int) EdgeList {
+	if len(recs) == 0 {
+		return recs
 	}
-	return e
-}
-
-// key packs an oriented edge's endpoints so that integer order on keys is
-// (U, V) order on edges.
-func (e Edge) key() uint64 {
-	return uint64(e.U)<<32 | uint64(e.V)
-}
-
-// Canonicalize returns a copy with every edge oriented U <= V, sorted by
-// (U, V), and duplicates merged by summing their weights in input order. It
-// is the first step of Build, and generators and tests use it to produce and
-// compare simple weighted graphs.
-//
-// The sort is a stable least-significant-digit radix sort over the eight
-// bytes of the packed (U, V) key: linear in len(el), with at most two
-// len(el)-sized lists of scratch (one of them the result) whatever the ids
-// are, and a byte in which no two keys differ costs no pass — the edges of a
-// graph on up to 2^16 vertices are sorted in four scatters.
-func (el EdgeList) Canonicalize() EdgeList {
-	n := len(el)
-	if n == 0 {
-		return EdgeList{}
+	pos := make([]int, n+1)
+	tmp := make(EdgeList, len(recs))
+	for _, e := range recs {
+		pos[e.V+1]++
 	}
-	var hist [8][256]int
-	for _, e := range el { // unrolled: constant shifts are 1.6x a loop over d
-		k := e.oriented().key()
-		hist[0][byte(k)]++
-		hist[1][byte(k>>8)]++
-		hist[2][byte(k>>16)]++
-		hist[3][byte(k>>24)]++
-		hist[4][byte(k>>32)]++
-		hist[5][byte(k>>40)]++
-		hist[6][byte(k>>48)]++
-		hist[7][byte(k>>56)]++
+	for i := 0; i < n; i++ {
+		pos[i+1] += pos[i]
 	}
-	k0 := el[0].oriented().key()
-	// The first scatter reads el and orients as it goes (a no-op in the
-	// later ones); after that the passes alternate between two lists.
-	var sorted, spare EdgeList
-	src := el
-	for d := range hist {
-		pos := &hist[d]
-		if pos[byte(k0>>(8*d))] == n {
-			continue // every key has el[0]'s byte here
-		}
-		sum := 0
-		for b, c := range pos {
-			pos[b] = sum
-			sum += c
-		}
-		if spare == nil {
-			spare = make(EdgeList, n)
-		}
-		for _, e := range src {
-			e = e.oriented()
-			b := byte(e.key() >> (8 * d))
-			spare[pos[b]] = e
-			pos[b]++
-		}
-		sorted, spare = spare, sorted
-		src = sorted
+	for _, e := range recs {
+		tmp[pos[e.V]] = e
+		pos[e.V]++
 	}
-	if sorted == nil { // all keys equal: nothing to sort
-		sorted = make(EdgeList, n)
-		for i, e := range el {
-			sorted[i] = e.oriented()
-		}
+	clear(pos)
+	for _, e := range tmp {
+		pos[e.U+1]++
 	}
-	merged := sorted[:0]
-	for _, e := range sorted {
-		if n := len(merged); n > 0 && merged[n-1].U == e.U && merged[n-1].V == e.V {
-			merged[n-1].W += e.W
+	for i := 0; i < n; i++ {
+		pos[i+1] += pos[i]
+	}
+	for _, e := range tmp {
+		recs[pos[e.U]] = e
+		pos[e.U]++
+	}
+	merged := recs[:1]
+	for _, e := range recs[1:] {
+		if last := &merged[len(merged)-1]; last.U == e.U && last.V == e.V {
+			last.W += e.W
 			continue
 		}
 		merged = append(merged, e)
@@ -199,12 +160,18 @@ type Graph struct {
 }
 
 // Build constructs a Graph from an edge list. n is the number of vertices;
-// pass 0 to infer it as MaxVertex()+1. Duplicate edges are merged by weight.
+// pass 0 to infer it as MaxVertex()+1. Build is orientation-blind: {u,v} and
+// {v,u} are the same edge, and duplicate edges are merged by summing their
+// weights in input order.
 func Build(el EdgeList, n int) *Graph {
 	if n <= 0 {
 		n = el.NumVertices()
 	}
-	can := el.Canonicalize()
+	can := make(EdgeList, len(el))
+	for i, e := range el {
+		can[i] = Edge{min(e.U, e.V), max(e.U, e.V), e.W}
+	}
+	can = sortMerged(can, n)
 	g := &Graph{
 		N:     n,
 		Off:   make([]int64, n+1),

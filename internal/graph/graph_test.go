@@ -88,7 +88,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	if back.M != g.M || back.N != g.N {
 		t.Fatalf("round trip changed M/N: %v/%d vs %v/%d", back.M, back.N, g.M, g.N)
 	}
-	a, b := g.EdgeList().Canonicalize(), back.EdgeList().Canonicalize()
+	a, b := g.EdgeList(), back.EdgeList()
 	if len(a) != len(b) {
 		t.Fatalf("edge count changed: %d vs %d", len(a), len(b))
 	}
@@ -100,16 +100,18 @@ func TestEdgeListRoundTrip(t *testing.T) {
 }
 
 func TestCanonicalize(t *testing.T) {
-	el := EdgeList{{5, 1, 1}, {1, 5, 2}, {3, 3, 1}}
-	c := el.Canonicalize()
-	if len(c) != 2 {
-		t.Fatalf("len = %d, want 2", len(c))
+	g := Build(EdgeList{{5, 1, 1}, {1, 5, 2}, {3, 3, 1}}, 0)
+	if g.NumEdges() != 2 {
+		t.Fatalf("NumEdges = %d, want 2", g.NumEdges())
 	}
-	if c[0] != (Edge{1, 5, 3}) {
-		t.Errorf("c[0] = %v, want {1 5 3}", c[0])
+	for _, r := range [][2]V{{1, 5}, {5, 1}} {
+		u, v := r[0], r[1]
+		if g.Degree(u) != 1 || g.Nbr[g.Off[u]] != v || g.NbrW[g.Off[u]] != 3 {
+			t.Errorf("row %d = %v %v, want [%d] [3]", u, g.Nbr[g.Off[u]:g.Off[u+1]], g.NbrW[g.Off[u]:g.Off[u+1]], v)
+		}
 	}
-	if c[1] != (Edge{3, 3, 1}) {
-		t.Errorf("c[1] = %v, want {3 3 1}", c[1])
+	if g.SelfW[3] != 1 || g.Degree(3) != 0 {
+		t.Errorf("SelfW[3] = %v with %d neighbours, want 1 with none", g.SelfW[3], g.Degree(3))
 	}
 }
 

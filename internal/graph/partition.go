@@ -1,5 +1,7 @@
 package graph
 
+import "fmt"
+
 // Partition is the paper's 1D decomposition: vertices and their edge lists
 // are split linearly across P ranks with a simple modulo function
 // (Section IV-A). The same rank owns all information related to its
@@ -76,4 +78,38 @@ func SplitEdges(el EdgeList, size int) []EdgeList {
 		}
 	}
 	return out
+}
+
+// InRows lays out this rank's destination-owned edges (SplitEdges form) as
+// in-edge rows, the adjacency lpa, bfs and sssp run on: the sources of owned
+// vertex li are src[off[li]:off[li+1]], ascending, with weights w at the
+// same positions, and the records of a (source, destination) pair are merged
+// into one entry, their weights summed in input order. There is a row for
+// each of MaxLocalCount(n) local indices. local is read, never written. An
+// edge that fails Check(n), or whose destination this rank does not own, is
+// an error naming it.
+func (p Partition) InRows(local EdgeList, n int) (off []int64, src []V, w []float64, err error) {
+	recs := make(EdgeList, len(local))
+	for i, e := range local {
+		if err := e.Check(n); err != nil {
+			return nil, nil, nil, err
+		}
+		if !p.Owns(e.V) {
+			return nil, nil, nil, fmt.Errorf("edge (%d,%d) given to rank %d, which does not own %d", e.U, e.V, p.Rank, e.V)
+		}
+		recs[i] = Edge{V(p.LocalIndex(e.V)), e.U, e.W}
+	}
+	recs = sortMerged(recs, n)
+	nLoc := p.MaxLocalCount(n)
+	off = make([]int64, nLoc+1)
+	src = make([]V, len(recs))
+	w = make([]float64, len(recs))
+	for i, e := range recs {
+		off[e.U+1]++
+		src[i], w[i] = e.V, e.W
+	}
+	for i := 0; i < nLoc; i++ {
+		off[i+1] += off[i]
+	}
+	return off, src, w, nil
 }

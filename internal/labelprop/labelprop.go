@@ -136,28 +136,10 @@ func Parallel(c *comm.Comm, local graph.EdgeList, n int, opt Options) ([]graph.V
 	part := graph.Partition{Rank: c.Rank(), Size: c.Size()}
 	nLoc := part.MaxLocalCount(n)
 
-	// In-edge CSR of owned vertices, as in the Louvain engine.
-	adjOff := make([]int64, nLoc+1)
-	for _, e := range local {
-		if !part.Owns(e.V) {
-			return nil, nil, fmt.Errorf("labelprop: rank %d given edge with dst %d", part.Rank, e.V)
-		}
-		if err := e.Check(n); err != nil {
-			return nil, nil, fmt.Errorf("labelprop: %w", err)
-		}
-		adjOff[part.LocalIndex(e.V)+1]++
-	}
-	for i := 0; i < nLoc; i++ {
-		adjOff[i+1] += adjOff[i]
-	}
-	adjSrc := make([]graph.V, adjOff[nLoc])
-	adjW := make([]float64, adjOff[nLoc])
-	fill := make([]int64, nLoc)
-	for _, e := range local {
-		li := part.LocalIndex(e.V)
-		p := adjOff[li] + fill[li]
-		adjSrc[p], adjW[p] = e.U, e.W
-		fill[li]++
+	// In-edge rows of owned vertices, as in the Louvain engine.
+	adjOff, adjSrc, adjW, err := part.InRows(local, n)
+	if err != nil {
+		return nil, nil, fmt.Errorf("labelprop: %w", err)
 	}
 
 	labels := make([]graph.V, nLoc)

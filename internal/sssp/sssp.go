@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"parlouvain/internal/comm"
@@ -94,32 +93,16 @@ func Parallel(c *comm.Comm, local graph.EdgeList, n int, root graph.V) (*Result,
 	part := graph.Partition{Rank: c.Rank(), Size: c.Size()}
 	nLoc := part.MaxLocalCount(n)
 
-	// Merge duplicate (src,dst) records by summing, matching the library's
-	// graph model (graph.Build canonicalizes multigraphs the same way).
-	// Orientation is preserved: dst stays the owned endpoint.
-	local = mergeDirected(local)
-
-	adjOff := make([]int64, nLoc+1)
+	// Weights are checked per record, before InRows merges a pair's
+	// records by summing them (as graph.Build merges a multigraph's).
 	for _, e := range local {
-		if !part.Owns(e.V) {
-			return nil, fmt.Errorf("sssp: rank %d given edge with dst %d", part.Rank, e.V)
-		}
 		if e.W < 0 {
 			return nil, fmt.Errorf("sssp: negative edge weight %v", e.W)
 		}
-		adjOff[part.LocalIndex(e.V)+1]++
 	}
-	for i := 0; i < nLoc; i++ {
-		adjOff[i+1] += adjOff[i]
-	}
-	adjSrc := make([]graph.V, adjOff[nLoc])
-	adjW := make([]float64, adjOff[nLoc])
-	fill := make([]int64, nLoc)
-	for _, e := range local {
-		li := part.LocalIndex(e.V)
-		p := adjOff[li] + fill[li]
-		adjSrc[p], adjW[p] = e.U, e.W
-		fill[li]++
+	adjOff, adjSrc, adjW, err := part.InRows(local, n)
+	if err != nil {
+		return nil, fmt.Errorf("sssp: %w", err)
 	}
 
 	dist := make([]float64, nLoc)
@@ -219,25 +202,6 @@ func Parallel(c *comm.Comm, local graph.EdgeList, n int, root graph.V) (*Result,
 		Rounds:      rounds,
 		Duration:    time.Since(start),
 	}, nil
-}
-
-// mergeDirected sums duplicate (U,V) records without reorienting them.
-func mergeDirected(el graph.EdgeList) graph.EdgeList {
-	sort.Slice(el, func(i, j int) bool {
-		if el[i].V != el[j].V {
-			return el[i].V < el[j].V
-		}
-		return el[i].U < el[j].U
-	})
-	out := el[:0]
-	for _, e := range el {
-		if n := len(out); n > 0 && out[n-1].U == e.U && out[n-1].V == e.V {
-			out[n-1].W += e.W
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
 }
 
 // RunInProcess runs SSSP on `ranks` in-process ranks over the mem transport

@@ -1,10 +1,13 @@
 package sssp
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"parlouvain/internal/comm"
 	"parlouvain/internal/gen"
 	"parlouvain/internal/graph"
 )
@@ -117,5 +120,67 @@ func TestParallelValidation(t *testing.T) {
 	}
 	if _, err := RunInProcess(graph.EdgeList{{U: 0, V: 1, W: 1}}, 2, 2, 7); err == nil {
 		t.Error("bad root accepted")
+	}
+}
+
+// TestParallelRejectsBadEdge: an id outside the vertex space is an error
+// naming the edge, as a non-finite weight is, on one rank and on two (it used
+// to index past the local arrays and take the process down). A negative
+// weight is refused per record, before a pair's records are summed.
+func TestParallelRejectsBadEdge(t *testing.T) {
+	for want, bad := range map[string]graph.EdgeList{
+		"rank 0: sssp: edge (9,0) outside vertex space 3":    {{U: 9, V: 0, W: 1}},
+		"rank 0: sssp: edge (1,2) has non-finite weight NaN": {{U: 1, V: 2, W: math.NaN()}},
+		"rank 0: sssp: negative edge weight -1":              {{U: 1, V: 2, W: -1}, {U: 1, V: 2, W: 2}},
+	} {
+		for _, ranks := range []int{1, 2} {
+			_, err := RunInProcess(append(bad, graph.Edge{U: 0, V: 1, W: 1}), 3, ranks, 0)
+			if err == nil || err.Error() != want {
+				t.Errorf("ranks=%d: err = %v, want %q", ranks, err, want)
+			}
+		}
+	}
+}
+
+// TestParallelLeavesLocalUntouched: Parallel reads its local edges and never
+// writes them, duplicates and fractional weights included, and the distances
+// are the same bits at every group size.
+func TestParallelLeavesLocalUntouched(t *testing.T) {
+	el := graph.EdgeList{
+		{U: 3, V: 1, W: 0.7}, {U: 0, V: 1, W: 0.1}, {U: 1, V: 3, W: 0.2}, {U: 2, V: 0, W: 1.3},
+		{U: 1, V: 0, W: 0.2}, {U: 3, V: 1, W: 0.1}, {U: 2, V: 3, W: 0.3}, {U: 0, V: 1, W: 0.4},
+	}
+	var want []float64
+	for _, ranks := range []int{1, 2, 3} {
+		parts := graph.SplitEdges(el, ranks)
+		before := make([]graph.EdgeList, ranks)
+		for r := range parts {
+			before[r] = append(graph.EdgeList(nil), parts[r]...)
+		}
+		var res *Result
+		trs := comm.NewMemGroup(ranks)
+		err := comm.RunGroup(context.Background(), trs, func(r int, c *comm.Comm) error {
+			got, err := Parallel(c, parts[r], 4, 0)
+			if r == 0 {
+				res = got
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatalf("ranks=%d: %v", ranks, err)
+		}
+		for r := range parts {
+			if !reflect.DeepEqual(parts[r], before[r]) {
+				t.Errorf("ranks=%d: rank %d's local changed: %v, was %v", ranks, r, parts[r], before[r])
+			}
+		}
+		if want == nil {
+			want = res.Dist
+		}
+		for v := range want {
+			if math.Float64bits(res.Dist[v]) != math.Float64bits(want[v]) {
+				t.Errorf("ranks=%d: dist[%d] = %v, want %v at one rank", ranks, v, res.Dist[v], want[v])
+			}
+		}
 	}
 }
