@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"parlouvain/internal/graph"
-	"parlouvain/internal/hashfn"
 )
 
 // BTERConfig parameterizes the Block Two-Level Erdős–Rényi generator
@@ -55,9 +54,10 @@ func BTER(cfg BTERConfig) (graph.EdgeList, []graph.V, error) {
 
 	// Degree sequence, ascending, so blocks group similar degrees.
 	kmin := solveKMin(cfg.AvgDegree, float64(cfg.MaxDegree), cfg.Gamma)
+	degrees := newPareto(kmin, float64(cfg.MaxDegree), cfg.Gamma)
 	deg := make([]int, cfg.N)
 	for i := range deg {
-		k := int(rng.PowerlawFloat(kmin, float64(cfg.MaxDegree), cfg.Gamma))
+		k := int(degrees.sample(rng))
 		if k < 1 {
 			k = 1
 		}
@@ -72,23 +72,7 @@ func BTER(cfg BTERConfig) (graph.EdgeList, []graph.V, error) {
 	sort.Slice(order, func(a, b int) bool { return deg[order[a]] < deg[order[b]] })
 
 	truth := make([]graph.V, cfg.N)
-	seen := map[uint64]bool{}
-	var el graph.EdgeList
-	addEdge := func(a, b uint32) bool {
-		if a == b {
-			return false
-		}
-		if a > b {
-			a, b = b, a
-		}
-		key := hashfn.Pack32(a, b)
-		if seen[key] {
-			return false
-		}
-		seen[key] = true
-		el = append(el, graph.Edge{U: a, V: b, W: 1})
-		return true
-	}
+	set := newEdgeSet(deg)
 
 	// Phase 1: affinity blocks.
 	excess := make([]float64, cfg.N)
@@ -108,7 +92,7 @@ func BTER(cfg BTERConfig) (graph.EdgeList, []graph.V, error) {
 		internal := make([]int, size)
 		for i := 0; i < size; i++ {
 			for j := i + 1; j < size; j++ {
-				if rng.Float64() < rho && addEdge(block[i], block[j]) {
+				if rng.Float64() < rho && set.add(block[i], block[j]) {
 					internal[i]++
 					internal[j]++
 				}
@@ -131,6 +115,6 @@ func BTER(cfg BTERConfig) (graph.EdgeList, []graph.V, error) {
 			stubs = append(stubs, uint32(v))
 		}
 	}
-	matchStubs(rng, stubs, addEdge, nil)
-	return el, truth, nil
+	set.match(rng, stubs, nil)
+	return set.el, truth, nil
 }

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"parlouvain/internal/graph"
@@ -403,16 +404,23 @@ func TestBTERDeterministic(t *testing.T) {
 	}
 }
 
+// TestTriIndexExhaustive walks every cell of the triangle twice: with one
+// cursor carried across increasing indices, as ER uses it, and with a fresh
+// cursor per index, which must walk from row 0 to the same cell.
 func TestTriIndexExhaustive(t *testing.T) {
-	n := 7
-	idx := int64(0)
-	for r := 0; r < n; r++ {
-		for c := r + 1; c < n; c++ {
-			gr, gc := triIndex(idx, n)
-			if gr != r || gc != c {
-				t.Fatalf("triIndex(%d) = (%d,%d), want (%d,%d)", idx, gr, gc, r, c)
+	for _, n := range []int{2, 3, 7} {
+		carried := triCursor{rowLen: int64(n - 1)}
+		idx := int64(0)
+		for r := 0; r < n; r++ {
+			for c := r + 1; c < n; c++ {
+				fresh := triCursor{rowLen: int64(n - 1)}
+				for _, cur := range []*triCursor{&carried, &fresh} {
+					if gr, gc := cur.at(idx); gr != r || gc != c {
+						t.Fatalf("n=%d: at(%d) = (%d,%d), want (%d,%d)", n, idx, gr, gc, r, c)
+					}
+				}
+				idx++
 			}
-			idx++
 		}
 	}
 }
@@ -464,5 +472,48 @@ func TestRMATScrambleBalancesPartitions(t *testing.T) {
 	}
 	if len(el2) != len(el) {
 		t.Errorf("scramble changed edge count")
+	}
+}
+
+// TestEdgeSetContract holds edgeSet to a hash set of packed pairs on random
+// calls, many past a vertex's degree target: the same calls are accepted,
+// each as (min, max) in call order, and a list that outgrows its share
+// leaves every other vertex's list as it was.
+func TestEdgeSetContract(t *testing.T) {
+	r := NewRNG(9)
+	const n = 50
+	deg := make([]int, n)
+	for v := range deg {
+		deg[v] = r.Intn(4)
+	}
+	s := newEdgeSet(deg)
+	seen := map[[2]uint32]bool{}
+	var want graph.EdgeList
+	for i := 0; i < 2000; i++ {
+		a, b := uint32(r.Intn(n)), uint32(r.Intn(n))
+		lo, hi := min(a, b), max(a, b)
+		fresh := a != b && !seen[[2]uint32{lo, hi}]
+		if fresh {
+			seen[[2]uint32{lo, hi}] = true
+			want = append(want, graph.Edge{U: lo, V: hi, W: 1})
+		}
+		before := make([][]uint32, n)
+		for v := range before {
+			before[v] = append([]uint32(nil), s.nbr[v]...)
+		}
+		if got := s.add(a, b); got != fresh {
+			t.Fatalf("call %d: add(%d, %d) = %v, want %v", i, a, b, got, fresh)
+		}
+		for v := range before {
+			if uint32(v) == a || uint32(v) == b {
+				continue
+			}
+			if !slices.Equal(before[v], s.nbr[v]) {
+				t.Fatalf("call %d: add(%d, %d) changed vertex %d's list", i, a, b, v)
+			}
+		}
+	}
+	if !slices.Equal(s.el, want) {
+		t.Errorf("edges differ from the hash-set reference")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"parlouvain/internal/graph"
-	"parlouvain/internal/hashfn"
 )
 
 // LFRConfig parameterizes the LFR benchmark generator (Lancichinetti &
@@ -72,9 +71,10 @@ func LFR(cfg LFRConfig) (graph.EdgeList, []graph.V, error) {
 	// 1. Degree sequence: solve for kmin so the bounded Pareto mean hits
 	// AvgDegree, then sample.
 	kmin := solveKMin(cfg.AvgDegree, float64(cfg.MaxDegree), cfg.Gamma)
+	degrees := newPareto(kmin, float64(cfg.MaxDegree), cfg.Gamma)
 	deg := make([]int, cfg.N)
 	for i := range deg {
-		k := int(rng.PowerlawFloat(kmin, float64(cfg.MaxDegree), cfg.Gamma))
+		k := int(degrees.sample(rng))
 		if k < 1 {
 			k = 1
 		}
@@ -170,23 +170,7 @@ func LFR(cfg LFRConfig) (graph.EdgeList, []graph.V, error) {
 	for v, c := range truth {
 		members[c] = append(members[c], uint32(v))
 	}
-	seen := map[uint64]bool{}
-	var el graph.EdgeList
-	addEdge := func(a, b uint32) bool {
-		if a == b {
-			return false
-		}
-		if a > b {
-			a, b = b, a
-		}
-		key := hashfn.Pack32(a, b)
-		if seen[key] {
-			return false
-		}
-		seen[key] = true
-		el = append(el, graph.Edge{U: a, V: b, W: 1})
-		return true
-	}
+	set := newEdgeSet(deg)
 	var stubs []uint32
 	for _, mem := range members {
 		stubs = stubs[:0]
@@ -199,7 +183,7 @@ func LFR(cfg LFRConfig) (graph.EdgeList, []graph.V, error) {
 				stubs = append(stubs, v)
 			}
 		}
-		matchStubs(rng, stubs, addEdge, nil)
+		set.match(rng, stubs, nil)
 	}
 
 	// 5. External edges: global configuration model, rejecting
@@ -211,57 +195,35 @@ func LFR(cfg LFRConfig) (graph.EdgeList, []graph.V, error) {
 			stubs = append(stubs, uint32(v))
 		}
 	}
-	matchStubs(rng, stubs, addEdge, func(a, b uint32) bool { return truth[a] == truth[b] })
+	set.match(rng, stubs, truth)
 
 	// Ensure no isolated vertices (Louvain handles them, but quality
 	// metrics against ground truth behave better without): connect any
-	// isolated vertex to a random member of its community.
-	degCount := make([]int, cfg.N)
-	for _, e := range el {
-		degCount[e.U]++
-		degCount[e.V]++
-	}
-	for v := 0; v < cfg.N; v++ {
-		if degCount[v] > 0 {
-			continue
+	// isolated vertex to a random member of its community. Isolation is
+	// judged before the first repair, so a vertex that a repair reached
+	// still gets its own.
+	var isolated []uint32
+	for v, nbr := range set.nbr {
+		if len(nbr) == 0 {
+			isolated = append(isolated, uint32(v))
 		}
+	}
+	for _, v := range isolated {
 		mem := members[truth[v]]
 		for attempt := 0; attempt < 16; attempt++ {
 			o := mem[rng.Intn(len(mem))]
-			if addEdge(uint32(v), o) {
+			if set.add(v, o) {
 				break
 			}
 		}
 	}
-	return el, truth, nil
+	return set.el, truth, nil
 }
 
 // internalDeg returns the number of intra-community stubs for degree k at
 // mixing mu.
 func internalDeg(k int, mu float64) int {
 	return int(math.Round((1 - mu) * float64(k)))
-}
-
-// matchStubs pairs up a stub multiset into simple edges. reject, when
-// non-nil, vetoes a candidate pair (used to keep external edges external).
-// Unmatchable leftovers are dropped after a fixed number of reshuffle
-// rounds, slightly shortening some degrees — the standard LFR relaxation.
-func matchStubs(rng *RNG, stubs []uint32, addEdge func(a, b uint32) bool, reject func(a, b uint32) bool) {
-	work := append([]uint32(nil), stubs...)
-	for round := 0; round < 8 && len(work) >= 2; round++ {
-		rng.Shuffle(work)
-		var leftover []uint32
-		for i := 0; i+1 < len(work); i += 2 {
-			a, b := work[i], work[i+1]
-			if a == b || (reject != nil && reject(a, b)) || !addEdge(a, b) {
-				leftover = append(leftover, a, b)
-			}
-		}
-		if len(work)%2 == 1 {
-			leftover = append(leftover, work[len(work)-1])
-		}
-		work = leftover
-	}
 }
 
 // solveKMin finds the continuous lower cutoff of a bounded Pareto with

@@ -55,21 +55,16 @@ func RMAT(cfg RMATConfig) (graph.EdgeList, error) {
 	rng := NewRNG(cfg.Seed)
 	el := make(graph.EdgeList, 0, m)
 	for i := 0; i < m; i++ {
-		u, v := 0, 0
+		var u, v uint64
 		la, lb, lc := a, b, c
 		for bit := cfg.Scale - 1; bit >= 0; bit-- {
+			// The quadrant q counts the cut points r is past: 0 top-left,
+			// 1 top-right (v's bit), 2 bottom-left (u's), 3 bottom-right.
+			// Summing the comparisons keeps the random draw off a branch.
 			r := rng.Float64()
-			switch {
-			case r < la:
-				// top-left: no bits set
-			case r < la+lb:
-				v |= 1 << bit
-			case r < la+lb+lc:
-				u |= 1 << bit
-			default:
-				u |= 1 << bit
-				v |= 1 << bit
-			}
+			q := b2u(r >= la) + b2u(r >= la+lb) + b2u(r >= la+lb+lc)
+			u |= (q >> 1) << bit
+			v |= (q & 1) << bit
 			if cfg.NoisePerLevel > 0 {
 				// Multiplicative noise, re-normalized.
 				na := la * (1 - cfg.NoisePerLevel + 2*cfg.NoisePerLevel*rng.Float64())
@@ -81,12 +76,22 @@ func RMAT(cfg RMATConfig) (graph.EdgeList, error) {
 			}
 		}
 		if !cfg.NoScramble {
-			u = int(permuteBits(uint64(u), cfg.Scale, cfg.Seed))
-			v = int(permuteBits(uint64(v), cfg.Scale, cfg.Seed))
+			u = permuteBits(u, cfg.Scale, cfg.Seed)
+			v = permuteBits(v, cfg.Scale, cfg.Seed)
 		}
 		el = append(el, graph.Edge{U: graph.V(u), V: graph.V(v), W: 1})
 	}
 	return el, nil
+}
+
+// b2u is 1 for true and 0 for false; the compiler emits a flag set, not a
+// branch.
+func b2u(b bool) uint64 {
+	var x uint64
+	if b {
+		x = 1
+	}
+	return x
 }
 
 // permuteBits applies a seed-keyed bijection on [0, 2^bits): a 4-round
@@ -134,6 +139,7 @@ func ER(n int, p float64, seed uint64) (graph.EdgeList, error) {
 	// Iterate over the upper triangle with geometric skips.
 	total := int64(n) * int64(n-1) / 2
 	idx := int64(-1)
+	tri := triCursor{rowLen: int64(n - 1)}
 	for {
 		// Skip ~Geom(p).
 		u := rng.Float64()
@@ -150,7 +156,7 @@ func ER(n int, p float64, seed uint64) (graph.EdgeList, error) {
 		if idx >= total {
 			break
 		}
-		a, b := triIndex(idx, n)
+		a, b := tri.at(idx)
 		el = append(el, graph.Edge{U: graph.V(a), V: graph.V(b), W: 1})
 	}
 	return el, nil
@@ -161,16 +167,22 @@ func logOneMinus(x float64) float64 {
 	return math.Log1p(-x)
 }
 
-// triIndex maps a linear index over the strict upper triangle of an n×n
-// matrix (row-major) to the (row, col) pair.
-func triIndex(idx int64, n int) (int, int) {
-	// Row r starts at offset r*n - r*(r+1)/2 - r... solve incrementally.
-	row := 0
-	rowLen := int64(n - 1)
-	for idx >= rowLen {
-		idx -= rowLen
-		row++
-		rowLen--
+// triCursor maps a linear index over the strict upper triangle of an n×n
+// matrix (row-major) to the (row, col) pair. It remembers the row the last
+// index fell in, so a run of nondecreasing indices costs O(n + count) in
+// all rather than O(n) each. Start it at rowLen n-1.
+type triCursor struct {
+	row      int
+	rowStart int64 // linear index of (row, row+1)
+	rowLen   int64 // entries in row: n-1-row
+}
+
+// at returns the pair at idx, which must not be below the previous idx.
+func (t *triCursor) at(idx int64) (int, int) {
+	for idx-t.rowStart >= t.rowLen {
+		t.rowStart += t.rowLen
+		t.row++
+		t.rowLen--
 	}
-	return row, row + 1 + int(idx)
+	return t.row, t.row + 1 + int(idx-t.rowStart)
 }

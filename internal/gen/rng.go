@@ -51,6 +51,14 @@ func (r *RNG) Shuffle(xs []uint32) {
 // PowerlawFloat samples a real value in [min,max] from a bounded Pareto
 // distribution with density ∝ x^-gamma. gamma must be > 1 and min > 0.
 func (r *RNG) PowerlawFloat(min, max, gamma float64) float64 {
+	return newPareto(min, max, gamma).sample(r)
+}
+
+// pareto is PowerlawFloat's distribution with the powers of its bounds
+// computed once, for drawing a whole sequence.
+type pareto struct{ a, b, inv float64 }
+
+func newPareto(min, max, gamma float64) pareto {
 	if min <= 0 {
 		min = 1
 	}
@@ -58,10 +66,12 @@ func (r *RNG) PowerlawFloat(min, max, gamma float64) float64 {
 		max = min
 	}
 	oneMinusG := 1 - gamma
-	a := math.Pow(min, oneMinusG)
-	b := math.Pow(max, oneMinusG)
+	return pareto{a: math.Pow(min, oneMinusG), b: math.Pow(max, oneMinusG), inv: 1 / oneMinusG}
+}
+
+func (p pareto) sample(r *RNG) float64 {
 	u := r.Float64()
-	return math.Pow(a+u*(b-a), 1/oneMinusG)
+	return math.Pow(p.a+u*(p.b-p.a), p.inv)
 }
 
 // Powerlaw samples an integer in [min,max] from a discrete power law with

@@ -1,6 +1,8 @@
 package graph_test
 
 import (
+	"bytes"
+	"io"
 	"testing"
 
 	"parlouvain/internal/gen"
@@ -83,6 +85,68 @@ func BenchmarkInRows(b *testing.B) {
 				}
 			}
 			perRecord(b, len(parts[0])+len(parts[1]))
+		})
+	}
+}
+
+// textInputs are the ingest inputs in text form, plus the LFR edges with
+// fractional weights so the weight column is timed too.
+func textInputs(b *testing.B) map[string][]byte {
+	b.Helper()
+	out := map[string][]byte{}
+	for name, el := range benchInputs(b) {
+		out[name] = writeText(b, el)
+		if name == "lfr" {
+			w := append(graph.EdgeList(nil), el...)
+			for i := range w {
+				w[i].W = 0.25 + float64(i%13)/8
+			}
+			out["lfr-weighted"] = writeText(b, w)
+		}
+	}
+	return out
+}
+
+func writeText(b *testing.B, el graph.EdgeList) []byte {
+	var buf bytes.Buffer
+	if err := graph.WriteText(&buf, el); err != nil {
+		b.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// BenchmarkReadText parses the text inputs; MB/s is over the text's bytes.
+func BenchmarkReadText(b *testing.B) {
+	for name, text := range textInputs(b) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(text)))
+			for i := 0; i < b.N; i++ {
+				el, err := graph.ReadText(bytes.NewReader(text))
+				if err != nil {
+					b.Fatal(err)
+				}
+				sink += len(el)
+			}
+		})
+	}
+}
+
+// BenchmarkWriteText writes the text inputs; MB/s is over the bytes written.
+func BenchmarkWriteText(b *testing.B) {
+	for name, text := range textInputs(b) {
+		el, err := graph.ReadText(bytes.NewReader(text))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(text)))
+			for i := 0; i < b.N; i++ {
+				if err := graph.WriteText(io.Discard, el); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

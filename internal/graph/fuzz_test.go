@@ -9,7 +9,8 @@ import (
 )
 
 // Fuzz targets guard the file parsers against panics and enforce the
-// round-trip invariants on whatever survives parsing. Run with
+// round-trip invariants on whatever survives parsing; the text codecs are
+// also held to their strings/strconv/fmt oracles in io_test.go. Run with
 // `go test -fuzz=FuzzReadText ./internal/graph` for deep exploration;
 // plain `go test` replays the seed corpus below.
 
@@ -23,8 +24,15 @@ func FuzzReadText(f *testing.F) {
 	f.Add("0 1 1\n1 2 -Inf\n")
 	f.Add("1 2 +infinity\n")
 	f.Add(strings.Repeat("1 2\n", 100))
+	for _, in := range textCases {
+		f.Add(in)
+	}
 	f.Fuzz(func(t *testing.T, in string) {
 		el, err := ReadText(strings.NewReader(in))
+		want, wantErr := refReadText(strings.NewReader(in))
+		if d := sameRead(el, want, err, wantErr); d != "" {
+			t.Fatalf("ReadText differs from the oracle: %s", d)
+		}
 		if err != nil {
 			return
 		}
@@ -35,9 +43,12 @@ func FuzzReadText(f *testing.F) {
 		}
 		// Whatever parsed must survive a write/read round trip with
 		// identical edges (modulo float formatting fidelity).
-		var buf bytes.Buffer
+		var buf, ref bytes.Buffer
 		if err := WriteText(&buf, el); err != nil {
 			t.Fatalf("write-back failed: %v", err)
+		}
+		if err := refWriteText(&ref, el); err != nil || buf.String() != ref.String() {
+			t.Fatalf("WriteText wrote %q, the oracle %q (%v)", buf.String(), ref.String(), err)
 		}
 		back, err := ReadText(&buf)
 		if err != nil {
@@ -174,6 +185,9 @@ func FuzzReadPartition(f *testing.F) {
 	f.Add("5 4294967295\n")
 	f.Add("1048575 7\n")
 	f.Add("x y\n")
+	f.Add("-1 3\n")
+	f.Add("2 1\n0 5\n2 3\n")
+	f.Add("+4 1\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		// ReadPartition returns a dense vector sized by the largest
 		// vertex id; keep hostile ids from allocating gigabytes.
@@ -184,12 +198,22 @@ func FuzzReadPartition(f *testing.F) {
 			}
 		}
 		assign, err := ReadPartition(strings.NewReader(in))
+		want, wantErr := refReadPartition(strings.NewReader(in))
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("error %v, oracle %v", err, wantErr)
+		}
 		if err != nil {
 			return
 		}
-		var buf bytes.Buffer
+		if !reflect.DeepEqual(assign, want) {
+			t.Fatalf("ReadPartition = %v, oracle %v", assign, want)
+		}
+		var buf, ref bytes.Buffer
 		if err := WritePartition(&buf, assign); err != nil {
 			t.Fatalf("write-back failed: %v", err)
+		}
+		if err := refWritePartition(&ref, assign); err != nil || buf.String() != ref.String() {
+			t.Fatalf("WritePartition wrote %q, the oracle %q (%v)", buf.String(), ref.String(), err)
 		}
 		back, err := ReadPartition(&buf)
 		if err != nil {

@@ -10,6 +10,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Text edge-list format: one edge per line, "u v [w]", '#' comments and
@@ -25,17 +27,20 @@ var binMagic = []byte("PLEL1\n")
 // ErrBadFormat reports a malformed graph file.
 var ErrBadFormat = errors.New("graph: bad file format")
 
-// WriteText writes el in text edge-list form.
+// WriteText writes el in text edge-list form: the bytes of fmt's "%d %d\n",
+// or "%d %d %g\n" for a weight other than 1, built in one reused buffer.
 func WriteText(w io.Writer, el EdgeList) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
+	var scratch [64]byte // the longest line, two ids and a weight, is 47 bytes
 	for _, e := range el {
-		var err error
-		if e.W == 1 {
-			_, err = fmt.Fprintf(bw, "%d %d\n", e.U, e.V)
-		} else {
-			_, err = fmt.Fprintf(bw, "%d %d %g\n", e.U, e.V, e.W)
+		b := strconv.AppendUint(scratch[:0], uint64(e.U), 10)
+		b = append(b, ' ')
+		b = strconv.AppendUint(b, uint64(e.V), 10)
+		if e.W != 1 {
+			b = append(b, ' ')
+			b = strconv.AppendFloat(b, e.W, 'g', -1, 64)
 		}
-		if err != nil {
+		if _, err := bw.Write(append(b, '\n')); err != nil {
 			return err
 		}
 	}
@@ -44,46 +49,172 @@ func WriteText(w io.Writer, el EdgeList) error {
 
 // ReadText parses a text edge list. A weight that parses as NaN or ±Inf is a
 // format error.
+//
+// Lines are parsed in the scanner's buffer, without a copy: fields are split
+// at the space strings.Fields splits at (see fields), ids go through a digit
+// loop, and strconv is called only for a weight or to word an error.
 func ReadText(r io.Reader) (EdgeList, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	var el EdgeList
+	// Edges collect in chunks of doubling size: full ones, then tail.
+	var full []EdgeList
+	tail := make(EdgeList, 0, 1024)
+	var f [3][]byte
 	line := 0
 	for sc.Scan() {
 		line++
-		s := strings.TrimSpace(sc.Text())
-		if s == "" || s[0] == '#' || s[0] == '%' {
+		n, s := fields(sc.Bytes(), f[:])
+		if n == 0 || s[0] == '#' || s[0] == '%' {
 			continue
 		}
-		fields := strings.Fields(s)
-		if len(fields) < 2 || len(fields) > 3 {
+		if n < 2 || n > 3 {
 			return nil, fmt.Errorf("%w: line %d: want 'u v [w]', got %q", ErrBadFormat, line, s)
 		}
-		u, err := strconv.ParseUint(fields[0], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("%w: line %d: %v", ErrBadFormat, line, err)
+		u, ok := parseID(f[0])
+		if !ok {
+			return nil, badID(line, f[0])
 		}
-		v, err := strconv.ParseUint(fields[1], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("%w: line %d: %v", ErrBadFormat, line, err)
+		v, ok := parseID(f[1])
+		if !ok {
+			return nil, badID(line, f[1])
 		}
-		w := 1.0
-		if len(fields) == 3 {
-			w, err = strconv.ParseFloat(fields[2], 64)
-			if err != nil {
+		e := Edge{u, v, 1}
+		if n == 3 {
+			var err error
+			if e.W, err = strconv.ParseFloat(string(f[2]), 64); err != nil {
 				return nil, fmt.Errorf("%w: line %d: %v", ErrBadFormat, line, err)
 			}
 		}
-		e := Edge{V(u), V(v), w}
 		if err := e.CheckWeight(); err != nil {
 			return nil, fmt.Errorf("%w: line %d: %v", ErrBadFormat, line, err)
 		}
-		el = append(el, e)
+		if len(tail) == cap(tail) {
+			full = append(full, tail)
+			tail = make(EdgeList, 0, 2*cap(tail))
+		}
+		tail = append(tail, e)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	return el, nil
+	return concat(full, tail), nil
+}
+
+// concat joins the chunks a reader filled into one list of exactly their
+// length, nil if they hold no edge. Chunks that double, joined once, copy
+// every edge once; a growing slice would copy each several times.
+func concat(full []EdgeList, tail EdgeList) EdgeList {
+	n := len(tail)
+	for _, c := range full {
+		n += len(c)
+	}
+	if n == 0 {
+		return nil
+	}
+	if len(full) == 0 {
+		return tail
+	}
+	el := make(EdgeList, 0, n)
+	for _, c := range full {
+		el = append(el, c...)
+	}
+	return append(el, tail...)
+}
+
+// fields splits line at runs of space as strings.Fields does, storing the
+// first len(f) ≤ 3 fields in f. It returns the number of fields, which may
+// exceed len(f), and the line trimmed as strings.TrimSpace trims it. Space is
+// what both take for it: an ASCII space byte, or the UTF-8 encoding of a rune
+// unicode.IsSpace accepts.
+//
+// The scan has no branch on the data but the one for bytes at or above 0x80:
+// every byte's position is stored at at[k], and k steps on at each change
+// between space and field, so at holds the field bounds when the line ends.
+// Such a byte is classed outside the loop, which keeps the loop's state in
+// registers.
+func fields(line []byte, f [][]byte) (n int, trimmed []byte) {
+	var at [8]int // start, end of fields 1 to 3, start of the 4th; at[7] absorbs the rest
+	k, prev, last := 0, 1, 0
+	for i := 0; i < len(line); {
+		for ; i < len(line) && byteClass[line[i]] < 2; i++ {
+			sp := int(byteClass[line[i]])
+			change := sp ^ prev
+			at[min(k, 7)] = i
+			if change&sp != 0 {
+				last = i
+			}
+			k, prev = k+change, sp
+		}
+		if i == len(line) {
+			break
+		}
+		sp, w := 0, 1
+		if s := unicodeSpace(line[i:]); s > 0 {
+			sp, w = 1, s
+		}
+		change := sp ^ prev
+		at[min(k, 7)] = i
+		if change&sp != 0 {
+			last = i
+		}
+		k, prev = k+change, sp
+		i += w
+	}
+	if prev == 0 {
+		at[min(k, 7)], last = len(line), len(line)
+		k++
+	}
+	n = k / 2
+	for j := 0; j < min(n, len(f)); j++ {
+		f[j] = line[at[2*j]:at[2*j+1]]
+	}
+	return n, line[at[0]:last]
+}
+
+// byteClass is 1 for an ASCII space byte, 2 for a byte at or above 0x80 (the
+// first of a rune that may be a space), and 0 for any other byte.
+var byteClass = func() (c [256]uint8) {
+	for _, b := range "\t\n\v\f\r " {
+		c[b] = 1
+	}
+	for b := utf8.RuneSelf; b < len(c); b++ {
+		c[b] = 2
+	}
+	return c
+}()
+
+// unicodeSpace returns the width of the space rune b starts with, 0 if it
+// does not start with one.
+func unicodeSpace(b []byte) int {
+	if r, n := utf8.DecodeRune(b); unicode.IsSpace(r) {
+		return n
+	}
+	return 0
+}
+
+// parseID parses a vertex id: decimal digits only, at most 2³²-1 — what
+// strconv.ParseUint(s, 10, 32) accepts.
+func parseID(b []byte) (V, bool) {
+	if len(b) == 0 {
+		return 0, false
+	}
+	var x uint64
+	for _, c := range b {
+		d := c - '0'
+		if d > 9 {
+			return 0, false
+		}
+		if x = x*10 + uint64(d); x > math.MaxUint32 {
+			return 0, false
+		}
+	}
+	return V(x), true
+}
+
+// badID is the format error for an id parseID refused, worded by strconv.
+func badID(line int, b []byte) error {
+	_, err := strconv.ParseUint(string(b), 10, 32)
+	return fmt.Errorf("%w: line %d: %v", ErrBadFormat, line, err)
 }
 
 // WriteBinary writes el in the binary edge-list format.
@@ -192,53 +323,54 @@ func SaveFile(path string, el EdgeList) error {
 }
 
 // WritePartition writes a community assignment, one "vertex community" pair
-// per line.
+// per line: the bytes of fmt's "%d %d\n", built in one reused buffer.
 func WritePartition(w io.Writer, assign []V) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
+	var scratch [32]byte
 	for u, c := range assign {
-		if _, err := fmt.Fprintf(bw, "%d %d\n", u, c); err != nil {
+		b := strconv.AppendUint(scratch[:0], uint64(u), 10)
+		b = append(b, ' ')
+		b = strconv.AppendUint(b, uint64(c), 10)
+		if _, err := bw.Write(append(b, '\n')); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// ReadPartition parses a community assignment file.
+// ReadPartition parses a community assignment file. Both columns are ids
+// (decimal, at most 2³²-1), fields split as in ReadText. The last line for a
+// vertex wins, and a vertex no line names reads community 0.
 func ReadPartition(r io.Reader) ([]V, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	m := map[int]V{}
-	maxU := -1
+	out := []V{}
+	var f [2][]byte
 	line := 0
 	for sc.Scan() {
 		line++
-		s := strings.TrimSpace(sc.Text())
-		if s == "" || s[0] == '#' {
+		n, s := fields(sc.Bytes(), f[:])
+		if n == 0 || s[0] == '#' {
 			continue
 		}
-		fields := strings.Fields(s)
-		if len(fields) != 2 {
+		if n != 2 {
 			return nil, fmt.Errorf("%w: line %d: want 'vertex community'", ErrBadFormat, line)
 		}
-		u, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("%w: line %d: %v", ErrBadFormat, line, err)
+		u, ok := parseID(f[0])
+		if !ok {
+			return nil, badID(line, f[0])
 		}
-		c, err := strconv.ParseUint(fields[1], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("%w: line %d: %v", ErrBadFormat, line, err)
+		c, ok := parseID(f[1])
+		if !ok {
+			return nil, badID(line, f[1])
 		}
-		m[u] = V(c)
-		if u > maxU {
-			maxU = u
+		if int(u) >= len(out) {
+			out = append(out, make([]V, int(u)+1-len(out))...)
 		}
+		out[u] = c
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
-	}
-	out := make([]V, maxU+1)
-	for u, c := range m {
-		out[u] = c
 	}
 	return out, nil
 }

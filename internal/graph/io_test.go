@@ -1,11 +1,16 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -177,5 +182,235 @@ func TestReadPartitionMalformed(t *testing.T) {
 		if _, err := ReadPartition(strings.NewReader(in)); !errors.Is(err, ErrBadFormat) {
 			t.Errorf("input %q: err = %v, want ErrBadFormat", in, err)
 		}
+	}
+}
+
+// refReadText, refWriteText, refReadPartition and refWritePartition are the
+// text codecs as first written, on strings.TrimSpace, strings.Fields,
+// strconv and fmt: the oracles the byte-level codecs are held to, edges bit
+// for bit and error text exactly. refReadPartition parses the vertex column
+// as an id, as ReadPartition does (strconv.Atoi let a negative id through to
+// an index panic).
+func refReadText(r io.Reader) (EdgeList, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<16), 1<<20)
+	var el EdgeList
+	line := 0
+	for sc.Scan() {
+		line++
+		s := strings.TrimSpace(sc.Text())
+		if s == "" || s[0] == '#' || s[0] == '%' {
+			continue
+		}
+		fields := strings.Fields(s)
+		if len(fields) < 2 || len(fields) > 3 {
+			return nil, fmt.Errorf("%w: line %d: want 'u v [w]', got %q", ErrBadFormat, line, s)
+		}
+		u, err := strconv.ParseUint(fields[0], 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("%w: line %d: %v", ErrBadFormat, line, err)
+		}
+		v, err := strconv.ParseUint(fields[1], 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("%w: line %d: %v", ErrBadFormat, line, err)
+		}
+		w := 1.0
+		if len(fields) == 3 {
+			w, err = strconv.ParseFloat(fields[2], 64)
+			if err != nil {
+				return nil, fmt.Errorf("%w: line %d: %v", ErrBadFormat, line, err)
+			}
+		}
+		e := Edge{V(u), V(v), w}
+		if err := e.CheckWeight(); err != nil {
+			return nil, fmt.Errorf("%w: line %d: %v", ErrBadFormat, line, err)
+		}
+		el = append(el, e)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return el, nil
+}
+
+func refWriteText(w io.Writer, el EdgeList) error {
+	bw := bufio.NewWriterSize(w, 1<<16)
+	for _, e := range el {
+		var err error
+		if e.W == 1 {
+			_, err = fmt.Fprintf(bw, "%d %d\n", e.U, e.V)
+		} else {
+			_, err = fmt.Fprintf(bw, "%d %d %g\n", e.U, e.V, e.W)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+func refWritePartition(w io.Writer, assign []V) error {
+	bw := bufio.NewWriterSize(w, 1<<16)
+	for u, c := range assign {
+		if _, err := fmt.Fprintf(bw, "%d %d\n", u, c); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+func refReadPartition(r io.Reader) ([]V, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<16), 1<<20)
+	m := map[int]V{}
+	maxU := -1
+	line := 0
+	for sc.Scan() {
+		line++
+		s := strings.TrimSpace(sc.Text())
+		if s == "" || s[0] == '#' {
+			continue
+		}
+		fields := strings.Fields(s)
+		if len(fields) != 2 {
+			return nil, fmt.Errorf("%w: line %d: want 'vertex community'", ErrBadFormat, line)
+		}
+		u, err := strconv.ParseUint(fields[0], 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("%w: line %d: %v", ErrBadFormat, line, err)
+		}
+		c, err := strconv.ParseUint(fields[1], 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("%w: line %d: %v", ErrBadFormat, line, err)
+		}
+		m[int(u)] = V(c)
+		if int(u) > maxU {
+			maxU = int(u)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	out := make([]V, maxU+1)
+	for u, c := range m {
+		out[u] = c
+	}
+	return out, nil
+}
+
+// sameRead reports how a reader's result differs from its oracle's: edges
+// compared bit for bit (so -0 is not 0), errors by their text.
+func sameRead(got, want EdgeList, gotErr, wantErr error) string {
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		return fmt.Sprintf("error %v, oracle %v", gotErr, wantErr)
+	}
+	if (got == nil) != (want == nil) || len(got) != len(want) {
+		return fmt.Sprintf("%d edges (nil %v), oracle %d (nil %v)", len(got), got == nil, len(want), want == nil)
+	}
+	for i := range got {
+		if got[i].U != want[i].U || got[i].V != want[i].V || math.Float64bits(got[i].W) != math.Float64bits(want[i].W) {
+			return fmt.Sprintf("edge %d = %v, oracle %v", i, got[i], want[i])
+		}
+	}
+	return ""
+}
+
+// textCases are inputs that exercise the field splitter: every ASCII space,
+// Unicode spaces (NEL, NBSP, U+2000, U+3000), invalid UTF-8 next to and
+// inside fields, comments after leading space, CRLF, and each error path.
+var textCases = []string{
+	"",
+	"0 1\n1 2 2.5\n# c\n% c\n\n",
+	"\t 0\v1\f\r\n",
+	"0 1\r\n2 3 0.5\r\n",
+	"0\u00851\n",
+	"0 1 -0\n",
+	" 0 1　\n",
+	"  # comment after space\n  % too\n0 1\n",
+	"0 1 \xff\n",
+	"\xff0 1\n",
+	"0\xc2 1\n",
+	"0 1\xe2\x80\x80\n",
+	"0 1\xe2\x80\n",
+	"0\n",
+	"0 1 2 3\n",
+	"a b\n",
+	"-1 2\n",
+	"+1 2\n",
+	"1_0 2\n",
+	"4294967295 4294967296\n",
+	"00000000000000000000004294967295 0\n",
+	"99999999999999999999999 0\n",
+	"1 2 0x1p-2\n",
+	"1 2 1_000.5\n",
+	"1 2 NaN\n",
+	"1 2 -Inf\n",
+	"1 2 1e999\n",
+	"1 2 4.9e-324\n",
+	"1 2 zz\n",
+	strings.Repeat("7", 1<<20+1) + " 1\n",
+}
+
+func TestReadTextMatchesReference(t *testing.T) {
+	for _, in := range textCases {
+		got, err := ReadText(strings.NewReader(in))
+		want, wantErr := refReadText(strings.NewReader(in))
+		if d := sameRead(got, want, err, wantErr); d != "" {
+			t.Errorf("input %.40q: %s", in, d)
+		}
+	}
+}
+
+// TestWriteTextMatchesFmt pins WriteText's bytes to fmt's "%d %d %g" for
+// weights fractional, huge, tiny, subnormal, negative, -0 and non-finite,
+// and WritePartition's to "%d %d".
+func TestWriteTextMatchesFmt(t *testing.T) {
+	el := EdgeList{{0, 1, 1}, {4294967295, 0, 2.5}, {1, 2, 0.1}, {3, 4, 1.0 / 3},
+		{5, 6, 1e21}, {5, 6, 1e20}, {5, 6, 123456789}, {5, 6, math.MaxFloat64},
+		{7, 8, 1e-5}, {7, 8, 1e-4}, {7, 8, math.SmallestNonzeroFloat64}, {7, 8, 2.2250738585072014e-308 / 3},
+		{9, 10, -1}, {9, 10, -0.75}, {9, 10, math.Copysign(0, -1)}, {9, 10, 0},
+		{11, 12, math.Inf(1)}, {11, 12, math.Inf(-1)}, {11, 12, math.NaN()}}
+	var got, want bytes.Buffer
+	if err := WriteText(&got, el); err != nil {
+		t.Fatal(err)
+	}
+	if err := refWriteText(&want, el); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("WriteText wrote\n%s\nfmt wrote\n%s", got.String(), want.String())
+	}
+	assign := []V{0, 4294967295, 7, 0}
+	got.Reset()
+	want.Reset()
+	if err := WritePartition(&got, assign); err != nil {
+		t.Fatal(err)
+	}
+	if err := refWritePartition(&want, assign); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("WritePartition wrote %q, fmt wrote %q", got.String(), want.String())
+	}
+}
+
+// TestReadPartitionNegativeID: a negative vertex id is a format error naming
+// its line, not an index panic.
+func TestReadPartitionNegativeID(t *testing.T) {
+	_, err := ReadPartition(strings.NewReader("0 1\n-1 3\n"))
+	if !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), "line 2") {
+		t.Errorf("err = %v, want ErrBadFormat naming line 2", err)
+	}
+}
+
+// TestReadPartitionLastLineWins: a repeated vertex takes its last line's
+// community, and a vertex no line names reads 0.
+func TestReadPartitionLastLineWins(t *testing.T) {
+	got, err := ReadPartition(strings.NewReader("3 5\n1 2\n3 4\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []V{0, 2, 0, 4}; !reflect.DeepEqual(got, want) {
+		t.Errorf("got %v, want %v", got, want)
 	}
 }
