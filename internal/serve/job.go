@@ -50,6 +50,8 @@ type Spec struct {
 	// Path is a server-side edge-list file (text or binary, see graph.LoadFile).
 	Path string `json:"path,omitempty"`
 	// Edges is an inline text edge list ("u v [w]" lines), the upload path.
+	// A job keeps it only until its worker has read it, and a Status never
+	// carries it: Status.EdgesBytes reports its size.
 	Edges string `json:"edges,omitempty"`
 
 	// Algo is the registry engine name; empty means "louvain" (the
@@ -139,10 +141,11 @@ func (sp *Spec) algoOptions(rec *obs.Recorder, reg *obs.Registry) algo.Options {
 // Job is one submitted detection run. All mutable fields are guarded by mu;
 // doneCh is closed exactly once when the job reaches a terminal state.
 type Job struct {
-	id   string
-	spec Spec
-	rec  *obs.Recorder
-	reg  *obs.Registry
+	id         string
+	spec       Spec // Edges cleared, under mu, once the worker has read it
+	edgesBytes int  // len(spec.Edges) at submission
+	rec        *obs.Recorder
+	reg        *obs.Registry
 
 	mu       sync.Mutex
 	state    State
@@ -158,8 +161,13 @@ type Job struct {
 // ID returns the job's server-assigned identifier.
 func (j *Job) ID() string { return j.id }
 
-// Spec returns the submitted description.
-func (j *Job) Spec() Spec { return j.spec }
+// Spec returns the submitted description; an inline edge list is gone from it
+// once the job has read it.
+func (j *Job) Spec() Spec {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.spec
+}
 
 // Recorder returns the job's private telemetry recorder (the SSE source).
 func (j *Job) Recorder() *obs.Recorder { return j.rec }
@@ -188,8 +196,12 @@ func (j *Job) Result() (*algo.Result, bool) {
 type Status struct {
 	ID    string `json:"id"`
 	State State  `json:"state"`
-	Spec  Spec   `json:"spec"`
-	Error string `json:"error,omitempty"`
+	// Spec is the submitted description without its inline edge list, so a
+	// status stays small whatever was uploaded; EdgesBytes is that list's
+	// size in bytes.
+	Spec       Spec   `json:"spec"`
+	EdgesBytes int    `json:"edges_bytes,omitempty"`
+	Error      string `json:"error,omitempty"`
 	// Created/Started/Finished are RFC 3339 timestamps; empty when the
 	// phase has not been reached.
 	Created  string `json:"created"`
@@ -213,13 +225,15 @@ func (j *Job) Snapshot() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := Status{
-		ID:      j.id,
-		State:   j.state,
-		Spec:    j.spec,
-		Error:   j.err,
-		Created: j.created.Format(time.RFC3339Nano),
-		Events:  j.rec.Len(),
+		ID:         j.id,
+		State:      j.state,
+		Spec:       j.spec,
+		EdgesBytes: j.edgesBytes,
+		Error:      j.err,
+		Created:    j.created.Format(time.RFC3339Nano),
+		Events:     j.rec.Len(),
 	}
+	st.Spec.Edges = ""
 	if !j.started.IsZero() {
 		st.Started = j.started.Format(time.RFC3339Nano)
 		st.QueueWaitMS = float64(j.started.Sub(j.created)) / float64(time.Millisecond)

@@ -16,6 +16,8 @@ import (
 	"time"
 
 	"parlouvain/internal/algo"
+	"parlouvain/internal/gencli"
+	"parlouvain/internal/graph"
 	"parlouvain/internal/obs"
 )
 
@@ -738,4 +740,90 @@ func TestJobIDsSequential(t *testing.T) {
 	if fmt.Sprintf("%s", a.State()) == "" {
 		t.Error("state stringer empty")
 	}
+}
+
+// TestStatusOmitsUpload submits a 100 KB inline edge list: the submit reply,
+// the job's status and the listing, while the job waits and once it is done,
+// every SSE frame and the status part of the result stay under 2 KB, report
+// the upload's size, and the job reaches the Q a direct run of the same edges
+// reaches.
+func TestStatusOmitsUpload(t *testing.T) {
+	el, _, err := gencli.Generate("lfr:n=2000,mu=0.3,seed=5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text strings.Builder
+	if err := graph.WriteText(&text, el); err != nil {
+		t.Fatal(err)
+	}
+	upload := text.String()
+	if len(upload) < 100_000 {
+		t.Fatalf("upload is %d bytes, want at least 100 KB", len(upload))
+	}
+	want, err := algo.Run(context.Background(), "seq-louvain", el, 0, algo.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const limit = 2048
+	_, srv := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return body
+	}
+	small := func(what string, body []byte) {
+		t.Helper()
+		if len(body) >= limit {
+			t.Errorf("%s is %d bytes, want under %d", what, len(body), limit)
+		}
+	}
+
+	blocker := submit(t, srv, Spec{Edges: "0 1\n", Algo: "test-block"}, http.StatusAccepted)
+	waitState(t, srv, blocker.ID, StateRunning)
+	body, err := json.Marshal(Spec{Edges: upload, Algo: "seq-louvain"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	small("submit reply", reply)
+	var st Status
+	if err := json.Unmarshal(reply, &st); err != nil {
+		t.Fatalf("decode submit reply: %v", err)
+	}
+	if st.EdgesBytes != len(upload) {
+		t.Errorf("edges_bytes = %d, want %d", st.EdgesBytes, len(upload))
+	}
+	small("queued job's status", get("/jobs/"+st.ID))
+	small("listing with a queued upload", get("/jobs"))
+
+	cancelJob(t, srv, blocker.ID)
+	final := waitState(t, srv, st.ID, StateDone)
+	if final.Q != want.Q || final.EdgesBytes != len(upload) {
+		t.Errorf("done: Q %v, edges_bytes %d; want Q %v of a direct run, %d bytes", final.Q, final.EdgesBytes, want.Q, len(upload))
+	}
+	small("done job's status", get("/jobs/"+st.ID))
+	small("listing", get("/jobs"))
+	for _, frame := range strings.Split(string(get("/jobs/"+st.ID+"/events")), "\n\n") {
+		small("SSE frame", []byte(frame))
+	}
+	var view resultView
+	if err := json.Unmarshal(get("/jobs/"+st.ID+"/result"), &view); err != nil {
+		t.Fatal(err)
+	}
+	status, err := json.Marshal(view.Status)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small("result's status", status)
 }

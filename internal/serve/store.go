@@ -138,13 +138,14 @@ func (s *Store) Submit(spec Spec) (*Job, error) {
 	}
 	s.seq++
 	j := &Job{
-		id:      fmt.Sprintf("j%03d", s.seq),
-		spec:    spec,
-		rec:     obs.NewRecorder(),
-		reg:     obs.NewRegistry(),
-		state:   StateQueued,
-		created: time.Now(),
-		doneCh:  make(chan struct{}),
+		id:         fmt.Sprintf("j%03d", s.seq),
+		spec:       spec,
+		edgesBytes: len(spec.Edges),
+		rec:        obs.NewRecorder(),
+		reg:        obs.NewRegistry(),
+		state:      StateQueued,
+		created:    time.Now(),
+		doneCh:     make(chan struct{}),
 	}
 	j.emitState(StateQueued)
 	select {
@@ -322,6 +323,11 @@ func (s *Store) runJob(j *Job) {
 
 	var res *algo.Result
 	el, err := j.spec.materialize()
+	// The upload is parsed; a finished job kept for listing should not
+	// hold its text.
+	j.mu.Lock()
+	j.spec.Edges = ""
+	j.mu.Unlock()
 	if err == nil {
 		res, err = algo.Run(ctx, j.spec.Algo, el, 0, j.spec.algoOptions(j.rec, j.reg))
 	}
