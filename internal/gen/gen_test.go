@@ -104,11 +104,11 @@ func TestPowerlawBoundsAndShape(t *testing.T) {
 func TestSolveKMinHitsMean(t *testing.T) {
 	for _, avg := range []float64{4, 16, 32} {
 		kmin := solveKMin(avg, 1000, 2.5)
-		r := NewRNG(5)
+		r, p := NewRNG(5), newPareto(kmin, 1000, 2.5)
 		sum := 0.0
 		const draws = 200000
 		for i := 0; i < draws; i++ {
-			sum += r.PowerlawFloat(kmin, 1000, 2.5)
+			sum += p.sample(r)
 		}
 		got := sum / draws
 		if math.Abs(got-avg) > avg*0.1 {

@@ -48,16 +48,12 @@ func (r *RNG) Shuffle(xs []uint32) {
 	}
 }
 
-// PowerlawFloat samples a real value in [min,max] from a bounded Pareto
-// distribution with density ∝ x^-gamma. gamma must be > 1 and min > 0.
-func (r *RNG) PowerlawFloat(min, max, gamma float64) float64 {
-	return newPareto(min, max, gamma).sample(r)
-}
-
-// pareto is PowerlawFloat's distribution with the powers of its bounds
-// computed once, for drawing a whole sequence.
+// pareto is a bounded Pareto distribution on [min,max] with density
+// ∝ x^-gamma, the powers of its bounds computed once for a whole sequence of
+// draws.
 type pareto struct{ a, b, inv float64 }
 
+// newPareto needs gamma > 1; a min ≤ 0 reads as 1, a max below min as min.
 func newPareto(min, max, gamma float64) pareto {
 	if min <= 0 {
 		min = 1
@@ -69,6 +65,7 @@ func newPareto(min, max, gamma float64) pareto {
 	return pareto{a: math.Pow(min, oneMinusG), b: math.Pow(max, oneMinusG), inv: 1 / oneMinusG}
 }
 
+// sample draws a real value from p by inverse transform.
 func (p pareto) sample(r *RNG) float64 {
 	u := r.Float64()
 	return math.Pow(p.a+u*(p.b-p.a), p.inv)

@@ -84,9 +84,9 @@ func ReadText(r io.Reader) (EdgeList, error) {
 			if e.W, err = strconv.ParseFloat(string(f[2]), 64); err != nil {
 				return nil, fmt.Errorf("%w: line %d: %v", ErrBadFormat, line, err)
 			}
-		}
-		if err := e.CheckWeight(); err != nil {
-			return nil, fmt.Errorf("%w: line %d: %v", ErrBadFormat, line, err)
+			if err := e.CheckWeight(); err != nil {
+				return nil, fmt.Errorf("%w: line %d: %v", ErrBadFormat, line, err)
+			}
 		}
 		if len(tail) == cap(tail) {
 			full = append(full, tail)
