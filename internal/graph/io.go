@@ -164,6 +164,9 @@ func fields(line []byte, f [][]byte) (n int, trimmed []byte) {
 		at[min(k, 7)], last = len(line), len(line)
 		k++
 	}
+	if k == 0 { // all space: at[0] holds a position, not a field's start
+		return 0, line[:0]
+	}
 	n = k / 2
 	for j := 0; j < min(n, len(f)); j++ {
 		f[j] = line[at[2*j]:at[2*j+1]]

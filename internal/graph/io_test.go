@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -322,6 +323,8 @@ var textCases = []string{
 	"",
 	"0 1\n1 2 2.5\n# c\n% c\n\n",
 	"\t 0\v1\f\r\n",
+	"   \n0 1\n \t\r\n",
+	"\u2009\u3000\n0 1\n",
 	"0 1\r\n2 3 0.5\r\n",
 	"0\u00851\n",
 	"0 1 -0\n",
@@ -412,5 +415,34 @@ func TestReadPartitionLastLineWins(t *testing.T) {
 	}
 	if want := []V{0, 2, 0, 4}; !reflect.DeepEqual(got, want) {
 		t.Errorf("got %v, want %v", got, want)
+	}
+}
+
+// TestFieldsMatchesStrings holds the field splitter to strings.Fields and
+// strings.TrimSpace on random lines over pieces that probe its edges: every
+// ASCII space, multi-byte spaces, multi-byte non-spaces, truncated and
+// invalid UTF-8, and field bytes.
+func TestFieldsMatchesStrings(t *testing.T) {
+	pieces := []string{" ", "\t", "\v", "\f", "\r", "\x1f", "\x0e", "!", "0", "42", "#", "x",
+		"\u0085", "\u00a0", "\u2000", "\u2009", "\u2028", "\u3000", "\u00e9", "\u4e16", "\ufffd",
+		"\xe2\x80", "\xc2", "\x80", "\xff", "\xf0\x9f\x98\x80"}
+	r := rand.New(rand.NewSource(1))
+	var f [3][]byte
+	for i := 0; i < 20000; i++ {
+		var b strings.Builder
+		for j := r.Intn(12); j > 0; j-- {
+			b.WriteString(pieces[r.Intn(len(pieces))])
+		}
+		line := b.String()
+		n, trimmed := fields([]byte(line), f[:])
+		want := strings.Fields(line)
+		if n != len(want) || string(trimmed) != strings.TrimSpace(line) {
+			t.Fatalf("%q: %d fields, trimmed %q; strings: %d, %q", line, n, trimmed, len(want), strings.TrimSpace(line))
+		}
+		for j := 0; j < min(n, len(f)); j++ {
+			if string(f[j]) != want[j] {
+				t.Fatalf("%q: field %d = %q, strings.Fields %q", line, j, f[j], want[j])
+			}
+		}
 	}
 }
