@@ -159,6 +159,13 @@ type engine struct {
 	// moved, for the move-log propagation.
 	moveLog []int
 
+	// left[li] is the community owned vertex li left in the last update, for
+	// the return rule (score); 0 when it did not move. The rule bars only a
+	// label above the vertex's current one, and 0 is above none, so 0 also
+	// reads as "none". relocate sets an entry, the next update clears the
+	// entries of the moves it logged, and levelInit clears them all.
+	left []graph.V
+
 	bestTo   []graph.V
 	bestGain []float64
 
@@ -244,6 +251,7 @@ func newEngine(c *comm.Comm, n int, opt Options) *engine {
 		bestGain:  make([]float64, nLoc),
 		skipUntil: make([]float64, nLoc),
 		skipRate:  make([]float64, nLoc),
+		left:      make([]graph.V, nLoc),
 		bd:        perf.NewBreakdown(),
 	}
 	s.pend = make([]graph.EdgeList, opt.Threads)

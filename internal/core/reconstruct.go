@@ -188,6 +188,7 @@ func (s *engine) fillRows(t int) {
 // Weights are not compared here; invariant 8 does that under -check.
 func (s *engine) levelInit() (uint64, error) {
 	localK, localActive, mirror := s.buildRows()
+	clear(s.left)
 	twoM, err := s.c.AllReduceFloat64(localK, comm.OpSum)
 	if err != nil {
 		return 0, err
