@@ -128,7 +128,9 @@ func TestSkipExactAcrossConfigs(t *testing.T) {
 		rollback bool // some level must end in refineLevel's rollback branch
 	}{
 		{"lfr", lfr, 1000, Options{}, false},
-		{"lfr-mu0.5", skipLFR(t, 1000, 0.5, 1), 1000, Options{}, true},
+		// Seed 6: two of its levels end in rollback under the return rule
+		// (seed 1's no longer does).
+		{"lfr-mu0.5", skipLFR(t, 1000, 0.5, 6), 1000, Options{}, true},
 		{"rmat-hubs", rmat, 1 << 10, Options{}, true},
 		{"fractional", frac, 600, Options{}, false},
 		{"warm", lfr, 1000, Options{Warm: warm}, false},
@@ -382,68 +384,101 @@ func TestSkipSpentByNeighbourMoves(t *testing.T) {
 }
 
 // TestParallelExactCounts is the perf gate noise cannot break: on the
-// golden-trace input the engine's work is deterministic, so its rounds,
+// golden-trace input and on an R-MAT graph of scale 10, where the return rule
+// breaks many two-cycles, the engine's work is deterministic, so its rounds,
 // bytes, inner iterations and scored rows are pinned by equality. A change
 // that adds a collective, a byte per record or a sweep fails here on any
 // host; a change that removes one updates the numbers and says so. Pinned
-// with them, per rank at level 0: the entries of the in-edge CSR and the bytes
-// of level storage the engine holds (levelBytes) — the first instalment of a
-// bytes-per-rank count. Ranks 1, 2, 3, 4 and 8 make the same moves; only the
-// bytes and the per-rank split change with the group. The tcp rows run the
-// group over loopback TCP: the same counts, and the Q bits of the in-process
-// group of that size.
+// with them, per rank at level 0 of the golden-trace input: the entries of the
+// in-edge CSR and the bytes of level storage the engine holds (levelBytes) —
+// the first instalment of a bytes-per-rank count. Ranks 1, 2, 3, 4 and 8 make
+// the same moves; only the bytes and the per-rank split change with the group.
+// Q agrees to 1e-12 across group shapes (its last bits follow the order of the
+// group's sums) and, on the R-MAT input, to the bit. The tcp rows run the group over loopback TCP:
+// the same counts, and the Q bits of the in-process group of that size.
 func TestParallelExactCounts(t *testing.T) {
-	el := skipLFR(t, 1000, 0.3, 19)
+	lfr := skipLFR(t, 1000, 0.3, 19)
+	rmat, err := gen.RMAT(gen.DefaultRMAT(10, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The invariant checker adds collectives of its own.
 	forceInvariantChecks = false
 	defer func() { forceInvariantChecks = true }()
-	for _, want := range []struct {
-		ranks                      int
-		tcp                        bool
-		rounds, bytes, iters, rows uint64
-		entries, levelBytes        []int // per rank, in-process rows only
+	for _, in := range []struct {
+		name  string
+		el    graph.EdgeList
+		n     int
+		sameQ bool // the same Q bits at every group shape
+		want  []exactCounts
 	}{
-		{ranks: 1, rounds: 151, bytes: 238222, iters: 19, rows: 7971, entries: []int{14662}, levelBytes: []int{434552}},
-		{ranks: 2, rounds: 151, bytes: 364328, iters: 19, rows: 7971, entries: []int{7292, 7370}, levelBytes: []int{220192, 222376}},
-		{ranks: 4, rounds: 151, bytes: 667864, iters: 19, rows: 7971, entries: []int{3597, 3828, 3695, 3542}, levelBytes: []int{112732, 119200, 115476, 111192}},
-		{ranks: 8, rounds: 151, bytes: 1448712, iters: 19, rows: 7971,
-			entries:    []int{1818, 1987, 1927, 1728, 1779, 1841, 1768, 1814},
-			levelBytes: []int{60920, 65652, 63972, 58400, 59828, 61564, 59520, 60808}},
-		{ranks: 2, tcp: true, rounds: 151, bytes: 364328, iters: 19, rows: 7971},
-		{ranks: 3, tcp: true, rounds: 151, bytes: 507118, iters: 19, rows: 7971},
+		{"lfr1000", lfr, 1000, false, []exactCounts{
+			{ranks: 1, rounds: 151, bytes: 229678, iters: 19, rows: 7922, entries: []int{14662}, levelBytes: []int{434552}},
+			{ranks: 2, rounds: 151, bytes: 353144, iters: 19, rows: 7922, entries: []int{7292, 7370}, levelBytes: []int{220192, 222376}},
+			{ranks: 4, rounds: 151, bytes: 651968, iters: 19, rows: 7922, entries: []int{3597, 3828, 3695, 3542}, levelBytes: []int{112732, 119200, 115476, 111192}},
+			{ranks: 8, rounds: 151, bytes: 1426776, iters: 19, rows: 7922,
+				entries:    []int{1818, 1987, 1927, 1728, 1779, 1841, 1768, 1814},
+				levelBytes: []int{60920, 65652, 63972, 58400, 59828, 61564, 59520, 60808}},
+			{ranks: 2, tcp: true, rounds: 151, bytes: 353144, iters: 19, rows: 7922},
+			{ranks: 3, tcp: true, rounds: 151, bytes: 493478, iters: 19, rows: 7922},
+		}},
+		{"rmat10", rmat, 1 << 10, true, []exactCounts{
+			{ranks: 1, rounds: 336, bytes: 317328, iters: 44, rows: 13090},
+			{ranks: 2, rounds: 336, bytes: 504472, iters: 44, rows: 13090},
+			{ranks: 4, rounds: 336, bytes: 985752, iters: 44, rows: 13090},
+			{ranks: 8, rounds: 336, bytes: 2448896, iters: 44, rows: 13090},
+			{ranks: 2, tcp: true, rounds: 336, bytes: 504472, iters: 44, rows: 13090},
+		}},
 	} {
-		name := fmt.Sprintf("ranks=%d", want.ranks)
-		res, err := RunInProcess(el, 1000, want.ranks, Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if want.tcp {
-			name += "/tcp"
-			mem := res
-			res = runTCPGroup(t, el, 1000, want.ranks, Options{})
-			if math.Float64bits(res.Q) != math.Float64bits(mem.Q) || res.CommBytes != mem.CommBytes {
-				t.Errorf("%s: Q %v in %d bytes, in process %v in %d bytes", name, res.Q, res.CommBytes, mem.Q, mem.CommBytes)
+		var q0 float64
+		for i, want := range in.want {
+			name := fmt.Sprintf("%s/ranks=%d", in.name, want.ranks)
+			res, err := RunInProcess(in.el, in.n, want.ranks, Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-		}
-		var iters uint64
-		for _, lv := range res.Levels {
-			iters += uint64(lv.InnerIterations)
-		}
-		if res.CommRounds != want.rounds || res.CommBytes != want.bytes || iters != want.iters || res.RowsEvaluated != want.rows {
-			t.Errorf("%s: rounds %d, bytes %d, inner iterations %d, rows evaluated %d; pinned %d, %d, %d, %d",
-				name, res.CommRounds, res.CommBytes, iters, res.RowsEvaluated,
-				want.rounds, want.bytes, want.iters, want.rows)
-		}
-		if want.tcp {
-			continue
-		}
-		for r, s := range levelEngines(t, el, 1000, want.ranks) {
-			if len(s.adjSrc) != want.entries[r] || s.levelBytes() != want.levelBytes[r] {
-				t.Errorf("%s rank %d: %d level-0 entries in %d bytes of level storage; pinned %d, %d",
-					name, r, len(s.adjSrc), s.levelBytes(), want.entries[r], want.levelBytes[r])
+			if i == 0 {
+				q0 = res.Q
+			} else if in.sameQ && math.Float64bits(res.Q) != math.Float64bits(q0) || math.Abs(res.Q-q0) > 1e-12 {
+				t.Errorf("%s: Q %v, at ranks=%d %v", name, res.Q, in.want[0].ranks, q0)
+			}
+			if want.tcp {
+				name += "/tcp"
+				mem := res
+				res = runTCPGroup(t, in.el, in.n, want.ranks, Options{})
+				if math.Float64bits(res.Q) != math.Float64bits(mem.Q) || res.CommBytes != mem.CommBytes {
+					t.Errorf("%s: Q %v in %d bytes, in process %v in %d bytes", name, res.Q, res.CommBytes, mem.Q, mem.CommBytes)
+				}
+			}
+			var iters uint64
+			for _, lv := range res.Levels {
+				iters += uint64(lv.InnerIterations)
+			}
+			if res.CommRounds != want.rounds || res.CommBytes != want.bytes || iters != want.iters || res.RowsEvaluated != want.rows {
+				t.Errorf("%s: rounds %d, bytes %d, inner iterations %d, rows evaluated %d; pinned %d, %d, %d, %d",
+					name, res.CommRounds, res.CommBytes, iters, res.RowsEvaluated,
+					want.rounds, want.bytes, want.iters, want.rows)
+			}
+			if want.entries == nil {
+				continue
+			}
+			for r, s := range levelEngines(t, in.el, in.n, want.ranks) {
+				if len(s.adjSrc) != want.entries[r] || s.levelBytes() != want.levelBytes[r] {
+					t.Errorf("%s rank %d: %d level-0 entries in %d bytes of level storage; pinned %d, %d",
+						name, r, len(s.adjSrc), s.levelBytes(), want.entries[r], want.levelBytes[r])
+				}
 			}
 		}
 	}
+}
+
+// exactCounts is one row of TestParallelExactCounts: a group shape and the
+// work pinned for it.
+type exactCounts struct {
+	ranks                      int
+	tcp                        bool
+	rounds, bytes, iters, rows uint64
+	entries, levelBytes        []int // per rank, in-process rows of the golden-trace input only
 }
 
 // runTCPGroup runs a rank group over real loopback TCP and returns rank 0's
