@@ -211,14 +211,16 @@ func NewTCP(cfg TCPConfig) (Transport, error) {
 
 	// Dial every peer with exponential backoff + jitter until it is
 	// listening or the setup deadline hits. Jitter decorrelates the
-	// thundering herd of a whole group restarting at once.
+	// thundering herd of a whole group restarting at once. The first wait
+	// is short: the ranks of one process start together, so a first dial
+	// usually finds a peer microseconds away from listening.
 	jitter := rand.New(rand.NewSource(int64(cfg.Rank)*2654435761 + 1))
 	acceptDone := false
 	for dst := 0; dst < size; dst++ {
 		if dst == cfg.Rank {
 			continue
 		}
-		backoff := 5 * time.Millisecond
+		backoff := 250 * time.Microsecond
 		var conn net.Conn
 		for {
 			conn, err = net.DialTimeout("tcp", cfg.Addrs[dst], time.Until(deadline))

@@ -313,3 +313,42 @@ func TestNewTCPSingleRankNeedsNoNetwork(t *testing.T) {
 	}
 	_ = fmt.Sprintf("%v", in)
 }
+
+// TestNewTCPLateRankConnects: rank 1 starts its setup 100 ms after rank 0,
+// so rank 0's dials fail and back off until rank 1 listens; both still come
+// up and run a round.
+func TestNewTCPLateRankConnects(t *testing.T) {
+	addrs, err := LocalAddrs(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trs := make([]Transport, 2)
+	var wg sync.WaitGroup
+	for r := range trs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			time.Sleep(time.Duration(r) * 100 * time.Millisecond)
+			tr, err := NewTCP(TCPConfig{Rank: r, Addrs: addrs, DialTimeout: 10 * time.Second})
+			if err != nil {
+				t.Errorf("NewTCP rank %d: %v", r, err)
+				return
+			}
+			trs[r] = tr
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		for _, tr := range trs {
+			if tr != nil {
+				tr.Close()
+			}
+		}
+		t.FailNow()
+	}
+	defer closeGroup(trs)
+	runGroup(t, trs, func(c *Comm) error {
+		_, err := c.Exchange(make([][]byte, 2))
+		return err
+	})
+}
