@@ -5,7 +5,9 @@
 package par
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 )
 
@@ -29,10 +31,54 @@ func clampThreads(threads, n int) int {
 	return threads
 }
 
+// Panic is a recovered panic, carried to a goroutine that can report it: the
+// value passed to panic and the stack of the goroutine that raised it. It is
+// an error, reading "panic: value" and the stack.
+type Panic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *Panic) Error() string { return fmt.Sprintf("panic: %v\n%s", p.Value, p.Stack) }
+
+// Recovered returns v, a value recover returned, as a *Panic with the stack of
+// the calling goroutine — the panicking one when called from its deferred
+// function — or v itself when it is a *Panic already.
+func Recovered(v any) *Panic {
+	if p, ok := v.(*Panic); ok {
+		return p
+	}
+	return &Panic{Value: v, Stack: debug.Stack()}
+}
+
+// carrier keeps the first panic of a set of worker goroutines, to be raised
+// again on the goroutine that waits for them.
+type carrier struct {
+	once sync.Once
+	p    *Panic
+}
+
+// catch is deferred by each worker.
+func (c *carrier) catch() {
+	if v := recover(); v != nil {
+		p := Recovered(v)
+		c.once.Do(func() { c.p = p })
+	}
+}
+
+// raise re-raises the kept panic, if any, once every worker has returned.
+func (c *carrier) raise() {
+	if c.p != nil {
+		panic(c.p)
+	}
+}
+
 // For splits [0,n) into one contiguous chunk per thread and calls
 // body(thread, lo, hi) concurrently. It returns once all chunks complete.
 // With threads <= 1 (or n small) the body runs inline on the caller's
-// goroutine, so single-threaded runs have zero scheduling overhead.
+// goroutine, so single-threaded runs have zero scheduling overhead. A body
+// that panics on a worker goroutine panics the caller instead, as a *Panic,
+// after every chunk has returned; of several, the first to be caught wins.
 func For(n, threads int, body func(thread, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -43,20 +89,24 @@ func For(n, threads int, body func(thread, lo, hi int)) {
 		return
 	}
 	var wg sync.WaitGroup
+	var c carrier
 	wg.Add(threads)
 	for t := 0; t < threads; t++ {
 		lo := t * n / threads
 		hi := (t + 1) * n / threads
 		go func(t, lo, hi int) {
 			defer wg.Done()
+			defer c.catch()
 			body(t, lo, hi)
 		}(t, lo, hi)
 	}
 	wg.Wait()
+	c.raise()
 }
 
 // ForChunked splits [0,n) into fixed-size chunks pulled dynamically by the
 // worker threads, for irregular per-element cost (power-law degree graphs).
+// A panicking body is carried to the caller as in For.
 func ForChunked(n, threads, chunk int, body func(thread, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -87,10 +137,12 @@ func ForChunked(n, threads, chunk int, body func(thread, lo, hi int)) {
 		return lo, hi, true
 	}
 	var wg sync.WaitGroup
+	var c carrier
 	wg.Add(threads)
 	for t := 0; t < threads; t++ {
 		go func(t int) {
 			defer wg.Done()
+			defer c.catch()
 			for {
 				lo, hi, ok := take()
 				if !ok {
@@ -101,6 +153,7 @@ func ForChunked(n, threads, chunk int, body func(thread, lo, hi int)) {
 		}(t)
 	}
 	wg.Wait()
+	c.raise()
 }
 
 // SumFloat64 computes a parallel sum of body(i) over [0,n) using per-thread
