@@ -19,6 +19,7 @@ import (
 	"parlouvain/internal/gencli"
 	"parlouvain/internal/graph"
 	"parlouvain/internal/obs"
+	"parlouvain/internal/par"
 )
 
 // blockEngine is a registry engine that emits one "block_started" event and
@@ -41,7 +42,29 @@ func (blockEngine) Detect(ctx context.Context, g algo.Graph, opt algo.Options) (
 	return nil, ctx.Err()
 }
 
-func init() { algo.Register(blockEngine{}) }
+// panicEngine is a registry engine whose rank 0 panics on a worker thread —
+// the target for the panic boundary test.
+type panicEngine struct{}
+
+func (panicEngine) Name() string { return "test-panic" }
+
+func (panicEngine) Info() algo.Info {
+	return algo.Info{Name: "test-panic", Description: "test-only engine that panics"}
+}
+
+func (panicEngine) Detect(ctx context.Context, g algo.Graph, opt algo.Options) (*algo.Result, error) {
+	par.For(2, 2, func(t, _, _ int) {
+		if t == 1 && g.Comm.Rank() == 0 {
+			panic("test-panic gives up")
+		}
+	})
+	return nil, g.Comm.Barrier()
+}
+
+func init() {
+	algo.Register(blockEngine{})
+	algo.Register(panicEngine{})
+}
 
 // newTestServer builds a store plus an httptest server carrying its API and
 // arranges shutdown at test end.
@@ -826,4 +849,31 @@ func TestStatusOmitsUpload(t *testing.T) {
 		t.Fatal(err)
 	}
 	small("result's status", status)
+}
+
+// TestJobPanicFailsOnlyThatJob: an engine that panics — on a worker thread of
+// one rank while its peer waits in a collective — fails its job with the panic
+// text, its event stream ends with the stack, the process and the worker
+// live on to finish the next job, and serve_job_panics_total counts one.
+func TestJobPanicFailsOnlyThatJob(t *testing.T) {
+	s, srv := newTestServer(t, Config{Workers: 1})
+	st := submit(t, srv, Spec{Edges: "0 1\n1 2\n", Algo: "test-panic", Ranks: 2}, http.StatusAccepted)
+	final := waitState(t, srv, st.ID, StateFailed)
+	if !strings.HasPrefix(final.Error, "rank 0: panic: test-panic gives up\n") {
+		t.Errorf("failed job's error %q, want rank 0's panic", final.Error)
+	}
+	resp, err := http.Get(srv.URL + "/jobs/" + st.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if i := strings.Index(string(body), "event: done"); i < 0 || !strings.Contains(string(body[i:]), "panicEngine.Detect") {
+		t.Errorf("event stream does not end with the panic's stack:\n%s", body)
+	}
+	next := submit(t, srv, Spec{Gen: "ring:k=4,s=5", Algo: "seq"}, http.StatusAccepted)
+	waitState(t, srv, next.ID, StateDone)
+	if got := s.mPanics.Value(); got != 1 {
+		t.Errorf("serve_job_panics_total = %d, want 1", got)
+	}
 }
