@@ -39,7 +39,7 @@ chaos:
 	GOMAXPROCS=2 $(GO) test -race -run 'Skip|GoldenTrace|OutRows|Asymmetric|BuildRows|RowsCanonical|ParallelFingerprint|CancelMidRun' ./internal/core
 
 # Short fuzz pass over every fuzz target (wire codecs, graph readers, Build and
-# the rank rows lpa/bfs/sssp run on — FuzzBuild: Build and Partition.InRows at
+# the rank rows lpa runs on — FuzzBuild: Build and Partition.InRows at
 # one to three ranks against comparison-sort oracles — generator specs, the hash edge table of Fig. 6 and the ladder — freeze and
 # iteration; no engine stores a level in it — par-louvain's level storage
 # (FuzzBuildRows: the sorted rows of two levels against that table as oracle),

@@ -1,6 +1,10 @@
 package core
 
-import "parlouvain/internal/graph"
+import (
+	"fmt"
+
+	"parlouvain/internal/graph"
+)
 
 // SplitDisconnected post-processes an assignment so that every community is
 // internally connected, splitting each disconnected community into its
@@ -11,7 +15,7 @@ import "parlouvain/internal/graph"
 // communities that were split.
 func SplitDisconnected(g *graph.Graph, assign []graph.V) ([]graph.V, int) {
 	if len(assign) != g.N {
-		panic("core: assignment length mismatch")
+		panic(fmt.Sprintf("core: SplitDisconnected: assignment has %d entries for %d vertices", len(assign), g.N))
 	}
 	out := make([]graph.V, g.N)
 	const unseen = ^graph.V(0)

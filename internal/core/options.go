@@ -35,15 +35,6 @@ func DecayEpsilon(p1, p2 float64) EpsilonFunc {
 	}
 }
 
-// PaperLiteralEpsilon returns Equation 7 exactly as printed:
-// ε = p1·e^(1/(p2·iter)). It decays toward p1 rather than 0 and is kept
-// for the threshold ablation bench.
-func PaperLiteralEpsilon(p1, p2 float64) EpsilonFunc {
-	return func(iter int) float64 {
-		return p1 * math.Exp(1/(p2*float64(iter)))
-	}
-}
-
 // DefaultEpsilon is the fitted decay used when Options.Epsilon is nil:
 // p1 = 1 (first iteration moves everything useful), p2 = 2 (fraction
 // roughly halves every 1.4 iterations), the regression result of the

@@ -22,21 +22,6 @@ func TestDecayEpsilonShape(t *testing.T) {
 	}
 }
 
-func TestPaperLiteralEpsilonDecaysTowardP1(t *testing.T) {
-	eps := PaperLiteralEpsilon(0.5, 2.0)
-	if eps(1) <= 0.5 {
-		t.Errorf("eps(1) = %v, want > p1", eps(1))
-	}
-	if got := eps(1000000); math.Abs(got-0.5) > 1e-3 {
-		t.Errorf("eps(inf) = %v, want -> 0.5", got)
-	}
-	for i := 1; i < 10; i++ {
-		if eps(i+1) >= eps(i) {
-			t.Fatalf("literal form not decreasing at %d", i)
-		}
-	}
-}
-
 func TestWithDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.MaxLevels != 32 || o.MaxInner != 64 || o.MinGain != 1e-6 ||

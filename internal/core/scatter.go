@@ -17,8 +17,11 @@ import (
 //     Ranges are contiguous and assigned in thread order, so the
 //     per-destination record order is identical to a serial li-ascending
 //     build no matter the thread count.
-//   - merge(t, r) decodes one received plane, applying only the records
-//     whose local index is in shard t (li % Threads == t).
+//   - merge(t, r) is merge worker t's pass over one received plane; every
+//     worker is handed every plane. reconstructMerge applies only the
+//     records whose local index is in shard t (li % Threads == t).
+//     mergeRecords, the merge of both propagations, has worker 0 apply
+//     every record while the others return at once.
 func (s *engine) scatter(nWork int, build func(t, lo, hi int, w *wire.Planes), merge func(t int, r *wire.Reader) error) error {
 	// The callbacks are pre-bound func fields (see newEngine), so selecting
 	// the phase is two pointer stores — no per-round closure allocation.

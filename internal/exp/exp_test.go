@@ -316,19 +316,3 @@ func TestBaselinesShape(t *testing.T) {
 		}
 	}
 }
-
-func TestSubstratesMatchSequential(t *testing.T) {
-	tabs, err := Substrates(0.1, []int{1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := tabs[0]
-	if len(tab.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		if row[4] != "yes" {
-			t.Errorf("%s at P=%s does not match sequential", row[0], row[1])
-		}
-	}
-}

@@ -29,8 +29,6 @@ func Specs() map[string]Spec {
 		"table4": {Name: "table4", Paper: "Table IV", Run: func(sf float64) ([]Table, error) { return Table4(sf, nil) }},
 		"baselines": {Name: "baselines", Paper: "extension (related-work baseline)",
 			Run: func(sf float64) ([]Table, error) { return Baselines(sf, 8) }},
-		"substrates": {Name: "substrates", Paper: "extension (runtime generality: BFS/SSSP)",
-			Run: func(sf float64) ([]Table, error) { return Substrates(sf, nil) }},
 	}
 }
 

@@ -68,7 +68,7 @@ func BenchmarkSplitEdges(b *testing.B) {
 }
 
 // BenchmarkInRows lays out both ranks' rows of the inputs split two ways, the
-// load lpa, bfs and sssp run at every rank.
+// load lpa runs at every rank.
 func BenchmarkInRows(b *testing.B) {
 	for name, el := range benchInputs(b) {
 		n := el.NumVertices()

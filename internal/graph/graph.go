@@ -74,8 +74,8 @@ func (e Edge) CheckWeight() error {
 // Check returns an error naming e when an endpoint lies outside the vertex
 // space [0, n) or the weight is not finite: the one test every engine applies
 // to an edge it was handed (the rank-0 gather and the direct whole-graph
-// path, par-louvain's load, and Partition.InRows for lpa, bfs and sssp)
-// before it indexes by the ids.
+// path, par-louvain's load, and Partition.InRows for lpa) before it indexes
+// by the ids.
 func (e Edge) Check(n int) error {
 	if int(max(e.U, e.V)) < n && e.W-e.W == 0 {
 		return nil // the whole test for a good edge, small enough to inline

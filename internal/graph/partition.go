@@ -81,9 +81,9 @@ func SplitEdges(el EdgeList, size int) []EdgeList {
 }
 
 // InRows lays out this rank's destination-owned edges (SplitEdges form) as
-// in-edge rows, the adjacency lpa, bfs and sssp run on: the sources of owned
-// vertex li are src[off[li]:off[li+1]], ascending, with weights w at the
-// same positions, and the records of a (source, destination) pair are merged
+// in-edge rows, the adjacency lpa runs on: the sources of owned vertex li
+// are src[off[li]:off[li+1]], ascending, with weights w at the same
+// positions, and the records of a (source, destination) pair are merged
 // into one entry, their weights summed in input order. There is a row for
 // each of MaxLocalCount(n) local indices. local is read, never written. An
 // edge that fails Check(n), or whose destination this rank does not own, is

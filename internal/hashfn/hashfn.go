@@ -100,8 +100,8 @@ func Index(k Kind, x, m uint64) uint64 {
 
 // Pack16 packs tuple (t1, t2) as (t1<<16)|t2, the literal Equation 5 of the
 // paper. It is only injective when t2 < 2^16 and t1 < 2^48; the parallel
-// Louvain implementation uses Pack32 instead, keeping Pack16 for the hash
-// ablation experiments.
+// Louvain implementation uses Pack32 instead. The package tests use Pack16
+// to show the clustering the concatenated hash suffers on such keys.
 func Pack16(t1, t2 uint64) uint64 {
 	return t1<<16 | (t2 & 0xFFFF)
 }

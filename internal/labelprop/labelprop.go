@@ -5,11 +5,11 @@
 // cross-algorithm baseline: faster per sweep than Louvain but without a
 // modularity objective or hierarchy.
 //
-// Both a sequential and a distributed implementation are provided; the
-// distributed one reuses the comm runtime and the 1D modulo decomposition
-// of the Louvain engine, so the two algorithms are directly comparable on
-// identical substrates. Runs are surfaced through the internal/algo
-// registry as the "lpa" engine.
+// Both implementations are synchronous. Parallel is distributed: it reuses
+// the comm runtime and the 1D modulo decomposition of the Louvain engine, so
+// the two algorithms are directly comparable on identical substrates.
+// Shared is its shared-memory sibling. Runs are surfaced through the
+// internal/algo registry as the "lpa" and "plp" engines.
 package labelprop
 
 import (
@@ -18,7 +18,6 @@ import (
 	"parlouvain/internal/comm"
 	"parlouvain/internal/graph"
 	"parlouvain/internal/hashfn"
-	"parlouvain/internal/movesched"
 	"parlouvain/internal/obs"
 	"parlouvain/internal/wire"
 )
@@ -31,12 +30,11 @@ type Options struct {
 	// sweep (as a fraction of n); 0 means 0.001.
 	MinMoves float64
 	// Seed drives the randomized tie-breaking Raghavan et al. prescribe
-	// (deterministic min-label ties let one label flood the graph) and
-	// shuffles the sequential sweep order. Any value, including 0, is a
-	// valid seed.
+	// (deterministic min-label ties let one label flood the graph). Any
+	// value, including 0, is a valid seed.
 	Seed uint64
 	// Recorder, when non-nil, receives one "sweep" event per synchronous
-	// sweep (moved count) from Parallel.
+	// sweep (moved count) from Parallel and Shared.
 	Recorder *obs.Recorder
 	// Metrics, when non-nil, instruments the comm layer (traffic counters
 	// and exchange histograms) for Parallel runs.
@@ -62,64 +60,6 @@ func (o Options) withDefaults() Options {
 		o.MinMoves = 0.001
 	}
 	return o
-}
-
-// Sequential runs asynchronous LPA: each vertex adopts the label carrying
-// the largest incident weight, updates applied immediately. It returns the
-// final labels and the per-sweep move counts.
-func Sequential(g *graph.Graph, opt Options) ([]graph.V, []int) {
-	opt = opt.withDefaults()
-	labels := make([]graph.V, g.N)
-	order := make([]uint32, g.N)
-	for i := range labels {
-		labels[i] = graph.V(i)
-		order[i] = uint32(i)
-	}
-	if opt.Seed != 0 {
-		movesched.Shuffle(order, opt.Seed)
-	}
-
-	weight := make([]float64, g.N) // scratch: label -> incident weight
-	var touched []graph.V
-	var movesPerSweep []int
-	for sweep := 1; sweep <= opt.MaxSweeps; sweep++ {
-		moves := 0
-		for _, ui := range order {
-			u := graph.V(ui)
-			if g.Degree(u) == 0 {
-				continue
-			}
-			touched = touched[:0]
-			g.Neighbors(u, func(v graph.V, w float64) bool {
-				l := labels[v]
-				if weight[l] == 0 {
-					touched = append(touched, l)
-				}
-				weight[l] += w
-				return true
-			})
-			best := labels[u]
-			bestW := weight[best]
-			for _, l := range touched {
-				if weight[l] > bestW ||
-					(weight[l] == bestW && tieRank(uint32(u), uint32(l), opt.Seed) > tieRank(uint32(u), uint32(best), opt.Seed)) {
-					best, bestW = l, weight[l]
-				}
-			}
-			for _, l := range touched {
-				weight[l] = 0
-			}
-			if best != labels[u] {
-				labels[u] = best
-				moves++
-			}
-		}
-		movesPerSweep = append(movesPerSweep, moves)
-		if float64(moves) < opt.MinMoves*float64(g.N) {
-			break
-		}
-	}
-	return labels, movesPerSweep
 }
 
 // Parallel runs synchronous LPA as one rank of a distributed group: each

@@ -32,49 +32,39 @@ func runParallel(t *testing.T, el graph.EdgeList, n, ranks int, opt Options) ([]
 	return labels[0], moves[0]
 }
 
-func TestSequentialTwoCliques(t *testing.T) {
+// TestParallelTwoCliques: a ring of 5-cliques is recovered at one and three
+// ranks.
+func TestParallelTwoCliques(t *testing.T) {
 	el, truth, err := gen.RingOfCliques(6, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := graph.Build(el, 0)
-	labels, movesPerSweep := Sequential(g, Options{})
-	sim, err := metrics.Compare(labels, truth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sim.NMI < 0.8 {
-		t.Errorf("NMI = %v, want > 0.8", sim.NMI)
-	}
-	if len(movesPerSweep) == 0 {
-		t.Errorf("no sweeps traced")
-	}
-}
-
-func TestSequentialRecoversSBM(t *testing.T) {
-	el, truth, err := gen.SBM(gen.SBMConfig{N: 300, Communities: 6, PIn: 0.4, POut: 0.005, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := graph.Build(el, 300)
-	labels, _ := Sequential(g, Options{})
-	sim, err := metrics.Compare(labels, truth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sim.NMI < 0.9 {
-		t.Errorf("NMI = %v, want > 0.9", sim.NMI)
+	for _, ranks := range []int{1, 3} {
+		labels, moves := runParallel(t, el, 0, ranks, Options{})
+		sim, err := metrics.Compare(labels, truth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sim.NMI < 0.8 {
+			t.Errorf("ranks=%d: NMI = %v, want > 0.8", ranks, sim.NMI)
+		}
+		if len(moves) == 0 {
+			t.Errorf("ranks=%d: no sweeps traced", ranks)
+		}
 	}
 }
 
-func TestSequentialIsolatedVerticesKeepOwnLabel(t *testing.T) {
-	g := graph.Build(graph.EdgeList{{U: 0, V: 1, W: 1}}, 4)
-	labels, _ := Sequential(g, Options{})
-	if labels[2] != 2 || labels[3] != 3 {
-		t.Errorf("isolated labels changed: %v", labels)
-	}
-	if labels[0] != labels[1] {
-		t.Errorf("edge endpoints should share a label: %v", labels)
+// TestParallelIsolatedVerticesKeepOwnLabel: a vertex with no edge has no
+// label to adopt, and the edge's endpoints take labels from their component.
+func TestParallelIsolatedVerticesKeepOwnLabel(t *testing.T) {
+	for _, ranks := range []int{1, 3} {
+		labels, _ := runParallel(t, graph.EdgeList{{U: 0, V: 1, W: 1}}, 4, ranks, Options{})
+		if labels[2] != 2 || labels[3] != 3 {
+			t.Errorf("ranks=%d: isolated labels changed: %v", ranks, labels)
+		}
+		if labels[0] > 1 || labels[1] > 1 {
+			t.Errorf("ranks=%d: edge endpoints took a label from outside their component: %v", ranks, labels)
+		}
 	}
 }
 
@@ -144,32 +134,5 @@ func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.MaxSweeps != 64 || o.MinMoves != 0.001 {
 		t.Errorf("defaults: %+v", o)
-	}
-}
-
-func TestSequentialSeedShufflesOrder(t *testing.T) {
-	el, _, err := gen.LFR(gen.DefaultLFR(500, 0.3, 12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := graph.Build(el, 500)
-	a, _ := Sequential(g, Options{Seed: 1})
-	b, _ := Sequential(g, Options{Seed: 1})
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("same seed not deterministic")
-		}
-	}
-}
-
-func BenchmarkSequentialLPA(b *testing.B) {
-	el, _, err := gen.LFR(gen.DefaultLFR(5000, 0.3, 13))
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := graph.Build(el, 5000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Sequential(g, Options{})
 	}
 }

@@ -1,6 +1,8 @@
 package labelprop
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"parlouvain/internal/gen"
@@ -97,6 +99,63 @@ func TestSharedTrivialGraphs(t *testing.T) {
 	for u, l := range labels {
 		if l != graph.V(u) {
 			t.Errorf("isolated vertex %d got label %d", u, l)
+		}
+	}
+}
+
+// TestSharedMatchesParallel pins the claim of Shared's doc: its adoption rule
+// is Parallel's, so the plp engine returns the lpa engine's labels. Both are
+// compared at several thread and rank counts on LFR at low and high mixing
+// and on R-MAT with integer weights, fractional weights (summed in a
+// different order by the two implementations) and added self-loops (which
+// feed the current label in both).
+func TestSharedMatchesParallel(t *testing.T) {
+	type input struct {
+		name string
+		el   graph.EdgeList
+	}
+	var inputs []input
+	for seed := uint64(1); seed <= 3; seed++ {
+		for _, mu := range []float64{0.1, 0.5} {
+			el, _, err := gen.LFR(gen.DefaultLFR(2000, mu, seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			inputs = append(inputs, input{fmt.Sprintf("lfr-mu%.1f-seed%d", mu, seed), el})
+		}
+		el, err := gen.RMAT(gen.DefaultRMAT(10, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, input{fmt.Sprintf("rmat-int-seed%d", seed), el})
+		frac := make(graph.EdgeList, len(el))
+		for i, e := range el {
+			e.W = float64(1+i%7) / 3
+			frac[i] = e
+		}
+		inputs = append(inputs, input{fmt.Sprintf("rmat-frac-seed%d", seed), frac})
+		loops := append(graph.EdgeList(nil), el...)
+		for u := graph.V(0); int(u) < el.NumVertices(); u += 3 {
+			loops = append(loops, graph.Edge{U: u, V: u, W: 2})
+		}
+		inputs = append(inputs, input{fmt.Sprintf("rmat-selfloops-seed%d", seed), loops})
+	}
+	for _, in := range inputs {
+		n := in.el.NumVertices()
+		g := graph.Build(in.el, n)
+		for _, tie := range []uint64{0, 7} {
+			opt := Options{Seed: tie}
+			want, _ := runParallel(t, in.el, n, 1, opt)
+			for _, ranks := range []int{2, 3} {
+				if got, _ := runParallel(t, in.el, n, ranks, opt); !slices.Equal(got, want) {
+					t.Errorf("%s tie=%d: Parallel at %d ranks differs from 1 rank", in.name, tie, ranks)
+				}
+			}
+			for _, threads := range []int{1, 2, 4} {
+				if got, _ := Shared(g, opt, threads); !slices.Equal(got, want) {
+					t.Errorf("%s tie=%d: Shared at %d threads differs from Parallel", in.name, tie, threads)
+				}
+			}
 		}
 	}
 }

@@ -119,11 +119,6 @@ func TestDeltaQMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestEvolutionRatio(t *testing.T) {
-	approx(t, "ratio", EvolutionRatio(10, 100), 0.1, 0)
-	approx(t, "ratio0", EvolutionRatio(5, 0), 0, 0)
-}
-
 func TestCommunitySizes(t *testing.T) {
 	assign := []graph.V{1, 1, 2, 2, 2, 9}
 	sizes := CommunitySizes(assign)

@@ -1,8 +1,8 @@
-// Package metrics implements every evaluation metric of the paper's
-// Table II: Newman modularity (Equation 3), the similarity measures of
-// Table III (NMI, F-measure, NVD, Rand, Adjusted Rand, Jaccard), the
-// evolution ratio, community size distributions, and the global clustering
-// coefficient used to characterize BTER graphs.
+// Package metrics implements the evaluation metrics of the paper's Table II:
+// Newman modularity (Equation 3), the similarity measures of Table III (NMI,
+// F-measure, NVD, Rand, Adjusted Rand, Jaccard), community size
+// distributions, and the global clustering coefficient used to characterize
+// BTER graphs. The evolution ratio is core.(*Result).EvolutionRatios.
 package metrics
 
 import (
@@ -89,16 +89,6 @@ func labelIndex(assign []graph.V) (idx []graph.V, k int) {
 // members of that community. m is the graph's total edge weight.
 func DeltaQ(wUToC, sumTot, ku, m float64) float64 {
 	return wUToC/m - sumTot*ku/(2*m*m)
-}
-
-// EvolutionRatio is the paper's convergence metric (Figure 4b): the number
-// of communities at a level divided by the number of original vertices.
-// Lower is better (more merging).
-func EvolutionRatio(numCommunities, numOriginalVertices int) float64 {
-	if numOriginalVertices == 0 {
-		return 0
-	}
-	return float64(numCommunities) / float64(numOriginalVertices)
 }
 
 // CommunitySizes returns the size of each non-empty community, descending.

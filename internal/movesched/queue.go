@@ -48,9 +48,6 @@ func (q *Queue) Pop() (u uint32, ok bool) {
 // Len returns the number of vertices currently queued.
 func (q *Queue) Len() int { return len(q.q) - q.head }
 
-// Queued reports whether u is currently in the queue.
-func (q *Queue) Queued(u uint32) bool { return q.inQ[u] }
-
 // ActiveSet is the double-buffered pruning set of the synchronous engines
 // (core.PLM, labelprop.Shared): a sweep reads the current generation and
 // marks vertices for the next one — a vertex re-enters only when it or a

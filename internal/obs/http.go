@@ -41,9 +41,8 @@ func NewDebugMux(reg *Registry, health func() any) *http.ServeMux {
 
 // Serve starts h on addr in a background goroutine and returns the
 // listening server (its Addr field holds the resolved address, useful with
-// ":0"). The caller owns shutdown via srv.Close. Use this instead of
-// ServeDebug when extra handlers (e.g. the rank-0 cluster aggregation
-// endpoints) must be mounted on the mux before it starts serving.
+// ":0"). The caller owns shutdown via srv.Close. Extra handlers (e.g. the
+// rank-0 cluster aggregation endpoints) are mounted on h before the call.
 func Serve(addr string, h http.Handler) (*http.Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -52,9 +51,4 @@ func Serve(addr string, h http.Handler) (*http.Server, error) {
 	srv := &http.Server{Addr: ln.Addr().String(), Handler: h}
 	go srv.Serve(ln)
 	return srv, nil
-}
-
-// ServeDebug starts the debug endpoints on addr in a background goroutine.
-func ServeDebug(addr string, reg *Registry, health func() any) (*http.Server, error) {
-	return Serve(addr, NewDebugMux(reg, health))
 }

@@ -39,7 +39,7 @@ type Recorder struct {
 	mu     sync.Mutex
 	epoch  time.Time
 	events []Event
-	watch  chan struct{} // closed by the next Emit/Merge; see Watch
+	watch  chan struct{} // closed by the next Emit; see Watch
 }
 
 // NewRecorder returns an empty recorder whose epoch is now.
@@ -118,24 +118,4 @@ func (r *Recorder) EventsSince(n int) ([]Event, int) {
 		return nil, len(r.events)
 	}
 	return append([]Event(nil), r.events[n:]...), len(r.events)
-}
-
-// Merge appends every event of o (typically another rank's recorder) into
-// r. Timelines are only comparable when both recorders share an epoch —
-// true for in-process groups created from one Recorder; cross-process
-// merges retain per-process clocks, which Chrome trace viewers render as
-// per-pid tracks anyway.
-func (r *Recorder) Merge(o *Recorder) {
-	if o == nil || o == r {
-		return
-	}
-	o.mu.Lock()
-	evs := append([]Event(nil), o.events...)
-	o.mu.Unlock()
-	r.mu.Lock()
-	r.events = append(r.events, evs...)
-	if len(evs) > 0 {
-		r.notifyLocked()
-	}
-	r.mu.Unlock()
 }

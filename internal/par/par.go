@@ -1,6 +1,6 @@
 // Package par provides the intra-rank threading primitives that stand in for
-// the paper's Pthreads layer: a chunked parallel-for, per-thread reduction
-// helpers and a reusable worker group. Every function takes an explicit
+// the paper's Pthreads layer: a chunked parallel-for and a reusable worker
+// group. Every function takes an explicit
 // thread count so experiments can sweep it (Figure 7a).
 package par
 
@@ -154,29 +154,6 @@ func ForChunked(n, threads, chunk int, body func(thread, lo, hi int)) {
 	}
 	wg.Wait()
 	c.raise()
-}
-
-// SumFloat64 computes a parallel sum of body(i) over [0,n) using per-thread
-// accumulators, avoiding false sharing by padding.
-func SumFloat64(n, threads int, body func(i int) float64) float64 {
-	threads = clampThreads(threads, n)
-	type padded struct {
-		v float64
-		_ [7]float64
-	}
-	acc := make([]padded, threads)
-	For(n, threads, func(t, lo, hi int) {
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			s += body(i)
-		}
-		acc[t].v = s
-	})
-	total := 0.0
-	for t := range acc {
-		total += acc[t].v
-	}
-	return total
 }
 
 // Group runs a fixed set of bodies concurrently and collects the first error

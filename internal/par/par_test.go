@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestForCoversRangeExactlyOnce(t *testing.T) {
@@ -59,42 +58,6 @@ func TestForThreadIDsDisjoint(t *testing.T) {
 		if owner[i] < owner[i-1] {
 			t.Fatalf("thread ids not monotone: owner[%d]=%d < owner[%d]=%d", i, owner[i], i-1, owner[i-1])
 		}
-	}
-}
-
-func TestSumFloat64MatchesSerial(t *testing.T) {
-	f := func(raw []int16) bool {
-		vals := make([]float64, len(raw))
-		for i, r := range raw {
-			vals[i] = float64(r) / 8
-		}
-		want := 0.0
-		for _, v := range vals {
-			want += v
-		}
-		got := SumFloat64(len(vals), 4, func(i int) float64 { return vals[i] })
-		diff := want - got
-		if diff < 0 {
-			diff = -diff
-		}
-		scale := 1.0
-		if want > 1 || want < -1 {
-			if want < 0 {
-				scale = -want
-			} else {
-				scale = want
-			}
-		}
-		return diff <= 1e-9*scale
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSumFloat64Empty(t *testing.T) {
-	if got := SumFloat64(0, 4, func(int) float64 { return 1 }); got != 0 {
-		t.Errorf("SumFloat64(0) = %v, want 0", got)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package wire is the shared codec layer for every byte plane the rank
 // runtime moves: the per-destination send planes built by the Louvain
-// engine's phases and by the BFS/SSSP/label-propagation workloads, and the
-// payloads of the comm collectives (reductions, gathers). It provides
+// engine's phases and by label propagation, and the payloads of the comm
+// collectives (reductions, gathers). It provides
 //
 //   - Buffer / Reader: append-only little-endian plane encoding and its
 //     error-latching decoder (fixed u32/u64/f64 plus unsigned varints);

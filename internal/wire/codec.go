@@ -55,29 +55,6 @@ func (r *Reader) Pair() (x, y uint32) {
 	return uint32(v), uint32(v >> 32)
 }
 
-// PutU32s appends a length-prefixed fixed-width uint32 vector.
-func (b *Buffer) PutU32s(xs []uint32) {
-	b.PutUvarint(uint64(len(xs)))
-	b.Grow(4 * len(xs))
-	for _, x := range xs {
-		b.PutU32(x)
-	}
-}
-
-// U32s decodes a length-prefixed uint32 vector into dst (reused when large
-// enough), returning the filled slice (nil after an error).
-func (r *Reader) U32s(dst []uint32) []uint32 {
-	n := r.count("uint32 vector", 4)
-	if r.err != nil {
-		return nil
-	}
-	dst = growU32(dst, n)
-	for i := range dst {
-		dst[i] = r.U32()
-	}
-	return dst
-}
-
 // PutU64s appends a length-prefixed fixed-width uint64 vector.
 func (b *Buffer) PutU64s(xs []uint64) {
 	b.PutUvarint(uint64(len(xs)))

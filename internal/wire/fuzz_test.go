@@ -32,17 +32,13 @@ func FuzzTripleRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzSliceRoundTrip interprets the fuzz payload as u32/u64/f64 vectors and
+// FuzzSliceRoundTrip interprets the fuzz payload as u64 and f64 vectors and
 // round-trips each through its length-prefixed codec.
 func FuzzSliceRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		u32 := make([]uint32, 0, len(data)/4)
-		for i := 0; i+4 <= len(data); i += 4 {
-			u32 = append(u32, binary.LittleEndian.Uint32(data[i:]))
-		}
 		u64 := make([]uint64, 0, len(data)/8)
 		f64 := make([]float64, 0, len(data)/8)
 		for i := 0; i+8 <= len(data); i += 8 {
@@ -52,11 +48,9 @@ func FuzzSliceRoundTrip(f *testing.F) {
 		}
 
 		var b Buffer
-		b.PutU32s(u32)
 		b.PutU64s(u64)
 		b.PutF64s(f64)
 		r := NewReader(b.Bytes())
-		gotU32 := r.U32s(nil)
 		gotU64 := r.U64s(nil)
 		gotF64 := r.F64s(nil)
 		if r.Err() != nil {
@@ -65,14 +59,9 @@ func FuzzSliceRoundTrip(f *testing.F) {
 		if r.More() {
 			t.Fatal("leftover bytes")
 		}
-		if len(gotU32) != len(u32) || len(gotU64) != len(u64) || len(gotF64) != len(f64) {
-			t.Fatalf("length mismatch: %d/%d/%d want %d/%d/%d",
-				len(gotU32), len(gotU64), len(gotF64), len(u32), len(u64), len(f64))
-		}
-		for i := range u32 {
-			if gotU32[i] != u32[i] {
-				t.Fatalf("u32[%d] = %d, want %d", i, gotU32[i], u32[i])
-			}
+		if len(gotU64) != len(u64) || len(gotF64) != len(f64) {
+			t.Fatalf("length mismatch: %d/%d want %d/%d",
+				len(gotU64), len(gotF64), len(u64), len(f64))
 		}
 		for i := range u64 {
 			if gotU64[i] != u64[i] {
@@ -190,7 +179,7 @@ func FuzzReaderNeverPanics(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{0x80, 0x80, 0x80}, uint8(3))
 	f.Add(bytes.Repeat([]byte{0xff}, 32), uint8(4))
-	f.Add([]byte("\xc8\xc8\xc8\xc8\xc8\xc8\xc8\xc80"), uint8(0x96)) // a u32 vector of ~2⁶⁴ elements: 4*n wrapped
+	f.Add([]byte("\xc8\xc8\xc8\xc8\xc8\xc8\xc8\xc80"), uint8(0x96)) // a u64 vector of ~2⁶⁴ elements: 8*n wraps
 	f.Fuzz(func(t *testing.T, data []byte, which uint8) {
 		var r Reader
 		r.Reset(data)
@@ -209,7 +198,7 @@ func FuzzReaderNeverPanics(f *testing.F) {
 			case 5:
 				r.Assign(nil)
 			case 6:
-				r.U32s(nil)
+				r.U64s(nil)
 			case 7:
 				r.Pair()
 			}

@@ -142,31 +142,23 @@ func TestPairRoundTrip(t *testing.T) {
 }
 
 func TestSliceCodecsRoundTrip(t *testing.T) {
-	u32 := []uint32{0, 1, ^uint32(0), 12345}
 	u64 := []uint64{0, ^uint64(0), 1 << 40}
 	f64 := []float64{0, -0.0, math.Inf(1), math.Pi, math.SmallestNonzeroFloat64}
 
 	var b Buffer
-	b.PutU32s(u32)
 	b.PutU64s(u64)
 	b.PutF64s(f64)
-	b.PutU32s(nil)
+	b.PutU64s(nil)
 
 	r := NewReader(b.Bytes())
-	gotU32 := r.U32s(nil)
 	gotU64 := r.U64s(nil)
 	gotF64 := r.F64s(nil)
-	gotEmpty := r.U32s(nil)
+	gotEmpty := r.U64s(nil)
 	if r.Err() != nil || r.More() {
 		t.Fatalf("decode: err=%v more=%v", r.Err(), r.More())
 	}
-	if len(gotU32) != len(u32) {
-		t.Fatalf("u32s len %d", len(gotU32))
-	}
-	for i := range u32 {
-		if gotU32[i] != u32[i] {
-			t.Errorf("u32s[%d] = %d", i, gotU32[i])
-		}
+	if len(gotU64) != len(u64) || len(gotF64) != len(f64) {
+		t.Fatalf("lens %d/%d", len(gotU64), len(gotF64))
 	}
 	for i := range u64 {
 		if gotU64[i] != u64[i] {
@@ -185,9 +177,9 @@ func TestSliceCodecsRoundTrip(t *testing.T) {
 
 func TestSliceCodecReusesDst(t *testing.T) {
 	var b Buffer
-	b.PutU32s([]uint32{1, 2, 3})
-	scratch := make([]uint32, 8)
-	got := NewReader(b.Bytes()).U32s(scratch)
+	b.PutU64s([]uint64{1, 2, 3})
+	scratch := make([]uint64, 8)
+	got := NewReader(b.Bytes()).U64s(scratch)
 	if &got[0] != &scratch[0] {
 		t.Error("large-enough dst not reused")
 	}

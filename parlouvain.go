@@ -94,12 +94,16 @@ func ResolveThreads(threads int) int { return core.ResolveThreads(threads) }
 // vertex count.
 func BuildGraph(el EdgeList, n int) *Graph { return graph.Build(el, n) }
 
-// Detect runs the sequential Louvain algorithm (the paper's baseline).
+// Detect runs the sequential Louvain algorithm (the paper's baseline). On a
+// graph with edges it panics with an error naming the fault when opt.Warm is
+// set and does not have one entry per vertex, or holds a label outside the
+// vertex range; DetectParallel returns that error instead.
 func Detect(el EdgeList, opt Options) *Result {
 	return core.Sequential(graph.Build(el, 0), opt)
 }
 
-// DetectGraph runs the sequential algorithm on an already-built graph.
+// DetectGraph runs the sequential algorithm on an already-built graph. It
+// panics on a bad opt.Warm as Detect does.
 func DetectGraph(g *Graph, opt Options) *Result {
 	return core.Sequential(g, opt)
 }
@@ -218,8 +222,13 @@ func SplitEdges(el EdgeList, ranks int) []EdgeList {
 	return graph.SplitEdges(el, ranks)
 }
 
-// Modularity computes Newman's modularity (Equation 3) of an assignment.
+// Modularity computes Newman's modularity (Equation 3) of an assignment. It
+// panics, naming both lengths, when assign has fewer entries than g has
+// vertices.
 func Modularity(g *Graph, assign []V) float64 {
+	if len(assign) < g.N {
+		panic(fmt.Sprintf("parlouvain: Modularity: assignment has %d entries for %d vertices", len(assign), g.N))
+	}
 	return metrics.Modularity(g, assign)
 }
 
@@ -259,7 +268,8 @@ func BuildDendrogram(res *Result) (*Dendrogram, error) {
 // SplitDisconnected refines an assignment so every community is internally
 // connected (the Leiden-style post-pass); splitting a disconnected
 // community never lowers modularity. Returns the refined assignment and
-// how many extra communities the splits produced.
+// how many extra communities the splits produced. It panics, naming both
+// lengths, when assign does not have exactly one entry per vertex of g.
 func SplitDisconnected(g *Graph, assign []V) ([]V, int) {
 	return core.SplitDisconnected(g, assign)
 }

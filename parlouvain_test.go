@@ -3,8 +3,10 @@ package parlouvain_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -233,5 +235,47 @@ func TestExtendAssignment(t *testing.T) {
 	}
 	if got := parlouvain.ExtendAssignment(prev, 2); len(got) != 2 || got[0] != 5 {
 		t.Errorf("shrink: %v", got)
+	}
+}
+
+// TestFacadePanicsNameTheFault pins the documented panics of the facade
+// calls that have no error return: each names what was wrong, and
+// DetectParallel refuses the same warm start with an error.
+func TestFacadePanicsNameTheFault(t *testing.T) {
+	el, _, err := parlouvain.RingOfCliques(3, 4) // 12 vertices
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := parlouvain.BuildGraph(el, 0)
+	short := make([]parlouvain.V, 5)
+	const warmMsg = "core: warm-start assignment covers 5 of 12 vertices"
+	cases := []struct {
+		name, want string
+		call       func()
+	}{
+		{"Detect", warmMsg, func() { parlouvain.Detect(el, parlouvain.Options{Warm: short}) }},
+		{"DetectGraph", warmMsg, func() { parlouvain.DetectGraph(g, parlouvain.Options{Warm: short}) }},
+		{"SplitDisconnected", "core: SplitDisconnected: assignment has 5 entries for 12 vertices",
+			func() { parlouvain.SplitDisconnected(g, short) }},
+		{"Modularity", "parlouvain: Modularity: assignment has 5 entries for 12 vertices",
+			func() { parlouvain.Modularity(g, short) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("no panic")
+				}
+				if got := fmt.Sprint(r); got != c.want {
+					t.Errorf("panic %q, want %q", got, c.want)
+				}
+			}()
+			c.call()
+		})
+	}
+	if _, err := parlouvain.DetectParallel(el, 2, parlouvain.Options{Warm: short}); err == nil ||
+		!strings.Contains(err.Error(), warmMsg) {
+		t.Errorf("DetectParallel err = %v, want one containing %q", err, warmMsg)
 	}
 }
