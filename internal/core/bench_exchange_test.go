@@ -21,7 +21,8 @@ import (
 // — plane building, the all-to-all exchange, decode, one store per told
 // vertex and the Σtot pull; under phase=iter it is the part of a steady-state inner
 // iteration that lives on the out rows: findBest, a move-log propagation of
-// a fixed sixteenth of the vertices, and computeQ. allocs/op is the
+// a fixed sixteenth of the vertices with their Σtot deltas, and the push of
+// the totals and modularity that follows it. allocs/op is the
 // steady-state allocation count; the buffer pooling in internal/wire and the
 // pre-bound phase bodies exist to keep it at zero (numbers tracked in
 // EXPERIMENTS.md). The rows keep the mode=bulk prefix their earlier numbers
@@ -48,7 +49,7 @@ func BenchmarkExchangeAllocs(b *testing.B) {
 
 // TestExchangeSteadyStateAllocatesNothing is the blocking form of the
 // benchmark: a steady-state full propagation, and the
-// findBest + move-log propagation + computeQ trio, allocate nothing at ranks
+// findBest + move-log propagation + push trio, allocate nothing at ranks
 // 1 and 2. The count is every malloc of the process over the measured ops,
 // the goroutines that drive the ranks included, divided by the ops per rank —
 // so it reads 0 while the hot path is clean and ≥ 1 as soon as one rank
@@ -146,7 +147,7 @@ var exchangeOps = []struct {
 		if err := s.propagateDelta(); err != nil {
 			return err
 		}
-		_, err := s.computeQ()
+		_, err := s.pushTotals()
 		return err
 	}},
 }
@@ -189,7 +190,10 @@ func steadyEngines(tb testing.TB, el graph.EdgeList, n, ranks int, op func(*engi
 	err := onRanks(states, func(s *engine) error {
 		for li := 0; li < s.nLoc; li += 16 {
 			if s.active[li] {
+				// A move from its community into the same one: the Σtot
+				// deltas cancel, so every op ships the same planes.
 				s.moveLog = append(s.moveLog, li)
+				s.left[li] = s.commOf[li]
 			}
 		}
 		if err := s.propagate(); err != nil {

@@ -22,8 +22,8 @@ import (
 //	               	 gathering
 //	outrows.go     — the level's out rows: in-edge rows read through ghost,
 //	               	 and the two indexes propagation is addressed by
-//	propagate.go   — full and move-log state propagation + Σtot pull
-//	               	 (Algorithm 3 / Equation 4 inputs)
+//	propagate.go   — full and move-log state propagation, the Σtot pull
+//	               	 and push (Algorithm 3 / Equation 4 inputs)
 //	refine.go      — the inner refinement loop: findBest, threshold, update,
 //	               	 modularity (Algorithm 4)
 //	warm.go        — warm-start seeding
@@ -78,8 +78,8 @@ type engine struct {
 	// Margin-bounded skipping (findBest): skipUntil[li] is the value of drift
 	// up to which li's sweep result is provably (0, commOf[li]) and need not
 	// be recomputed; 0 or less means "score it". drift is the running sum, over
-	// the level's Σtot pulls since the last full propagation, of the largest
-	// |ΔΣtot| each pull brought to a referenced community. skipUntil[li] is
+	// the level's Σtot pushes since the last full propagation, of the largest
+	// |ΔΣtot| each push brought to a referenced community. skipUntil[li] is
 	// written by the sweep worker of li's range and, between sweeps, by
 	// relocate and the one merge worker (spending it at skipRate, m/k made
 	// 2⁻²⁰ larger, per unit of weight) — never two of them at once.
@@ -98,11 +98,13 @@ type engine struct {
 
 	// totCache and memCache hold Σtot and the member count of every
 	// community this rank references — one that a neighbor of an owned
-	// vertex is in or that holds an owned vertex — indexed by community id
-	// and refreshed by the pull that ends each state propagation. refs lists
-	// the referenced communities (refSeen is its membership test); it grows
-	// with each first-seen record value and sheds communities a pull reports
-	// empty.
+	// vertex is in or that holds an owned vertex — indexed by community id.
+	// The pull of a full propagation fetches them all; in the inner loop each
+	// owner pushes the totals of its communities that changed (pushTotals).
+	// refSeen marks the referenced communities: a first-seen record value
+	// enters the set, and a community reported empty leaves it. refs lists
+	// them for the pull; between pulls it may also hold communities that left
+	// the set, some more than once.
 	// Member counts feed the singleton minimum-label rule that breaks
 	// symmetric swap cycles (see findBest).
 	totCache     []float64
@@ -110,6 +112,17 @@ type engine struct {
 	refSeen      []bool
 	refs         []uint32
 	replyReaders []wire.Reader // one per peer, for replies that come back in request order
+
+	// The owner's side of the push: subs[li*subWords:(li+1)*subWords] is the
+	// bit set of the ranks registered for owned community li's totals — the
+	// ranks whose reference set holds it. changed[li] marks, and changedList
+	// lists, the owned communities the current move-log round brought a Σtot
+	// delta. headCount is putMoveDeltas' per-destination delta count.
+	subs        []uint64
+	subWords    int
+	changed     []bool
+	changedList []int32
+	headCount   []uint64
 
 	active []bool
 	commOf []graph.V
@@ -152,8 +165,10 @@ type engine struct {
 	rankSeen []int
 
 	// scan[t] is worker t's neighbor-community accumulator: the same dense
-	// weights + touched list the whole-graph engines use.
+	// weights + touched list the whole-graph engines use; hist[t] counts the
+	// positive gains worker t's part of the last findBest found.
 	scan []*gainScan
+	hist []gainHistogram
 
 	// moveLog lists the local indices of the vertices the current iteration
 	// moved, for the move-log propagation.
@@ -244,6 +259,9 @@ func newEngine(c *comm.Comm, n int, opt Options) *engine {
 		totCache:  make([]float64, n),
 		memCache:  make([]uint32, n),
 		refSeen:   make([]bool, n),
+		subWords:  (c.Size() + 63) / 64,
+		changed:   make([]bool, nLoc),
+		headCount: make([]uint64, c.Size()),
 		ghost:     make([]uint32, n),
 		revOff:    make([]int64, n+1),
 		rankSeen:  make([]int, c.Size()),
@@ -257,7 +275,9 @@ func newEngine(c *comm.Comm, n int, opt Options) *engine {
 	s.pend = make([]graph.EdgeList, opt.Threads)
 	s.bySrc = make([]graph.EdgeList, opt.Threads)
 	s.srcPos = make([][]int64, opt.Threads)
+	s.subs = make([]uint64, nLoc*s.subWords)
 	s.scan = make([]*gainScan, opt.Threads)
+	s.hist = make([]gainHistogram, opt.Threads)
 	for t := 0; t < opt.Threads; t++ {
 		s.srcPos[t] = make([]int64, n+1)
 		s.scan[t] = newGainScan(n)

@@ -142,3 +142,32 @@ func TestInvariantCheckerOffByDefault(t *testing.T) {
 		t.Fatalf("unchecked run surfaced %v — corruption should go unnoticed without the checker", err)
 	}
 }
+
+// TestInvariantCatchesMovedCountMismatch: with checks on, the group's move
+// count read off the gain histogram is held to a reduction of the ranks' own
+// counts, and a disagreement fails every rank with ErrInvariant.
+func TestInvariantCatchesMovedCountMismatch(t *testing.T) {
+	el, _, err := gen.RingOfCliques(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := levelEngines(t, el, 16, 3)
+	for _, c := range []struct {
+		fromHistogram uint64
+		fail          bool
+	}{{6, false}, {5, true}} {
+		errs := make([]error, len(states))
+		err := onRanks(states, func(s *engine) error {
+			errs[s.part.Rank] = s.checkMoved(uint64(s.part.Rank+1), c.fromHistogram) // the ranks moved 1+2+3
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, err := range errs {
+			if c.fail != errors.Is(err, ErrInvariant) || !c.fail && err != nil {
+				t.Errorf("histogram count %d, ranks' 6: rank %d err = %v, want failure %v", c.fromHistogram, r, err, c.fail)
+			}
+		}
+	}
+}

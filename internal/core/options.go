@@ -296,6 +296,23 @@ func (h *gainHistogram) threshold(target uint64) float64 {
 	return minMoveGain
 }
 
+// admitted returns how many of the counted gains a ΔQ̂ from threshold admits:
+// those at or above both ΔQ̂ and minMoveGain, the vertices update moves.
+// threshold returns a bin's lower edge, minMoveGain or +Inf, so the count is
+// exact: the bins whose lower edge is at least ΔQ̂, or every bin when ΔQ̂ is
+// at most minMoveGain (as bin 0's edge 2⁻⁴⁰ is: its gains start at
+// minMoveGain), or none for +Inf.
+func (h *gainHistogram) admitted(dqHat float64) uint64 {
+	var n uint64
+	for i := gainBins - 1; i >= 0; i-- {
+		if dqHat > minMoveGain && math.Ldexp(1, i+gainMinExp) < dqHat {
+			break
+		}
+		n += h.counts[i]
+	}
+	return n
+}
+
 // total returns the number of vertices with positive gain.
 func (h *gainHistogram) total() uint64 {
 	var t uint64

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -107,6 +108,53 @@ func TestGainHistogramThresholdAdmitsAtLeastTarget(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestGainHistogramAdmitted: the group's move count read off the reduced
+// histogram equals a count of the gains update admits — those at or above
+// both ΔQ̂ and minMoveGain — for every ΔQ̂ threshold returns. The gains are
+// drawn so that bin 0, which spans [minMoveGain, 2⁻³⁹) below an edge of
+// 2⁻⁴⁰ < minMoveGain, the gains too small to count, and the bin-63 clamp
+// (every gain from 2²³ up) all hold some, and targets run up to beyond the
+// total, where threshold returns minMoveGain.
+func TestGainHistogramAdmitted(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		var h gainHistogram
+		var gains []float64
+		for i := rng.Intn(200); i > 0; i-- {
+			var g float64
+			switch rng.Intn(5) {
+			case 0: // bin 0 and its neighbours, minMoveGain and 2⁻⁴⁰ among them
+				g = []float64{minMoveGain, 0x1p-40, 0x1p-39, math.Nextafter(0x1p-39, 0), minMoveGain / 2}[rng.Intn(5)]
+			case 1: // the clamped top bin
+				g = math.Ldexp(1+rng.Float64(), 23+rng.Intn(40))
+			case 2: // exactly on a bin edge
+				g = math.Ldexp(1, gainMinExp+rng.Intn(gainBins))
+			default:
+				g = math.Ldexp(rng.Float64(), -rng.Intn(45))
+			}
+			h.add(g)
+			gains = append(gains, g)
+		}
+		for _, target := range []uint64{1, 2, 5, uint64(len(gains)/2 + 1), uint64(len(gains)), uint64(len(gains) + 1), 1 << 40} {
+			dq := h.threshold(target)
+			var want uint64
+			for _, g := range gains {
+				if g >= dq && g >= minMoveGain {
+					want++
+				}
+			}
+			if got := h.admitted(dq); got != want {
+				t.Fatalf("trial %d, target %d: ΔQ̂ %g admits %d of the gains, the histogram says %d", trial, target, dq, want, got)
+			}
+		}
+	}
+	var h gainHistogram
+	h.add(1)
+	if got := h.admitted(math.Inf(1)); got != 0 {
+		t.Errorf("ΔQ̂ +Inf admits %d", got)
 	}
 }
 

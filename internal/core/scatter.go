@@ -23,6 +23,14 @@ import (
 //     mergeRecords, the merge of both propagations, has worker 0 apply
 //     every record while the others return at once.
 func (s *engine) scatter(nWork int, build func(t, lo, hi int, w *wire.Planes), merge func(t int, r *wire.Reader) error) error {
+	s.chunked.Init(s.c.Size(), s.opt.Threads)
+	return s.scatterArmed(nWork, build, merge)
+}
+
+// scatterArmed is scatter over per-thread writers the caller has armed with
+// Init, having perhaps written into thread 0's a head that then precedes the
+// records of every plane (propagateDelta's Σtot deltas).
+func (s *engine) scatterArmed(nWork int, build func(t, lo, hi int, w *wire.Planes), merge func(t int, r *wire.Reader) error) error {
 	// The callbacks are pre-bound func fields (see newEngine), so selecting
 	// the phase is two pointer stores — no per-round closure allocation.
 	s.curBuild, s.curMerge = build, merge
@@ -30,7 +38,6 @@ func (s *engine) scatter(nWork int, build func(t, lo, hi int, w *wire.Planes), m
 		s.mergeErrs[t] = nil
 	}
 	T := s.opt.Threads
-	s.chunked.Init(s.c.Size(), T)
 	par.For(nWork, T, s.buildBody)
 	p := s.outPlanes()
 	s.chunked.ConcatInto(p)

@@ -10,6 +10,48 @@ import (
 	"parlouvain/internal/obs"
 )
 
+// TestIterationRounds: an inner iteration is three collective rounds — the
+// gain histogram's reduction, the move-log round that carries the Σtot
+// deltas, and the push of the changed totals with the modularity shares — at
+// every group size, and each iteration event says so in comm_rounds, with the
+// bytes the rank sent in comm_bytes.
+func TestIterationRounds(t *testing.T) {
+	// The invariant checker adds a round of its own to every iteration.
+	forceInvariantChecks = false
+	defer func() { forceInvariantChecks = true }()
+	el, _, err := gen.LFR(gen.DefaultLFR(1000, 0.3, 19))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ranks := range []int{1, 2, 4} {
+		rec := obs.NewRecorder()
+		res, err := RunInProcess(el, 1000, ranks, Options{Recorder: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for _, lv := range res.Levels {
+			want += ranks * lv.InnerIterations
+		}
+		got := 0
+		for _, e := range rec.Events() {
+			if e.Name != "iteration" {
+				continue
+			}
+			got++
+			if r := e.Fields["comm_rounds"]; r != 3 {
+				t.Errorf("ranks=%d: rank %d level %d iteration %d ran %v rounds, want 3", ranks, e.Rank, e.Level, e.Iter, r)
+			}
+			if b := e.Fields["comm_bytes"]; !(b > 0) {
+				t.Errorf("ranks=%d: rank %d level %d iteration %d reports %v bytes sent", ranks, e.Rank, e.Level, e.Iter, b)
+			}
+		}
+		if got != want || got == 0 {
+			t.Errorf("ranks=%d: %d iteration events, want %d", ranks, got, want)
+		}
+	}
+}
+
 // TestParallelTelemetryEvents runs a 3-rank in-process detection with a
 // shared recorder and checks the contract the exporters and the Figure 8
 // harness rely on: one "iteration" event per rank per inner iteration with
