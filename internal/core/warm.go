@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"parlouvain/internal/graph"
+	"parlouvain/internal/wire"
 )
 
 // CheckWarm reports whether warm is a usable Options.Warm for a graph of n
@@ -29,30 +30,47 @@ func CheckWarm(warm []graph.V, n int) error {
 }
 
 // applyWarm moves every owned vertex from its singleton community into its
-// warm-start community, shipping the same Σtot/member deltas as a regular
-// update. Called once, right after the first levelInit.
+// warm-start community, shipping the Σtot/member deltas as a move-log round
+// ships its head (putMoveDeltas, applyMoveDeltas). Called once, right after
+// the first levelInit: the full propagation that follows pulls every total
+// and starts the subscriber lists over, so the round's registrations and its
+// list of changed communities are dropped, and a warm move leaves no return
+// rule behind.
 func (s *engine) applyWarm() error {
-	p := s.outPlanes()
+	s.moveLog = s.moveLog[:0]
 	for li := 0; li < s.nLoc; li++ {
 		if !s.active[li] {
 			continue
 		}
-		target := s.opt.Warm[s.part.GlobalID(li)]
-		oldC := s.commOf[li]
-		if target == oldC {
-			continue
+		if target := s.opt.Warm[s.part.GlobalID(li)]; target != s.commOf[li] {
+			s.left[li], s.commOf[li] = s.commOf[li], target
+			s.moveLog = append(s.moveLog, li)
 		}
-		s.commOf[li] = target
-		bo := p.To(s.part.Owner(oldC))
-		bo.PutU32(uint32(oldC))
-		bo.PutF64(-s.k[li])
-		bn := p.To(s.part.Owner(target))
-		bn.PutU32(uint32(target))
-		bn.PutF64(s.k[li])
 	}
+	p := s.outPlanes()
+	s.putMoveDeltas(p)
+	for _, li := range s.moveLog {
+		s.left[li] = 0
+	}
+	s.moveLog = s.moveLog[:0]
 	in, err := s.exchange(p)
 	if err != nil {
 		return err
 	}
-	return s.applyTotDeltas(in)
+	defer wire.ReleasePlanes(in)
+	var r wire.Reader
+	for src, plane := range in {
+		r.Reset(plane)
+		if err := s.applyMoveDeltas(&r); err != nil {
+			return err
+		}
+		if r.More() {
+			return fmt.Errorf("core: rank %d got %d bytes after rank %d's warm-start deltas", s.part.Rank, r.Remaining(), src)
+		}
+	}
+	for _, li := range s.changedList {
+		s.changed[li] = false
+	}
+	s.changedList = s.changedList[:0]
+	return nil
 }
