@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"parlouvain/internal/comm"
 	"parlouvain/internal/graph"
 	"parlouvain/internal/hashfn"
 	"parlouvain/internal/par"
@@ -58,13 +57,11 @@ func checkEdge(e graph.Edge, n int) error {
 
 const refusedInput = 1 << 48
 
-// refuseInput returns err after joining level 0's two reductions (levelInit)
-// with no graph and an active count of refusedInput — above any count of ids
-// below 2³² — so that the ranks whose input was fine fail too, not wait.
+// refuseInput returns err after joining level 0's one round (levelSums) with
+// no graph and an active count of refusedInput — above any count of ids below
+// 2³² — so that the ranks whose input was fine fail too, not wait.
 func (s *engine) refuseInput(err error) error {
-	if _, e := s.c.AllReduceFloat64(0, comm.OpSum); e == nil {
-		_ = s.c.AllReduceUint64Slice([]uint64{refusedInput, 0}) // err is this rank's answer either way
-	}
+	_, _, _, _ = s.levelSums(0, refusedInput, 0) // err is this rank's answer either way
 	return err
 }
 
@@ -182,14 +179,15 @@ func (s *engine) fillRows(t int) {
 // (outrows.go): the entries (u→v) held across the group must be matched one
 // for one by their mirrors (v→u). Each entry adds a 64-bit mix of its
 // unordered pair to a wrapping sum when u < v and takes it off when u > v, so
-// the group's total — which rides the active-count reduction, no round of its
-// own — is zero for a symmetric graph and, for any other, zero with
-// probability 2⁻⁶⁴; every rank reads the same total and returns together.
-// Weights are not compared here; invariant 8 does that under -check.
+// the group's total — which rides levelSums' round with 2m and the active
+// count, no round of its own — is zero for a symmetric graph and, for any
+// other, zero with probability 2⁻⁶⁴; every rank reads the same total and
+// returns together. Weights are not compared here; invariant 8 does that under
+// -check.
 func (s *engine) levelInit() (uint64, error) {
 	localK, localActive, mirror := s.buildRows()
 	clear(s.left)
-	twoM, err := s.c.AllReduceFloat64(localK, comm.OpSum)
+	twoM, active, mirror, err := s.levelSums(localK, localActive, mirror)
 	if err != nil {
 		return 0, err
 	}
@@ -197,18 +195,45 @@ func (s *engine) levelInit() (uint64, error) {
 	for li, k := range s.k[:s.nLoc] {
 		s.skipRate[li] = s.m / (k * skipSafety)
 	}
-	sums := [2]uint64{localActive, mirror}
-	if err := s.c.AllReduceUint64Slice(sums[:]); err != nil {
-		return 0, err
-	}
-	if sums[0] >= refusedInput {
+	if active >= refusedInput {
 		return 0, fmt.Errorf("core: rank %d: another rank of the group refused an edge of its input", s.part.Rank)
 	}
-	if sums[1] != 0 {
+	if mirror != 0 {
 		return 0, fmt.Errorf("core: rank %d: the input is not symmetric: some edge (u→v) is held by owner(v) without its mirror (v→u) at owner(u); "+
 			"every undirected edge must be given once per orientation, as graph.SplitEdges produces", s.part.Rank)
 	}
-	return sums[0], nil
+	return active, nil
+}
+
+// levelSums is levelInit's one round: every rank sends its Σk, active count
+// and mirror sum to every rank, and each folds what arrives in rank order —
+// Σk as comm.AllReduceFloat64 folds, so 2m has the same bits on every rank;
+// the counts wrap.
+func (s *engine) levelSums(localK float64, localActive, localMirror uint64) (twoM float64, active, mirror uint64, err error) {
+	p := s.outPlanes()
+	for dst := 0; dst < s.c.Size(); dst++ {
+		b := p.To(dst)
+		b.PutF64(localK)
+		b.PutU64(localActive)
+		b.PutU64(localMirror)
+	}
+	in, err := s.exchange(p)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	defer wire.ReleasePlanes(in)
+	var r wire.Reader
+	for src, plane := range in {
+		r.Reset(plane)
+		k, a, m := r.F64(), r.U64(), r.U64()
+		if r.Err() != nil || r.More() {
+			return 0, 0, 0, fmt.Errorf("core: rank %d got %d bytes of level sums from rank %d", s.part.Rank, len(plane), src)
+		}
+		twoM = addShare(twoM, k, src)
+		active += a
+		mirror += m
+	}
+	return twoM, active, mirror, nil
 }
 
 // reconstruct is Algorithm 5: every owned vertex u's out row, summed per
