@@ -298,19 +298,42 @@ func (h *gainHistogram) threshold(target uint64) float64 {
 
 // admitted returns how many of the counted gains a ΔQ̂ from threshold admits:
 // those at or above both ΔQ̂ and minMoveGain, the vertices update moves.
-// threshold returns a bin's lower edge, minMoveGain or +Inf, so the count is
-// exact: the bins whose lower edge is at least ΔQ̂, or every bin when ΔQ̂ is
-// at most minMoveGain (as bin 0's edge 2⁻⁴⁰ is: its gains start at
-// minMoveGain), or none for +Inf.
 func (h *gainHistogram) admitted(dqHat float64) uint64 {
 	var n uint64
-	for i := gainBins - 1; i >= 0; i-- {
-		if dqHat > minMoveGain && math.Ldexp(1, i+gainMinExp) < dqHat {
-			break
-		}
-		n += h.counts[i]
+	for _, c := range h.counts[lowestAdmitted(dqHat):] {
+		n += c
 	}
 	return n
+}
+
+// mass returns Σ counts[i]·2^(i+gainMinExp) over the bins a ΔQ̂ from threshold
+// admits: every gain counted in bin i is at least its lower edge 2^(i+gainMinExp)
+// (bin 0's start at minMoveGain, above it), so the mass is a lower bound on
+// the predicted ΣΔQ of the moves update makes. It is built from the reduced
+// integer counts and powers of two, so every rank computes the same bits.
+func (h *gainHistogram) mass(dqHat float64) float64 {
+	var m float64
+	for i := lowestAdmitted(dqHat); i < gainBins; i++ {
+		m += math.Ldexp(float64(h.counts[i]), i+gainMinExp)
+	}
+	return m
+}
+
+// lowestAdmitted returns the lowest bin a ΔQ̂ from threshold admits, gainBins
+// for none. threshold returns a bin's lower edge, minMoveGain or +Inf, so the
+// admitted gains fill whole bins: those whose lower edge is at least ΔQ̂, or
+// every bin when ΔQ̂ is at most minMoveGain (as bin 0's edge 2⁻⁴⁰ is: its
+// gains start at minMoveGain), or none for +Inf.
+func lowestAdmitted(dqHat float64) int {
+	if dqHat <= minMoveGain {
+		return 0
+	}
+	for i := 0; i < gainBins; i++ {
+		if math.Ldexp(1, i+gainMinExp) >= dqHat {
+			return i
+		}
+	}
+	return gainBins
 }
 
 // total returns the number of vertices with positive gain.

@@ -35,7 +35,7 @@ type goldenEvent struct {
 
 // goldenFields lists the deterministic algorithmic fields per event kind.
 var goldenFields = map[string][]string{
-	"iteration": {"moved", "active", "eps", "dq_hat", "q", "q_best"},
+	"iteration": {"moved", "active", "eps", "dq_hat", "floor_pct", "mass", "q", "q_best"},
 	"level":     {"q", "vertices", "communities", "inner_iterations"},
 }
 
