@@ -36,12 +36,13 @@ vet:
 # ExactCounts and ReturnRule hold par-louvain's moves to the same counts at
 # every rank count; PushSubscriptions holds every rank's pushed totals and
 # every owner's subscriber list to the owners' state (scripted, over mem and
-# TCP), and IterationRounds an inner iteration to three rounds — all at 2 Ps,
-# as CI runs them.
+# TCP), IterationRounds an inner iteration to three rounds, and AdmissionFloor
+# the floor each iteration's events report to its rule — all at 2 Ps, as CI
+# runs them.
 chaos:
 	$(GO) test -race -count=3 -run 'Chaos|TCP|RunGroup|SimClose' ./internal/comm
 	$(GO) test -short -run 'Chaos|Invariant|CrossEngine' ./internal/core
-	GOMAXPROCS=2 $(GO) test -race -run 'Skip|GoldenTrace|OutRows|Asymmetric|BuildRows|RowsCanonical|ParallelFingerprint|CancelMidRun|ExactCounts|ReturnRule|PushSubscriptions|IterationRounds' ./internal/core
+	GOMAXPROCS=2 $(GO) test -race -run 'Skip|GoldenTrace|OutRows|Asymmetric|BuildRows|RowsCanonical|ParallelFingerprint|CancelMidRun|ExactCounts|ReturnRule|PushSubscriptions|IterationRounds|AdmissionFloor' ./internal/core
 
 # Short fuzz pass over every fuzz target (wire codecs, graph readers, Build and
 # the rank rows lpa runs on — FuzzBuild: Build and Partition.InRows at
