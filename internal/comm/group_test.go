@@ -53,7 +53,7 @@ func TestRunGroupNoGoroutineLeak(t *testing.T) {
 			name: "success",
 			body: func(_ context.Context, _ int, c *Comm) error {
 				for i := 0; i < 4; i++ {
-					if err := c.Barrier(); err != nil {
+					if err := emptyRound(c); err != nil {
 						return err
 					}
 				}
@@ -64,7 +64,7 @@ func TestRunGroupNoGoroutineLeak(t *testing.T) {
 		{
 			name: "rank error",
 			body: func(_ context.Context, r int, c *Comm) error {
-				if err := c.Barrier(); err != nil {
+				if err := emptyRound(c); err != nil {
 					return err
 				}
 				if r > 0 {
@@ -149,13 +149,13 @@ func TestRunGroupRankPanic(t *testing.T) {
 				}
 				t.Run(name, func(t *testing.T) {
 					err := runGroupGuarded(t, context.Background(), kind.open(size), func(r int, c *Comm) error {
-						if err := c.Barrier(); err != nil {
+						if err := emptyRound(c); err != nil {
 							return err
 						}
 						if r == 1 || all && r > 0 {
 							panic(fmt.Sprintf("rank %d gives up", r))
 						}
-						return c.Barrier()
+						return emptyRound(c)
 					})
 					var p *par.Panic
 					var r int
@@ -171,14 +171,14 @@ func TestRunGroupRankPanic(t *testing.T) {
 	}
 }
 
-// waitInBarrier parks every rank but the last in a barrier; the last waits
+// waitInBarrier parks every rank but the last in an empty round; the last waits
 // for the context and returns its error.
 func waitInBarrier(ctx context.Context, r int, c *Comm) error {
 	if r == c.Size()-1 {
 		<-ctx.Done()
 		return ctx.Err()
 	}
-	return c.Barrier()
+	return emptyRound(c)
 }
 
 // closedOrCanceled accepts the errors a cancelled group may report: the
