@@ -617,21 +617,21 @@ func TestParallelExactCounts(t *testing.T) {
 		want  []exactCounts
 	}{
 		{"lfr1000", lfr, 1000, false, []exactCounts{
-			{ranks: 1, rounds: 52, bytes: 219943, iters: 13, rows: 7478, entries: []int{14662}, levelBytes: []int{434552}},
-			{ranks: 2, rounds: 52, bytes: 323918, iters: 13, rows: 7478, entries: []int{7292, 7370}, levelBytes: []int{220192, 222376}},
-			{ranks: 4, rounds: 52, bytes: 563592, iters: 13, rows: 7478, entries: []int{3597, 3828, 3695, 3542}, levelBytes: []int{112732, 119200, 115476, 111192}},
-			{ranks: 8, rounds: 52, bytes: 1139435, iters: 13, rows: 7478,
+			{ranks: 1, rounds: 52, bytes: 214129, iters: 13, rows: 7478, entries: []int{14662}, levelBytes: []int{434552}},
+			{ranks: 2, rounds: 52, bytes: 300634, iters: 13, rows: 7478, entries: []int{7292, 7370}, levelBytes: []int{220192, 222376}},
+			{ranks: 4, rounds: 52, bytes: 470428, iters: 13, rows: 7478, entries: []int{3597, 3828, 3695, 3542}, levelBytes: []int{112732, 119200, 115476, 111192}},
+			{ranks: 8, rounds: 52, bytes: 766699, iters: 13, rows: 7478,
 				entries:    []int{1818, 1987, 1927, 1728, 1779, 1841, 1768, 1814},
 				levelBytes: []int{60920, 65652, 63972, 58400, 59828, 61564, 59520, 60808}},
-			{ranks: 2, tcp: true, rounds: 52, bytes: 323918, iters: 13, rows: 7478},
-			{ranks: 3, tcp: true, rounds: 52, bytes: 438174, iters: 13, rows: 7478},
+			{ranks: 2, tcp: true, rounds: 52, bytes: 300634, iters: 13, rows: 7478},
+			{ranks: 3, tcp: true, rounds: 52, bytes: 385776, iters: 13, rows: 7478},
 		}},
 		{"rmat10", rmat, 1 << 10, true, []exactCounts{
-			{ranks: 1, rounds: 165, bytes: 278209, iters: 47, rows: 12893},
-			{ranks: 2, rounds: 165, bytes: 428654, iters: 47, rows: 12893},
-			{ranks: 4, rounds: 165, bytes: 857842, iters: 47, rows: 12893},
-			{ranks: 8, rounds: 165, bytes: 2262778, iters: 47, rows: 12893},
-			{ranks: 2, tcp: true, rounds: 165, bytes: 428654, iters: 47, rows: 12893},
+			{ranks: 1, rounds: 165, bytes: 257174, iters: 47, rows: 12893},
+			{ranks: 2, rounds: 165, bytes: 344458, iters: 47, rows: 12893},
+			{ranks: 4, rounds: 165, bytes: 520946, iters: 47, rows: 12893},
+			{ranks: 8, rounds: 165, bytes: 915194, iters: 47, rows: 12893},
+			{ranks: 2, tcp: true, rounds: 165, bytes: 344458, iters: 47, rows: 12893},
 		}},
 	} {
 		var q0 float64

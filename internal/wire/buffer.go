@@ -6,8 +6,8 @@
 //   - Buffer / Reader: append-only little-endian plane encoding and its
 //     error-latching decoder (fixed u32/u64/f64 plus unsigned varints);
 //   - typed codecs: (u32,u32,f64) triples — the weighted message of
-//     reconstruction and label propagation — (u32,u32) pairs — the
-//     (slot, community) record of state propagation — and delta-varint
+//     reconstruction — (u32,u32) pairs — the (vertex, community) and
+//     (vertex, label) records of state propagation — and delta-varint
 //     assignment planes for gathered label/membership vectors;
 //   - sync.Pool-backed reuse: whole per-destination plane sets (Planes),
 //     scratch buffers, and received planes, so a steady-state exchange

@@ -5,11 +5,13 @@ import "fmt"
 // Typed codecs over the Buffer/Reader primitives. Three families:
 //
 //   - Triple: the (a, b, w) record of the weighted message family —
-//     (srcComm, dstComm, weight) in reconstruction, (vertex, label, weight)
-//     in label propagation.
-//   - Pair: the 8-byte (a, b) record of state propagation — (out-row slot,
-//     community): the weight never travels, it sits in the slot.
-//   - Slice codecs: length-prefixed vectors for collective payloads, and a
+//     (srcComm, dstComm, weight) in reconstruction, an edge in the rank-0
+//     gather and the symmetry check.
+//   - Pair: the 8-byte (a, b) record of state propagation — (vertex,
+//     community) in Louvain, (vertex, label) in label propagation: the
+//     weight never travels, it sits in the receiver's rows.
+//   - Slice codecs: length-prefixed vectors for collective payloads (uint64
+//     elements as uvarints, float64 elements at their 8-byte width), and a
 //     delta-varint assignment codec for gathered label vectors, which are
 //     near-sorted id-dense sequences that compress well under zigzag delta.
 //
@@ -55,18 +57,19 @@ func (r *Reader) Pair() (x, y uint32) {
 	return uint32(v), uint32(v >> 32)
 }
 
-// PutU64s appends a length-prefixed fixed-width uint64 vector.
+// PutU64s appends a length-prefixed uint64 vector, each element a uvarint:
+// the counts it carries (histogram bins) are mostly small or zero, so a
+// vector is a fraction of its 8-byte-per-element width.
 func (b *Buffer) PutU64s(xs []uint64) {
 	b.PutUvarint(uint64(len(xs)))
-	b.Grow(8 * len(xs))
 	for _, x := range xs {
-		b.PutU64(x)
+		b.PutUvarint(x)
 	}
 }
 
 // U64s decodes a length-prefixed uint64 vector into dst.
 func (r *Reader) U64s(dst []uint64) []uint64 {
-	n := r.count("uint64 vector", 8)
+	n := r.count("uint64 vector", 1) // every uvarint takes >= 1 byte
 	if r.err != nil {
 		return nil
 	}
@@ -76,7 +79,10 @@ func (r *Reader) U64s(dst []uint64) []uint64 {
 		dst = make([]uint64, n)
 	}
 	for i := range dst {
-		dst[i] = r.U64()
+		dst[i] = r.Uvarint()
+	}
+	if r.err != nil {
+		return nil
 	}
 	return dst
 }

@@ -33,11 +33,18 @@ func FuzzTripleRoundTrip(f *testing.F) {
 }
 
 // FuzzSliceRoundTrip interprets the fuzz payload as u64 and f64 vectors and
-// round-trips each through its length-prefixed codec.
+// round-trips each through its length-prefixed codec. The large-value seeds
+// sit at the uvarint's width steps: 2⁶³ and 2⁶⁴−1 take the full ten bytes,
+// 2⁵⁶ and 2⁶³−1 nine, and 127 | 128 the one-to-two-byte boundary.
 func FuzzSliceRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	var large []byte
+	for _, x := range []uint64{1 << 63, ^uint64(0), 1 << 56, 1<<63 - 1, 127, 128, 0} {
+		large = binary.LittleEndian.AppendUint64(large, x)
+	}
+	f.Add(large)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		u64 := make([]uint64, 0, len(data)/8)
 		f64 := make([]float64, 0, len(data)/8)

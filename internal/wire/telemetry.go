@@ -16,7 +16,7 @@ import "fmt"
 // producing a plausible-but-wrong snapshot.
 
 // telemetryBatchVersion tags the batch encoding; bump on layout changes.
-const telemetryBatchVersion = 1
+const telemetryBatchVersion = 2
 
 // Metric kinds carried in a MetricRec.
 const (
