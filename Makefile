@@ -54,12 +54,12 @@ chaos:
 # against its scanning oracle, seq-louvain's and leiden's skipping sweep
 # against the full sweep on lists with NaN, ±Inf, negative and zero-sum
 # weights (FuzzSweepSkip), the whole-graph engines' direct call against the
-# rank-0 harness).
+# rank-0 harness, and lpa at one to three ranks against plp (FuzzLPA)).
 # `go test -fuzz` takes one target per run, so iterate; FUZZTIME scales the
 # per-target budget.
 FUZZTIME ?= 10s
 fuzz:
-	@for pkg in ./internal/wire ./internal/graph ./internal/gencli ./internal/edgetable ./internal/metrics ./internal/movesched ./internal/core ./internal/algo; do \
+	@for pkg in ./internal/wire ./internal/graph ./internal/gencli ./internal/edgetable ./internal/metrics ./internal/movesched ./internal/core ./internal/algo ./internal/labelprop; do \
 		for target in $$($(GO) test -list 'Fuzz.*' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz $$pkg $$target"; \
 			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \

@@ -236,11 +236,11 @@ func (e lpaEngine) Detect(ctx context.Context, g Graph, opt Options) (*Result, e
 		return nil, err
 	}
 	start := time.Now()
+	g.Comm.Instrument(opt.Metrics)
 	labels, moves, err := labelprop.Parallel(g.Comm, g.Local, g.N, labelprop.Options{
 		MaxSweeps: opt.MaxIter,
 		Seed:      opt.Seed,
 		Recorder:  opt.Recorder,
-		Metrics:   opt.Metrics,
 	})
 	if err != nil {
 		return nil, err

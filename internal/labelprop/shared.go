@@ -3,22 +3,17 @@ package labelprop
 import (
 	"parlouvain/internal/graph"
 	"parlouvain/internal/movesched"
-	"parlouvain/internal/obs"
 	"parlouvain/internal/par"
 )
 
 // Shared runs synchronous LPA with shared-memory threads (the PLP engine of
-// Staudt & Meyerhenke): every sweep computes each vertex's heaviest incident
-// label from the previous sweep's labeling — reads and writes touch disjoint
-// arrays, so the sweep parallelizes over vertex chunks with no
+// Staudt & Meyerhenke): every sweep computes each vertex's label from the
+// previous sweep's labeling with Parallel's kernel — reads and writes touch
+// disjoint arrays, so the sweep parallelizes over vertex chunks with no
 // synchronization and the result is bit-identical for every thread count.
-// The adoption rule matches Parallel's (heaviest label wins, weight ties
-// broken by the seeded tieRank hash, self-loops feeding the current label),
-// so Shared is the one-rank shared-memory sibling of the distributed
-// engine. An active-vertex set prunes later sweeps: a vertex is re-examined
-// only when it or a neighbor changed label in the previous sweep.
-//
-// It returns the final labels and the per-sweep move counts.
+// An active-vertex set prunes later sweeps: a vertex is re-examined only when
+// it or a neighbor changed label in the previous sweep. It returns the final
+// labels and the per-sweep move counts.
 func Shared(g *graph.Graph, opt Options, threads int) ([]graph.V, []int) {
 	opt = opt.withDefaults()
 	n := g.N
@@ -27,105 +22,39 @@ func Shared(g *graph.Graph, opt Options, threads int) ([]graph.V, []int) {
 	for i := range labels {
 		labels[i] = graph.V(i)
 	}
-	if n == 0 {
-		return labels, nil
-	}
-	if threads < 1 {
-		threads = 1
-	}
-	if threads > n {
-		threads = n
-	}
+	threads = min(max(threads, 1), n)
 
-	// Per-thread scratch: dense label weights plus the touched list that
-	// clears them, and the movers this thread's chunks produced (collected
-	// serially afterwards to mark the next sweep's active set).
-	type scratch struct {
-		weight  []float64
-		touched []graph.V
-		movers  []uint32
+	kernels := make([]adopter, threads)
+	for t := range kernels {
+		kernels[t] = adopter{weight: make([]float64, n), seed: opt.Seed}
 	}
-	scr := make([]scratch, threads)
-	for t := range scr {
-		scr[t].weight = make([]float64, n)
-		scr[t].touched = make([]graph.V, 0, 64)
-	}
-
 	active := movesched.NewActiveSet(n, true)
 	var movesPerSweep []int
 	for sweep := 1; sweep <= opt.MaxSweeps; sweep++ {
-		var tsSweep int64
-		if opt.Recorder != nil {
-			tsSweep = opt.Recorder.Now()
-		}
-		for t := range scr {
-			scr[t].movers = scr[t].movers[:0]
-		}
+		done := opt.startSweep(0, sweep)
 		par.ForChunked(n, threads, 1024, func(t, lo, hi int) {
-			s := &scr[t]
-			for ui := lo; ui < hi; ui++ {
-				u := graph.V(ui)
+			for u := graph.V(lo); u < graph.V(hi); u++ {
 				next[u] = labels[u]
-				if !active.Active(uint32(ui)) || g.Degree(u) == 0 {
-					continue
-				}
-				touched := s.touched[:0]
-				weight := s.weight
-				g.Neighbors(u, func(v graph.V, w float64) bool {
-					l := labels[v]
-					if weight[l] == 0 {
-						touched = append(touched, l)
-					}
-					weight[l] += w
-					return true
-				})
-				if sw := g.SelfW[u]; sw != 0 {
-					l := labels[u]
-					if weight[l] == 0 {
-						touched = append(touched, l)
-					}
-					weight[l] += sw
-				}
-				// Parallel's adoption rule: the current label only defends
-				// itself with the weight it actually carries.
-				best, bestW := labels[u], 0.0
-				for _, l := range touched {
-					if weight[l] > bestW ||
-						(weight[l] == bestW && tieRank(uint32(u), uint32(l), opt.Seed) > tieRank(uint32(u), uint32(best), opt.Seed)) {
-						best, bestW = l, weight[l]
-					}
-				}
-				for _, l := range touched {
-					weight[l] = 0
-				}
-				s.touched = touched
-				if bestW > 0 && best != labels[u] {
-					next[u] = best
-					s.movers = append(s.movers, uint32(ui))
+				if a, b := g.Off[u], g.Off[u+1]; active.Active(u) && a < b {
+					next[u] = kernels[t].adopt(u, labels[u], g.Nbr[a:b], g.NbrW[a:b], labels, g.SelfW[u])
 				}
 			}
 		})
+		// The movers mark the next sweep's active set, serially.
 		moves := 0
-		for t := range scr {
-			for _, u := range scr[t].movers {
+		for u := range graph.V(n) {
+			if next[u] != labels[u] {
 				moves++
 				active.MarkNext(u)
-				g.Neighbors(graph.V(u), func(v graph.V, w float64) bool {
-					active.MarkNext(uint32(v))
-					return true
-				})
+				for _, v := range g.Nbr[g.Off[u]:g.Off[u+1]] {
+					active.MarkNext(v)
+				}
 			}
 		}
 		labels, next = next, labels
 		movesPerSweep = append(movesPerSweep, moves)
-		if opt.Recorder != nil {
-			opt.Recorder.Emit(obs.Event{
-				Name: "sweep", Rank: 0, Iter: sweep,
-				TS: tsSweep, Dur: opt.Recorder.Now() - tsSweep,
-				Fields: map[string]float64{"moved": float64(moves)},
-			})
-		}
-		if float64(moves) < opt.MinMoves*float64(n) {
+		done(moves)
+		if moves == 0 || float64(moves) < opt.MinMoves*float64(n) {
 			break
 		}
 		active.Flip()
