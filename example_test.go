@@ -14,7 +14,10 @@ func ExampleDetect() {
 		{U: 3, V: 4, W: 1}, {U: 4, V: 5, W: 1}, {U: 5, V: 3, W: 1},
 		{U: 2, V: 3, W: 1},
 	}
-	res := parlouvain.Detect(edges, parlouvain.Options{})
+	res, err := parlouvain.Detect(edges, parlouvain.Options{})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("communities: %d\n", len(parlouvain.CommunitySizes(res.Membership)))
 	fmt.Printf("same side: %v\n", res.Membership[0] == res.Membership[2])
 	fmt.Printf("split across the bridge: %v\n", res.Membership[2] != res.Membership[3])

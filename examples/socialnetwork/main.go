@@ -28,7 +28,10 @@ func main() {
 
 	// Sequential baseline (Algorithm 1 of the paper).
 	t0 := time.Now()
-	seq := parlouvain.DetectGraph(g, parlouvain.Options{})
+	seq, err := parlouvain.DetectGraph(g, parlouvain.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	seqTime := time.Since(t0)
 
 	// Parallel detection across 8 simulated ranks (Algorithm 2).

@@ -2,6 +2,7 @@ package algo
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -85,4 +86,50 @@ func keys(m map[string]bool) []string {
 		out = append(out, k)
 	}
 	return out
+}
+
+// TestLevelEventsAreLive holds every engine to one "level" event per
+// Result.Levels entry, emitted as the level ends: on rank 0, in emission
+// order, level i's event comes after no event of a later level and, on the
+// rank-0 path, before the solve's algo_compute phase closes — a replay of the
+// result after the solve fails both. Its fields are the level's record.
+func TestLevelEventsAreLive(t *testing.T) {
+	el, _, n := testGraph(t)
+	for _, name := range allEngines {
+		for _, ranks := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/ranks=%d", name, ranks), func(t *testing.T) {
+				rec := obs.NewRecorder()
+				res, err := Run(context.Background(), name, el, n, Options{Ranks: ranks, Seed: 9, Recorder: rec})
+				if err != nil {
+					t.Fatal(err)
+				}
+				events, _ := rec.EventsSince(0)
+				seen := 0
+				for _, e := range events {
+					if e.Rank != 0 {
+						continue
+					}
+					switch {
+					case e.Name == "level":
+						if e.Level != seen || seen >= len(res.Levels) {
+							t.Fatalf("level event %d after %d of %d levels", e.Level, seen, len(res.Levels))
+						}
+						lv := res.Levels[seen]
+						if e.Fields["q"] != lv.Q || int(e.Fields["vertices"]) != lv.Vertices ||
+							int(e.Fields["communities"]) != lv.Communities || int(e.Fields["inner_iterations"]) != lv.Iterations {
+							t.Errorf("level %d event %v, result %+v", seen, e.Fields, lv)
+						}
+						seen++
+					case e.Name == "algo_compute" && seen != len(res.Levels):
+						t.Fatalf("the solve ended with %d of %d level events emitted", seen, len(res.Levels))
+					case e.Level > seen:
+						t.Fatalf("a %q event of level %d before level %d's event", e.Name, e.Level, seen)
+					}
+				}
+				if seen != len(res.Levels) {
+					t.Errorf("%d level events for %d levels", seen, len(res.Levels))
+				}
+			})
+		}
+	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"parlouvain/internal/comm"
 	"parlouvain/internal/gen"
+	"parlouvain/internal/obs"
 )
 
 // TestParallelCancelWithinLevel cancels a single-rank run from the
@@ -60,6 +61,38 @@ func TestParallelPreCanceled(t *testing.T) {
 	_, err = RunInProcess(el, 0, 1, Options{Ctx: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled run: %v, want context.Canceled", err)
+	}
+}
+
+// TestParallelCancelAtLevelStart is par-louvain's side of the one cancel rule
+// (TestHierarchyCancel is the whole-graph engines'): a context seen done at a
+// level start fails the run with ErrCanceled and the context's error, and no
+// level runs after that check — none when it fired before the run, none after
+// level 0 when it fired at level 1's start. At one rank the engine polls the
+// context once per level start and once per inner iteration.
+func TestParallelCancelAtLevelStart(t *testing.T) {
+	el, _, err := gen.LFR(gen.DefaultLFR(500, 0.3, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := must(t)(RunInProcess(el, 0, 1, Options{}))
+	if len(full.Levels) < 2 {
+		t.Fatalf("the input runs %d levels, want at least 2", len(full.Levels))
+	}
+	for _, polls := range []int{0, 1 + full.Levels[0].InnerIterations} {
+		t.Run(fmt.Sprintf("after=%d", polls), func(t *testing.T) {
+			rec := obs.NewRecorder()
+			res, err := RunInProcess(el, 0, 1, Options{
+				Ctx:      &pollCancel{Context: context.Background(), left: polls},
+				Recorder: rec,
+			})
+			if res != nil || !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+				t.Fatalf("res = %v, err = %v; want no result, ErrCanceled and context.Canceled", res, err)
+			}
+			if got := levelEvents(rec); len(got) != min(polls, 1) {
+				t.Errorf("levels %v ran, want the %d before the check", got, min(polls, 1))
+			}
+		})
 	}
 }
 

@@ -51,7 +51,7 @@ func TestCrossEngineOnRandomGraphs(t *testing.T) {
 		t.Run(fmt.Sprintf("n=%d,p=%.2f", tc.n, tc.p), func(t *testing.T) {
 			el := randomGraph(tc.n, tc.p, tc.seed)
 			g := graph.Build(el, tc.n)
-			seq := Sequential(g, Options{})
+			seq := must(t)(Sequential(g, Options{}))
 			for _, ranks := range []int{1, 2, 4} {
 				opt := Options{CollectLevels: true}
 				mem, err := RunInProcess(el, tc.n, ranks, opt)

@@ -84,7 +84,7 @@ func TestHierarchyGolden(t *testing.T) {
 	}
 	engines := []struct {
 		name string
-		run  func(*graph.Graph, Options) *Result
+		run  func(*graph.Graph, Options) (*Result, error)
 	}{
 		{"sequential", Sequential}, {"plm", PLM}, {"leiden", Leiden}, {"lns", LNS},
 	}
@@ -99,15 +99,15 @@ func TestHierarchyGolden(t *testing.T) {
 		for _, e := range engines {
 			for _, seed := range []uint64{0, 9} {
 				name := fmt.Sprintf("%s/%s/seed%d/t1", e.name, gr.name, seed)
-				got = append(got, fingerprint(name, e.run(gr.g, Options{Seed: seed, Threads: 1})))
+				got = append(got, fingerprint(name, must(t)(e.run(gr.g, Options{Seed: seed, Threads: 1}))))
 				if e.name != "lns" { // lns ignored Warm when the fixture was cut
-					got = append(got, fingerprint(name+"/warm", e.run(gr.g, Options{Seed: seed, Threads: 1, Warm: warm})))
+					got = append(got, fingerprint(name+"/warm", must(t)(e.run(gr.g, Options{Seed: seed, Threads: 1, Warm: warm}))))
 				}
 			}
 		}
 		for _, seed := range []uint64{0, 9} {
 			name := fmt.Sprintf("plm/%s/seed%d/t2", gr.name, seed)
-			got = append(got, fingerprint(name, PLM(gr.g, Options{Seed: seed, Threads: 2})))
+			got = append(got, fingerprint(name, must(t)(PLM(gr.g, Options{Seed: seed, Threads: 2}))))
 		}
 	}
 

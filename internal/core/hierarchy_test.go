@@ -2,20 +2,46 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"parlouvain/internal/graph"
 	"parlouvain/internal/metrics"
+	"parlouvain/internal/obs"
 )
 
 // hierarchyEngines are the four entry points onto the shared hierarchy
 // driver; every contract below must hold for each of them.
 var hierarchyEngines = []struct {
 	name string
-	run  func(*graph.Graph, Options) *Result
+	run  func(*graph.Graph, Options) (*Result, error)
 }{
 	{"sequential", Sequential}, {"plm", PLM}, {"leiden", Leiden}, {"lns", LNS},
+}
+
+// must returns the result of a run that may not fail and fails t if it did:
+// must(t)(Sequential(g, opt)).
+func must(t testing.TB) func(*Result, error) *Result {
+	return func(res *Result, err error) *Result {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+}
+
+// levelEvents lists the levels of the "level" events rec holds, in order.
+func levelEvents(rec *obs.Recorder) []int {
+	var levels []int
+	for _, e := range rec.Events() {
+		if e.Name == "level" {
+			levels = append(levels, e.Level)
+		}
+	}
+	return levels
 }
 
 // pollCancel is a context that reports cancellation from its n-th Err poll
@@ -41,10 +67,10 @@ func TestHierarchyContract(t *testing.T) {
 		t.Run(e.name, func(t *testing.T) {
 			// One answer at every thread count. (Under -race this is also
 			// the data-race check on plm's decide fan-out.)
-			base := e.run(g, Options{Seed: 11, Threads: 1, CollectLevels: true})
-			samePLMResult(t, "threads unset", base, e.run(g, Options{Seed: 11}))
+			base := must(t)(e.run(g, Options{Seed: 11, Threads: 1, CollectLevels: true}))
+			samePLMResult(t, "threads unset", base, must(t)(e.run(g, Options{Seed: 11})))
 			for _, threads := range []int{2, 4} {
-				samePLMResult(t, "threads", base, e.run(g, Options{Seed: 11, Threads: threads}))
+				samePLMResult(t, "threads", base, must(t)(e.run(g, Options{Seed: 11, Threads: threads})))
 			}
 
 			// Levels only ever merge and gain, and the reported Q is the
@@ -67,23 +93,14 @@ func TestHierarchyContract(t *testing.T) {
 				t.Errorf("reported Q %v != recomputed %v", base.Q, q)
 			}
 
-			one := e.run(g, Options{Seed: 11, MaxLevels: 1})
+			one := must(t)(e.run(g, Options{Seed: 11, MaxLevels: 1}))
 			if len(one.Levels) != 1 {
 				t.Errorf("MaxLevels 1 built %d levels", len(one.Levels))
 			}
 
-			// A context that fires keeps the best hierarchy built so far:
-			// nothing when it fired before the run, exactly the first
-			// level when it fired during it.
-			if res := e.run(g, Options{Seed: 11, Ctx: &pollCancel{Context: context.Background()}}); len(res.Levels) != 0 || len(res.Membership) != g.N {
-				t.Errorf("pre-canceled run built %d levels over %d vertices", len(res.Levels), len(res.Membership))
-			}
-			cut := e.run(g, Options{Seed: 11, Ctx: &pollCancel{Context: context.Background(), left: 1}})
-			samePLMResult(t, "canceled after level 0", one, cut)
-
 			// A warm start is where level 0 begins: handing a run its own
 			// answer back can only keep or merge those communities.
-			warm := e.run(g, Options{Seed: 11, Threads: 2, Warm: base.Membership})
+			warm := must(t)(e.run(g, Options{Seed: 11, Threads: 2, Warm: base.Membership}))
 			if final := base.Levels[len(base.Levels)-1].Communities; warm.Levels[0].Communities > final {
 				t.Errorf("warm level 0 has %d communities, the warm start had %d", warm.Levels[0].Communities, final)
 			}
@@ -97,23 +114,50 @@ func TestHierarchyContract(t *testing.T) {
 	}
 }
 
+// TestHierarchyCancel is the cancel rule of the whole-graph engines, which is
+// par-louvain's (TestParallelCancelMidRun): a context seen done at a level
+// start fails the run with ErrCanceled and the context's error, and no level
+// runs after that check — none when it fired before the run, none after
+// level 0 when it fired during it.
+func TestHierarchyCancel(t *testing.T) {
+	g, _ := plmTestGraph(t)
+	for _, e := range hierarchyEngines {
+		for _, polls := range []int{0, 1} {
+			t.Run(fmt.Sprintf("%s/after=%d", e.name, polls), func(t *testing.T) {
+				rec := obs.NewRecorder()
+				res, err := e.run(g, Options{
+					Seed:     11,
+					Ctx:      &pollCancel{Context: context.Background(), left: polls},
+					Recorder: rec,
+				})
+				if res != nil || !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+					t.Fatalf("res = %v, err = %v; want no result, ErrCanceled and context.Canceled", res, err)
+				}
+				if got := levelEvents(rec); len(got) != polls {
+					t.Errorf("levels %v ran, want the %d before the check", got, polls)
+				}
+			})
+		}
+	}
+}
+
 func TestHierarchyTrivialGraphs(t *testing.T) {
 	for _, e := range hierarchyEngines {
 		t.Run(e.name, func(t *testing.T) {
 			opt := Options{Threads: 4}
-			if res := e.run(graph.Build(nil, 0), opt); res.Q != 0 || len(res.Levels) != 0 || len(res.Membership) != 0 {
+			if res := must(t)(e.run(graph.Build(nil, 0), opt)); res.Q != 0 || len(res.Levels) != 0 || len(res.Membership) != 0 {
 				t.Errorf("empty graph: %+v", res)
 			}
-			if res := e.run(graph.Build(nil, 5), opt); res.Q != 0 || len(res.Membership) != 5 {
+			if res := must(t)(e.run(graph.Build(nil, 5), opt)); res.Q != 0 || len(res.Membership) != 5 {
 				t.Errorf("edgeless graph: %+v", res)
 			}
-			single := e.run(graph.Build(graph.EdgeList{{U: 0, V: 1, W: 1}}, 2), opt)
+			single := must(t)(e.run(graph.Build(graph.EdgeList{{U: 0, V: 1, W: 1}}, 2), opt))
 			if len(single.Membership) != 2 || single.Membership[0] != single.Membership[1] {
 				t.Errorf("single edge should merge into one community: %v", single.Membership)
 			}
 			// Self-loops only: nothing to merge, Q still consistent.
 			loops := graph.Build(graph.EdgeList{{U: 0, V: 0, W: 3}, {U: 1, V: 1, W: 2}}, 0)
-			res := e.run(loops, opt)
+			res := must(t)(e.run(loops, opt))
 			if want := metrics.Modularity(loops, res.Membership); math.Abs(res.Q-want) > 1e-9 {
 				t.Errorf("self-loop graph Q=%v, recomputed %v", res.Q, want)
 			}

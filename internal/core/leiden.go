@@ -18,6 +18,6 @@ import "parlouvain/internal/graph"
 // The final Membership is the last level's move partition; refinement shapes
 // the hierarchy (what may aggregate) without ever leaving a disconnected
 // community inside a supervertex.
-func Leiden(g *graph.Graph, opt Options) *Result {
+func Leiden(g *graph.Graph, opt Options) (*Result, error) {
 	return hierarchy(g, opt, sweepLevel, true)
 }

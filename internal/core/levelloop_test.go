@@ -302,7 +302,7 @@ func BenchmarkGainScanHub(b *testing.B) {
 // (EXPERIMENTS.md "Level loop": the counting-sort one did not).
 func BenchmarkCondense(b *testing.B) {
 	for name, g := range levelLoopInputs(b) {
-		labels, k := compactLabels(Sequential(g, Options{MaxLevels: 1}).Membership)
+		labels, k := compactLabels(must(b)(Sequential(g, Options{MaxLevels: 1})).Membership)
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -40,7 +40,7 @@ func TestParallelMatchesSequentialQuality(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := graph.Build(el, 2000)
-	seq := Sequential(g, Options{})
+	seq := must(t)(Sequential(g, Options{}))
 	for _, ranks := range []int{1, 2, 4, 7} {
 		res, err := RunInProcess(el, 2000, ranks, Options{CollectLevels: true})
 		if err != nil {

@@ -45,16 +45,16 @@ func samePLMResult(t *testing.T, what string, a, b *Result) {
 func TestPLMReproducibleRunToRun(t *testing.T) {
 	g, _ := plmTestGraph(t)
 	for _, threads := range []int{1, 4} {
-		a := PLM(g, Options{Seed: 5, Threads: threads})
-		b := PLM(g, Options{Seed: 5, Threads: threads})
+		a := must(t)(PLM(g, Options{Seed: 5, Threads: threads}))
+		b := must(t)(PLM(g, Options{Seed: 5, Threads: threads}))
 		samePLMResult(t, "rerun", a, b)
 	}
 }
 
 func TestPLMQualityAndMonotonicity(t *testing.T) {
 	g, truth := plmTestGraph(t)
-	seq := Sequential(g, Options{Seed: 11})
-	res := PLM(g, Options{Seed: 11, Threads: 4})
+	seq := must(t)(Sequential(g, Options{Seed: 11}))
+	res := must(t)(PLM(g, Options{Seed: 11, Threads: 4}))
 	if res.Q < seq.Q-0.05 {
 		t.Errorf("PLM Q %v far below sequential %v", res.Q, seq.Q)
 	}
@@ -83,7 +83,7 @@ func TestPLMOrderings(t *testing.T) {
 		movesched.OrderNatural, movesched.OrderShuffle,
 		movesched.OrderDegreeAsc, movesched.OrderDegreeDesc,
 	} {
-		res := PLM(g, Options{Seed: 3, Threads: 2, Order: ord})
+		res := must(t)(PLM(g, Options{Seed: 3, Threads: 2, Order: ord}))
 		if res.Q < 0.3 {
 			t.Errorf("order %v: Q = %v implausibly low", ord, res.Q)
 		}
@@ -110,11 +110,11 @@ func TestResolveThreads(t *testing.T) {
 // without seed reproduces the historical sweeps.
 func TestSequentialOrderHookUnchanged(t *testing.T) {
 	g, _ := plmTestGraph(t)
-	natural := Sequential(g, Options{Order: movesched.OrderNatural})
-	def := Sequential(g, Options{})
+	natural := must(t)(Sequential(g, Options{Order: movesched.OrderNatural}))
+	def := must(t)(Sequential(g, Options{}))
 	samePLMResult(t, "unseeded default==natural", natural, def)
 
-	explicit := Sequential(g, Options{Seed: 13, Order: movesched.OrderShuffle})
-	seeded := Sequential(g, Options{Seed: 13})
+	explicit := must(t)(Sequential(g, Options{Seed: 13, Order: movesched.OrderShuffle}))
+	seeded := must(t)(Sequential(g, Options{Seed: 13}))
 	samePLMResult(t, "seeded default==shuffle", explicit, seeded)
 }

@@ -39,7 +39,7 @@ func TestSplitDisconnectedNoopOnConnected(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := graph.Build(el, 0)
-	res := Sequential(g, Options{})
+	res := must(t)(Sequential(g, Options{}))
 	refined, splits := SplitDisconnected(g, res.Membership)
 	if splits != 0 {
 		t.Errorf("splits = %d on connected communities", splits)

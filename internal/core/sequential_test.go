@@ -19,7 +19,7 @@ func twoTriangles() *graph.Graph {
 
 func TestSequentialTwoTriangles(t *testing.T) {
 	g := twoTriangles()
-	res := Sequential(g, Options{})
+	res := must(t)(Sequential(g, Options{}))
 	if len(res.Levels) == 0 {
 		t.Fatal("no levels")
 	}
@@ -43,7 +43,7 @@ func TestSequentialRingOfCliques(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := graph.Build(el, 0)
-	res := Sequential(g, Options{})
+	res := must(t)(Sequential(g, Options{}))
 	if res.Q < 0.7 {
 		t.Errorf("Q = %v, want > 0.7", res.Q)
 	}
@@ -62,7 +62,7 @@ func TestSequentialRecoversSBM(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := graph.Build(el, 400)
-	res := Sequential(g, Options{})
+	res := must(t)(Sequential(g, Options{}))
 	sim, err := metrics.Compare(res.Membership, truth)
 	if err != nil {
 		t.Fatal(err)
@@ -78,8 +78,8 @@ func TestSequentialSeedChangesOrderNotValidity(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := graph.Build(el, 500)
-	a := Sequential(g, Options{Seed: 1})
-	b := Sequential(g, Options{Seed: 99})
+	a := must(t)(Sequential(g, Options{Seed: 1}))
+	b := must(t)(Sequential(g, Options{Seed: 99}))
 	// Different sweeps may find different partitions but similar quality.
 	if math.Abs(a.Q-b.Q) > 0.1 {
 		t.Errorf("seed instability: Q %v vs %v", a.Q, b.Q)
@@ -94,9 +94,9 @@ func TestSequentialTraceMoves(t *testing.T) {
 	g := graph.Build(el, 500)
 	type rec struct{ level, iter, moved, active int }
 	var trace []rec
-	Sequential(g, Options{TraceMoves: func(level, iter, moved, active int) {
+	must(t)(Sequential(g, Options{TraceMoves: func(level, iter, moved, active int) {
 		trace = append(trace, rec{level, iter, moved, active})
-	}})
+	}}))
 	if len(trace) == 0 {
 		t.Fatal("no trace records")
 	}
@@ -122,7 +122,7 @@ func TestSequentialPartitionIsValid(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := graph.Build(el, 600)
-	res := Sequential(g, Options{})
+	res := must(t)(Sequential(g, Options{}))
 	if len(res.Membership) != g.N {
 		t.Fatalf("membership covers %d of %d vertices", len(res.Membership), g.N)
 	}

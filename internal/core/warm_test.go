@@ -76,7 +76,7 @@ func TestWarmStartSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := graph.Build(el, 200)
-	res := Sequential(g, Options{Warm: truth})
+	res := must(t)(Sequential(g, Options{Warm: truth}))
 	if res.Q < 0.4 {
 		t.Errorf("warm sequential Q = %v", res.Q)
 	}
@@ -97,12 +97,9 @@ func TestWarmStartValidation(t *testing.T) {
 	if _, err := RunInProcess(el, 2, 1, Options{Warm: []graph.V{0, 99}}); err == nil {
 		t.Error("out-of-range warm label accepted")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("sequential short warm assignment did not panic")
-		}
-	}()
-	Sequential(graph.Build(el, 2), Options{Warm: []graph.V{0}})
+	if _, err := Sequential(graph.Build(el, 2), Options{Warm: []graph.V{0}}); err == nil {
+		t.Error("sequential short warm assignment accepted")
+	}
 }
 
 func TestWarmStartIdentityIsNoop(t *testing.T) {

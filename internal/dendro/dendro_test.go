@@ -65,7 +65,10 @@ func TestDendrogramSequentialResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.Sequential(graph.Build(el, 0), core.Options{CollectLevels: true})
+	res, err := core.Sequential(graph.Build(el, 0), core.Options{CollectLevels: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	d, err := FromResult(res)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +111,10 @@ func TestDendrogramErrors(t *testing.T) {
 }
 
 func TestDendrogramEmptyResult(t *testing.T) {
-	res := core.Sequential(graph.Build(nil, 0), core.Options{CollectLevels: true})
+	res, err := core.Sequential(graph.Build(nil, 0), core.Options{CollectLevels: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	d, err := FromResult(res)
 	if err != nil {
 		t.Fatal(err)

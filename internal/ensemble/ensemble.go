@@ -58,7 +58,10 @@ func Detect(g *graph.Graph, opt Options) ([]graph.V, float64, int, error) {
 		if opt.Recorder != nil {
 			ts = opt.Recorder.Now()
 		}
-		res := core.Sequential(g, core.Options{MaxLevels: 1, Seed: opt.Seed + uint64(r)*0x9E3779B9 + 1})
+		res, err := core.Sequential(g, core.Options{MaxLevels: 1, Seed: opt.Seed + uint64(r)*0x9E3779B9 + 1})
+		if err != nil {
+			return nil, 0, 0, err
+		}
 		// Refine the overlap: two vertices stay together only if this
 		// run also put them together. Combine (group, community) pairs
 		// into new compact group ids.
@@ -127,7 +130,10 @@ func Detect(g *graph.Graph, opt Options) ([]graph.V, float64, int, error) {
 	if opt.Recorder != nil {
 		tsFinal = opt.Recorder.Now()
 	}
-	final := core.Sequential(contracted, opt.Final)
+	final, err := core.Sequential(contracted, opt.Final)
+	if err != nil {
+		return nil, 0, 0, err
+	}
 	membership := make([]graph.V, g.N)
 	for v := 0; v < g.N; v++ {
 		membership[v] = final.Membership[groups[v]]

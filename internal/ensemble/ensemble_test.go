@@ -41,7 +41,10 @@ func TestEnsembleQualityComparableToSingleRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := graph.Build(el, 1500)
-	single := core.Sequential(g, core.Options{})
+	single, err := core.Sequential(g, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	_, q, coreGroups, err := Detect(g, Options{Runs: 6, Seed: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,10 @@ func Fig5(sizeFactor float64, ranks int) ([]Table, error) {
 		}
 		n := el.NumVertices()
 		g := graph.Build(el, n)
-		seq := core.Sequential(g, core.Options{})
+		seq, err := core.Sequential(g, core.Options{})
+		if err != nil {
+			return nil, err
+		}
 		par, err := core.RunInProcess(el, n, ranks, core.Options{CollectLevels: true})
 		if err != nil {
 			return nil, err

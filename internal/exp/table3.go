@@ -49,7 +49,10 @@ func Table3(sizeFactor float64, ranks int) ([]Table, error) {
 	}
 	for _, in := range inputs {
 		g := graph.Build(in.el, in.n)
-		seq := core.Sequential(g, core.Options{})
+		seq, err := core.Sequential(g, core.Options{})
+		if err != nil {
+			return nil, err
+		}
 		par, err := core.RunInProcess(in.el, in.n, ranks, core.Options{CollectLevels: true})
 		if err != nil {
 			return nil, err

@@ -36,7 +36,10 @@ func Table4(sizeFactor float64, rankSteps []int) ([]Table, error) {
 		Header: []string{"Implementation", "Time", "Modularity", "Processors"},
 	}
 	seqStart := time.Now()
-	seq := core.Sequential(g, core.Options{})
+	seq, err := core.Sequential(g, core.Options{})
+	if err != nil {
+		return nil, err
+	}
 	seqTime := time.Since(seqStart)
 	t.AddRow("sequential Louvain (baseline)", seqTime.Round(time.Millisecond).String(), f4(seq.Q), "1 thread")
 

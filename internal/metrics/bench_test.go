@@ -36,7 +36,11 @@ func BenchmarkModularity(b *testing.B) {
 	for name, el := range map[string]graph.EdgeList{"rmat": rmat, "lfr": lfr} {
 		b.Run(name, func(b *testing.B) {
 			g := graph.Build(el, 0)
-			assign := core.Sequential(g, core.Options{MaxLevels: 1}).Membership
+			res, err := core.Sequential(g, core.Options{MaxLevels: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			assign := res.Membership
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

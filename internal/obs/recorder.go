@@ -48,8 +48,11 @@ func NewRecorder() *Recorder {
 }
 
 // Now returns the current time in microseconds since the recorder epoch,
-// the clock Event.TS is expressed in.
+// the clock Event.TS is expressed in; 0 on a nil recorder.
 func (r *Recorder) Now() int64 {
+	if r == nil {
+		return 0
+	}
 	return time.Since(r.epoch).Microseconds()
 }
 
