@@ -150,8 +150,11 @@ func main() {
 	fmt.Printf("algorithm: %s\n", res.Algo)
 	fmt.Printf("vertices: %d  edges: %d\n", g.N, g.NumEdges())
 	for i, lv := range res.Levels {
-		fmt.Printf("level %d: Q=%.6f  vertices=%d -> communities=%d  inner-iterations=%d\n",
-			i, lv.Q, lv.Vertices, lv.Communities, lv.Iterations)
+		fmt.Printf("level %d: Q=%.6f  vertices=%d -> communities=%d  inner-iterations=%d  stop=%s\n",
+			i, lv.Q, lv.Vertices, lv.Communities, lv.Iterations, lv.Stop)
+	}
+	if res.Stop != parlouvain.StopNone {
+		fmt.Printf("levels stopped: %s\n", res.Stop)
 	}
 	for _, ex := range []struct{ key, label string }{
 		{"core_groups", "core groups"},

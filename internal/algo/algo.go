@@ -137,8 +137,10 @@ type LevelStat struct {
 	// with; Communities the number it produced.
 	Vertices    int
 	Communities int
-	// Iterations counts inner iterations (sweeps) of the level.
+	// Iterations counts inner iterations (sweeps) of the level; Stop says
+	// why they ended (core.StopNone for flat engines).
 	Iterations int
+	Stop       core.Stop
 }
 
 // Result is the unified outcome of any engine.
@@ -150,8 +152,10 @@ type Result struct {
 	Assignment []graph.V
 	// Q is the final Newman modularity of Assignment.
 	Q float64
-	// Levels is the per-level quality trajectory.
+	// Levels is the per-level quality trajectory; Stop says why the Louvain
+	// family's descent ended (core.StopNone for the other engines).
 	Levels []LevelStat
+	Stop   core.Stop
 	// NumVertices and NumEdges describe the input.
 	NumVertices int
 	NumEdges    int64

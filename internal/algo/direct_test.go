@@ -34,7 +34,7 @@ func samePartition(a, b *Result) string {
 		return "Assignment"
 	case math.Float64bits(a.Q) != math.Float64bits(b.Q):
 		return "Q"
-	case !reflect.DeepEqual(a.Levels, b.Levels):
+	case !reflect.DeepEqual(a.Levels, b.Levels) || a.Stop != b.Stop:
 		return "Levels"
 	case a.NumEdges != b.NumEdges || a.NumVertices != b.NumVertices:
 		return "NumEdges/NumVertices"
@@ -180,7 +180,9 @@ func TestWholeGraphPathsFailAlike(t *testing.T) {
 // equality: rank 0 no longer encodes its own share of the gather to itself,
 // so the group ships exactly that many triples less than the parent commit
 // did (its totals, measured there on this input, are the constants), in the
-// same number of rounds, for the same partition.
+// same number of rounds, for the same partition. The outcome plane has since
+// grown by the stop reasons: one byte for the descent and one per level, to
+// each of the two ranks.
 func TestRank0KeepsItsOwnEdges(t *testing.T) {
 	el, _, n := testGraph(t)
 	parentBytes := map[string]uint64{
@@ -204,9 +206,10 @@ func TestRank0KeepsItsOwnEdges(t *testing.T) {
 		if plain.CommRounds != 3 {
 			t.Errorf("%s: %d rounds at two ranks, want gather + broadcast + accounting = 3", e.Name(), plain.CommRounds)
 		}
-		if want := parentBytes[e.Name()] - wire.TripleSize*own; plain.CommBytes != want {
-			t.Errorf("%s: %d bytes at two ranks, want the parent's %d less rank 0's %d triples = %d",
-				e.Name(), plain.CommBytes, parentBytes[e.Name()], own, want)
+		stops := uint64(2 * (1 + len(plain.Levels)))
+		if want := parentBytes[e.Name()] - wire.TripleSize*own + stops; plain.CommBytes != want {
+			t.Errorf("%s: %d bytes at two ranks, want the parent's %d less rank 0's %d triples plus %d stop bytes = %d",
+				e.Name(), plain.CommBytes, parentBytes[e.Name()], own, stops, want)
 		}
 		one, err := Run(context.Background(), e.Name(), el, n, Options{Ranks: 1, Seed: 7})
 		if err != nil {
