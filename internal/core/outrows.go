@@ -1,7 +1,5 @@
 package core
 
-import "parlouvain/internal/graph"
-
 // The out rows: Algorithm 3's Out_Table — w_{u→c} for every owned u and
 // neighbor community c — without a table. The level's graph is symmetric
 // (levelInit refuses one that is not), so the out-edges of owned vertex u are
@@ -59,19 +57,4 @@ func resize[T any](xs []T, n int) []T {
 		return xs[:n]
 	}
 	return make([]T, n)
-}
-
-// gatherRow sums the out row of local vertex li per neighbor community into
-// sc.w2c and returns the communities it touched — gainScan's list, which may
-// name a community twice.
-func (s *engine) gatherRow(sc *gainScan, li int) []graph.V {
-	lo, hi := s.adjOff[li], s.adjOff[li+1]
-	src, w := s.adjSrc[lo:hi], s.adjW[lo:hi]
-	touched := resize(sc.touched, len(src))
-	w2c, n, ghost := sc.w2c, 0, s.ghost
-	for i, v := range src {
-		n = listAdd(w2c, touched, n, ghost[v], w[i])
-	}
-	sc.touched = touched[:n]
-	return sc.touched
 }

@@ -228,7 +228,8 @@ func checkRows(c rowCase, ranks, threads int, open openGroup) error {
 					break
 				}
 				got := map[graph.V]float64{}
-				for _, cc := range s.gatherRow(s.scan[0], li) {
+				lo, hi := s.adjOff[li], s.adjOff[li+1]
+				for _, cc := range s.scan[0].gather(s.adjSrc[lo:hi], s.adjW[lo:hi], s.ghost) {
 					got[cc] = s.scan[0].w2c[cc]
 				}
 				s.scan[0].dropRow()

@@ -268,8 +268,8 @@ func (s *engine) reconstructBuild(t, lo, hi int, cw *wire.Planes) {
 		}
 		// src supervertex = comm[u]; dst supervertex cc is owned by the
 		// destination rank.
-		from := uint32(s.commOf[li])
-		for _, cc := range s.gatherRow(sc, li) {
+		from, lo, hi := uint32(s.commOf[li]), s.adjOff[li], s.adjOff[li+1]
+		for _, cc := range sc.gather(s.adjSrc[lo:hi], s.adjW[lo:hi], s.ghost) {
 			dst := s.part.Owner(cc)
 			cw.To(dst).PutTriple(wire.Triple{A: from, B: uint32(cc), W: sc.w2c[cc]})
 			sc.w2c[cc] = 0 // listed twice, a community still ships its sum once
