@@ -9,6 +9,7 @@ import (
 	"parlouvain/internal/comm"
 	"parlouvain/internal/core"
 	"parlouvain/internal/graph"
+	"parlouvain/internal/wire"
 )
 
 // checkTol absorbs float summation-order differences between an engine's
@@ -107,11 +108,14 @@ func checkQ(info Info, opt Options, res *Result, q float64) error {
 }
 
 // distModularity recomputes Newman modularity (Equation 3) of a full
-// assignment from the rank's destination-owned edge partition with two
-// reductions. Each undirected non-self edge appears in the group once per
-// orientation, so local single-orientation sums reduce to the doubled
-// global quantities; degrees of owned vertices are complete locally because
-// every in-edge of an owned destination lives on its owner.
+// assignment from the rank's destination-owned edge partition in two rounds.
+// Each undirected non-self edge appears in the group once per orientation, so
+// local single-orientation sums reduce to the doubled global quantities, and
+// degrees of owned vertices are complete locally because every in-edge of an
+// owned destination lives on its owner. The owned vertices' degrees are
+// summed per label and each (label, partial Σtot) goes to the label's owner
+// in one exchange; the owner folds them into its labels' Σtot, and one
+// reduction of (2m, Σin, Σ Σtot²) finishes the sum.
 func distModularity(c *comm.Comm, local graph.EdgeList, n int, assign []graph.V) (float64, error) {
 	part := graph.Partition{Rank: c.Rank(), Size: c.Size()}
 	deg := make([]float64, part.MaxLocalCount(n))
@@ -132,29 +136,63 @@ func distModularity(c *comm.Comm, local graph.EdgeList, n int, assign []graph.V)
 		}
 		deg[part.LocalIndex(e.V)] += e.W
 	}
-	tot := make([]float64, n)
+	tot := make([]float64, n) // this rank's partial Σtot per label
+	listed := make([]bool, n)
+	var labels []graph.V
 	for li, k := range deg {
-		v := part.GlobalID(li)
-		if int(v) < n {
-			tot[assign[v]] += k
+		if v := part.GlobalID(li); int(v) < n && k != 0 {
+			l := assign[v]
+			if int(l) >= n {
+				return 0, fmt.Errorf("algo: rank %d: vertex %d labeled %d outside id space %d", part.Rank, v, l, n)
+			}
+			if !listed[l] {
+				listed[l] = true
+				labels = append(labels, l)
+			}
+			tot[l] += k
 		}
 	}
-	var err error
-	if m2, err = c.AllReduceFloat64(m2, comm.OpSum); err != nil {
+	planes := wire.GetPlanes(c.Size())
+	defer planes.Release()
+	planes.Reset()
+	for _, l := range labels {
+		to := planes.To(part.Owner(l))
+		to.PutU32(l)
+		to.PutF64(tot[l])
+	}
+	in, err := c.ExchangePlanes(planes)
+	if err != nil {
 		return 0, err
 	}
-	if in2, err = c.AllReduceFloat64(in2, comm.OpSum); err != nil {
+	own := make([]float64, part.MaxLocalCount(n)) // Σtot of the owned labels
+	var r wire.Reader
+	for _, plane := range in {
+		r.Reset(plane)
+		for err == nil && r.More() {
+			l, t := r.U32(), r.F64()
+			switch {
+			case r.Err() != nil:
+				err = r.Err()
+			case !part.Owns(l):
+				err = fmt.Errorf("algo: rank %d: Σtot of label %d, owned by rank %d", part.Rank, l, part.Owner(l))
+			default:
+				own[part.LocalIndex(l)] += t
+			}
+		}
+	}
+	wire.ReleasePlanes(in)
+	if err != nil {
 		return 0, err
 	}
-	if err = c.AllReduceFloat64Slice(tot); err != nil {
+	sums := []float64{m2, in2, 0}
+	for _, t := range own {
+		sums[2] += t * t
+	}
+	if err := c.AllReduceFloat64Slice(sums); err != nil {
 		return 0, err
 	}
-	if m2 == 0 {
+	if sums[0] == 0 {
 		return 0, nil
 	}
-	q := in2 / m2
-	for _, t := range tot {
-		q -= (t / m2) * (t / m2)
-	}
-	return q, nil
+	return sums[1]/sums[0] - sums[2]/(sums[0]*sums[0]), nil
 }
