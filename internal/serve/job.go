@@ -14,6 +14,8 @@ package serve
 import (
 	"context"
 	"fmt"
+	"io/fs"
+	"os"
 	"strings"
 	"sync"
 	"time"
@@ -109,6 +111,17 @@ func (sp *Spec) materialize() (graph.EdgeList, error) {
 		el, _, err := gencli.Generate(sp.Gen)
 		return el, err
 	case sp.Path != "":
+		// Only a regular file: opening a FIFO without a writer blocks, and a
+		// device may never end. Either would hold one of the store's fixed
+		// workers out of reach of cancel and Shutdown. (The CLIs, which
+		// legitimately read /dev/stdin, go to LoadFile directly.)
+		fi, err := os.Stat(sp.Path)
+		if err != nil {
+			return nil, err
+		}
+		if !fi.Mode().IsRegular() {
+			return nil, fmt.Errorf("serve: %s is %s, not a regular file", sp.Path, fileType(fi.Mode()))
+		}
 		return graph.LoadFile(sp.Path)
 	default:
 		el, err := graph.ReadText(strings.NewReader(sp.Edges))
@@ -120,6 +133,23 @@ func (sp *Spec) materialize() (graph.EdgeList, error) {
 		}
 		return el, nil
 	}
+}
+
+// fileType names the kind of file a non-regular mode is.
+func fileType(m fs.FileMode) string {
+	switch {
+	case m&fs.ModeNamedPipe != 0:
+		return "a named pipe"
+	case m&fs.ModeCharDevice != 0:
+		return "a character device"
+	case m&fs.ModeDevice != 0:
+		return "a block device"
+	case m&fs.ModeSocket != 0:
+		return "a socket"
+	case m.IsDir():
+		return "a directory"
+	}
+	return "of mode " + m.Type().String()
 }
 
 // algoOptions converts the spec into driver options wired to the job's

@@ -10,8 +10,11 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -317,6 +320,36 @@ func TestBadSourceFailsJob(t *testing.T) {
 	final := waitState(t, srv, st.ID, StateFailed)
 	if final.Error == "" {
 		t.Error("failed job carries no error")
+	}
+}
+
+// TestPathMustBeRegularFile submits a path that is a named pipe with no
+// writer — opening it would block — and one that is a character device, to a
+// store with one worker: each job fails promptly with an error naming the
+// file type, and neither holds the worker.
+func TestPathMustBeRegularFile(t *testing.T) {
+	fifo := filepath.Join(t.TempDir(), "graph.fifo")
+	if err := syscall.Mkfifo(fifo, 0o600); err != nil {
+		t.Skipf("mkfifo: %v", err)
+	}
+	_, srv := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	t.Cleanup(func() {
+		// Should an open of the pipe be blocked, a reader-writer open frees
+		// it before the store shuts down.
+		if f, err := os.OpenFile(fifo, os.O_RDWR, 0); err == nil {
+			f.Close()
+		}
+	})
+	for path, kind := range map[string]string{fifo: "a named pipe", "/dev/null": "a character device"} {
+		start := time.Now()
+		st := submit(t, srv, Spec{Path: path}, http.StatusAccepted)
+		final := waitState(t, srv, st.ID, StateFailed)
+		if !strings.Contains(final.Error, kind) {
+			t.Errorf("%s: error %q does not name %s", path, final.Error, kind)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Errorf("%s: the job took %v to fail", path, d)
+		}
 	}
 }
 
