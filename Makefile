@@ -26,7 +26,8 @@ vet:
 # (SimClose), plus the invariant and
 # cross-engine suites (what the CI chaos soak step executes). The last line
 # also races comm.RunGroup's cancellation watchdog against ranks parked in a
-# collective (CancelMidRun), and
+# collective (CancelMidRun), holds both engine families to the one cancel
+# rule of the level driver (HierarchyCancel, CancelAtLevelStart), and
 # races the sweep workers against the merge worker over par-louvain's skip
 # marks, whose horizons merge worker 0 spends for every row a told vertex
 # appears in (the OutRows and Asymmetric tests drive that merge at up to 65
@@ -42,7 +43,7 @@ vet:
 chaos:
 	$(GO) test -race -count=3 -run 'Chaos|TCP|RunGroup|SimClose' ./internal/comm
 	$(GO) test -short -run 'Chaos|Invariant|CrossEngine' ./internal/core
-	GOMAXPROCS=2 $(GO) test -race -run 'Skip|GoldenTrace|OutRows|Asymmetric|BuildRows|RowsCanonical|ParallelFingerprint|CancelMidRun|ExactCounts|ReturnRule|PushSubscriptions|IterationRounds|AdmissionFloor' ./internal/core
+	GOMAXPROCS=2 $(GO) test -race -run 'Skip|GoldenTrace|OutRows|Asymmetric|BuildRows|RowsCanonical|ParallelFingerprint|CancelMidRun|HierarchyCancel|CancelAtLevelStart|ExactCounts|ReturnRule|PushSubscriptions|IterationRounds|AdmissionFloor' ./internal/core
 
 # Short fuzz pass over every fuzz target (wire codecs, graph readers, Build and
 # the rank rows lpa runs on — FuzzBuild: Build and Partition.InRows at
