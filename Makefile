@@ -23,8 +23,9 @@ vet:
 
 # Repeated fault-injection runs over the transports, comm.RunGroup's
 # goroutine-leak test on mem, sim and chaos groups, the sim group's abort
-# (SimClose), plus the invariant and
-# cross-engine suites (what the CI chaos soak step executes). The last line
+# (SimClose), the invariant and cross-engine suites, and the check that the
+# in-process "chaos" transport injects faults and still returns the mem
+# run's result (ChaosTransport) — what the CI chaos soak step executes. The last line
 # also races comm.RunGroup's cancellation watchdog against ranks parked in a
 # collective (CancelMidRun), holds both engine families to the one cancel
 # rule of the level driver (HierarchyCancel, CancelAtLevelStart), and
@@ -43,6 +44,7 @@ vet:
 chaos:
 	$(GO) test -race -count=3 -run 'Chaos|TCP|RunGroup|SimClose' ./internal/comm
 	$(GO) test -short -run 'Chaos|Invariant|CrossEngine' ./internal/core
+	$(GO) test -race -run 'ChaosTransport' ./internal/algo
 	GOMAXPROCS=2 $(GO) test -race -run 'Skip|GoldenTrace|OutRows|Asymmetric|BuildRows|RowsCanonical|ParallelFingerprint|CancelMidRun|HierarchyCancel|CancelAtLevelStart|ExactCounts|ReturnRule|PushSubscriptions|IterationRounds|AdmissionFloor' ./internal/core
 
 # Short fuzz pass over every fuzz target (wire codecs, graph readers, Build and

@@ -53,14 +53,10 @@ type Options struct {
 	// 0 means 1. Ignored by Detect, which runs on the group in Graph.Comm.
 	Ranks int
 	// Transport selects the in-process driver's transport kind: "mem"
-	// (default), "sim" (serialized BSP cost model) or "chaos"
-	// (fault-injected mem). Ignored by Detect.
+	// (default), "sim" (serialized BSP group under
+	// comm.DefaultCostModel()) or "chaos" (mem under newGroup's fixed
+	// fault schedule). Ignored by Detect.
 	Transport string
-	// Chaos parameterizes the fault injector when Transport is "chaos".
-	Chaos comm.ChaosConfig
-	// SimModel is the BSP cost model when Transport is "sim"; the zero
-	// value means comm.DefaultCostModel().
-	SimModel comm.CostModel
 
 	// Threads is the per-rank worker count (parallel Louvain, and the
 	// shared-memory move phases of plm/plp).
@@ -80,9 +76,6 @@ type Options struct {
 	MaxIter int
 	// Runs is the ensemble size (ensemble only); 0 means 4.
 	Runs int
-	// MinGain is the modularity improvement below which hierarchical
-	// engines stop; 0 means the engine default.
-	MinGain float64
 	// Naive disables the parallel Louvain convergence heuristic.
 	Naive bool
 
@@ -114,7 +107,6 @@ func (o Options) coreOptions(ctx context.Context, collect bool) core.Options {
 		Ctx:             ctx,
 		MaxLevels:       o.MaxLevels,
 		MaxInner:        o.MaxIter,
-		MinGain:         o.MinGain,
 		Seed:            o.Seed,
 		Naive:           o.Naive,
 		Threads:         o.Threads,

@@ -5,15 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"parlouvain/internal/comm"
 	"parlouvain/internal/core"
 	"parlouvain/internal/gen"
 	"parlouvain/internal/graph"
 	"parlouvain/internal/metrics"
+	"parlouvain/internal/obs"
 )
 
 // allEngines is the canonical engine set this PR unifies; tests iterate it
@@ -93,15 +94,6 @@ func TestEveryEngineEveryTransport(t *testing.T) {
 						Seed:            7,
 						CheckInvariants: true,
 					}
-					if transport == "chaos" {
-						opt.Chaos = comm.ChaosConfig{
-							Seed:      42,
-							DelayProb: 0.05,
-							MaxDelay:  200 * time.Microsecond,
-							ErrProb:   0.02,
-							DupProb:   0.05,
-						}
-					}
 					res, err := Run(context.Background(), name, el, n, opt)
 					if err != nil {
 						t.Fatal(err)
@@ -138,6 +130,32 @@ func TestEveryEngineEveryTransport(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestChaosTransportInjects: the "chaos" transport runs under its fixed fault
+// schedule — the injected delays, retries and duplicate deliveries show in the
+// run's registry — and still returns the mem run's result to the bit.
+func TestChaosTransportInjects(t *testing.T) {
+	el, _, n := testGraph(t)
+	mem, err := Run(context.Background(), "par-louvain", el, n, Options{Ranks: 3, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	chaos, err := Run(context.Background(), "par-louvain", el, n, Options{Ranks: 3, Seed: 7, Transport: "chaos", Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var faults uint64
+	for _, name := range []string{"chaos_delays_total", "chaos_retries_total", "chaos_dup_deliveries_total"} {
+		faults += reg.Counter(name).Value()
+	}
+	if faults == 0 {
+		t.Error("the chaos transport injected no delay, retry or duplicate delivery")
+	}
+	if !slices.Equal(chaos.Assignment, mem.Assignment) || math.Float64bits(chaos.Q) != math.Float64bits(mem.Q) {
+		t.Errorf("chaos run: Q %v, mem run: Q %v; the assignments differ: %v", chaos.Q, mem.Q, !slices.Equal(chaos.Assignment, mem.Assignment))
 	}
 }
 

@@ -3,6 +3,7 @@ package algo
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"parlouvain/internal/comm"
 	"parlouvain/internal/graph"
@@ -74,19 +75,27 @@ func newGroup(opt *Options) ([]comm.Transport, error) {
 	case "", "mem":
 		return comm.NewMemGroup(opt.Ranks), nil
 	case "sim":
-		model := opt.SimModel
-		if model == (comm.CostModel{}) {
-			model = comm.DefaultCostModel()
-		}
 		// Intra-rank threads would break the one-at-a-time measurement
 		// premise of the simulated transport.
 		opt.Threads = 1
-		return comm.SimGroup(opt.Ranks, model), nil
+		return comm.SimGroup(opt.Ranks, comm.DefaultCostModel()), nil
 	case "chaos":
-		inner := comm.NewMemGroup(opt.Ranks)
-		trs := make([]comm.Transport, opt.Ranks)
-		for r, tr := range inner {
-			trs[r] = comm.NewChaos(tr, opt.Chaos)
+		// One fixed fault schedule: rare delays, transient send errors and
+		// duplicate deliveries, drawn from opt.Seed and counted on
+		// opt.Metrics. A round fails only after five faulted attempts in a
+		// row (p = 0.02⁵), and the faults never change the bytes a round
+		// delivers, so the run returns the mem run's result to the bit.
+		cfg := comm.ChaosConfig{
+			Seed:      opt.Seed,
+			DelayProb: 0.05,
+			MaxDelay:  200 * time.Microsecond,
+			ErrProb:   0.02,
+			DupProb:   0.05,
+			Metrics:   opt.Metrics,
+		}
+		trs := comm.NewMemGroup(opt.Ranks)
+		for r, tr := range trs {
+			trs[r] = comm.NewChaos(tr, cfg)
 		}
 		return trs, nil
 	default:

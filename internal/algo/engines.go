@@ -205,7 +205,6 @@ func computeEnsemble(ctx context.Context, full *graph.Graph, opt Options) (*core
 			Ctx:       ctx,
 			MaxLevels: opt.MaxLevels,
 			MaxInner:  opt.MaxIter,
-			MinGain:   opt.MinGain,
 			Seed:      opt.Seed,
 		},
 		Recorder: opt.Recorder,

@@ -281,8 +281,8 @@ func (c *Comm) AllReduceUint64(x uint64, op ReduceOp) (uint64, error) {
 
 // AllReduceBool combines one bool per rank in a single one-byte exchange
 // round: with and=true it returns the logical AND, otherwise the logical
-// OR. (Both operators fold from the same round — frontier-emptiness checks
-// in BFS/SSSP run one collective per superstep, not two.)
+// OR. Invariant 8 (core's checkOutRows) uses the AND to learn
+// whether every rank's rows passed.
 func (c *Comm) AllReduceBool(x bool, and bool) (bool, error) {
 	buf := wire.GetBuffer()
 	if x {
@@ -315,8 +315,8 @@ func (c *Comm) AllReduceBool(x bool, and bool) (bool, error) {
 }
 
 // AllReduceFloat64Slice element-wise sums a fixed-length vector across
-// ranks; every rank receives the combined vector. Used for the gain
-// histogram of the threshold heuristic.
+// ranks; every rank receives the combined vector. Used by algo's
+// distModularity and core's checkOutRows.
 func (c *Comm) AllReduceFloat64Slice(xs []float64) error {
 	buf := wire.GetBuffer()
 	buf.PutF64s(xs)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,29 +13,20 @@ import (
 	"parlouvain/internal/obs"
 )
 
-// TestParallelCancelWithinLevel cancels a single-rank run from the
-// TraceMoves callback of the first inner iteration and asserts the engine
-// observes it at the next iteration boundary — within the level, not at its
-// end — returning an error that wraps both ErrCanceled and the context's
-// own error.
+// TestParallelCancelWithinLevel cancels a single-rank run once its first
+// inner iteration is done, at the context's third poll (after the level
+// start's and the first iteration's), and asserts the engine observes it at
+// that iteration boundary — within the level, not at its end — returning an
+// error that wraps both ErrCanceled and the context's own error.
 func TestParallelCancelWithinLevel(t *testing.T) {
 	el, _, err := gen.LFR(gen.DefaultLFR(2000, 0.3, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	iterations := 0
-	opt := Options{
-		Ctx: ctx,
-		TraceMoves: func(level, iter, moved, active int) {
-			iterations++
-			if level == 0 && iter == 1 {
-				cancel()
-			}
-		},
-	}
-	_, err = RunInProcess(el, 0, 1, opt)
+	ctx := newPollCancel(2)
+	defer ctx.cancel()
+	rec := obs.NewRecorder()
+	_, err = RunInProcess(el, 0, 1, Options{Ctx: ctx, Recorder: rec})
 	if err == nil {
 		t.Fatal("canceled run returned no error")
 	}
@@ -43,6 +35,12 @@ func TestParallelCancelWithinLevel(t *testing.T) {
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("error does not wrap context.Canceled: %v", err)
+	}
+	iterations := 0
+	for _, e := range rec.Events() {
+		if e.Name == "iteration" {
+			iterations++
+		}
 	}
 	if iterations != 1 {
 		t.Errorf("engine ran %d iterations after cancellation, want exactly 1", iterations)
@@ -83,7 +81,7 @@ func TestParallelCancelAtLevelStart(t *testing.T) {
 		t.Run(fmt.Sprintf("after=%d", polls), func(t *testing.T) {
 			rec := obs.NewRecorder()
 			res, err := RunInProcess(el, 0, 1, Options{
-				Ctx:      &pollCancel{Context: context.Background(), left: polls},
+				Ctx:      newPollCancel(polls),
 				Recorder: rec,
 			})
 			if res != nil || !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
@@ -96,12 +94,12 @@ func TestParallelCancelAtLevelStart(t *testing.T) {
 	}
 }
 
-// TestParallelCancelMidRun cancels multi-rank runs from rank 0's TraceMoves at
-// several (level, iteration) points, after the other ranks have had time to
-// pass their own check of the next iteration and park in its first
-// collective, and before the run starts. The group must still return, with an
-// error that wraps both ErrCanceled and the context's error, however the ranks
-// it stopped ended. The input's level 0 runs the full 64 inner iterations, so
+// TestParallelCancelMidRun cancels multi-rank runs at several (level,
+// iteration) points — from the first rank's poll of the next iteration, after
+// the other ranks have had time to pass their own check of it and park in its
+// first collective — and before the run starts. The group must still return,
+// with an error that wraps both ErrCanceled and the context's error, however
+// the ranks it stopped ended. The input's level 0 runs the full 64 inner iterations, so
 // every point is reached; at μ = 0.3 level 0 now ends before iteration 30.
 func TestParallelCancelMidRun(t *testing.T) {
 	el, _, err := gen.LFR(gen.DefaultLFR(2000, 0.6, 7))
@@ -109,33 +107,33 @@ func TestParallelCancelMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	groups := []struct {
-		name string
-		run  func(opt Options) (*Result, error)
+		name  string
+		ranks int
+		run   func(opt Options) (*Result, error)
 	}{
-		{"mem/ranks=2", func(opt Options) (*Result, error) { return RunInProcess(el, 0, 2, opt) }},
-		{"mem/ranks=4", func(opt Options) (*Result, error) { return RunInProcess(el, 0, 4, opt) }},
-		{"sim/ranks=2", func(opt Options) (*Result, error) { return RunSimulated(el, 0, 2, opt, comm.CostModel{}) }},
+		{"mem/ranks=2", 2, func(opt Options) (*Result, error) { return RunInProcess(el, 0, 2, opt) }},
+		{"mem/ranks=4", 4, func(opt Options) (*Result, error) { return RunInProcess(el, 0, 4, opt) }},
+		{"sim/ranks=2", 2, func(opt Options) (*Result, error) { return RunSimulated(el, 0, 2, opt, comm.CostModel{}) }},
 	}
 	for _, g := range groups {
 		for _, at := range [][2]int{{0, 1}, {0, 2}, {0, 5}, {0, 20}, {0, 30}} {
 			name := fmt.Sprintf("%s/level=%d/iter=%d", g.name, at[0], at[1])
 			t.Run(name, func(t *testing.T) {
-				ctx, cancel := context.WithCancel(context.Background())
+				// Every rank polls once at the level start and once per
+				// iteration, and no rank polls iteration i+1 before every
+				// rank has polled iteration i.
+				ctx := newPollCancel(g.ranks * (1 + at[1]))
+				cancel := ctx.cancel
 				defer cancel()
-				fired := false
-				opt := Options{
-					Ctx: ctx,
-					TraceMoves: func(level, iter, moved, active int) {
-						if level == at[0] && iter == at[1] {
-							time.Sleep(2 * time.Millisecond)
-							cancel()
-							fired = true
-						}
-					},
+				var fired atomic.Bool
+				ctx.cancel = func() {
+					time.Sleep(2 * time.Millisecond)
+					cancel()
+					fired.Store(true)
 				}
 				var err error
-				guard(t, 30*time.Second, name, func() { _, err = g.run(opt) })
-				if !fired {
+				guard(t, 30*time.Second, name, func() { _, err = g.run(Options{Ctx: ctx}) })
+				if !fired.Load() {
 					t.Fatal("the run never reached the cancellation point")
 				}
 				if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {

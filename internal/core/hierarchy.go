@@ -133,7 +133,7 @@ func hierarchy(g *graph.Graph, opt Options, move moveFn, refine bool) (*Result, 
 			for u, a := range agg {
 				comm[a] = labels[u]
 			}
-			wg = condense(wg, agg, numAgg)
+			wg = Condense(wg, agg, numAgg)
 		}
 		tot := make([]float64, wg.N)
 		for u, c := range comm {
@@ -190,10 +190,10 @@ func compactLabels(comm []graph.V) ([]graph.V, int) {
 	return out, int(next)
 }
 
-// condense builds the next-level supergraph (Algorithm 1 lines 24-26) from
-// compact per-vertex labels: vertices are the communities, edge weights are
-// summed, and intra-community weight becomes self-loops.
-func condense(wg *graph.Graph, labels []graph.V, numComms int) *graph.Graph {
+// Condense builds the next-level supergraph (Algorithm 1 lines 24-26) from
+// compact per-vertex labels in [0, numComms): vertices are the communities,
+// edge weights are summed, and intra-community weight becomes self-loops.
+func Condense(wg *graph.Graph, labels []graph.V, numComms int) *graph.Graph {
 	agg := make(map[uint64]float64, wg.N)
 	selfW := make([]float64, numComms)
 	for u := 0; u < wg.N; u++ {

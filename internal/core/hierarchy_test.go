@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"parlouvain/internal/graph"
@@ -44,19 +45,28 @@ func levelEvents(rec *obs.Recorder) []int {
 	return levels
 }
 
-// pollCancel is a context that reports cancellation from its n-th Err poll
-// on, which pins where in a run the engines look at it.
+// pollCancel is a context whose Err poll number after+1 calls cancel, which
+// pins where in a run the engines see it: cancel is the embedded context's
+// own CancelFunc, perhaps wrapped by the test, and every poll reports the
+// embedded context's state. Ranks poll concurrently, so the count is atomic.
 type pollCancel struct {
 	context.Context
-	left int
+	after  int64
+	cancel func()
+	polls  atomic.Int64
+}
+
+// newPollCancel returns a pollCancel over its own cancelable context.
+func newPollCancel(after int) *pollCancel {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &pollCancel{Context: ctx, after: int64(after), cancel: cancel}
 }
 
 func (c *pollCancel) Err() error {
-	if c.left <= 0 {
-		return context.Canceled
+	if c.polls.Add(1) == c.after+1 {
+		c.cancel()
 	}
-	c.left--
-	return nil
+	return c.Context.Err()
 }
 
 // TestHierarchyContract is the behaviour every engine on the driver owes its
@@ -127,7 +137,7 @@ func TestHierarchyCancel(t *testing.T) {
 				rec := obs.NewRecorder()
 				res, err := e.run(g, Options{
 					Seed:     11,
-					Ctx:      &pollCancel{Context: context.Background(), left: polls},
+					Ctx:      newPollCancel(polls),
 					Recorder: rec,
 				})
 				if res != nil || !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {

@@ -306,7 +306,7 @@ func BenchmarkCondense(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSink += condense(g, labels, k).M
+				benchSink += Condense(g, labels, k).M
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(g.Nbr)/2), "ns/edge")
 		})

@@ -22,28 +22,6 @@ import (
 	"parlouvain/internal/perf"
 )
 
-// EpsilonFunc maps an inner-loop iteration number (1-based) to the fraction
-// ε of vertices allowed to migrate in that iteration (Equation 7). Values
-// are clamped to [0,1] by the engine.
-type EpsilonFunc func(iter int) float64
-
-// DecayEpsilon returns the paper's intended heuristic: ε(iter) =
-// p1·e^(−iter/p2), an inverse-exponential decay fitted against LFR traces
-// (Figure 2). See DESIGN.md on the Equation 7 typo.
-func DecayEpsilon(p1, p2 float64) EpsilonFunc {
-	return func(iter int) float64 {
-		return p1 * math.Exp(-float64(iter)/p2)
-	}
-}
-
-// DefaultEpsilon is the fitted decay used when Options.Epsilon is nil:
-// p1 = 1 (first iteration moves everything useful), p2 = 2 (fraction
-// roughly halves every 1.4 iterations), the regression result of the
-// Figure 2 harness on LFR graphs with μ ∈ [0.2, 0.6].
-func DefaultEpsilon() EpsilonFunc {
-	return DecayEpsilon(1.0, 2.0)
-}
-
 // Options configures either engine. The zero value is usable.
 type Options struct {
 	// Ctx, when non-nil, cancels the run: every engine checks it at every
@@ -60,20 +38,12 @@ type Options struct {
 	// MinGain is the modularity improvement below which a loop stops;
 	// 0 means 1e-6.
 	MinGain float64
-	// ProgressGain is the per-iteration modularity improvement the
-	// parallel inner loop must sustain to keep running once the decayed
-	// threshold has opened (it ends after `patience` iterations below
-	// this bar, keeping its best state). 0 means 1e-4.
-	ProgressGain float64
 	// Seed randomizes the sequential sweep order; 0 keeps natural order.
 	Seed uint64
 
-	// Epsilon is the convergence heuristic (parallel only). nil means
-	// DefaultEpsilon(). Ignored when Naive is set.
-	Epsilon EpsilonFunc
-	// Naive disables the threshold heuristic: every vertex with positive
-	// gain moves each iteration (the "parallel without heuristic"
-	// baseline of Figure 4).
+	// Naive disables the threshold heuristic (parallel only): every vertex
+	// with positive gain moves each iteration (the "parallel without
+	// heuristic" baseline of Figure 4).
 	Naive bool
 
 	// Threads is the per-rank worker count (parallel Louvain, and PLM's
@@ -111,10 +81,6 @@ type Options struct {
 	// in a fraction of the from-scratch work.
 	Warm []graph.V
 
-	// TraceMoves, when non-nil, receives (level, innerIter, moved,
-	// active) after every inner iteration (rank 0 only in parallel).
-	TraceMoves func(level, iter, moved, active int)
-
 	// Recorder, when non-nil, receives structured telemetry: one "level"
 	// event per completed level from every engine (EmitLevel), and from the
 	// parallel engine also one "iteration" event per inner iteration (moved,
@@ -143,14 +109,8 @@ func (o Options) withDefaults() Options {
 	if o.MinGain <= 0 {
 		o.MinGain = 1e-6
 	}
-	if o.ProgressGain <= 0 {
-		o.ProgressGain = 1e-4
-	}
 	if o.Threads <= 0 {
 		o.Threads = 1
-	}
-	if o.Epsilon == nil {
-		o.Epsilon = DefaultEpsilon()
 	}
 	return o
 }

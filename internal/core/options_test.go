@@ -7,26 +7,24 @@ import (
 	"testing/quick"
 )
 
-func TestDecayEpsilonShape(t *testing.T) {
-	eps := DecayEpsilon(1.0, 2.0)
-	if eps(1) >= 1 {
-		t.Errorf("eps(1) = %v, want < 1", eps(1))
+func TestEpsilonShape(t *testing.T) {
+	if epsilon(1) >= 1 {
+		t.Errorf("epsilon(1) = %v, want < 1", epsilon(1))
 	}
 	for i := 1; i < 20; i++ {
-		if eps(i+1) >= eps(i) {
-			t.Fatalf("decay not monotone at %d: %v -> %v", i, eps(i), eps(i+1))
+		if epsilon(i+1) >= epsilon(i) {
+			t.Fatalf("decay not monotone at %d: %v -> %v", i, epsilon(i), epsilon(i+1))
 		}
 	}
-	// Halving period: eps(i+p2*ln2) = eps(i)/2.
-	if r := eps(1) / eps(3); math.Abs(r-math.E) > 1e-9 {
-		t.Errorf("decay rate wrong: eps(1)/eps(3) = %v, want e", r)
+	// Halving period: epsilon(i+p2*ln2) = epsilon(i)/2.
+	if r := epsilon(1) / epsilon(3); math.Abs(r-math.E) > 1e-9 {
+		t.Errorf("decay rate wrong: epsilon(1)/epsilon(3) = %v, want e", r)
 	}
 }
 
 func TestWithDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.MaxLevels != 32 || o.MaxInner != 64 || o.MinGain != 1e-6 ||
-		o.ProgressGain != 1e-4 || o.Threads != 1 || o.Epsilon == nil {
+	if o.MaxLevels != 32 || o.MaxInner != 64 || o.MinGain != 1e-6 || o.Threads != 1 {
 		t.Errorf("defaults: %+v", o)
 	}
 	// Explicit values survive.

@@ -59,7 +59,6 @@ func plmLevel(wg *graph.Graph, opt Options, level int, comm []graph.V, tot []flo
 	stop := StopMaxInner
 	for iter := 1; iter <= opt.MaxInner; iter++ {
 		moved := 0
-		sweepActive := active.Count()
 		for _, batch := range sched.Batches {
 			// Decide: every vertex of the batch scans its neighborhood
 			// against state frozen at batch start. No writes to comm/tot
@@ -106,9 +105,6 @@ func plmLevel(wg *graph.Graph, opt Options, level int, comm []graph.V, tot []flo
 			}
 		}
 		movesPerIter = append(movesPerIter, moved)
-		if opt.TraceMoves != nil {
-			opt.TraceMoves(level, iter, moved, sweepActive)
-		}
 		if moved == 0 || active.Flip() == 0 {
 			stop = StopConverged
 			break

@@ -52,9 +52,6 @@ func sweepLevel(wg *graph.Graph, opt Options, level int, comm []graph.V, tot []f
 			}
 		}
 		movesPerIter = append(movesPerIter, moved)
-		if opt.TraceMoves != nil {
-			opt.TraceMoves(level, iter, moved, wg.N)
-		}
 		if moved == 0 {
 			stop = StopConverged
 			break

@@ -86,32 +86,26 @@ func TestSequentialSeedChangesOrderNotValidity(t *testing.T) {
 	}
 }
 
-func TestSequentialTraceMoves(t *testing.T) {
+func TestSequentialMovesPerIter(t *testing.T) {
 	el, _, err := gen.LFR(gen.DefaultLFR(500, 0.3, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := graph.Build(el, 500)
-	type rec struct{ level, iter, moved, active int }
-	var trace []rec
-	must(t)(Sequential(g, Options{TraceMoves: func(level, iter, moved, active int) {
-		trace = append(trace, rec{level, iter, moved, active})
-	}}))
-	if len(trace) == 0 {
+	res := must(t)(Sequential(g, Options{}))
+	if len(res.Levels) == 0 || len(res.Levels[0].MovesPerIter) == 0 {
 		t.Fatal("no trace records")
 	}
-	if trace[0].level != 0 || trace[0].iter != 1 {
-		t.Errorf("first record %+v", trace[0])
-	}
 	// The last iteration of each level moves nothing (convergence).
-	last := trace[len(trace)-1]
-	if last.moved != 0 {
-		t.Errorf("final sweep moved %d, want 0", last.moved)
+	for i, lv := range res.Levels {
+		if moves := lv.MovesPerIter; len(moves) == 0 || moves[len(moves)-1] != 0 {
+			t.Errorf("level %d: sweeps moved %v, want a final sweep that moves nothing", i, moves)
+		}
 	}
 	// First-iteration movement dominates (the paper's observation that
 	// most vertices merge in iteration one).
-	if trace[0].moved < trace[0].active/2 {
-		t.Errorf("first sweep moved only %d of %d", trace[0].moved, trace[0].active)
+	if first := res.Levels[0].MovesPerIter[0]; first < g.N/2 {
+		t.Errorf("first sweep moved only %d of %d", first, g.N)
 	}
 }
 

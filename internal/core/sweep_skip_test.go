@@ -31,9 +31,6 @@ func refSweepLevel(wg *graph.Graph, opt Options, level int, comm []graph.V, tot 
 			}
 		}
 		movesPerIter = append(movesPerIter, moved)
-		if opt.TraceMoves != nil {
-			opt.TraceMoves(level, iter, moved, wg.N)
-		}
 		if moved == 0 {
 			stop = StopConverged
 			break

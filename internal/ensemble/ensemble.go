@@ -91,39 +91,7 @@ func Detect(g *graph.Graph, opt Options) ([]graph.V, float64, int, error) {
 			numGroups = int(gr) + 1
 		}
 	}
-	agg := map[uint64]float64{}
-	selfW := make([]float64, numGroups)
-	for u := 0; u < g.N; u++ {
-		cu := groups[u]
-		selfW[cu] += g.SelfW[u]
-		for i := g.Off[u]; i < g.Off[u+1]; i++ {
-			v := g.Nbr[i]
-			if v < graph.V(u) {
-				continue
-			}
-			cv := groups[v]
-			if cu == cv {
-				selfW[cu] += g.NbrW[i]
-				continue
-			}
-			a, b := cu, cv
-			if a > b {
-				a, b = b, a
-			}
-			agg[hashfn.Pack32(a, b)] += g.NbrW[i]
-		}
-	}
-	el := make(graph.EdgeList, 0, len(agg)+numGroups)
-	for key, w := range agg {
-		a, b := hashfn.Unpack32(key)
-		el = append(el, graph.Edge{U: a, V: b, W: w})
-	}
-	for c, w := range selfW {
-		if w != 0 {
-			el = append(el, graph.Edge{U: graph.V(c), V: graph.V(c), W: w})
-		}
-	}
-	contracted := graph.Build(el, numGroups)
+	contracted := core.Condense(g, groups, numGroups)
 
 	// 3. Full detection on the contracted graph, projected back.
 	var tsFinal int64

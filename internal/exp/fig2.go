@@ -90,16 +90,16 @@ func Fig2(sizeFactor float64, repeats int) ([]Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			g := graph.Build(el, n)
-			core.Sequential(g, core.Options{
-				MaxLevels: 1,
-				TraceMoves: func(level, iter, moved, active int) {
-					if iter <= maxIter && active > 0 {
-						sum[iter] += float64(moved) / float64(active)
-						cnt[iter]++
-					}
-				},
-			})
+			res, err := core.Sequential(graph.Build(el, n), core.Options{MaxLevels: 1})
+			if err != nil {
+				return nil, err
+			}
+			// Level 0 sweeps all n vertices in every iteration.
+			moves := res.Levels[0].MovesPerIter
+			for i := 0; i < len(moves) && i < maxIter; i++ {
+				sum[i+1] += float64(moves[i]) / float64(n)
+				cnt[i+1]++
+			}
 		}
 		var iters []int
 		var fracs []float64

@@ -7,6 +7,7 @@ import (
 	"math"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -57,29 +58,42 @@ func TestPublicAPIParallel(t *testing.T) {
 	}
 }
 
+// pollCancel is a context whose Err poll number after+1 calls cancel. Ranks
+// poll concurrently, so the count is atomic.
+type pollCancel struct {
+	context.Context
+	after  int64
+	cancel func()
+	polls  atomic.Int64
+}
+
+func (c *pollCancel) Err() error {
+	if c.polls.Add(1) == c.after+1 {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
 // TestPublicAPIParallelCancel cancels a two-rank DetectParallel mid-level,
-// once the other rank has had time to park in the next iteration's first
-// collective: the call must return, with an error that classifies as
-// context.Canceled.
+// after level 0's second iteration, once the other rank has had time to park
+// in the next iteration's first collective: the call must return, with an
+// error that classifies as context.Canceled.
 func TestPublicAPIParallelCancel(t *testing.T) {
 	el, _, err := parlouvain.LFR(parlouvain.DefaultLFR(2000, 0.3, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	base, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opt := parlouvain.Options{
-		Ctx: ctx,
-		TraceMoves: func(level, iter, moved, active int) {
-			if level == 0 && iter == 2 {
-				time.Sleep(2 * time.Millisecond)
-				cancel()
-			}
-		},
-	}
+	// Each rank polls the context at the level start and at every iteration:
+	// poll 7 is the first of iteration 3.
+	ctx := &pollCancel{Context: base, after: 2 * (1 + 2), cancel: func() {
+		time.Sleep(2 * time.Millisecond)
+		cancel()
+	}}
 	done := make(chan error, 1)
 	go func() {
-		_, err := parlouvain.DetectParallel(el, 2, opt)
+		_, err := parlouvain.DetectParallel(el, 2, parlouvain.Options{Ctx: ctx})
 		done <- err
 	}()
 	select {
