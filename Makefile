@@ -39,13 +39,14 @@ vet:
 # every rank count; PushSubscriptions holds every rank's pushed totals and
 # every owner's subscriber list to the owners' state (scripted, over mem and
 # TCP), IterationRounds an inner iteration to three rounds, and AdmissionFloor
-# the floor each iteration's events report to its rule — all at 2 Ps, as CI
-# runs them.
+# the floor each iteration's events report to its rule, and ScoreMatchesParent
+# the branch-free score, relocate and delta merge to their branching oracles
+# at one to three ranks — all at 2 Ps, as CI runs them.
 chaos:
 	$(GO) test -race -count=3 -run 'Chaos|TCP|RunGroup|SimClose' ./internal/comm
 	$(GO) test -short -run 'Chaos|Invariant|CrossEngine' ./internal/core
 	$(GO) test -race -run 'ChaosTransport' ./internal/algo
-	GOMAXPROCS=2 $(GO) test -race -run 'Skip|GoldenTrace|OutRows|Asymmetric|BuildRows|RowsCanonical|ParallelFingerprint|CancelMidRun|HierarchyCancel|CancelAtLevelStart|ExactCounts|ReturnRule|PushSubscriptions|IterationRounds|AdmissionFloor' ./internal/core
+	GOMAXPROCS=2 $(GO) test -race -run 'Skip|GoldenTrace|OutRows|Asymmetric|BuildRows|RowsCanonical|ParallelFingerprint|CancelMidRun|HierarchyCancel|CancelAtLevelStart|ExactCounts|ReturnRule|PushSubscriptions|IterationRounds|AdmissionFloor|ScoreMatchesParent' ./internal/core
 
 # Short fuzz pass over every fuzz target (wire codecs, graph readers, Build and
 # the rank rows lpa runs on — FuzzBuild: Build and Partition.InRows at
@@ -54,7 +55,9 @@ chaos:
 # (FuzzBuildRows: the sorted rows of two levels against that table as oracle),
 # its rows read through ghost after a full and a move-log propagation — and its
 # refusal of a list with a mirror dropped or a negative weight — the gain scan
-# against its scanning oracle, seq-louvain's and leiden's skipping sweep
+# against its scanning oracle, par-louvain's score, relocate and delta merge
+# against their branching oracles on lists with zero, fractional and
+# duplicate weights and self-loops (FuzzScore), seq-louvain's and leiden's skipping sweep
 # against the full sweep on lists with NaN, ±Inf, negative and zero-sum
 # weights (FuzzSweepSkip), the whole-graph engines' direct call against the
 # rank-0 harness, and lpa at one to three ranks against plp (FuzzLPA)).

@@ -279,11 +279,10 @@ func (c *Comm) AllReduceUint64(x uint64, op ReduceOp) (uint64, error) {
 	return acc, nil
 }
 
-// AllReduceBool combines one bool per rank in a single one-byte exchange
-// round: with and=true it returns the logical AND, otherwise the logical
-// OR. Invariant 8 (core's checkOutRows) uses the AND to learn
+// AllReduceAnd returns the logical AND of one bool per rank, in a single
+// one-byte exchange round. Invariant 8 (core's checkOutRows) uses it to learn
 // whether every rank's rows passed.
-func (c *Comm) AllReduceBool(x bool, and bool) (bool, error) {
+func (c *Comm) AllReduceAnd(x bool) (bool, error) {
 	buf := wire.GetBuffer()
 	if x {
 		buf.PutBytes([]byte{1})
@@ -302,14 +301,9 @@ func (c *Comm) AllReduceBool(x bool, and bool) (bool, error) {
 			continue
 		}
 		if len(b) != 1 {
-			return false, fmt.Errorf("comm: AllReduceBool got %d bytes from rank %d", len(b), src)
+			return false, fmt.Errorf("comm: AllReduceAnd got %d bytes from rank %d", len(b), src)
 		}
-		v := b[0] != 0
-		if and {
-			acc = acc && v
-		} else {
-			acc = acc || v
-		}
+		acc = acc && b[0] != 0
 	}
 	return acc, nil
 }

@@ -161,19 +161,19 @@ func TestAllReduceUint64AndBool(t *testing.T) {
 		if sum != 3 {
 			return fmt.Errorf("sum = %d, want 3", sum)
 		}
-		anyTrue, err := c.AllReduceBool(c.Rank() == 1, false)
-		if err != nil {
-			return err
-		}
-		if !anyTrue {
-			return errors.New("OR of one true should be true")
-		}
-		allTrue, err := c.AllReduceBool(c.Rank() != 1, true)
+		allTrue, err := c.AllReduceAnd(c.Rank() != 1)
 		if err != nil {
 			return err
 		}
 		if allTrue {
 			return errors.New("AND with one false should be false")
+		}
+		allTrue, err = c.AllReduceAnd(true)
+		if err != nil {
+			return err
+		}
+		if !allTrue {
+			return errors.New("AND of all true should be true")
 		}
 		return nil
 	})
@@ -410,26 +410,22 @@ func TestNewTCPBadRank(t *testing.T) {
 	}
 }
 
-// TestAllReduceBoolSingleRound pins the collective cost of the boolean
-// reduction: one Exchange round per call, for either operator. BFS/SSSP
-// check frontier emptiness every superstep, so a two-round implementation
-// would double their latency term.
-func TestAllReduceBoolSingleRound(t *testing.T) {
+// TestAllReduceAndSingleRound pins the collective cost of the boolean
+// reduction: one Exchange round per call, one byte per destination.
+func TestAllReduceAndSingleRound(t *testing.T) {
 	trs := NewMemGroup(3)
 	defer closeGroup(trs)
 	runGroup(t, trs, func(c *Comm) error {
-		for _, and := range []bool{false, true} {
-			before := c.Rounds()
-			if _, err := c.AllReduceBool(c.Rank() == 0, and); err != nil {
-				return err
-			}
-			if got := c.Rounds() - before; got != 1 {
-				return fmt.Errorf("AllReduceBool(and=%v) used %d rounds, want 1", and, got)
-			}
+		before := c.Rounds()
+		if _, err := c.AllReduceAnd(c.Rank() == 0); err != nil {
+			return err
+		}
+		if got := c.Rounds() - before; got != 1 {
+			return fmt.Errorf("AllReduceAnd used %d rounds, want 1", got)
 		}
 		// The payload is one byte per destination, not a widened integer.
 		sent := c.BytesSent()
-		if want := uint64(2 * c.Size()); sent != want {
+		if want := uint64(c.Size()); sent != want {
 			return fmt.Errorf("bytes sent = %d, want %d", sent, want)
 		}
 		return nil

@@ -253,8 +253,8 @@ func levelOrder(wg *graph.Graph, opt Options, level int) []uint32 {
 // the compiler emits without a branch, where "first sighting" would
 // mispredict. A community whose weights cancel to exactly zero partway
 // through a row is therefore listed again at its next entry, so whoever reads
-// the list either folds idempotently over it (best, par-louvain's score) or
-// consumes each sum as it goes (reconstructBuild), and dropRow's clear does
+// the list either folds idempotently over it (best) or consumes each sum as
+// it goes (par-louvain's score, reconstructBuild), and dropRow's clear does
 // not mind the repeat. A NaN sum is never zero and would be neither listed nor
 // cleared, which is why the file readers, the rank-0 gather, loadLocal and
 // labelprop.Parallel reject non-finite weights; a graph built in memory and

@@ -286,7 +286,7 @@ func (s *engine) checkOutRows(level int, q float64, full []graph.V) error {
 	if err := s.checkIntra(); err != nil && bad == nil {
 		bad = err
 	}
-	ok, err := s.c.AllReduceBool(bad == nil, true)
+	ok, err := s.c.AllReduceAnd(bad == nil)
 	if err != nil {
 		return err
 	}

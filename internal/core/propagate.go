@@ -217,19 +217,15 @@ func (s *engine) mergeRecords(t int, r *wire.Reader, delta bool) error {
 		if !delta {
 			continue
 		}
-		w := s.revW[lo:hi]
+		w, in := s.revW[lo:hi], s.intra
 		for i, li := range s.revRow[lo:hi] {
-			c0, spend := uint32(s.commOf[li]), 1.0
-			if old == c0 {
-				s.intra -= w[i]
-				spend = 2
-			}
-			if cc == c0 {
-				s.intra += w[i]
-				spend = 0
-			}
+			c0 := uint32(s.commOf[li])
+			leaves, joins := old == c0, cc == c0
+			in = in - keepIf(w[i], leaves) + keepIf(w[i], joins)
+			spend := keepIf(1+keepIf(1, leaves), !joins) // c: 2 leaving, 0 joining, else 1
 			s.skipUntil[li] -= spend * w[i] * s.skipRate[li]
 		}
+		s.intra = in
 	}
 	return r.Err()
 }

@@ -263,11 +263,16 @@ func skipRoom(margin, m, k float64) float64 {
 // largest gain over staying of any other community in its row — −Inf when
 // there is none — including those the singleton and return rules keep it
 // from joining; and stay, the gain of re-joining its own community.
+// It consumes each sum as it reads it: a community listed twice (gainScan)
+// reads 0 ≤ its sum on its second visit, no weight being negative (loadLocal),
+// and that visit can neither win, tie nor raise the rival. The rules can only
+// suppress a winner, so they are tested for a would-be winner only.
 func (s *engine) score(sc *gainScan, li int) (bestGain float64, bestTo graph.V, rival, stay float64) {
 	c0, ku, lo, hi := s.commOf[li], s.k[li], s.adjOff[li], s.adjOff[li+1]
 	touched := sc.gather(s.adjSrc[lo:hi], s.adjW[lo:hi], s.ghost)
-	stay = metrics.DeltaQ(sc.w2c[c0]-s.self2[li], s.totCache[c0]-ku, ku, s.m)
-	single := s.memCache[c0] == 1
+	w2c, tot, mem, m := sc.w2c, s.totCache, s.memCache, s.m
+	stay = metrics.DeltaQ(w2c[c0]-s.self2[li], tot[c0]-ku, ku, m)
+	single, back, twoMM := mem[c0] == 1, s.left[li], 2*m*m
 	bestGain, bestTo = 0.0, c0
 	// The rival is a branch-free maximum over orderBits keys, as in gainScan.best.
 	other := int64(orderBits(math.Float64bits(math.Inf(-1))))
@@ -275,29 +280,24 @@ func (s *engine) score(sc *gainScan, li int) (bestGain float64, bestTo graph.V, 
 		if cc == c0 {
 			continue
 		}
-		g := metrics.DeltaQ(sc.w2c[cc], s.totCache[cc], ku, s.m) - stay
+		g := (w2c[cc]/m - tot[cc]*ku/twoMM) - stay // metrics.DeltaQ's operations
+		w2c[cc] = 0
 		other = max(other, int64(orderBits(math.Float64bits(g))))
-		// Singleton minimum-label rule (Grappolo-style, the paper's
-		// ref [11]): when a vertex alone in its community targets
-		// another singleton community with a larger label, suppress
-		// the move. Without this, symmetric pairs swap communities
-		// forever and never merge.
-		if cc > c0 && single && s.memCache[cc] == 1 {
-			continue
-		}
-		// Return rule, the singleton rule generalised to any two-cycle: a
-		// vertex that moved in the last update may not go straight back
-		// into the community it left when that label is larger. Of two
-		// neighbours that swapped communities, exactly one can return,
-		// so the pair merges instead of swapping back.
-		if cc > c0 && cc == s.left[li] {
-			continue
-		}
 		if g > bestGain || (g == bestGain && g > 0 && cc < bestTo) {
+			// Singleton minimum-label rule (Grappolo-style, the paper's ref
+			// [11]): a vertex alone in its community may not join another
+			// singleton with a larger label, or symmetric pairs swap forever.
+			// Return rule, the same for any two-cycle: a vertex that moved in
+			// the last update may not go straight back into the community it
+			// left when that label is larger, so of two neighbours that
+			// swapped, one returns and the pair merges.
+			if cc > c0 && (single && mem[cc] == 1 || cc == back) {
+				continue
+			}
 			bestGain, bestTo = g, cc
 		}
 	}
-	sc.dropRow()
+	w2c[c0] = 0
 	return bestGain, bestTo, math.Float64frombits(orderBits(uint64(other))), stay
 }
 
@@ -457,21 +457,19 @@ func (s *engine) checkMoved(local, fromHistogram uint64) error {
 // relocate moves owned vertex li into community newC, not the one it is in:
 // the assignment, the move log, and Σin — the weight of li's row into its old
 // community leaves it and the weight into the new one enters, as ghost
-// stands before the move is propagated. Only a vertex the sweep just scored
-// can be admitted, so its skip mark is clear already; it is cleared here for
-// callers that move vertices by fiat.
+// stands before the move is propagated. As newC ≠ oldC, at most one mask
+// keeps w, and in + (+0 − w) is in − w bit for bit with one add on in's
+// chain. Only a vertex the sweep just scored can be admitted, so its skip
+// mark is clear already; it is cleared here for callers that move vertices
+// by fiat.
 func (s *engine) relocate(li int, newC graph.V) {
 	oldC, nc := uint32(s.commOf[li]), uint32(newC)
 	lo, hi := s.adjOff[li], s.adjOff[li+1]
-	w := s.adjW[lo:hi]
+	w, in := s.adjW[lo:hi], s.intra
 	for i, v := range s.adjSrc[lo:hi] {
-		switch s.ghost[v] {
-		case oldC:
-			s.intra -= w[i]
-		case nc:
-			s.intra += w[i]
-		}
+		in += keepIf(w[i], s.ghost[v] == nc) - keepIf(w[i], s.ghost[v] == oldC)
 	}
+	s.intra = in
 	s.commOf[li] = newC
 	s.moveLog = append(s.moveLog, li)
 	s.left[li] = graph.V(oldC)
@@ -522,15 +520,20 @@ func (s *engine) intraWeight() float64 {
 		lo, hi := s.adjOff[li], s.adjOff[li+1]
 		w := s.adjW[lo:hi]
 		for i, v := range s.adjSrc[lo:hi] {
-			// Whether a neighbor shares the community is a coin flip to the
-			// branch predictor; masking the weight to +0 instead (the
-			// compiler turns this into a conditional move) scans 3-4x faster.
-			var keep uint64
-			if s.ghost[v] == c0 {
-				keep = ^uint64(0)
-			}
-			in += math.Float64frombits(math.Float64bits(w[i]) & keep)
+			in += keepIf(w[i], s.ghost[v] == c0)
 		}
 	}
 	return in
+}
+
+// keepIf returns w if keep holds and +0 if not, by a conditional move: whether
+// a neighbor is in a given community is a coin flip to the branch predictor.
+// Adding or taking +0 leaves a sum as it was unless the sum is −0, which Σin
+// never is: it starts at +0 and no weight is negative.
+func keepIf(w float64, keep bool) float64 {
+	var mask uint64
+	if keep {
+		mask = ^uint64(0)
+	}
+	return math.Float64frombits(math.Float64bits(w) & mask)
 }

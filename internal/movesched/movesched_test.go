@@ -270,8 +270,10 @@ func TestQueueNeverDropsActive(t *testing.T) {
 
 func TestActiveSetFlip(t *testing.T) {
 	a := NewActiveSet(5, true)
-	if a.Count() != 5 {
-		t.Fatalf("initial Count = %d", a.Count())
+	for u := uint32(0); u < 5; u++ {
+		if !a.Active(u) {
+			t.Fatalf("NewActiveSet(all=true): vertex %d starts inactive", u)
+		}
 	}
 	a.MarkNext(2)
 	a.MarkNext(4)
@@ -289,8 +291,11 @@ func TestActiveSetFlip(t *testing.T) {
 		t.Fatalf("second Flip = %d, want 0", got)
 	}
 	empty := NewActiveSet(3, false)
-	if empty.Count() != 0 || empty.Active(0) {
+	if empty.Active(0) {
 		t.Error("NewActiveSet(all=false) starts active")
+	}
+	if got := empty.Flip(); got != 0 {
+		t.Errorf("Flip of an unmarked set = %d, want 0", got)
 	}
 }
 

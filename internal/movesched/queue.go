@@ -55,7 +55,6 @@ func (q *Queue) Len() int { return len(q.q) - q.head }
 // per-thread mover lists in any order without changing the next sweep.
 type ActiveSet struct {
 	cur, next []bool
-	curCount  int
 	nextCount int
 }
 
@@ -67,16 +66,12 @@ func NewActiveSet(n int, all bool) *ActiveSet {
 		for i := range a.cur {
 			a.cur[i] = true
 		}
-		a.curCount = n
 	}
 	return a
 }
 
 // Active reports whether u participates in the current sweep.
 func (a *ActiveSet) Active(u uint32) bool { return a.cur[u] }
-
-// Count returns the number of vertices active in the current sweep.
-func (a *ActiveSet) Count() int { return a.curCount }
 
 // MarkNext schedules u for the next sweep.
 func (a *ActiveSet) MarkNext(u uint32) {
@@ -90,9 +85,10 @@ func (a *ActiveSet) MarkNext(u uint32) {
 // returns the new active count.
 func (a *ActiveSet) Flip() int {
 	a.cur, a.next = a.next, a.cur
-	a.curCount, a.nextCount = a.nextCount, 0
+	n := a.nextCount
+	a.nextCount = 0
 	for i := range a.next {
 		a.next[i] = false
 	}
-	return a.curCount
+	return n
 }

@@ -97,20 +97,39 @@ func ParseOrdering(s string) (Ordering, error) { return movesched.ParseOrdering(
 func ResolveThreads(threads int) int { return core.ResolveThreads(threads) }
 
 // BuildGraph constructs a CSR graph from an edge list; n <= 0 infers the
-// vertex count.
+// vertex count. It does not check the weights; DetectGraph does.
 func BuildGraph(el EdgeList, n int) *Graph { return graph.Build(el, n) }
 
 // Detect runs the sequential Louvain algorithm (the paper's baseline). It
-// fails when opt.Warm is set and does not have one entry per vertex, or holds
-// a label outside the vertex range, and when opt.Ctx is canceled (checked at
-// every level start), as DetectParallel does.
+// fails on an edge whose weight is NaN or ±Inf, naming it; when opt.Warm is
+// set and does not have one entry per vertex, or holds a label outside the
+// vertex range; and when opt.Ctx is canceled (checked at every level start),
+// as DetectParallel does.
 func Detect(el EdgeList, opt Options) (*Result, error) {
+	n := el.NumVertices()
+	for _, e := range el {
+		if err := e.Check(n); err != nil {
+			return nil, fmt.Errorf("parlouvain: %w", err)
+		}
+	}
 	return core.Sequential(graph.Build(el, 0), opt)
 }
 
 // DetectGraph runs the sequential algorithm on an already-built graph, with
 // Detect's errors.
 func DetectGraph(g *Graph, opt Options) (*Result, error) {
+	for u, w := range g.SelfW {
+		if err := (graph.Edge{U: V(u), V: V(u), W: w}).CheckWeight(); err != nil {
+			return nil, fmt.Errorf("parlouvain: %w", err)
+		}
+	}
+	for u := 0; u < g.N; u++ {
+		for i := g.Off[u]; i < g.Off[u+1]; i++ {
+			if err := (graph.Edge{U: V(u), V: g.Nbr[i], W: g.NbrW[i]}).CheckWeight(); err != nil {
+				return nil, fmt.Errorf("parlouvain: %w", err)
+			}
+		}
+	}
 	return core.Sequential(g, opt)
 }
 

@@ -306,3 +306,24 @@ func TestFacadePanicsNameTheFault(t *testing.T) {
 		})
 	}
 }
+
+// TestFacadeRefusesNonFiniteWeights: Detect and DetectGraph return an error
+// naming an edge whose weight is NaN or ±Inf, a self-loop's included, instead
+// of handing it to the gain scan (whose zero test a NaN sum never passes).
+func TestFacadeRefusesNonFiniteWeights(t *testing.T) {
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, bad := range []parlouvain.Edge{{U: 1, V: 2, W: w}, {U: 2, V: 2, W: w}} {
+			el := parlouvain.EdgeList{{U: 0, V: 1, W: 1}, {U: 0, V: 2, W: 1}, bad, {U: 2, V: 3, W: 1}}
+			want := fmt.Sprintf("edge (%d,%d) has non-finite weight %v", bad.U, bad.V, w)
+			g := parlouvain.BuildGraph(el, 0) // does not check
+			for name, detect := range map[string]func() (*parlouvain.Result, error){
+				"Detect":      func() (*parlouvain.Result, error) { return parlouvain.Detect(el, parlouvain.Options{}) },
+				"DetectGraph": func() (*parlouvain.Result, error) { return parlouvain.DetectGraph(g, parlouvain.Options{}) },
+			} {
+				if res, err := detect(); res != nil || err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s with (%d,%d) weighing %v: res = %v, err = %v; want an error containing %q", name, bad.U, bad.V, w, res, err, want)
+				}
+			}
+		}
+	}
+}
