@@ -60,12 +60,14 @@ chaos:
 # duplicate weights and self-loops (FuzzScore), seq-louvain's and leiden's skipping sweep
 # against the full sweep on lists with NaN, ±Inf, negative and zero-sum
 # weights (FuzzSweepSkip), the whole-graph engines' direct call against the
-# rank-0 harness, and lpa at one to three ranks against plp (FuzzLPA)).
+# rank-0 harness, and lpa at one to three ranks against plp (FuzzLPA)), and
+# the event recorder's byte log against the events emitted into it, names,
+# negative ints and float bits included (FuzzRecorder).
 # `go test -fuzz` takes one target per run, so iterate; FUZZTIME scales the
 # per-target budget.
 FUZZTIME ?= 10s
 fuzz:
-	@for pkg in ./internal/wire ./internal/graph ./internal/gencli ./internal/edgetable ./internal/metrics ./internal/movesched ./internal/core ./internal/algo ./internal/labelprop; do \
+	@for pkg in ./internal/wire ./internal/graph ./internal/gencli ./internal/edgetable ./internal/metrics ./internal/movesched ./internal/core ./internal/algo ./internal/labelprop ./internal/obs; do \
 		for target in $$($(GO) test -list 'Fuzz.*' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz $$pkg $$target"; \
 			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \

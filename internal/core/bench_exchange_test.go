@@ -13,7 +13,6 @@ import (
 	"parlouvain/internal/comm"
 	"parlouvain/internal/gen"
 	"parlouvain/internal/graph"
-	"parlouvain/internal/par"
 	"parlouvain/internal/wire"
 )
 
@@ -40,7 +39,7 @@ func BenchmarkExchangeAllocs(b *testing.B) {
 				states := steadyEngines(b, el, n, ranks, phase.op)
 				b.ReportAllocs()
 				b.ResetTimer()
-				if err := onRanks(states, repeat(b.N, phase.op)); err != nil {
+				if err := runRanks(states, repeat(b.N, phase.op)); err != nil {
 					b.Fatal(err)
 				}
 			})
@@ -72,7 +71,7 @@ func TestExchangeSteadyStateAllocatesNothing(t *testing.T) {
 			states := steadyEngines(t, el, n, ranks, phase.op)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			err := onRanks(states, repeat(ops, phase.op))
+			err := runRanks(states, repeat(ops, phase.op))
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
@@ -227,7 +226,7 @@ func levelEngines(tb testing.TB, el graph.EdgeList, n, ranks int) []*engine {
 	for r := range states {
 		states[r] = newEngine(comm.New(trs[r]), n, Options{Threads: 1}.withDefaults())
 	}
-	err := onRanks(states, func(s *engine) error {
+	err := runRanks(states, func(s *engine) error {
 		if err := s.loadLocal(parts[s.part.Rank]); err != nil {
 			return err
 		}
@@ -246,7 +245,7 @@ func levelEngines(tb testing.TB, el graph.EdgeList, n, ranks int) []*engine {
 func steadyEngines(tb testing.TB, el graph.EdgeList, n, ranks int, op func(*engine) error) []*engine {
 	tb.Helper()
 	states := levelEngines(tb, el, n, ranks)
-	err := onRanks(states, func(s *engine) error {
+	err := runRanks(states, func(s *engine) error {
 		for li := 0; li < s.nLoc; li += 16 {
 			if s.active[li] {
 				// A move from its community into the same one: the Σtot
@@ -264,16 +263,6 @@ func steadyEngines(tb testing.TB, el graph.EdgeList, n, ranks int, op func(*engi
 		tb.Fatal(err)
 	}
 	return states
-}
-
-// onRanks runs fn on every rank's engine concurrently, as the collectives
-// inside it require, and returns the first error.
-func onRanks(states []*engine, fn func(*engine) error) error {
-	var g par.Group
-	for _, s := range states {
-		g.Go(func() error { return fn(s) })
-	}
-	return g.Wait()
 }
 
 // repeat returns the function that calls op n times.

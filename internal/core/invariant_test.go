@@ -157,7 +157,7 @@ func TestInvariantCatchesMovedCountMismatch(t *testing.T) {
 		fail          bool
 	}{{6, false}, {5, true}} {
 		errs := make([]error, len(states))
-		err := onRanks(states, func(s *engine) error {
+		err := runRanks(states, func(s *engine) error {
 			errs[s.part.Rank] = s.checkMoved(uint64(s.part.Rank+1), c.fromHistogram) // the ranks moved 1+2+3
 			return nil
 		})

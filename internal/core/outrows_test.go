@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -148,14 +150,64 @@ func rowOracle(c rowCase, label func(graph.V) graph.V) []map[graph.V]float64 {
 	return want
 }
 
-// runRanks runs fn once per engine, concurrently, as a collective step.
+// runRanks runs fn once per engine, concurrently, as a collective step, and
+// returns the first error. The first rank to fail closes every engine's
+// Comm, as comm.RunGroup's abort closes its group, so the ranks parked in a
+// collective the failed rank will never join return instead of waiting for
+// the test binary's timeout.
 func runRanks(engines []*engine, fn func(s *engine) error) error {
-	var g par.Group
+	var (
+		wg    sync.WaitGroup
+		once  sync.Once
+		first error
+	)
 	for _, s := range engines {
 		s := s
-		g.Go(func() error { return fn(s) })
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := fn(s); err != nil {
+				once.Do(func() {
+					first = err
+					for _, o := range engines {
+						o.c.Close()
+					}
+				})
+			}
+		}()
 	}
-	return g.Wait()
+	wg.Wait()
+	return first
+}
+
+// TestRunRanksClosesOnError fails one rank of three before a collective the
+// other two have entered: runRanks must return that rank's error within a
+// second, not leave the two parked in the exchange.
+func TestRunRanksClosesOnError(t *testing.T) {
+	trs := comm.NewMemGroup(3)
+	engines := make([]*engine, len(trs))
+	for r, tr := range trs {
+		engines[r] = newEngine(comm.New(tr), 6, Options{Threads: 1}.withDefaults())
+	}
+	errRank1 := errors.New("rank 1 gives up")
+	done := make(chan error, 1)
+	go func() {
+		done <- runRanks(engines, func(s *engine) error {
+			if s.part.Rank == 1 {
+				return errRank1
+			}
+			_, err := s.c.AllReduceAnd(true)
+			return err
+		})
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, errRank1) {
+			t.Errorf("runRanks returned %v, want rank 1's error", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("runRanks still waiting a second after rank 1 failed")
+	}
 }
 
 // checkRows drives one case through levelInit → full propagation under

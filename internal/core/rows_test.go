@@ -286,7 +286,7 @@ func TestParallelLeavesLocalUntouched(t *testing.T) {
 func secondLevel(tb testing.TB, el graph.EdgeList, n, ranks int) []*engine {
 	tb.Helper()
 	states := levelEngines(tb, el, n, ranks)
-	err := onRanks(states, func(s *engine) error {
+	err := runRanks(states, func(s *engine) error {
 		if _, err := s.propagate(); err != nil {
 			return err
 		}
@@ -313,12 +313,12 @@ func TestLevelInitSteadyStateAllocatesNothing(t *testing.T) {
 	for _, ranks := range []int{1, 2} {
 		states := secondLevel(t, el, n, ranks)
 		op := func(s *engine) error { _, err := s.levelInit(); return err }
-		if err := onRanks(states, op); err != nil {
+		if err := runRanks(states, op); err != nil {
 			t.Fatal(err)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := onRanks(states, repeat(ops, op))
+		err := runRanks(states, repeat(ops, op))
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)

@@ -68,6 +68,23 @@ func TestSplitEdgesDeliversBothOrientations(t *testing.T) {
 	}
 }
 
+// TestSplitEdgesPartsDoNotAlias appends to every part but the last and
+// holds the part after it unchanged: the parts share one allocation, and
+// cap == len makes append copy a part rather than write into its neighbour.
+func TestSplitEdgesPartsDoNotAlias(t *testing.T) {
+	el := EdgeList{{0, 1, 1}, {1, 2, 2}, {2, 3, 3}, {3, 4, 4}, {4, 4, 5}}
+	parts := SplitEdges(el, 3)
+	for r := 0; r+1 < len(parts); r++ {
+		next := append(EdgeList(nil), parts[r+1]...)
+		_ = append(parts[r], Edge{9, 9, 9})
+		for i, e := range parts[r+1] {
+			if e != next[i] {
+				t.Fatalf("appending to part %d overwrote part %d: record %d is %v, was %v", r, r+1, i, e, next[i])
+			}
+		}
+	}
+}
+
 func TestSplitEdgesConservesWeight(t *testing.T) {
 	f := func(raw []struct{ U, V uint8 }) bool {
 		el := make(EdgeList, 0, len(raw))

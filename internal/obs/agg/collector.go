@@ -37,7 +37,7 @@ type Collector struct {
 	lastSeq map[int]uint64
 	metrics map[int][]wire.MetricRec
 	finals  map[int]bool
-	events  []obs.Event
+	events  obs.Recorder // merged feed, in ingest order
 
 	batches, dups, lost, decodeErrs, subDrops uint64
 
@@ -103,15 +103,9 @@ func (c *Collector) Ingest(payload []byte) {
 	c.batches++
 	c.metrics[rank] = batch.Metrics
 	c.finals[rank] = batch.Final
-	if len(batch.Events) == 0 {
-		return
-	}
-	fresh := make([]obs.Event, len(batch.Events))
-	for i, r := range batch.Events {
-		fresh[i] = recToEvent(r)
-	}
-	c.events = append(c.events, fresh...)
-	for _, e := range fresh {
+	for _, r := range batch.Events {
+		e := recToEvent(r)
+		c.events.Emit(e)
 		for _, sub := range c.subs {
 			select {
 			case sub <- e:
@@ -124,16 +118,7 @@ func (c *Collector) Ingest(payload []byte) {
 
 // Events returns a copy of the merged feed sorted by (TS, Rank).
 func (c *Collector) Events() []obs.Event {
-	c.mu.Lock()
-	out := append([]obs.Event(nil), c.events...)
-	c.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].TS != out[j].TS {
-			return out[i].TS < out[j].TS
-		}
-		return out[i].Rank < out[j].Rank
-	})
-	return out
+	return c.events.Events()
 }
 
 // Stats snapshots the collector's bookkeeping.
@@ -145,7 +130,7 @@ func (c *Collector) Stats() CollectorStats {
 		Dups:            c.dups,
 		Lost:            c.lost,
 		DecodeErrors:    c.decodeErrs,
-		Events:          uint64(len(c.events)),
+		Events:          uint64(c.events.Len()),
 		SubscriberDrops: c.subDrops,
 		Ranks:           c.ranksLocked(),
 	}
@@ -180,7 +165,7 @@ func (c *Collector) subscribe(buf int) (id int, ch <-chan obs.Event, backlog []o
 	id = c.nextSub
 	c.nextSub++
 	c.subs[id] = sub
-	backlog = append([]obs.Event(nil), c.events...)
+	backlog, _ = c.events.EventsSince(0)
 	c.mu.Unlock()
 	return id, sub, backlog
 }
@@ -204,7 +189,7 @@ func (c *Collector) WriteClusterPrometheus(w io.Writer) error {
 	for r, ms := range c.metrics {
 		perRank[r] = ms // snapshots are replaced wholesale on ingest, never mutated
 	}
-	events := append([]obs.Event(nil), c.events...)
+	events, _ := c.events.EventsSince(0)
 	batches, dups, lost, decodeErrs, subDrops := c.batches, c.dups, c.lost, c.decodeErrs, c.subDrops
 	c.mu.Unlock()
 

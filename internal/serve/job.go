@@ -293,3 +293,14 @@ func (j *Job) Snapshot() Status {
 func (j *Job) emitState(s State) {
 	j.rec.Emit(obs.Event{Name: "job_" + string(s), TS: j.rec.Now()})
 }
+
+// finishLocked moves j, whose mu the caller holds, to the terminal state s
+// with error text errText. The job_<state> event is recorded before Done
+// closes, so an event stream that ends on Done carries it.
+func (j *Job) finishLocked(s State, errText string) {
+	j.state = s
+	j.err = errText
+	j.finished = time.Now()
+	j.emitState(s)
+	close(j.doneCh)
+}

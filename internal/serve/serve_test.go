@@ -545,6 +545,50 @@ func TestSSEAfterDone(t *testing.T) {
 	}
 }
 
+// TestSSEReplayMatchesLive streams a par-louvain job's events live, from
+// before it starts to its done frame, then opens the stream again on the
+// finished job: the replay must be the live stream byte for byte, the float
+// fields of every iteration and level event included. A blocking job holds
+// the one worker until the live stream is open.
+func TestSSEReplayMatchesLive(t *testing.T) {
+	_, srv := newTestServer(t, Config{Workers: 1})
+	blocker := submit(t, srv, Spec{Edges: "0 1\n", Algo: "test-block"}, http.StatusAccepted)
+	waitState(t, srv, blocker.ID, StateRunning)
+	st := submit(t, srv, Spec{Gen: "lfr:n=600,mu=0.3,seed=3", Algo: "par-louvain", Ranks: 2}, http.StatusAccepted)
+	open := func() *bufio.Reader {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/jobs/" + st.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return bufio.NewReader(resp.Body)
+	}
+	live := open()
+	first, err := live.ReadBytes('\n') // the job_queued frame: the stream is open
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelJob(t, srv, blocker.ID)
+	rest, err := io.ReadAll(live) // ends after the done frame
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed := append(first, rest...)
+	replay, err := io.ReadAll(open())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"name":"job_queued"`, `"name":"job_running"`, `"name":"iteration"`, `"name":"level"`, `"name":"job_done"`, "event: done"} {
+		if !strings.Contains(string(streamed), want) {
+			t.Errorf("live stream lacks %s:\n%s", want, streamed)
+		}
+	}
+	if !bytes.Equal(streamed, replay) {
+		t.Errorf("replay of the finished job differs from its live stream:\nlive:   %s\nreplay: %s", streamed, replay)
+	}
+}
+
 // TestConcurrentSubmitters hammers the API from many goroutines — mixed
 // engines, sizes and rank counts — and asserts every accepted job reaches
 // done with a sane result. Run under -race this doubles as the data-race

@@ -214,12 +214,8 @@ func (s *Store) Cancel(id string) (*Job, bool, error) {
 	j.mu.Lock()
 	switch j.state {
 	case StateQueued:
-		j.state = StateCancelled
-		j.err = "cancelled while queued"
-		j.finished = time.Now()
-		close(j.doneCh)
+		j.finishLocked(StateCancelled, "cancelled while queued")
 		j.mu.Unlock()
-		j.emitState(StateCancelled)
 		s.mCancelled.Inc()
 		s.retire(j)
 		return j, true, nil
@@ -257,12 +253,8 @@ func (s *Store) Shutdown(ctx context.Context) error {
 	for _, j := range jobs {
 		j.mu.Lock()
 		if j.state == StateQueued {
-			j.state = StateCancelled
-			j.err = "cancelled by shutdown"
-			j.finished = time.Now()
-			close(j.doneCh)
+			j.finishLocked(StateCancelled, "cancelled by shutdown")
 			j.mu.Unlock()
-			j.emitState(StateCancelled)
 			s.mCancelled.Inc()
 			s.retire(j)
 			continue
@@ -328,22 +320,17 @@ func (s *Store) runJob(j *Job) {
 	res, err := j.execute(ctx)
 
 	j.mu.Lock()
-	j.finished = time.Now()
 	j.cancel = nil
-	run := j.finished.Sub(j.started)
 	switch {
 	case err == nil:
-		j.state = StateDone
 		j.res = res
+		j.finishLocked(StateDone, "")
 	case errors.Is(err, context.Canceled) || errors.Is(err, core.ErrCanceled):
-		j.state = StateCancelled
-		j.err = err.Error()
+		j.finishLocked(StateCancelled, err.Error())
 	default:
-		j.state = StateFailed
-		j.err = err.Error()
+		j.finishLocked(StateFailed, err.Error())
 	}
-	final := j.state
-	close(j.doneCh)
+	final, run := j.state, j.finished.Sub(j.started)
 	j.mu.Unlock()
 
 	s.hRun.Observe(run.Seconds())
@@ -359,7 +346,6 @@ func (s *Store) runJob(j *Job) {
 	default:
 		s.mFailed.Inc()
 	}
-	j.emitState(final)
 	s.retire(j)
 }
 
