@@ -82,9 +82,11 @@ compare:
 
 # Job-service e2e suite under the race detector: HTTP lifecycle, queue
 # overflow, cancellation reaching the engines, SSE backlog-then-live,
-# concurrent submitters, drain semantics (the CI serve step).
+# concurrent submitters, drain semantics (the CI serve step); and the
+# telemetry packages, whose event tail (obs.StreamEvents) backs both the
+# per-job SSE stream and the cluster collector's /events.
 serve-e2e:
-	$(GO) test -race -count=1 ./internal/serve/
+	$(GO) test -race -count=1 ./internal/serve/ ./internal/obs/...
 
 # gofmt -l lists nonconforming files; fail if any.
 fmt:

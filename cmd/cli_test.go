@@ -100,7 +100,7 @@ func TestLouvainFlags(t *testing.T) {
 	graph := filepath.Join(dir, "g.txt")
 	run(t, "gengraph", "-spec", "ring:k=8,s=5", "-o", graph)
 
-	out := run(t, "louvain", "-seq", "-stats", "-breakdown", graph)
+	out := run(t, "louvain", "-seq", "-stats", graph)
 	for _, want := range []string{"final modularity:", "vertices:", "components:", "coverage:", "conductance:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)

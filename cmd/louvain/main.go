@@ -48,7 +48,6 @@ func main() {
 		seed      = flag.Uint64("seed", 0, "randomize sweep orders and tie-breaking (0 = natural order)")
 		genSpec   = flag.String("gen", "", "generate the input instead of reading a file, e.g. 'lfr:n=10000,mu=0.3' (see cmd/gengraph)")
 		outPath   = flag.String("out", "", "write the final vertex-community assignment to this file")
-		breakdown = flag.Bool("breakdown", false, "print the per-phase timing breakdown (Louvain family)")
 		stats     = flag.Bool("stats", false, "print graph statistics and partition quality (coverage, conductance)")
 		warmPath  = flag.String("warm", "", "warm-start from a previous assignment file (dynamic re-detection)")
 		algoName  = flag.String("algo", "louvain", "detection algorithm; see -list-algos for the registry")
@@ -174,9 +173,6 @@ func main() {
 	}
 	if res.CommBytes > 0 {
 		fmt.Printf("communication: %d bytes in %d rounds\n", res.CommBytes, res.CommRounds)
-	}
-	if *breakdown && res.Breakdown != nil {
-		fmt.Print(res.Breakdown.String())
 	}
 	if *stats {
 		fmt.Println(parlouvain.Summarize(g))

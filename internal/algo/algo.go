@@ -156,10 +156,9 @@ type Result struct {
 	// rank 0 of the computing engine).
 	Duration   time.Duration
 	FirstLevel time.Duration
-	// Breakdown is the per-phase timing breakdown when the engine produces
-	// one (Louvain family; nil otherwise, and nil on non-computing ranks of
-	// rank-0 engines).
-	Breakdown *perf.Breakdown
+	// Breakdown is this rank's total time per phase when the engine times
+	// phases (par-louvain; nil for every other engine).
+	Breakdown perf.Breakdown
 	// CommBytes is the group-total bytes put on the wire; CommRounds the
 	// BSP exchange rounds this rank executed.
 	CommBytes  uint64

@@ -89,7 +89,6 @@ func (e wholeGraph) runRank0(ctx context.Context, g Graph, opt Options) (*Result
 	if c.Rank() == 0 && cres != nil {
 		// Local-only metadata that needn't ride the broadcast plane.
 		out.FirstLevel = cres.FirstLevel
-		out.Breakdown = cres.Breakdown
 	}
 	return e.result(out, extra, start), nil
 }

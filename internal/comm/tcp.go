@@ -117,9 +117,10 @@ type TCPConfig struct {
 }
 
 // NewTCP creates the transport for one rank of a TCP group. It listens on
-// Addrs[Rank], dials every peer with backoff, handshakes both directions of
-// the mesh, and returns once the full mesh is established. All ranks of the
-// group must call NewTCP concurrently.
+// Addrs[Rank] (adopting the listener LocalAddrs holds for it, if any), dials
+// every peer with backoff, handshakes both directions of the mesh, and
+// returns once the full mesh is established. All ranks of the group must
+// call NewTCP concurrently.
 func NewTCP(cfg TCPConfig) (Transport, error) {
 	size := len(cfg.Addrs)
 	if cfg.Rank < 0 || cfg.Rank >= size {
@@ -153,13 +154,18 @@ func NewTCP(cfg TCPConfig) (Transport, error) {
 		telConns:     map[net.Conn]struct{}{},
 		done:         make(chan struct{}),
 	}
+	ln := reserved.adopt(cfg.Addrs[cfg.Rank])
 	if size == 1 {
+		if ln != nil {
+			ln.Close()
+		}
 		return t, nil
 	}
-
-	ln, err := net.Listen("tcp", cfg.Addrs[cfg.Rank])
-	if err != nil {
-		return nil, fmt.Errorf("comm: rank %d listen %s: %w", cfg.Rank, cfg.Addrs[cfg.Rank], err)
+	var err error
+	if ln == nil {
+		if ln, err = net.Listen("tcp", cfg.Addrs[cfg.Rank]); err != nil {
+			return nil, fmt.Errorf("comm: rank %d listen %s: %w", cfg.Rank, cfg.Addrs[cfg.Rank], err)
+		}
 	}
 	t.ln = ln
 
@@ -685,11 +691,15 @@ func (t *tcpTransport) Close() error {
 }
 
 // LocalAddrs returns n distinct loopback listen addresses with
-// kernel-assigned free ports, for starting an in-machine TCP group.
+// kernel-assigned free ports, for starting an in-machine TCP group. Each
+// port stays bound to the listener that found it until NewTCP, called in
+// this same process for that address, adopts the listener, so no other
+// socket can take the port in between. The addresses are a reservation for
+// NewTCP in this process only: another process cannot bind them.
 func LocalAddrs(n int) ([]string, error) {
 	addrs := make([]string, n)
 	lns := make([]net.Listener, n)
-	for i := 0; i < n; i++ {
+	for i := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			for _, l := range lns[:i] {
@@ -700,10 +710,28 @@ func LocalAddrs(n int) ([]string, error) {
 		lns[i] = ln
 		addrs[i] = ln.Addr().String()
 	}
-	// Release the ports for the ranks to re-bind. This is briefly racy
-	// (another process could steal a port) but fine for tests/examples.
-	for _, l := range lns {
-		l.Close()
+	reserved.mu.Lock()
+	defer reserved.mu.Unlock()
+	for i, ln := range lns {
+		reserved.lns[addrs[i]] = ln
 	}
 	return addrs, nil
+}
+
+// reservations holds the listeners LocalAddrs bound, by address, until
+// NewTCP adopts them.
+type reservations struct {
+	mu  sync.Mutex
+	lns map[string]net.Listener
+}
+
+var reserved = reservations{lns: map[string]net.Listener{}}
+
+// adopt returns the listener held for addr, or nil, and forgets it.
+func (r *reservations) adopt(addr string) net.Listener {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ln := r.lns[addr]
+	delete(r.lns, addr)
+	return ln
 }

@@ -101,6 +101,8 @@ func startLoneRank(t *testing.T) (string, chan error) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Rank 1 never appears: free its port, so rank 0's dials are refused.
+	reserved.adopt(addrs[1]).Close()
 	res := make(chan error, 1)
 	go func() {
 		tr, err := NewTCP(TCPConfig{Rank: 0, Addrs: addrs, DialTimeout: 8 * time.Second})
@@ -384,13 +386,18 @@ func TestNewTCPSingleRankNeedsNoNetwork(t *testing.T) {
 	_ = fmt.Sprintf("%v", in)
 }
 
-// TestNewTCPLateRankConnects: rank 1 starts its setup 100 ms after rank 0,
-// so rank 0's dials fail and back off until rank 1 listens; both still come
-// up and run a round.
+// TestNewTCPLateRankConnects: the ports LocalAddrs hands out stay bound
+// until NewTCP adopts them, so no other socket can take one in between; rank
+// 1 starts its setup 100 ms after rank 0, whose dial waits in the backlog of
+// rank 1's held port, and both still come up and run a round.
 func TestNewTCPLateRankConnects(t *testing.T) {
 	addrs, err := LocalAddrs(2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ln, err := net.Listen("tcp", addrs[0]); err == nil {
+		ln.Close()
+		t.Fatalf("%s could be bound again between LocalAddrs and NewTCP", addrs[0])
 	}
 	trs := make([]Transport, 2)
 	var wg sync.WaitGroup

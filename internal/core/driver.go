@@ -54,10 +54,9 @@ func runInProcess(el graph.EdgeList, n int, trs []comm.Transport, opt Options) (
 		}
 		return nil, err
 	}
-	// Ranks run in lockstep; fold their phase breakdowns and simulated
-	// makespans with max so the reported times are the group's.
+	// Ranks run in lockstep; the simulated makespan is the slowest rank's.
+	// The phase breakdown stays rank 0's own.
 	for _, res := range results[1:] {
-		results[0].Breakdown.Max(res.Breakdown)
 		results[0].SimDuration = max(results[0].SimDuration, res.SimDuration)
 	}
 	return results[0], nil

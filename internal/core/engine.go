@@ -232,7 +232,7 @@ type engine struct {
 	byRowBody    func(t, lo, hi int)
 
 	m  float64
-	bd *perf.Breakdown
+	bd perf.Breakdown
 
 	// Telemetry (all optional; nil-checked on the hot path).
 	rec     *obs.Recorder
@@ -273,7 +273,7 @@ func newEngine(c *comm.Comm, n int, opt Options) *engine {
 		skipUntil: make([]float64, nLoc),
 		skipRate:  make([]float64, nLoc),
 		left:      make([]graph.V, nLoc),
-		bd:        perf.NewBreakdown(),
+		bd:        perf.Breakdown{},
 	}
 	s.pend = make([]graph.EdgeList, opt.Threads)
 	s.bySrc = make([]graph.EdgeList, opt.Threads)
@@ -350,18 +350,17 @@ func (s *engine) clock(level, iter int) phaseClock {
 }
 
 // lap closes the phase unit that ran since the clock started or last lapped:
-// its wall time goes into the breakdown under phase and onto the Chrome-trace
-// timeline as one slice, and the next unit starts now.
-func (c *phaseClock) lap(phase string) time.Duration {
+// its wall time goes into the run total under phase and, as one phase event,
+// onto the timeline, and the next unit starts now.
+func (c *phaseClock) lap(phase string) {
 	now := time.Now()
 	d := now.Sub(c.t0)
-	c.s.bd.Add(phase, d)
+	c.s.bd[phase] += d
 	if rec := c.s.rec; rec != nil {
 		rec.Emit(obs.Event{Name: phase, Rank: c.s.part.Rank, Level: c.level, Iter: c.iter, TS: c.ts0, Dur: d.Microseconds()})
 		c.ts0 = rec.Now()
 	}
 	c.t0 = now
-	return d
 }
 
 // outPlanes resets and returns the per-destination send planes.
@@ -445,7 +444,7 @@ func (s *engine) run(local graph.EdgeList) (*Result, error) {
 		if err != nil {
 			return Level{}, 0, nil, err
 		}
-		s.bd.Add(perf.PhaseRefine, time.Since(refineStart))
+		s.bd[perf.PhaseRefine] += time.Since(refineStart)
 
 		if s.checksEnabled() {
 			if err := s.checkLevel(level, vertices, q, qPrev); err != nil {
@@ -470,7 +469,7 @@ func (s *engine) run(local graph.EdgeList) (*Result, error) {
 		if err := s.reconstruct(); err != nil {
 			return Level{}, 0, nil, err
 		}
-		dRecon := clk.lap(perf.PhaseReconstruction)
+		clk.lap(perf.PhaseReconstruction)
 		communities, err := s.levelInit()
 		if err != nil {
 			return Level{}, 0, nil, err
@@ -497,7 +496,6 @@ func (s *engine) run(local graph.EdgeList) (*Result, error) {
 			fields = map[string]float64{
 				"comm_bytes":  float64(nowBytes - prevBytes),
 				"comm_rounds": float64(nowRounds - prevRounds),
-				"recon_us":    float64(dRecon.Microseconds()),
 				"in_entries":  float64(inEntries),
 			}
 			prevBytes, prevRounds = nowBytes, nowRounds

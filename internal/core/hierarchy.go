@@ -10,7 +10,6 @@ import (
 	"parlouvain/internal/metrics"
 	"parlouvain/internal/movesched"
 	"parlouvain/internal/obs"
-	"parlouvain/internal/perf"
 )
 
 // moveFn is one level's move phase, the only thing that varies between the
@@ -104,7 +103,6 @@ func hierarchy(g *graph.Graph, opt Options, move moveFn, refine bool) (*Result, 
 	res := &Result{
 		NumVertices: g.N,
 		NumEdges:    int64(g.NumEdges()),
-		Breakdown:   perf.NewBreakdown(),
 	}
 	// membership[orig] = vertex id in the current working graph.
 	membership := make([]graph.V, g.N)

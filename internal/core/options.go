@@ -211,8 +211,10 @@ type Result struct {
 	// simulated transport (RunSimulated).
 	SimDuration   time.Duration
 	SimFirstLevel time.Duration
-	// Breakdown is the per-phase timing of Figure 8 (max across ranks).
-	Breakdown *perf.Breakdown
+	// Breakdown is the returning rank's total time per phase of Figure 8;
+	// nil for the whole-graph engines, which time no phases. The per-level
+	// and per-iteration phase times are the Recorder's phase events.
+	Breakdown perf.Breakdown
 	// Communication totals, summed across all ranks (zero for the
 	// sequential engine): bytes put on the wire and BSP exchange rounds
 	// executed per rank.

@@ -396,9 +396,9 @@ func TestParallelBreakdownPopulated(t *testing.T) {
 var refinePhases = []string{perf.PhasePropagation, perf.PhaseFindBest, perf.PhaseThreshold, perf.PhaseUpdate, perf.PhaseComputeQ}
 
 // TestParallelBreakdownSumsToRefine: the five inner phases are timed back to
-// back, so on one rank (no max-folding across ranks) they account for REFINE
-// up to the loop's own bookkeeping — the time-and-bytes budget of ROADMAP
-// item 2 has no unlabelled remainder to hide a cost in.
+// back, so on one rank they account for REFINE up to the loop's own
+// bookkeeping — the time-and-bytes budget of ROADMAP item 2 has no
+// unlabelled remainder to hide a cost in.
 func TestParallelBreakdownSumsToRefine(t *testing.T) {
 	el, _, err := gen.LFR(gen.DefaultLFR(4000, 0.3, 53))
 	if err != nil {

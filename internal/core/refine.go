@@ -60,24 +60,24 @@ func (s *engine) refineLevel(level int, vertices uint64, q0 float64) (float64, [
 			rounds0, bytes0 = s.c.Rounds(), s.c.BytesSent()
 		}
 		s.findBest()
-		tFind := clk.lap(perf.PhaseFindBest)
+		clk.lap(perf.PhaseFindBest)
 
 		dqHat, eps, moved, mass, err := s.threshold(iter, vertices, floorPct)
 		if err != nil {
 			return 0, nil, 0, err
 		}
-		tUpdate := clk.lap(perf.PhaseThreshold)
+		clk.lap(perf.PhaseThreshold)
 		if local := s.update(dqHat); s.checksEnabled() {
 			if err := s.checkMoved(local, moved); err != nil {
 				return 0, nil, 0, err
 			}
 		}
-		tUpdate += clk.lap(perf.PhaseUpdate)
+		clk.lap(perf.PhaseUpdate)
 
 		if err := s.propagateDelta(); err != nil {
 			return 0, nil, 0, err
 		}
-		tPropagation := clk.lap(perf.PhasePropagation)
+		clk.lap(perf.PhasePropagation)
 
 		qNew, err := s.pushTotals()
 		if err != nil {
@@ -104,9 +104,6 @@ func (s *engine) refineLevel(level int, vertices uint64, q0 float64) (float64, [
 					"mass":        mass,
 					"q":           qNew,
 					"q_best":      qBestLevel,
-					"find_us":     float64(tFind.Microseconds()),
-					"update_us":   float64(tUpdate.Microseconds()),
-					"prop_us":     float64(tPropagation.Microseconds()),
 					"comm_rounds": float64(s.c.Rounds() - rounds0),
 					"comm_bytes":  float64(s.c.BytesSent() - bytes0),
 				},

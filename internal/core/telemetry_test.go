@@ -89,9 +89,15 @@ func TestParallelTelemetryEvents(t *testing.T) {
 				t.Errorf("duplicate iteration event %+v", k)
 			}
 			seen[k] = true
-			for _, f := range []string{"moved", "active", "eps", "dq_hat", "q", "q_best", "find_us", "update_us", "prop_us"} {
+			for _, f := range []string{"moved", "active", "eps", "dq_hat", "q", "q_best"} {
 				if _, ok := e.Fields[f]; !ok {
 					t.Fatalf("iteration event missing field %q: %+v", f, e)
+				}
+			}
+			// Phase time is carried by the phase events alone.
+			for f := range e.Fields {
+				if strings.HasSuffix(f, "_us") {
+					t.Errorf("iteration event repeats a phase time in %q: %+v", f, e)
 				}
 			}
 		case "level":
@@ -107,6 +113,9 @@ func TestParallelTelemetryEvents(t *testing.T) {
 			// The hash In_Table left the engine; its occupancy series
 			// (Fig. 6) comes from `experiments fig6`, not from level events.
 			for f := range e.Fields {
+				if strings.HasSuffix(f, "_us") {
+					t.Errorf("level event repeats a phase time in %q: %+v", f, e)
+				}
 				if strings.HasPrefix(f, "in_") && f != "in_entries" {
 					t.Errorf("level event still carries table field %q: %+v", f, e)
 				}

@@ -17,9 +17,8 @@ import (
 // time, reconstruction is negligible, FIND BEST and UPDATE shrink with the
 // inner iteration while STATE PROPAGATION stays flat.
 //
-// All phase data comes from the obs telemetry stream — the same per-
-// iteration events the -trace flag records — rather than bespoke timing
-// callbacks.
+// Fig. 8b and the first-outer-loop note read rank 0's phase events — the
+// same events the -trace flag records; Fig. 8a reads rank 0's run totals.
 func Fig8(sizeFactor float64, ranks int) ([]Table, error) {
 	if ranks <= 0 {
 		ranks = 8
@@ -40,29 +39,24 @@ func Fig8(sizeFactor float64, ranks int) ([]Table, error) {
 		return nil, err
 	}
 
-	// Rank 0's iteration events carry the per-phase durations; level
-	// events delimit the outer loops.
-	us := func(f map[string]float64, k string) time.Duration {
-		return time.Duration(f[k] * float64(time.Microsecond))
-	}
-	type iterTiming struct {
-		find, update, prop time.Duration
-	}
-	var level0 []iterTiming
+	// Rank 0's phase events of the inner iterations (Iter >= 1) give
+	// Fig. 8b's columns; the figure folds GAIN THRESHOLD into UPDATE.
+	column := map[string]int{perf.PhaseFindBest: 0, perf.PhaseThreshold: 1, perf.PhaseUpdate: 1, perf.PhasePropagation: 2}
+	var level0 [][3]time.Duration
 	perLevelWall := map[int]time.Duration{}
-	maxLevel := 0
 	for _, e := range rec.Events() {
-		if e.Name != "iteration" || e.Rank != 0 {
+		col, ok := column[e.Name]
+		if !ok || e.Rank != 0 || e.Iter < 1 {
 			continue
 		}
-		find, update, prop := us(e.Fields, "find_us"), us(e.Fields, "update_us"), us(e.Fields, "prop_us")
+		dur := time.Duration(e.Dur) * time.Microsecond
 		if e.Level == 0 {
-			level0 = append(level0, iterTiming{find, update, prop})
+			for len(level0) < e.Iter {
+				level0 = append(level0, [3]time.Duration{})
+			}
+			level0[e.Iter-1][col] += dur
 		}
-		perLevelWall[e.Level] += find + update + prop
-		if e.Level > maxLevel {
-			maxLevel = e.Level
-		}
+		perLevelWall[e.Level] += dur
 	}
 
 	a := Table{
@@ -89,9 +83,9 @@ func Fig8(sizeFactor float64, ranks int) ([]Table, error) {
 	}
 	for i, t := range level0 {
 		b.AddRow(d(i+1),
-			t.find.Round(time.Microsecond).String(),
-			t.update.Round(time.Microsecond).String(),
-			t.prop.Round(time.Microsecond).String())
+			t[0].Round(time.Microsecond).String(),
+			t[1].Round(time.Microsecond).String(),
+			t[2].Round(time.Microsecond).String())
 	}
 	b.Notes = append(b.Notes,
 		"paper: FIND BEST and UPDATE decrease as vertices settle; STATE PROPAGATION is roughly constant")

@@ -5,6 +5,7 @@ package gencli
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -50,107 +51,143 @@ func (p params) seed() (uint64, error) {
 // Generate materializes a generator spec, returning the edge list and the
 // ground-truth assignment when the model has one (nil otherwise).
 func Generate(spec string) (graph.EdgeList, []graph.V, error) {
+	g, err := parse(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	return g.run()
+}
+
+// Size returns how many records generating spec materializes, without
+// generating it: its vertex count plus its expected edge count — n·k/2 for
+// lfr and bter, edgefactor·2^scale for rmat, p·n(n−1)/2 for er — or, for
+// sbm, which draws every vertex pair, n(n−1)/2. It is computed in floating
+// point, so a spec whose count overflows an int reads as huge, not wrapped.
+func Size(spec string) (float64, error) {
+	g, err := parse(spec)
+	return g.size, err
+}
+
+// generator is a parsed spec: its Size and the call that generates it.
+type generator struct {
+	size float64
+	run  func() (graph.EdgeList, []graph.V, error)
+}
+
+func parse(spec string) (generator, error) {
 	family, rest, _ := strings.Cut(spec, ":")
 	p := params{}
 	if rest != "" {
 		for _, kv := range strings.Split(rest, ",") {
 			k, v, ok := strings.Cut(kv, "=")
 			if !ok {
-				return nil, nil, fmt.Errorf("gencli: bad parameter %q in %q", kv, spec)
+				return generator{}, fmt.Errorf("gencli: bad parameter %q in %q", kv, spec)
 			}
 			p[strings.TrimSpace(k)] = strings.TrimSpace(v)
 		}
 	}
 	seed, err := p.seed()
 	if err != nil {
-		return nil, nil, err
+		return generator{}, err
 	}
 	switch family {
 	case "lfr":
 		n, err := p.integer("n", 10000)
 		if err != nil {
-			return nil, nil, err
+			return generator{}, err
 		}
 		mu, err := p.float("mu", 0.3)
 		if err != nil {
-			return nil, nil, err
+			return generator{}, err
 		}
 		cfg := gen.DefaultLFR(n, mu, seed)
 		if cfg.AvgDegree, err = p.float("k", cfg.AvgDegree); err != nil {
-			return nil, nil, err
+			return generator{}, err
 		}
 		if cfg.Gamma, err = p.float("gamma", cfg.Gamma); err != nil {
-			return nil, nil, err
+			return generator{}, err
 		}
 		if cfg.Beta, err = p.float("beta", cfg.Beta); err != nil {
-			return nil, nil, err
+			return generator{}, err
 		}
-		return gen.LFR(cfg)
+		return generator{float64(n) * (1 + cfg.AvgDegree/2), func() (graph.EdgeList, []graph.V, error) { return gen.LFR(cfg) }}, nil
 	case "rmat":
 		scale, err := p.integer("scale", 16)
 		if err != nil {
-			return nil, nil, err
+			return generator{}, err
 		}
 		cfg := gen.DefaultRMAT(scale, seed)
-		if cfg.EdgeFactor, err = p.integer("edgefactor", cfg.EdgeFactor); err != nil {
-			return nil, nil, err
+		ef, err := p.integer("edgefactor", cfg.EdgeFactor)
+		if err != nil {
+			return generator{}, err
 		}
-		el, err := gen.RMAT(cfg)
-		return el, nil, err
+		if ef > 0 { // gen.RMAT would fall back to the default too
+			cfg.EdgeFactor = ef
+		}
+		return generator{math.Ldexp(1+float64(cfg.EdgeFactor), scale), func() (graph.EdgeList, []graph.V, error) {
+			el, err := gen.RMAT(cfg)
+			return el, nil, err
+		}}, nil
 	case "bter":
 		n, err := p.integer("n", 10000)
 		if err != nil {
-			return nil, nil, err
+			return generator{}, err
 		}
 		rho, err := p.float("rho", 0.4)
 		if err != nil {
-			return nil, nil, err
+			return generator{}, err
 		}
 		cfg := gen.DefaultBTER(n, rho, seed)
 		if cfg.AvgDegree, err = p.float("k", cfg.AvgDegree); err != nil {
-			return nil, nil, err
+			return generator{}, err
 		}
-		return gen.BTER(cfg)
+		return generator{float64(n) * (1 + cfg.AvgDegree/2), func() (graph.EdgeList, []graph.V, error) { return gen.BTER(cfg) }}, nil
 	case "sbm":
 		n, err := p.integer("n", 1000)
 		if err != nil {
-			return nil, nil, err
+			return generator{}, err
 		}
 		comms, err := p.integer("comms", 10)
 		if err != nil {
-			return nil, nil, err
+			return generator{}, err
 		}
 		pin, err := p.float("pin", 0.1)
 		if err != nil {
-			return nil, nil, err
+			return generator{}, err
 		}
 		pout, err := p.float("pout", 0.01)
 		if err != nil {
-			return nil, nil, err
+			return generator{}, err
 		}
-		return gen.SBM(gen.SBMConfig{N: n, Communities: comms, PIn: pin, POut: pout, Seed: seed})
+		cfg := gen.SBMConfig{N: n, Communities: comms, PIn: pin, POut: pout, Seed: seed}
+		return generator{float64(n) + pairs(n), func() (graph.EdgeList, []graph.V, error) { return gen.SBM(cfg) }}, nil
 	case "er":
 		n, err := p.integer("n", 1000)
 		if err != nil {
-			return nil, nil, err
+			return generator{}, err
 		}
 		prob, err := p.float("p", 0.01)
 		if err != nil {
-			return nil, nil, err
+			return generator{}, err
 		}
-		el, err := gen.ER(n, prob, seed)
-		return el, nil, err
+		return generator{float64(n) + prob*pairs(n), func() (graph.EdgeList, []graph.V, error) {
+			el, err := gen.ER(n, prob, seed)
+			return el, nil, err
+		}}, nil
 	case "ring":
 		k, err := p.integer("k", 8)
 		if err != nil {
-			return nil, nil, err
+			return generator{}, err
 		}
 		s, err := p.integer("s", 5)
 		if err != nil {
-			return nil, nil, err
+			return generator{}, err
 		}
-		return gen.RingOfCliques(k, s)
+		return generator{float64(k) * (1 + float64(s) + pairs(s)), func() (graph.EdgeList, []graph.V, error) { return gen.RingOfCliques(k, s) }}, nil
 	default:
-		return nil, nil, fmt.Errorf("gencli: unknown generator %q\n%s", family, Usage)
+		return generator{}, fmt.Errorf("gencli: unknown generator %q\n%s", family, Usage)
 	}
 }
+
+// pairs is n(n−1)/2, the number of vertex pairs among n.
+func pairs(n int) float64 { return float64(n) * float64(n-1) / 2 }

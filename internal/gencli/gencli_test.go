@@ -57,6 +57,33 @@ func TestGenerateErrors(t *testing.T) {
 	}
 }
 
+// TestSize: Size counts vertices plus expected edges from the spec alone,
+// in floating point, so specs far too large to generate are measured, not run.
+func TestSize(t *testing.T) {
+	for _, c := range []struct {
+		spec string
+		want float64
+	}{
+		{"lfr:n=2000,mu=0.3", 2000 * (1 + 16.0/2)},
+		{"rmat:scale=11", 2048 * 17},
+		{"rmat:scale=11,edgefactor=0", 2048 * 17},
+		{"rmat:scale=30", (1 << 30) * 17},
+		{"rmat:scale=30,edgefactor=9223372036854775807", (1 << 30) * (1 + 9223372036854775807.0)},
+		{"bter:n=100,k=10", 100 * 6},
+		{"sbm:n=1000,comms=8", 1000 + 1000*999/2},
+		{"er:n=100,p=0.5", 100 + 0.5*100*99/2},
+		{"ring:k=8,s=6", 8*6 + 8*15 + 8},
+	} {
+		got, err := Size(c.spec)
+		if err != nil || got != c.want {
+			t.Errorf("Size(%q) = %v, %v; want %v", c.spec, got, err, c.want)
+		}
+	}
+	if _, err := Size("lfr:n=abc"); err == nil {
+		t.Error("Size accepted a malformed spec")
+	}
+}
+
 func TestUsageMentionsAllFamilies(t *testing.T) {
 	for _, fam := range []string{"lfr", "rmat", "bter", "sbm", "er", "ring"} {
 		if !strings.Contains(Usage, fam+":") {

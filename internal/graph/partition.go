@@ -11,9 +11,11 @@ type Partition struct {
 	Size int // number of ranks, >= 1
 }
 
-// Owner returns the rank that owns vertex v.
+// Owner returns the rank that owns vertex v. Owner and LocalIndex divide in
+// 32 bits, the width of a vertex id, which is cheaper than a 64-bit int
+// division and gives the same result for any rank count that fits a V.
 func (p Partition) Owner(v V) int {
-	return int(v) % p.Size
+	return int(uint32(v) % uint32(p.Size))
 }
 
 // Owns reports whether this rank owns vertex v.
@@ -24,7 +26,7 @@ func (p Partition) Owns(v V) bool {
 // LocalIndex maps an owned global vertex id to a dense local index
 // (v / Size). It is only meaningful when Owns(v) is true.
 func (p Partition) LocalIndex(v V) int {
-	return int(v) / p.Size
+	return int(uint32(v) / uint32(p.Size))
 }
 
 // GlobalID inverts LocalIndex for this rank.

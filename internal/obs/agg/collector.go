@@ -19,9 +19,8 @@ type CollectorStats struct {
 	// sequence number did not advance (duplicate delivery); Lost sequence
 	// gaps (batches dropped in flight); DecodeErrors undecodable payloads.
 	Batches, Dups, Lost, DecodeErrors uint64
-	// Events is the merged event count; SubscriberDrops events dropped on
-	// slow /events subscribers.
-	Events, SubscriberDrops uint64
+	// Events is the merged event count.
+	Events uint64
 	// Ranks lists the ranks that have reported at least once; Finals those
 	// whose last accepted batch was marked Final.
 	Ranks  []int
@@ -39,10 +38,7 @@ type Collector struct {
 	finals  map[int]bool
 	events  obs.Recorder // merged feed, in ingest order
 
-	batches, dups, lost, decodeErrs, subDrops uint64
-
-	subs    map[int]chan obs.Event
-	nextSub int
+	batches, dups, lost, decodeErrs uint64
 
 	done      chan struct{}
 	closeOnce sync.Once
@@ -54,7 +50,6 @@ func NewCollector() *Collector {
 		lastSeq: map[int]uint64{},
 		metrics: map[int][]wire.MetricRec{},
 		finals:  map[int]bool{},
-		subs:    map[int]chan obs.Event{},
 		done:    make(chan struct{}),
 	}
 }
@@ -104,15 +99,7 @@ func (c *Collector) Ingest(payload []byte) {
 	c.metrics[rank] = batch.Metrics
 	c.finals[rank] = batch.Final
 	for _, r := range batch.Events {
-		e := recToEvent(r)
-		c.events.Emit(e)
-		for _, sub := range c.subs {
-			select {
-			case sub <- e:
-			default:
-				c.subDrops++ // slow subscriber: drop, never block ingest
-			}
-		}
+		c.events.Emit(recToEvent(r))
 	}
 }
 
@@ -126,13 +113,12 @@ func (c *Collector) Stats() CollectorStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := CollectorStats{
-		Batches:         c.batches,
-		Dups:            c.dups,
-		Lost:            c.lost,
-		DecodeErrors:    c.decodeErrs,
-		Events:          uint64(c.events.Len()),
-		SubscriberDrops: c.subDrops,
-		Ranks:           c.ranksLocked(),
+		Batches:      c.batches,
+		Dups:         c.dups,
+		Lost:         c.lost,
+		DecodeErrors: c.decodeErrs,
+		Events:       uint64(c.events.Len()),
+		Ranks:        c.ranksLocked(),
 	}
 	for r, f := range c.finals {
 		if f {
@@ -152,31 +138,6 @@ func (c *Collector) ranksLocked() []int {
 	return ranks
 }
 
-// subscribe registers a live event channel of the given capacity and
-// returns it together with the backlog captured atomically with the
-// registration, so a streaming handler replays history then follows live
-// events with no gap and no duplicate.
-func (c *Collector) subscribe(buf int) (id int, ch <-chan obs.Event, backlog []obs.Event) {
-	if buf < 1 {
-		buf = 1
-	}
-	sub := make(chan obs.Event, buf)
-	c.mu.Lock()
-	id = c.nextSub
-	c.nextSub++
-	c.subs[id] = sub
-	backlog, _ = c.events.EventsSince(0)
-	c.mu.Unlock()
-	return id, sub, backlog
-}
-
-// unsubscribe removes a subscriber registered by subscribe.
-func (c *Collector) unsubscribe(id int) {
-	c.mu.Lock()
-	delete(c.subs, id)
-	c.mu.Unlock()
-}
-
 // WriteClusterPrometheus renders the cluster view in the Prometheus text
 // exposition format: every metric with per-rank {rank="N"} series plus
 // {agg="min"|"max"|"sum"} rollups, collector self-metrics, and the
@@ -190,7 +151,7 @@ func (c *Collector) WriteClusterPrometheus(w io.Writer) error {
 		perRank[r] = ms // snapshots are replaced wholesale on ingest, never mutated
 	}
 	events, _ := c.events.EventsSince(0)
-	batches, dups, lost, decodeErrs, subDrops := c.batches, c.dups, c.lost, c.decodeErrs, c.subDrops
+	batches, dups, lost, decodeErrs := c.batches, c.dups, c.lost, c.decodeErrs
 	c.mu.Unlock()
 
 	var sb strings.Builder
@@ -204,7 +165,6 @@ func (c *Collector) WriteClusterPrometheus(w io.Writer) error {
 		{"cluster_lost_batches_total", "counter", lost},
 		{"cluster_decode_errors_total", "counter", decodeErrs},
 		{"cluster_events_total", "counter", uint64(len(events))},
-		{"cluster_subscriber_drops_total", "counter", subDrops},
 	}
 	for _, m := range self {
 		fmt.Fprintf(&sb, "# TYPE %s %s\n%s %d\n", m.name, m.kind, m.name, m.value)

@@ -1,17 +1,10 @@
 package agg
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 
 	"parlouvain/internal/obs"
 )
-
-// subscriberBuffer bounds each live subscriber's channel; a subscriber that
-// falls this far behind starts losing events (counted in
-// cluster_subscriber_drops_total) rather than backpressuring ingestion.
-const subscriberBuffer = 256
 
 // Attach mounts the cluster endpoints on mux (typically the debug mux from
 // obs.NewDebugMux):
@@ -20,85 +13,18 @@ const subscriberBuffer = 256
 //	/events           Server-Sent Events stream of the merged event feed
 //	/events.jsonl     the same feed as newline-delimited JSON
 //
-// Both streams replay the collected backlog, then follow live events until
-// the client disconnects or the collector's feed closes.
+// Both streams (obs.StreamEvents) replay the collected backlog, then follow
+// live events, losing none, until the client disconnects or the collector's
+// feed closes.
 func (c *Collector) Attach(mux *http.ServeMux) {
 	mux.HandleFunc("/metrics/cluster", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		c.WriteClusterPrometheus(w)
 	})
-	mux.HandleFunc("/events", c.handleSSE)
-	mux.HandleFunc("/events.jsonl", c.handleJSONL)
-}
-
-func (c *Collector) handleSSE(w http.ResponseWriter, r *http.Request) {
-	c.stream(w, r, "text/event-stream", func(w http.ResponseWriter, data []byte) error {
-		_, err := fmt.Fprintf(w, "data: %s\n\n", data)
-		return err
+	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
+		obs.StreamEvents(w, r, "text/event-stream", "data: %s\n\n", &c.events, c.done)
 	})
-}
-
-func (c *Collector) handleJSONL(w http.ResponseWriter, r *http.Request) {
-	c.stream(w, r, "application/x-ndjson", func(w http.ResponseWriter, data []byte) error {
-		_, err := fmt.Fprintf(w, "%s\n", data)
-		return err
+	mux.HandleFunc("/events.jsonl", func(w http.ResponseWriter, r *http.Request) {
+		obs.StreamEvents(w, r, "application/x-ndjson", "%s\n", &c.events, c.done)
 	})
-}
-
-// stream is the shared backlog-then-live loop behind /events and
-// /events.jsonl; frame renders one marshalled event in the endpoint's
-// framing.
-func (c *Collector) stream(w http.ResponseWriter, r *http.Request, contentType string, frame func(http.ResponseWriter, []byte) error) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
-	id, ch, backlog := c.subscribe(subscriberBuffer)
-	defer c.unsubscribe(id)
-	emit := func(e obs.Event) bool {
-		data, err := json.Marshal(e)
-		if err != nil {
-			return false
-		}
-		if err := frame(w, data); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-	for _, e := range backlog {
-		if !emit(e) {
-			return
-		}
-	}
-	for {
-		select {
-		case e := <-ch:
-			if !emit(e) {
-				return
-			}
-		case <-r.Context().Done():
-			return
-		case <-c.done:
-			// The feed has closed: drain what is buffered, then finish the
-			// response instead of holding the connection open forever.
-			for {
-				select {
-				case e := <-ch:
-					if !emit(e) {
-						return
-					}
-				default:
-					return
-				}
-			}
-		}
-	}
 }

@@ -149,26 +149,51 @@ func TestStreamEndsWhenFeedCloses(t *testing.T) {
 	}
 }
 
-// TestSlowSubscriberDrops: a subscriber that never drains loses events —
-// counted, never blocking ingestion.
-func TestSlowSubscriberDrops(t *testing.T) {
-	col := NewCollector()
-	id, ch, backlog := col.subscribe(1)
-	defer col.unsubscribe(id)
-	if len(backlog) != 0 {
-		t.Fatalf("backlog = %d events, want 0", len(backlog))
-	}
-	for i := 0; i < 4; i++ {
-		col.Ingest(iterBatch(0, uint64(i+1), int32(i+1)))
-	}
-	if st := col.Stats(); st.SubscriberDrops != 3 {
-		t.Errorf("SubscriberDrops = %d, want 3", st.SubscriberDrops)
-	}
-	if e := <-ch; e.Iter != 1 {
-		t.Errorf("buffered event = %+v, want iter 1", e)
-	}
-	if err := col.WriteClusterPrometheus(io.Discard); err != nil {
+// pipeWriter is a ResponseWriter whose writes block until the test reads
+// them from the other end of the pipe: a client exactly as slow as the test.
+type pipeWriter struct {
+	*io.PipeWriter
+	header http.Header
+}
+
+func (p pipeWriter) Header() http.Header { return p.header }
+func (pipeWriter) WriteHeader(int)       {}
+func (pipeWriter) Flush()                {}
+
+// TestSlowReaderGetsEveryEvent: a client that reads nothing while events
+// are ingested still receives every one of them, in ingest order, and then
+// the end of the stream once the feed closes.
+func TestSlowReaderGetsEveryEvent(t *testing.T) {
+	trs := comm.NewMemGroup(1)
+	conn, err := comm.New(trs[0]).OpenTelemetry()
+	if err != nil {
 		t.Fatal(err)
+	}
+	col := NewCollector()
+	go col.Run(conn)
+	mux := http.NewServeMux()
+	col.Attach(mux)
+
+	pr, pw := io.Pipe()
+	defer pr.Close() // unblocks the handler if the test fails early
+	go func() {
+		mux.ServeHTTP(pipeWriter{pw, http.Header{}}, httptest.NewRequest("GET", "/events", nil))
+		pw.Close()
+	}()
+	const n = 1000 // the handler is blocked on its first write throughout
+	for i := 1; i <= n; i++ {
+		col.Ingest(iterBatch(0, uint64(i), int32(i)))
+	}
+	trs[0].Close()
+
+	br := bufio.NewReader(pr)
+	for i := 1; i <= n; i++ {
+		if e := readSSEEvent(t, br); e.Iter != i {
+			t.Fatalf("event %d has iter %d: the stream skipped or reordered events", i, e.Iter)
+		}
+	}
+	if rest, err := io.ReadAll(br); err != nil || strings.TrimSpace(string(rest)) != "" {
+		t.Errorf("after the last event: %q, %v; want the end of the stream", rest, err)
 	}
 }
 

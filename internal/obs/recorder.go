@@ -122,10 +122,11 @@ func (r *Recorder) notifyLocked() {
 }
 
 // Watch returns a channel that is closed when the next event is appended.
-// Live tails (the per-job SSE stream of the serve API) combine it with
-// EventsSince: take the channel, drain the cursor, and block on the channel
-// only when the drain came back empty — events recorded between the two
-// calls are picked up by the next drain, so none are missed.
+// The live tail (StreamEvents, behind the serve API's per-job SSE stream and
+// the cluster collector's /events) combines it with EventsSince: take the
+// channel, drain the cursor, and block on the channel only when the drain
+// came back empty — events recorded between the two calls are picked up by
+// the next drain, so none are missed.
 func (r *Recorder) Watch() <-chan struct{} {
 	r.mu.Lock()
 	defer r.mu.Unlock()

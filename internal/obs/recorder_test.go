@@ -148,20 +148,20 @@ func TestRecorderConcurrentEmitAndTail(t *testing.T) {
 }
 
 // TestRecorderEncodedSize pins what one event costs a kept recorder: the
-// par-louvain iteration event (13 fields) and a field-less phase event, both
+// par-louvain iteration event (10 fields) and a field-less phase event, both
 // at TS 1 000 000 µs and Dur 5 000 µs with small ids, take their encoded
 // bytes plus a 4-byte offset.
 func TestRecorderEncodedSize(t *testing.T) {
 	iterFields := map[string]float64{}
 	for _, k := range []string{"moved", "active", "eps", "dq_hat", "floor_pct", "mass", "q",
-		"q_best", "find_us", "update_us", "prop_us", "comm_rounds", "comm_bytes"} {
+		"q_best", "comm_rounds", "comm_bytes"} {
 		iterFields[k] = math.Pi
 	}
 	for _, tc := range []struct {
 		e    Event
 		want int // name id, 5 varints (8 bytes), field count, 9 bytes per field
 	}{
-		{Event{Name: "iteration", Rank: 1, Level: 2, Iter: 3, TS: 1_000_000, Dur: 5_000, Fields: iterFields}, 1 + 8 + 1 + 13*9},
+		{Event{Name: "iteration", Rank: 1, Level: 2, Iter: 3, TS: 1_000_000, Dur: 5_000, Fields: iterFields}, 1 + 8 + 1 + 10*9},
 		{Event{Name: "FIND BEST", Rank: 1, Level: 2, Iter: 3, TS: 1_000_000, Dur: 5_000}, 1 + 8 + 1},
 	} {
 		var r Recorder
@@ -177,12 +177,12 @@ func TestRecorderEncodedSize(t *testing.T) {
 	}
 }
 
-// BenchmarkRecorderEmit times Emit of par-louvain's 13-field iteration
+// BenchmarkRecorderEmit times Emit of par-louvain's 10-field iteration
 // event and reports the bytes a kept recorder retains per event.
 func BenchmarkRecorderEmit(b *testing.B) {
 	fields := map[string]float64{}
 	for i, k := range []string{"moved", "active", "eps", "dq_hat", "floor_pct", "mass", "q",
-		"q_best", "find_us", "update_us", "prop_us", "comm_rounds", "comm_bytes"} {
+		"q_best", "comm_rounds", "comm_bytes"} {
 		fields[k] = float64(i) * 1.5
 	}
 	r := NewRecorder()

@@ -7,6 +7,7 @@ import (
 	"net/http"
 
 	"parlouvain/internal/graph"
+	"parlouvain/internal/obs"
 )
 
 // maxBodyBytes bounds a POST /jobs body (inline edge uploads included).
@@ -149,65 +150,15 @@ func (s *Store) handleJobMetrics(w http.ResponseWriter, r *http.Request) {
 	j.Metrics().WritePrometheusLabeled(w, map[string]string{"job": j.ID()})
 }
 
-// handleEvents is the per-job SSE tail. It first replays the recorded
-// backlog, then follows live appends via Recorder.Watch (take channel →
-// drain cursor → block only when the drain was empty, so no event is ever
-// missed), and ends with a terminal "event: done" frame carrying the final
-// Status once the job finishes and the backlog is fully drained.
+// handleEvents is the per-job SSE tail (obs.StreamEvents): the recorded
+// backlog, then live events, then a terminal "event: done" frame carrying
+// the final Status once the job finishes and the backlog is fully drained.
 func (s *Store) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(w, r)
-	if !ok {
+	if !ok || !obs.StreamEvents(w, r, "text/event-stream", "data: %s\n\n", j.Recorder(), j.Done()) {
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
-	rec := j.Recorder()
-	cur := 0
-	for {
-		watch := rec.Watch()
-		evs, next := rec.EventsSince(cur)
-		cur = next
-		if len(evs) > 0 {
-			for _, e := range evs {
-				data, err := json.Marshal(e)
-				if err != nil {
-					return
-				}
-				if _, err := fmt.Fprintf(w, "data: %s\n\n", data); err != nil {
-					return
-				}
-			}
-			fl.Flush()
-			continue
-		}
-		select {
-		case <-watch:
-		case <-j.Done():
-			// Final drain: events emitted between our last drain and the
-			// terminal transition (including the job_<state> marker).
-			if evs, _ := rec.EventsSince(cur); len(evs) > 0 {
-				for _, e := range evs {
-					if data, err := json.Marshal(e); err == nil {
-						fmt.Fprintf(w, "data: %s\n\n", data)
-					}
-				}
-			}
-			if data, err := json.Marshal(j.Snapshot()); err == nil {
-				fmt.Fprintf(w, "event: done\ndata: %s\n\n", data)
-			}
-			fl.Flush()
-			return
-		case <-r.Context().Done():
-			return
-		}
+	if data, err := json.Marshal(j.Snapshot()); err == nil {
+		fmt.Fprintf(w, "event: done\ndata: %s\n\n", data)
 	}
 }

@@ -74,6 +74,15 @@ type Spec struct {
 	Check bool `json:"check,omitempty"`
 }
 
+// maxGenSize bounds gencli.Size — vertices plus expected edges — of a
+// submitted generator spec. A worker materializes the whole edge list (16 B
+// a record) and graph.Build's scratch (up to 56 B a record) before any
+// engine starts, and a spec is one JSON string, so without a bound a single
+// request such as rmat:scale=30 asks one job for hundreds of GiB and takes
+// the server down. 2^24 records keep a job near 1 GiB; R-MAT scale 19 and
+// LFR n = 10^6 at k = 16 fit.
+const maxGenSize = 1 << 24
+
 // validate rejects specs that could never run, so submission errors come
 // back synchronously as 400s instead of surfacing later as failed jobs.
 func (sp *Spec) validate() error {
@@ -99,6 +108,15 @@ func (sp *Spec) validate() error {
 	}
 	if sp.Ranks < 0 || sp.Ranks > 64 {
 		return fmt.Errorf("serve: ranks %d out of range [0, 64]", sp.Ranks)
+	}
+	if sp.Gen != "" {
+		size, err := gencli.Size(sp.Gen)
+		if err != nil {
+			return err
+		}
+		if !(size <= maxGenSize) { // NaN fails too
+			return fmt.Errorf("serve: generator %q would make %.3g vertices and edges, over the %d a job may ask for", sp.Gen, size, maxGenSize)
+		}
 	}
 	return nil
 }

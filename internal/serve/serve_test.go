@@ -312,6 +312,34 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestValidateBoundsGenSize: a generator spec too large for one worker is
+// refused at submission, from the spec alone — none of these may run — while
+// every job class of the serve benchmark's mix is accepted.
+func TestValidateBoundsGenSize(t *testing.T) {
+	for _, gen := range []string{
+		"rmat:scale=30",
+		"rmat:scale=12,edgefactor=9223372036854775807",
+		"lfr:n=1000000000",
+		"lfr:n=1000,k=NaN",
+	} {
+		if err := (&Spec{Gen: gen}).validate(); err == nil {
+			t.Errorf("%s accepted", gen)
+		}
+	}
+	for _, sp := range []Spec{
+		{Algo: "seq-louvain", Gen: "ring:k=8,s=6"},
+		{Algo: "plm", Gen: "sbm:n=1000,comms=8,seed=1"},
+		{Algo: "par-louvain", Ranks: 2, Gen: "lfr:n=2000,mu=0.3,seed=1"},
+		{Algo: "par-louvain", Ranks: 2, Gen: "lfr:n=8000,mu=0.3,seed=1"},
+		{Algo: "plm", Gen: "rmat:scale=11,seed=1"},
+		{Algo: "seq-louvain", Edges: "0 1\n1 2\n"},
+	} {
+		if err := sp.validate(); err != nil {
+			t.Errorf("%+v refused: %v", sp, err)
+		}
+	}
+}
+
 // TestBadSourceFailsJob asserts materialization errors (deferred to the
 // worker) surface as a failed job, not a hung one.
 func TestBadSourceFailsJob(t *testing.T) {

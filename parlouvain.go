@@ -238,7 +238,8 @@ func NewChaosTransport(inner Transport, cfg ChaosConfig) Transport { return comm
 func ChaosStatsOf(tr Transport) (ChaosStats, bool) { return comm.ChaosStatsOf(tr) }
 
 // LocalAddrs reserves n loopback addresses with free ports for starting a
-// single-machine TCP rank group.
+// TCP rank group inside this process: each port stays bound until
+// NewTCPTransport adopts it, so another process cannot use the addresses.
 func LocalAddrs(n int) ([]string, error) { return comm.LocalAddrs(n) }
 
 // SplitEdges routes each edge of el to the rank(s) that store it, in
